@@ -1,9 +1,9 @@
 """Scaling benchmark over the bundled model families.
 
-Runs the local method (and optionally the global oracle) across a size
-sweep of one family and reports wall-clock times together with
-deterministic work measures (oracle states explored), which is what the
-trend assertions in the test-suite key on.
+Runs the local method through ``run_dpa`` (and optionally the global
+oracle) across a size sweep of one family and reports wall-clock times
+together with deterministic work measures (oracle states explored), which
+is what the trend assertions in the test-suite key on.
 """
 
 from __future__ import annotations
@@ -12,10 +12,8 @@ import time
 
 from . import models
 from .dsl import elaborate, parse_descriptor, parse_network
-from .network import check_live
-from .decomposition import decompose
-from .patterns import check_pattern
 from .oracle import explore_global
+from .report import PROVEN, run_dpa
 
 FAMILIES = ("philosophers", "ringbuffer", "leadership")
 
@@ -41,28 +39,13 @@ def run_bench(family: str, sizes, oracle_sizes=(), state_limit=1_000_000) -> dic
     for size in sizes:
         net, descs = build_family(family, size)
         t0 = time.perf_counter()
-        live = check_live(net, state_limit).live
-        dec = decompose(net, state_limit, precheck_live=False)
-        proven = live and dec.all_singular
-        if live and not dec.all_singular and descs:
-            ok = True
-            for sub in dec.subnetworks:
-                if len(sub) == 1:
-                    continue
-                names = [net[i].name for i in sub]
-                scoped = [d for d in descs if frozenset(d.components()) == frozenset(names)]
-                if not scoped:
-                    ok = False
-                    continue
-                verdict = check_pattern(scoped[0], net, names, state_limit)
-                ok = ok and verdict.adherent
-            proven = ok
+        report = run_dpa(net, descs, state_limit)
         dpa_time = time.perf_counter() - t0
         row = {
             "size": size,
             "components": len(net),
             "dpa_seconds": round(dpa_time, 4),
-            "proven": proven,
+            "proven": report.overall == PROVEN,
         }
         if size in oracle_sizes:
             t0 = time.perf_counter()

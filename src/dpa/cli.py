@@ -25,7 +25,7 @@ from .dsl import (
 )
 from .events import EVENTS
 from .lts import DEFAULT_STATE_LIMIT, StateLimitExceeded
-from .network import NotLive, check_live, communication_graph
+from .network import CompileFailure, NotLive, check_live, communication_graph
 from .oracle import (
     DeadlockFree,
     DeadlockWitness,
@@ -138,7 +138,13 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except StateLimitExceeded as exc:
+    except (StateLimitExceeded, CompileFailure) as exc:
+        # a component that outgrows the limit while compiling is the same
+        # user-fixable problem; any other compile failure is a bug
+        if isinstance(exc, CompileFailure) and not isinstance(
+            exc.cause, StateLimitExceeded
+        ):
+            raise
         print(f"error: {exc} (raise --state-limit)", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -150,6 +150,8 @@ def build_context(
 ) -> Lts:
     """Parallel composition of the two abstracted components, where every
     shared-event offer additionally offers the fresh request event."""
+    if i == j:
+        raise ValueError(f"component {net[i].name} cannot conflict with itself")
     shared = net[i].alphabet & net[j].alphabet
     if not shared:
         raise ValueError(

@@ -62,12 +62,14 @@ class Lts:
 
     ``trans[s]`` is a tuple of (label, target) pairs sorted by label then
     target; TICK (-2) and TAU (-1) therefore sort before all visible events,
-    which keeps every traversal in this package deterministic.
+    which keeps every traversal in this package deterministic.  ``terms``,
+    when present, holds the canonical term of each state; names are
+    rendered from it only when asked for.
     """
 
     initial: int
     trans: tuple
-    state_names: tuple | None = None
+    terms: tuple | None = None
 
     @property
     def n_states(self) -> int:
@@ -94,8 +96,8 @@ class Lts:
         return [t for (l, t) in self.trans[s] if l == label]
 
     def state_name(self, s) -> str:
-        if self.state_names is not None:
-            return self.state_names[s]
+        if self.terms is not None:
+            return pretty(self.terms[s])
         return f"s{s}"
 
 
@@ -183,7 +185,6 @@ def compile_term(
     term: Term,
     limit: int = DEFAULT_STATE_LIMIT,
     bindings: dict | None = None,
-    keep_terms: bool = True,
 ) -> Lts:
     """Compile a term (closed under ``env``) to its reachable LTS."""
     start = bind(term, bindings or {}, env)
@@ -214,8 +215,7 @@ def compile_term(
             limit, "canonical terms grow without bound; the process has no "
             "finite control structure"
         ) from None
-    names = tuple(pretty(t) for t in order) if keep_terms else None
-    return Lts(0, tuple(trans), names)
+    return Lts(0, tuple(trans), tuple(order))
 
 
 def hide_lts(lts: Lts, hidden: frozenset) -> Lts:
@@ -228,7 +228,7 @@ def hide_lts(lts: Lts, hidden: frozenset) -> Lts:
             )
         )
         trans.append(tuple(new))
-    return Lts(lts.initial, tuple(trans), lts.state_names)
+    return Lts(lts.initial, tuple(trans), lts.terms)
 
 
 def rename_lts(lts: Lts, relation: dict) -> Lts:
@@ -244,7 +244,7 @@ def rename_lts(lts: Lts, relation: dict) -> Lts:
             else:
                 new.append((l, t))
         trans.append(tuple(dict.fromkeys(sorted(new))))
-    return Lts(lts.initial, tuple(trans), lts.state_names)
+    return Lts(lts.initial, tuple(trans), lts.terms)
 
 
 def check_alphabet(lts: Lts, alphabet: frozenset):
@@ -312,9 +312,4 @@ def parallel_lts(
                     if l2 == l:
                         row.append((l, state_id((t, t2))))
         trans.append(tuple(dict.fromkeys(sorted(row))))
-    names = None
-    if a.state_names is not None and b.state_names is not None:
-        names = tuple(
-            f"({a.state_names[sa]} || {b.state_names[sb]})" for (sa, sb) in order
-        )
-    return Lts(0, tuple(trans), names)
+    return Lts(0, tuple(trans))

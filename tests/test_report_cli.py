@@ -158,6 +158,23 @@ def test_cli_conflict_subcommand(model_dir, capsys):
     assert "conflict-free" in out
 
 
+def test_cli_conflict_rejects_one_component_twice(model_dir, capsys):
+    model = str(model_dir / "ringbuffer.net")
+    assert main(["conflict", model, "0", "0"]) == 2
+    assert main(["conflict", model, "Controller", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "possible-conflict" not in captured.out
+    assert "cannot conflict with itself" in captured.err
+
+
+def test_cli_state_limit_hit_while_compiling(model_dir, capsys):
+    model = str(model_dir / "ringbuffer.net")
+    assert main(["check", model, "--state-limit", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "state limit of 3 states exceeded" in err
+    assert "(raise --state-limit)" in err
+
+
 def test_cli_pattern_subcommand(model_dir, capsys):
     model = str(model_dir / "client_server.net")
     pat = str(model_dir / "client_server.pattern.json")
@@ -233,7 +250,41 @@ def test_oracle_witness_json_names_local_states(model_dir, tmp_path):
         "Phil.0", "Phil.1", "Phil.2", "Fork.0", "Fork.1", "Fork.2"
     }
     # local states are named by their canonical terms
-    assert any("pickup" in v or "putdown" in v for v in locals_.values())
+    assert locals_ == {
+        "Fork.0": "putdown.0.0 -> Fork(0)",
+        "Fork.1": "putdown.1.1 -> Fork(1)",
+        "Fork.2": "putdown.2.2 -> Fork(2)",
+        "Phil.0": "pickup.0.1 -> eat.0 -> putdown.0.0 -> putdown.0.1 "
+                  "-> getup.0 -> Phil(0)",
+        "Phil.1": "pickup.1.2 -> eat.1 -> putdown.1.1 -> putdown.1.2 "
+                  "-> getup.1 -> Phil(1)",
+        "Phil.2": "pickup.2.0 -> eat.2 -> putdown.2.2 -> putdown.2.0 "
+                  "-> getup.2 -> Phil(2)",
+    }
+
+
+def test_state_names_are_rendered_only_for_witnesses(monkeypatch):
+    import dpa.lts
+
+    calls = []
+    real_pretty = dpa.lts.pretty
+
+    def counting_pretty(term):
+        calls.append(term)
+        return real_pretty(term)
+
+    monkeypatch.setattr(dpa.lts, "pretty", counting_pretty)
+
+    lead = net_of(models.leadership_source(3))
+    desc = parse_descriptor(models.leadership_descriptor(3), lead)
+    assert run_dpa(lead, [desc]).overall == PROVEN
+    assert run_dpa(net_of(models.ring_buffer_source(3))).overall == PROVEN
+    assert calls == []
+
+    sym = net_of(models.philosophers_source(3, symmetric=True))
+    witness = explore_global(sym)
+    witness.to_json(sym)
+    assert len(calls) == len(sym) == 6
 
 
 def test_cli_check_json_report(model_dir, tmp_path):
