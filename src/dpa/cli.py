@@ -2,8 +2,7 @@
 
 Exit codes: 0 when deadlock freedom was proven (or the subcommand's check
 passed), 1 when the analysis is inconclusive or found a problem, 2 on input
-errors.  The worker-pool width for independent checks comes from the
-``DPA_WORKERS`` environment variable.
+errors.
 """
 
 from __future__ import annotations
@@ -114,9 +113,14 @@ def build_parser():
 
 def _component_index(net, ref):
     try:
-        return int(ref)
+        index = int(ref)
     except ValueError:
         return net.index_of(ref)
+    if not 0 <= index < len(net):
+        raise InputError(
+            f"component index {index} is out of range 0..{len(net) - 1}"
+        )
+    return index
 
 
 def _write(path, text):

@@ -15,9 +15,7 @@ introduce spurious ones), hence the verdict name ``possible-conflict``.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .events import EVENTS
@@ -44,23 +42,6 @@ from .terms import (
 
 CONFLICT_FREE = "conflict-free"
 POSSIBLE_CONFLICT = "possible-conflict"
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("DPA_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Deterministically ordered map over a bounded worker pool."""
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +288,7 @@ def decompose(
     if timings is not None:
         timings["bridges"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    checks = parallel_map(
-        lambda e: check_conflict_free(net, e[0], e[1], limit), sorted(bridge_edges)
-    )
+    checks = [check_conflict_free(net, i, j, limit) for i, j in sorted(bridge_edges)]
     if timings is not None:
         timings["conflicts"] = time.perf_counter() - t0
     removed = frozenset(c.edge for c in checks if c.verdict == CONFLICT_FREE)

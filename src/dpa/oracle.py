@@ -85,25 +85,22 @@ class _Product:
     compiled under the default cap."""
 
     def __init__(self, net: Network, limit: int):
-        self.net = net
-        self.ltss = [
-            c.compiled(max(limit, DEFAULT_STATE_LIMIT)) for c in net.components
-        ]
+        ltss = [c.compiled(max(limit, DEFAULT_STATE_LIMIT)) for c in net.components]
         self.taus = []
         self.vis = []
         self.tick = []
-        for lts in self.ltss:
+        for lts in ltss:
             comp_taus = []
             comp_vis = []
             comp_tick = []
-            for s in range(lts.n_states):
-                comp_taus.append(tuple(t for (l, t) in lts.trans[s] if l == TAU))
+            for row in lts.trans:
+                comp_taus.append(tuple(t for (l, t) in row if l == TAU))
                 vmap = {}
-                for l, t in lts.trans[s]:
+                for l, t in row:
                     if l >= 0:
                         vmap.setdefault(l, []).append(t)
-                comp_vis.append(vmap)
-                comp_tick.append(any(l == TICK for (l, _) in lts.trans[s]))
+                comp_vis.append({l: tuple(ts) for l, ts in vmap.items()})
+                comp_tick.append(any(l == TICK for (l, _) in row))
             self.taus.append(comp_taus)
             self.vis.append(comp_vis)
             self.tick.append(comp_tick)
@@ -111,40 +108,47 @@ class _Product:
         for i, c in enumerate(net.components):
             for e in c.alphabet:
                 owners.setdefault(e, []).append(i)
-        self.owners = owners
-        self.initial = tuple(lts.initial for lts in self.ltss)
+        self.owners = {e: tuple(ix) for e, ix in owners.items()}
+        self.initial = tuple(lts.initial for lts in ltss)
 
-    def tau_moves(self, state):
+    def moves(self, state):
+        """Every move out of ``state`` as ``[(event or None, successor)]``.
+
+        Tau moves come first (components ascending, then targets), then
+        the synchronised events in ascending order, each with its
+        successors (owners ascending, local targets ascending).  An event
+        is enabled when all its owners offer it; each component's offers
+        lie inside its alphabet (``check_alphabet``), so walking what the
+        components offer finds every enabled event once, at its first
+        owner, without scanning the alphabet."""
+        out = []
+        offers = []
         for i, s in enumerate(state):
             for t in self.taus[i][s]:
-                yield i, t
-
-    def enabled_events(self, state):
-        """Visible events all owners currently enable, in ascending order."""
-        out = []
-        for e, owners in self.owners.items():
-            if all(e in self.vis[i][state[i]] for i in owners):
-                out.append(e)
-        out.sort()
+                nxt = list(state)
+                nxt[i] = t
+                out.append((None, tuple(nxt)))
+            offers.append(self.vis[i][s])
+        owners = self.owners
+        enabled = []
+        for i, offer in enumerate(offers):
+            for e in offer:
+                own = owners[e]
+                if own[0] == i and all(e in offers[j] for j in own[1:]):
+                    enabled.append(e)
+        enabled.sort()
+        for e in enabled:
+            succs = [list(state)]
+            for i in owners[e]:
+                targets = offers[i][e]
+                if len(targets) == 1:
+                    for nxt in succs:
+                        nxt[i] = targets[0]
+                else:
+                    succs = [nxt[:i] + [t] + nxt[i + 1:]
+                             for nxt in succs for t in targets]
+            out += [(e, tuple(nxt)) for nxt in succs]
         return out
-
-    def event_successors(self, state, e):
-        """All successor tuples for one synchronised event, deterministic
-        order (owners ascend, local targets ascend)."""
-        owners = self.owners[e]
-        succs = [list(state)]
-        for i in owners:
-            expanded = []
-            for base in succs:
-                for t in self.vis[i][state[i]][e]:
-                    nxt = list(base)
-                    nxt[i] = t
-                    expanded.append(nxt)
-            succs = expanded
-        return [tuple(s) for s in succs]
-
-    def is_stable(self, state):
-        return all(not self.taus[i][s] for i, s in enumerate(state))
 
     def all_tick(self, state):
         return all(self.tick[i][s] for i, s in enumerate(state))
@@ -152,8 +156,8 @@ class _Product:
 
 def explore_global(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
     """BFS the synchronised product; first deadlock found has a shortest
-    trace.  A deadlock is a stable state with no enabled visible event that
-    cannot terminate either."""
+    trace.  A deadlock is a state with no move at all (so stable, with no
+    enabled visible event) that cannot terminate either."""
     prod = _Product(net, state_limit)
     start = prod.initial
     parents = {start: None}
@@ -162,15 +166,8 @@ def explore_global(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
     while queue:
         state = queue.popleft()
         explored += 1
-        moves = []
-        for i, t in prod.tau_moves(state):
-            nxt = list(state)
-            nxt[i] = t
-            moves.append((None, tuple(nxt)))
-        enabled = prod.enabled_events(state)
-        for e in enabled:
-            moves.extend((e, s) for s in prod.event_successors(state, e))
-        if prod.is_stable(state) and not enabled and not prod.all_tick(state):
+        moves = prod.moves(state)
+        if not moves and not prod.all_tick(state):
             trace = _trace_to(parents, state)
             gs = GlobalState(state, True, trace)
             return DeadlockWitness(trace, gs, states_explored=explored)
@@ -202,15 +199,9 @@ def iter_reachable(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
     while queue:
         state = queue.popleft()
         trace = seen[state]
-        yield GlobalState(state, prod.is_stable(state), trace)
-        succs = []
-        for i, t in prod.tau_moves(state):
-            nxt = list(state)
-            nxt[i] = t
-            succs.append((None, tuple(nxt)))
-        for e in prod.enabled_events(state):
-            succs.extend((e, s) for s in prod.event_successors(state, e))
-        for e, nxt in succs:
+        moves = prod.moves(state)
+        yield GlobalState(state, all(e is not None for e, _ in moves), trace)
+        for e, nxt in moves:
             if nxt not in seen:
                 if len(seen) >= state_limit:
                     return

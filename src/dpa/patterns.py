@@ -23,7 +23,6 @@ from .events import EVENTS
 from .lts import DEFAULT_STATE_LIMIT, compile_term
 from .network import Network, abs_lts, abs_divergent
 from .semantics import Counterexample, FAILURES, REVIVALS, normalize, refines
-from .decomposition import parallel_map
 from .terms import (
     BinOp,
     Call,
@@ -202,6 +201,11 @@ class PredicateResult:
     name: str
     ok: bool
     witness: str = ""
+
+    def failure_parts(self):
+        """``(who, what, detail)`` for report lines; a structural
+        predicate names no single component."""
+        return "", self.name, self.witness
 
     def to_json(self):
         data = {"predicate": self.name, "ok": self.ok}
@@ -599,6 +603,14 @@ class BehaviouralResult:
     counterexample: Counterexample | None = None
     note: str = ""
 
+    def failure_parts(self):
+        """``(who, what, detail)`` for report lines: the note, else the
+        counterexample."""
+        detail = self.note
+        if not detail and self.counterexample is not None:
+            detail = self.counterexample.describe()
+        return self.component, self.spec_name, detail
+
     def to_json(self):
         data = {
             "component": self.component,
@@ -656,9 +668,10 @@ def check_behavioural(desc, net: Network, scope, limit=DEFAULT_STATE_LIMIT) -> l
         for r in desc.resources:
             env, term = generate_spec(desc, "resource", r)
             jobs.append((r, env, term, FAILURES, "ResourceSpec"))
-        results = parallel_map(
-            lambda j: _refine_against(net, j[0], j[1], j[2], j[3], limit, j[4]), jobs
-        )
+        results = [
+            _refine_against(net, name, env, term, model, limit, spec_name)
+            for name, env, term, model, spec_name in jobs
+        ]
         for u in desc.users:
             try:
                 ok = respects_order(desc.order[u], desc.ra_order)
@@ -687,9 +700,10 @@ def check_behavioural(desc, net: Network, scope, limit=DEFAULT_STATE_LIMIT) -> l
                 )
             else:
                 jobs.append((name, env2, term2, FAILURES, "RequestsResponsesSpec"))
-        results = parallel_map(
-            lambda j: _refine_against(net, j[0], j[1], j[2], j[3], limit, j[4]), jobs
-        )
+        results = [
+            _refine_against(net, name, env, term, model, limit, spec_name)
+            for name, env, term, model, spec_name in jobs
+        ]
         return results + degenerate
     if isinstance(desc, AdDescriptor):
         for k in desc.transport_entities:
@@ -698,9 +712,10 @@ def check_behavioural(desc, net: Network, scope, limit=DEFAULT_STATE_LIMIT) -> l
         for p in desc.participants:
             env, term = generate_spec(desc, "participant", p)
             jobs.append((p, env, term, FAILURES, "ParticipantSpec"))
-        results = parallel_map(
-            lambda j: _refine_against(net, j[0], j[1], j[2], j[3], limit, j[4]), jobs
-        )
+        results = [
+            _refine_against(net, name, env, term, model, limit, spec_name)
+            for name, env, term, model, spec_name in jobs
+        ]
         for p in desc.participants:
             sched = desc.schedule.get(p, ())
             dup = len(sched) != len(set(sched))

@@ -117,12 +117,8 @@ class DpaReport:
             lines.append(f"subnetwork {sub.components}: {tag}")
             if sub.verdict is not None:
                 for fail in sub.verdict.failures():
-                    name = getattr(fail, "name", None) or getattr(fail, "spec_name", "?")
-                    who = getattr(fail, "component", "")
-                    note = getattr(fail, "witness", "") or getattr(fail, "note", "")
-                    ce = getattr(fail, "counterexample", None)
-                    detail = note or (ce.describe() if ce is not None else "")
-                    lines.append(f"    FAIL {who} {name}: {detail}")
+                    who, what, detail = fail.failure_parts()
+                    lines.append(f"    FAIL {who} {what}: {detail}")
                 for warn in sub.verdict.warnings:
                     lines.append(f"    warning: {warn}")
         if self.oracle is not None:
@@ -222,13 +218,7 @@ def run_dpa(
                     )
                 else:
                     for fail in s.verdict.failures():
-                        who = getattr(fail, "component", "")
-                        what = getattr(fail, "name", None) or getattr(
-                            fail, "spec_name", "?"
-                        )
-                        note = getattr(fail, "witness", "") or getattr(fail, "note", "")
-                        ce = getattr(fail, "counterexample", None)
-                        detail = note or (ce.describe() if ce is not None else "")
+                        who, what, detail = fail.failure_parts()
                         reasons.append(
                             f"subnetwork {s.components}: {who} fails {what}"
                             + (f" ({detail})" if detail else "")

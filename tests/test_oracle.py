@@ -1,11 +1,17 @@
+import random
+from collections import deque
+
 import pytest
 
+from conftest import random_live_network
 from dpa import models
 from dpa.dsl import elaborate, parse_network
-from dpa.events import EVENTS
+from dpa.events import EVENTS, TAU, TICK
+from dpa.lts import DEFAULT_STATE_LIMIT
 from dpa.oracle import (
     DeadlockFree,
     DeadlockWitness,
+    GlobalState,
     LimitReached,
     SnapshotGraph,
     UnstableState,
@@ -125,8 +131,6 @@ def test_cycle_detection_on_handmade_graphs():
 
 
 def test_every_deadlock_yields_blocked_components_and_a_cycle(rng):
-    from conftest import random_live_network
-
     deadlocks = 0
     for _ in range(40):
         net = random_live_network(rng)
@@ -148,3 +152,158 @@ def test_every_deadlock_yields_blocked_components_and_a_cycle(rng):
         for c in net.components:
             assert c.alphabet <= refusals
     assert deadlocks >= 3
+
+
+# ---------------------------------------------------------------------------
+# reference: the plain product BFS, which tests every owned event against
+# every owner at every global state
+
+
+class _ReferenceProduct:
+    def __init__(self, net, limit):
+        ltss = [c.compiled(max(limit, DEFAULT_STATE_LIMIT)) for c in net.components]
+        self.taus = [[lts.taus(s) for s in range(lts.n_states)] for lts in ltss]
+        self.vis = [
+            [{e: lts.successors(s, e) for e in lts.visible_initials(s)}
+             for s in range(lts.n_states)]
+            for lts in ltss
+        ]
+        self.tick = [[lts.has_tick(s) for s in range(lts.n_states)] for lts in ltss]
+        self.owners = {}
+        for i, c in enumerate(net.components):
+            for e in c.alphabet:
+                self.owners.setdefault(e, []).append(i)
+        self.initial = tuple(lts.initial for lts in ltss)
+
+    def moves(self, state):
+        out = []
+        for i, s in enumerate(state):
+            for t in self.taus[i][s]:
+                nxt = list(state)
+                nxt[i] = t
+                out.append((None, tuple(nxt)))
+        for e in self.enabled_events(state):
+            succs = [list(state)]
+            for i in self.owners[e]:
+                expanded = []
+                for base in succs:
+                    for t in self.vis[i][state[i]][e]:
+                        nxt = list(base)
+                        nxt[i] = t
+                        expanded.append(nxt)
+                succs = expanded
+            out.extend((e, tuple(s)) for s in succs)
+        return out
+
+    def enabled_events(self, state):
+        return sorted(
+            e for e, owners in self.owners.items()
+            if all(e in self.vis[i][state[i]] for i in owners)
+        )
+
+    def is_stable(self, state):
+        return all(not self.taus[i][s] for i, s in enumerate(state))
+
+    def all_tick(self, state):
+        return all(self.tick[i][s] for i, s in enumerate(state))
+
+
+def _reference_explore(net, state_limit=DEFAULT_STATE_LIMIT):
+    prod = _ReferenceProduct(net, state_limit)
+    parents = {prod.initial: None}
+    queue = deque([prod.initial])
+    explored = 0
+    while queue:
+        state = queue.popleft()
+        explored += 1
+        if (prod.is_stable(state) and not prod.enabled_events(state)
+                and not prod.all_tick(state)):
+            trace = []
+            cur = state
+            while parents[cur] is not None:
+                cur, e = parents[cur]
+                if e is not None:
+                    trace.append(e)
+            trace = tuple(reversed(trace))
+            return DeadlockWitness(trace, GlobalState(state, True, trace),
+                                   states_explored=explored)
+        for e, nxt in prod.moves(state):
+            if nxt not in parents:
+                if len(parents) >= state_limit:
+                    return LimitReached(explored, len(queue))
+                parents[nxt] = (state, e)
+                queue.append(nxt)
+    return DeadlockFree(explored)
+
+
+def _reference_reachable(net, state_limit=DEFAULT_STATE_LIMIT):
+    prod = _ReferenceProduct(net, state_limit)
+    seen = {prod.initial: ()}
+    queue = deque([prod.initial])
+    while queue:
+        state = queue.popleft()
+        trace = seen[state]
+        yield GlobalState(state, prod.is_stable(state), trace)
+        for e, nxt in prod.moves(state):
+            if nxt not in seen:
+                if len(seen) >= state_limit:
+                    return
+                seen[nxt] = trace if e is None else trace + (e,)
+                queue.append(nxt)
+
+
+def _corpus(group):
+    if group == "bundled":
+        return [net_of(build()) for name, build in sorted(models.BUNDLED.items())
+                if name.endswith(".net")]
+    if group == "philosophers":
+        return [net_of(models.philosophers_source(n, symmetric=sym))
+                for n in range(2, 6) for sym in (False, True)]
+    if group == "ring_buffer_leadership":
+        return [net_of(models.ring_buffer_source(n)) for n in range(2, 5)] + [
+            net_of(models.leadership_source(2))]
+    rng = random.Random(3)
+    return [random_live_network(rng) for _ in range(40)] + [net_of(BOTH_BRANCH)]
+
+
+# both owners of ``a`` have two targets for it, so the order of the four
+# successors is visible in the BFS order
+BOTH_BRANCH = """
+version 1
+channel a
+channel b
+channel c
+P = a -> b -> P [] a -> c -> P
+Q = a -> b -> Q [] a -> c -> Q
+atom PA = alphabet { a, b, c } behaviour P
+atom QA = alphabet { a, b, c } behaviour Q
+instance X = PA
+instance Y = QA
+"""
+
+
+GROUPS = ("bundled", "philosophers", "ring_buffer_leadership", "random")
+LIMITS = (1, 10, 100, DEFAULT_STATE_LIMIT)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_explore_global_matches_reference(group):
+    nets = _corpus(group)
+    assert len(nets) == {"bundled": 6, "philosophers": 8,
+                         "ring_buffer_leadership": 4, "random": 41}[group]
+    kinds = set()
+    for net in nets:
+        for limit in LIMITS:
+            expected = _reference_explore(net, limit)
+            assert explore_global(net, limit) == expected
+            kinds.add(type(expected).__name__)
+    assert "LimitReached" in kinds and "DeadlockFree" in kinds
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_iter_reachable_matches_reference(group):
+    for net in _corpus(group):
+        for limit in LIMITS:
+            assert list(iter_reachable(net, limit)) == list(
+                _reference_reachable(net, limit))
+

@@ -55,6 +55,29 @@ def test_symmetric_philosophers_inconclusive_names_culprit():
     assert isinstance(report.oracle, DeadlockWitness)
 
 
+def test_failure_lines_and_reasons_name_who_what_and_why():
+    # a structural predicate names no component, hence the double space
+    net = net_of(models.philosophers_source(3))
+    doc = models.philosophers_descriptor(3)
+    doc["connections"][0]["release"] = doc["connections"][0]["acquire"]
+    report = run_dpa(net, [parse_descriptor(doc, net)])
+    sub = "subnetwork ['Phil.0', 'Phil.1', 'APhil.2', 'Fork.0', 'Fork.1', 'Fork.2']"
+    assert "    FAIL  mutually_disjoint_events: acquire = release on ['pickup.0.0']" in (
+        report.summary().splitlines())
+    assert report.reasons[0] == (
+        f"{sub}:  fails mutually_disjoint_events (acquire = release on ['pickup.0.0'])")
+    # a behavioural failure without a note is explained by its counterexample
+    src = models.philosophers_source(3).replace(
+        "putdown.id.id -> putdown.id.next(id) -> getup.id -> Phil(id)",
+        "putdown.id.next(id) -> putdown.id.id -> getup.id -> Phil(id)",
+    )
+    net = net_of(src)
+    report = run_dpa(net, [parse_descriptor(models.philosophers_descriptor(3), net)])
+    why = "trace violation: after <pickup.0.0, pickup.0.1> the implementation performs putdown.0.1"
+    assert f"    FAIL Phil.0 UserSpec: {why}" in report.summary().splitlines()
+    assert report.reasons[0] == f"{sub}: Phil.0 fails UserSpec ({why})"
+
+
 def test_missing_descriptor_is_inconclusive():
     net = net_of(models.philosophers_source(3))
     report = run_dpa(net)
@@ -167,6 +190,15 @@ def test_cli_conflict_rejects_one_component_twice(model_dir, capsys):
     assert "cannot conflict with itself" in captured.err
 
 
+@pytest.mark.parametrize("index", ["99", "4", "-1"])
+def test_cli_conflict_rejects_out_of_range_index(model_dir, capsys, index):
+    model = str(model_dir / "ringbuffer.net")
+    assert main(["conflict", model, "0", index]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"component index {index} is out of range 0..3" in captured.err
+
+
 def test_cli_state_limit_hit_while_compiling(model_dir, capsys):
     model = str(model_dir / "ringbuffer.net")
     assert main(["check", model, "--state-limit", "3"]) == 2
@@ -226,18 +258,6 @@ def test_cli_check_with_bench_flag(model_dir, tmp_path):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["bench"]["rows"][0]["proven"] is True
-
-
-def test_worker_pool_results_deterministic(monkeypatch):
-    from dpa.decomposition import decompose
-
-    net1 = net_of(models.ring_buffer_source(3))
-    serial = decompose(net1)
-    monkeypatch.setenv("DPA_WORKERS", "3")
-    net2 = net_of(models.ring_buffer_source(3))
-    pooled = decompose(net2)
-    assert [c.verdict for c in serial.checks] == [c.verdict for c in pooled.checks]
-    assert serial.subnetworks == pooled.subnetworks
 
 
 def test_oracle_witness_json_names_local_states(model_dir, tmp_path):
