@@ -246,7 +246,8 @@ def _dispatch(args) -> int:
         return EXIT_PROVEN if verdict.adherent else EXIT_INCONCLUSIVE
 
     if args.command == "oracle":
-        liveness = check_live(net, args.state_limit)
+        # as in the search itself, --state-limit bounds the product only
+        liveness = check_live(net, max(args.state_limit, DEFAULT_STATE_LIMIT))
         if not liveness.live:
             print("warning: network is not live; searching anyway", file=sys.stderr)
             print(liveness.summary(), file=sys.stderr)

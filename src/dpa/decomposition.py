@@ -20,15 +20,16 @@ from dataclasses import dataclass
 
 from .events import EVENTS
 from .lts import DEFAULT_STATE_LIMIT, Lts, compile_term, parallel_lts, rename_lts
-from .network import CommGraph, Network, NotLive, abs_lts, check_live, communication_graph
-from .semantics import (
-    Counterexample,
-    NormalSpec,
-    REVIVALS,
-    normalize,
-    refines,
-    stable_behaviours,
+from .network import (
+    CommGraph,
+    Network,
+    NotLive,
+    abs_divergent,
+    abs_lts,
+    check_live,
+    communication_graph,
 )
+from .semantics import Counterexample, NormalSpec, REVIVALS, normalize, refines
 from .terms import (
     Call,
     DefEnv,
@@ -217,11 +218,7 @@ def check_conflict_free(
     context = build_context(net, i, j, limit, req)
     spec = build_conflict_free_spec(net, i, j, req)
     ce = refines(spec, context, REVIVALS)
-    warn = []
-    for k in (i, j):
-        info = stable_behaviours(abs_lts(net, k, limit))
-        if any(info.divergent):
-            warn.append(net[k].name)
+    warn = [net[k].name for k in (i, j) if abs_divergent(net, k, limit)]
     return ConflictCheck(
         edge=(i, j),
         names=(net[i].name, net[j].name),

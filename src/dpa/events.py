@@ -9,8 +9,6 @@ component alphabet.
 
 from __future__ import annotations
 
-import threading
-
 TAU = -1
 TICK = -2
 
@@ -19,24 +17,24 @@ _RESERVED = {TAU: "tau", TICK: "tick"}
 
 class EventTable:
     """Process-wide intern table.  Ids are stable for the lifetime of the
-    interpreter, which is what counterexample tie-breaking relies on."""
+    interpreter, which is what counterexample tie-breaking relies on.
+
+    The table is not locked: ``dpa`` interns from one thread.  A process
+    pool must fork its workers after the events are interned, so that
+    every worker inherits the same ids; a ``spawn`` start method would
+    give each worker a table of its own."""
 
     def __init__(self):
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def intern(self, name: str) -> int:
         eid = self._ids.get(name)
-        if eid is not None:
-            return eid
-        with self._lock:
-            eid = self._ids.get(name)
-            if eid is None:
-                eid = len(self._names)
-                self._names.append(name)
-                self._ids[name] = eid
-            return eid
+        if eid is None:
+            eid = len(self._names)
+            self._names.append(name)
+            self._ids[name] = eid
+        return eid
 
     def name(self, eid: int) -> str:
         if eid < 0:

@@ -19,6 +19,9 @@ via :class:`StableInfo` divergence flags, never as violations.
 Refinement runs breadth-first over pairs of (normalised spec state,
 implementation state), expanding transitions in ascending label order, so
 the first violation found has a shortest, deterministic witness trace.
+Whether a pair witnesses a violation depends only on the spec state and
+the set of labels the implementation state offers, so each such
+combination is judged once per check; counterexamples are unchanged.
 """
 
 from __future__ import annotations
@@ -185,6 +188,13 @@ def normalize(spec: Lts, universe: frozenset | None = None) -> NormalSpec:
     a specification author means.
     """
     info = stable_behaviours(spec)
+    # per spec state: label -> targets, in transition order
+    succ = []
+    for row in spec.trans:
+        by_label = {}
+        for l, t in row:
+            by_label.setdefault(l, []).append(t)
+        succ.append(by_label)
     if universe is None:
         universe = spec.visible_events()
     initial = info.tau_closure[spec.initial]
@@ -199,9 +209,7 @@ def normalize(spec: Lts, universe: frozenset | None = None) -> NormalSpec:
             if info.divergent[m]:
                 raise SpecDivergence(trace)
         stable_accs = [info.acceptance[m] for m in members if info.stable[m]]
-        tick_allowed = any(
-            l == TICK for m in members for (l, _) in spec.trans[m]
-        )
+        tick_allowed = any(TICK in succ[m] for m in members)
         # termination is urgent: a tick-enabled member (stable or not) lets
         # the spec refuse all of sigma, i.e. grants the acceptance {TICK}
         fail_accs = [acc for acc in stable_accs if TICK not in acc]
@@ -220,13 +228,11 @@ def normalize(spec: Lts, universe: frozenset | None = None) -> NormalSpec:
             )
         )
         row = {}
-        labels = sorted(
-            {l for m in members for (l, _) in spec.trans[m] if l >= 0}
-        )
+        labels = sorted({l for m in members for l in succ[m] if l >= 0})
         for l in labels:
             targets = set()
             for m in members:
-                for t in spec.successors(m, l):
+                for t in succ[m].get(l, ()):
                     targets |= info.tau_closure[t]
             tgt = frozenset(targets)
             sid = ids.get(tgt)
@@ -314,74 +320,73 @@ def refines(spec: NormalSpec, impl: Lts, model: str) -> Counterexample | None:
     start = (spec.initial, impl.initial)
     visited = {start: None}
     queue = deque([start])
+    judged = {}  # (spec state, offered labels) -> violation fields or None
     while queue:
         pair = queue.popleft()
         ns, is_ = pair
-        nstate = spec.states[ns]
         row = impl.trans[is_]
-        stable = all(l != TAU for (l, _) in row)
-        has_tick = any(l == TICK for (l, _) in row)
-        initials = frozenset(l for (l, _) in row if l >= 0)
-        # trace escapes first: the event itself is the evidence
-        for l, _t in row:
-            if l == TICK and not nstate.tick_allowed:
-                return Counterexample(
-                    TRACE_VIOLATION, _pair_trace(visited, pair), event=TICK
-                )
-            if l >= 0 and l not in spec.trans[ns]:
-                return Counterexample(
-                    TRACE_VIOLATION, _pair_trace(visited, pair), event=l
-                )
-        if model == FAILURES:
-            # tick-enabled states refuse all visibles (termination urgency),
-            # whether or not they are stable
-            acc = None
-            if has_tick:
-                acc = frozenset({TICK})
-            elif stable:
-                acc = initials
-            if acc is not None and not any(
-                a <= acc for a in nstate.min_acceptances
-            ):
-                return Counterexample(
-                    REFUSAL_VIOLATION,
-                    _pair_trace(visited, pair),
-                    acceptance=acc,
-                    refusal=spec.universe - acc,
-                )
-        else:
-            if stable and not has_tick:
-                if not initials:
-                    if not nstate.deadlock_allowed:
-                        return Counterexample(
-                            DEADLOCK_VIOLATION,
-                            _pair_trace(visited, pair),
-                            acceptance=frozenset(),
-                            refusal=spec.universe,
-                        )
-                else:
-                    for a in sorted(initials):
-                        if not any(
-                            a in acc and acc <= initials
-                            for acc in nstate.acceptances
-                        ):
-                            return Counterexample(
-                                REVIVAL_VIOLATION,
-                                _pair_trace(visited, pair),
-                                event=a,
-                                acceptance=initials,
-                                refusal=spec.universe - initials,
-                            )
+        key = (ns, frozenset([l for (l, _) in row]))
+        verdict = judged.get(key, _UNJUDGED)
+        if verdict is _UNJUDGED:
+            verdict = judged[key] = _judge(spec, ns, row, model)
+        if verdict is not None:
+            kind, *fields = verdict
+            return Counterexample(kind, _pair_trace(visited, pair), *fields)
+        spec_row = spec.trans[ns]
         for l, t in row:
             if l == TAU:
                 nxt = (ns, t)
             elif l == TICK:
                 continue  # nothing is observable beyond termination
             else:
-                nxt = (spec.trans[ns][l], t)
+                nxt = (spec_row[l], t)
             if nxt not in visited:
                 visited[nxt] = (pair, l)
                 queue.append(nxt)
+    return None
+
+
+_UNJUDGED = object()
+
+
+def _judge(spec: NormalSpec, ns: int, row, model: str):
+    """The violation an implementation state with transitions ``row``
+    witnesses against normal spec state ``ns``, as ``(kind, event,
+    acceptance, refusal)``, or None when it witnesses none."""
+    nstate = spec.states[ns]
+    stable = all(l != TAU for (l, _) in row)
+    has_tick = any(l == TICK for (l, _) in row)
+    initials = frozenset(l for (l, _) in row if l >= 0)
+    # trace escapes first: the event itself is the evidence
+    for l, _t in row:
+        if l == TICK and not nstate.tick_allowed:
+            return (TRACE_VIOLATION, TICK, None, None)
+        if l >= 0 and l not in spec.trans[ns]:
+            return (TRACE_VIOLATION, l, None, None)
+    if model == FAILURES:
+        # tick-enabled states refuse all visibles (termination urgency),
+        # whether or not they are stable
+        acc = None
+        if has_tick:
+            acc = frozenset({TICK})
+        elif stable:
+            acc = initials
+        if acc is not None and not any(a <= acc for a in nstate.min_acceptances):
+            return (REFUSAL_VIOLATION, None, acc, spec.universe - acc)
+    elif stable and not has_tick:
+        if not initials:
+            if not nstate.deadlock_allowed:
+                return (DEADLOCK_VIOLATION, None, frozenset(), spec.universe)
+        else:
+            # an offered event is revived when some spec acceptance holds
+            # it and is itself offered; report the smallest one that is not
+            covered = set()
+            for acc in nstate.acceptances:
+                if acc <= initials:
+                    covered |= acc
+            for a in sorted(initials):
+                if a not in covered:
+                    return (REVIVAL_VIOLATION, a, initials, spec.universe - initials)
     return None
 
 

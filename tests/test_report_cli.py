@@ -207,6 +207,20 @@ def test_cli_state_limit_hit_while_compiling(model_dir, capsys):
     assert "(raise --state-limit)" in err
 
 
+def test_cli_oracle_state_limit_bounds_only_the_product(model_dir, capsys):
+    model = str(model_dir / "ringbuffer.net")
+    assert main(["oracle", model, "--state-limit", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "state limit reached after 29 states\n"
+    assert captured.err == ""
+    sym = str(model_dir / "philosophers_symmetric.net")
+    assert main(["oracle", sym]) == 1
+    assert capsys.readouterr().out == (
+        "deadlock after <sit.0, pickup.0.0, sit.1, pickup.1.1, sit.2, pickup.2.2>\n"
+        "ungranted-request cycle: Phil.0 -> Fork.1 -> Phil.1 -> Fork.2 -> Phil.2 -> Fork.0\n"
+    )
+
+
 def test_cli_pattern_subcommand(model_dir, capsys):
     model = str(model_dir / "client_server.net")
     pat = str(model_dir / "client_server.pattern.json")
