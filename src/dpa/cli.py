@@ -40,6 +40,7 @@ from .report import (
     emit_report_json,
     run_dpa,
 )
+from .terms import DslValueError
 
 EXIT_PROVEN = 0
 EXIT_INCONCLUSIVE = 1
@@ -75,11 +76,6 @@ def build_parser():
     p.add_argument("--oracle", action="store_true", help="also run the global search")
     p.add_argument("--dot-dir", metavar="DIR", help="write graphviz files here")
     p.add_argument("--json", metavar="OUT", help="write the JSON report here")
-    p.add_argument(
-        "--bench",
-        metavar="SPEC",
-        help="additionally run a scaling sweep, e.g. philosophers:3,5,10",
-    )
 
     p = sub.add_parser("decompose", help="decomposition phase only")
     _add_common(p)
@@ -144,12 +140,16 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     except (StateLimitExceeded, CompileFailure) as exc:
         # a component that outgrows the limit while compiling is the same
-        # user-fixable problem; any other compile failure is a bug
-        if isinstance(exc, CompileFailure) and not isinstance(
-            exc.cause, StateLimitExceeded
-        ):
+        # user-fixable problem, and so is a model mistake (an unbound
+        # variable, an undefined process) met while compiling; any other
+        # compile failure is a bug
+        cause = exc.cause if isinstance(exc, CompileFailure) else exc
+        if isinstance(cause, DslValueError):
+            print(f"error: {exc}", file=sys.stderr)
+        elif isinstance(cause, StateLimitExceeded):
+            print(f"error: {exc} (raise --state-limit)", file=sys.stderr)
+        else:
             raise
-        print(f"error: {exc} (raise --state-limit)", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 
@@ -174,9 +174,6 @@ def _dispatch(args) -> int:
             with_oracle=args.oracle,
             model_name=args.model,
         )
-        if args.bench:
-            family, sizes, oracle_sizes = parse_bench_spec(args.bench)
-            report.bench = run_bench(family, sizes, oracle_sizes, args.state_limit)
         print(report.summary())
         if args.json:
             _write(args.json, emit_report_json(report, net))
@@ -270,7 +267,7 @@ def _dispatch(args) -> int:
                 _dot_out(args.dot_dir, "snapshot.dot", emit_dot(snap))
             code = EXIT_INCONCLUSIVE
         else:
-            print(f"state limit reached after {result.states_explored} states")
+            print(result.describe())
             code = EXIT_INCONCLUSIVE
         if args.json:
             _write(args.json, json.dumps(result.to_json(net), indent=2))

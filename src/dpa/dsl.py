@@ -21,8 +21,11 @@ Process-expression operators, loosest binding first: ``|~|``, ``[]``,
 renaming ``[[a <- b, ...]]`` are postfix; ``STOP``, ``SKIP``, ``DIV``,
 calls, ``(...)`` and the indexed choices ``[] x : {set} @ P`` /
 ``|~| x : {set} @ P`` are primary.  Channel transfers use ``ch!expr``
-(output a value) and ``ch?x`` (input: an external choice over the field's
-range, binding ``x``).  Comments run from ``--`` to end of line.
+(output a value) and ``ch?x`` (input).  ``ch?x -> P`` means the replicated
+choice ``[] x : dom @ ch.x -> P`` over the field's declared domain, so
+``x`` is in scope for the later fields of the event and for ``P``; an
+input may not rebind a variable an earlier field uses.  Comments run from
+``--`` to end of line.
 
 Pattern descriptors are JSON documents (one object per pattern kind) that
 are resolved and validated against an elaborated network before use.
@@ -47,11 +50,13 @@ from .terms import (
     Call,
     DefEnv,
     Definition,
+    DslValueError,
     EventTemplate,
     ExtChoice,
     FunCall,
     Guard,
     Hide,
+    IndexedChoice,
     IntChoice,
     Interrupt,
     Lit,
@@ -64,9 +69,11 @@ from .terms import (
     Term,
     UnOp,
     Var,
+    bind,
     eval_expr,
     fmt_expr,
     pretty,
+    set_values,
 )
 
 SCHEMA_VERSION = 1
@@ -204,7 +211,7 @@ def tokenize(text: str):
 @dataclass
 class ChannelDecl:
     name: str
-    fields: list  # list of lists of int-exprs (value sets) or (lo, hi) ranges
+    fields: list  # one Parser.id_set per field
 
 
 @dataclass
@@ -218,7 +225,7 @@ class AtomDecl:
 class InstanceDecl:
     name: str
     atom: str
-    ids: list | None  # list of int exprs, or None for a singleton
+    ids: tuple | None  # a Parser.id_set, or None for a singleton
 
 
 @dataclass
@@ -269,6 +276,16 @@ class Parser:
         want = text or kind
         raise _Bail(Diagnostic(tok.line, tok.col, f"expected {want!r}, found {tok.text!r}"))
 
+    def comma_list(self, item) -> list:
+        """``item (, item)*``, each parsed by calling ``item()``."""
+        items = [item()]
+        while self.accept("op", ","):
+            items.append(item())
+        return items
+
+    def ident(self) -> str:
+        return self.expect("ident").text
+
     # -- declarations --
 
     def parse_network(self) -> NetworkDecl:
@@ -303,28 +320,26 @@ class Parser:
                 raise _Bail(Diagnostic(tok.line, tok.col, f"unsupported version {v}"))
             decl.version = v
         elif self.accept("kw", "const"):
-            name = self.expect("ident").text
+            name = self.ident()
             self.expect("op", "=")
             decl.constants.append((name, self.int_expr()))
         elif self.accept("kw", "channel"):
-            name = self.expect("ident").text
+            name = self.ident()
             fields = []
             if self.accept("op", ":"):
-                fields.append(self.field_set())
+                fields.append(self.id_set())
                 while self.accept("op", "."):
-                    fields.append(self.field_set())
+                    fields.append(self.id_set())
             decl.channels.append(ChannelDecl(name, fields))
         elif self.accept("kw", "fun"):
-            name = self.expect("ident").text
+            name = self.ident()
             self.expect("op", "(")
-            params = [self.expect("ident").text]
-            while self.accept("op", ","):
-                params.append(self.expect("ident").text)
+            params = self.comma_list(self.ident)
             self.expect("op", ")")
             self.expect("op", "=")
             decl.functions.append((name, params, self.int_expr()))
         elif self.accept("kw", "atom"):
-            name = self.expect("ident").text
+            name = self.ident()
             self.expect("op", "=")
             self.expect("kw", "alphabet")
             alphabet = self.alphabet_expr()
@@ -334,18 +349,14 @@ class Parser:
         elif self.accept("kw", "instance"):
             name = self.instance_name()
             self.expect("op", "=")
-            atom = self.expect("ident").text
-            ids = None
-            if self.accept("op", "{"):
-                ids = self.id_set_tail()
+            atom = self.ident()
+            ids = self.id_set() if self.at("op", "{") else None
             decl.instances.append(InstanceDecl(name, atom, ids))
         elif tok.kind == "ident":
             name = self.next().text
             params = []
             if self.accept("op", "("):
-                params.append(self.expect("ident").text)
-                while self.accept("op", ","):
-                    params.append(self.expect("ident").text)
+                params = self.comma_list(self.ident)
                 self.expect("op", ")")
             self.expect("op", "=")
             body = self.process()
@@ -356,38 +367,32 @@ class Parser:
             )
 
     def instance_name(self) -> str:
-        parts = [self.expect("ident").text]
+        parts = [self.ident()]
         while self.at("op", ".") and self.peek(1).kind in ("ident", "num"):
             self.next()
             parts.append(self.next().text)
         return ".".join(parts)
 
-    def field_set(self):
-        """A channel field domain: {lo..hi} or {v1, v2, ...} of constants."""
+    def id_set(self) -> tuple:
+        """A finite integer set ``{lo..hi}`` or ``{e1, e2, ...}``, as the
+        ``("range", lo, hi)`` / ``("value", e)`` items of :func:`set_values`."""
         self.expect("op", "{")
-        first = self.int_expr()
-        if self.accept("op", ".."):
-            hi = self.int_expr()
-            self.expect("op", "}")
-            return ("range", first, hi)
-        values = [first]
-        while self.accept("op", ","):
-            values.append(self.int_expr())
+        values = self.comma_list(self.int_expr)
+        if len(values) == 1 and self.accept("op", ".."):
+            items = (("range", values[0], self.int_expr()),)
+        else:
+            items = tuple(("value", v) for v in values)
         self.expect("op", "}")
-        return ("set", values)
+        return items
 
     def alphabet_expr(self):
         """A {| e1, e2 |} extension list or a { e1, e2 } exact event list."""
         if self.accept("op", "{|"):
-            items = [self.event_template()]
-            while self.accept("op", ","):
-                items.append(self.event_template())
+            items = self.comma_list(self.event_template)
             self.expect("op", "|}")
             return [("extend", t) for t in items]
         self.expect("op", "{")
-        items = [self.event_template()]
-        while self.accept("op", ","):
-            items.append(self.event_template())
+        items = self.comma_list(self.event_template)
         self.expect("op", "}")
         return [("exact", t) for t in items]
 
@@ -438,6 +443,11 @@ class Parser:
     def unary_expr(self):
         if self.accept("op", "-"):
             return UnOp("-", self.unary_expr())
+        return self.atom_expr("an expression")
+
+    def atom_expr(self, what):
+        """A number, variable, ``f(args)`` or ``(expr)``; ``what`` names the
+        expected thing in the diagnostic."""
         tok = self.peek()
         if tok.kind == "num":
             self.next()
@@ -445,9 +455,7 @@ class Parser:
         if tok.kind == "ident":
             name = self.next().text
             if self.accept("op", "("):
-                args = [self.int_expr()]
-                while self.accept("op", ","):
-                    args.append(self.int_expr())
+                args = self.comma_list(self.int_expr)
                 self.expect("op", ")")
                 return FunCall(name, tuple(args))
             return Var(name)
@@ -455,75 +463,35 @@ class Parser:
             inner = self.int_expr()
             self.expect("op", ")")
             return inner
-        raise _Bail(Diagnostic(tok.line, tok.col, f"expected an expression, found {tok.text!r}"))
+        raise _Bail(Diagnostic(tok.line, tok.col, f"expected {what}, found {tok.text!r}"))
 
     # -- events --
 
     def event_template(self, binders=False):
-        """Dotted event; with binders=True, '?x' and '!e' field forms are
-        allowed and returned as ('in', x) / ('out', expr) markers."""
-        head = self.expect("ident").text
-        fields = []
+        """Dotted event ``head.f1.f2``.  With ``binders``, a field may also
+        be an output ``!e`` or an input ``?x``, and the result is the
+        template plus one ``(x, field position)`` pair per input."""
+        head = self.ident()
+        fields, inputs = [], []
         while True:
             if self.accept("op", "."):
-                fields.append(self.event_field())
+                fields.append(self.atom_expr("an event field"))
             elif binders and self.accept("op", "!"):
-                fields.append(("out", self.event_field_expr()))
+                fields.append(self.atom_expr("a value"))
             elif binders and self.accept("op", "?"):
-                fields.append(("in", self.expect("ident").text))
+                tok = self.peek()
+                var = self.ident()
+                if any(var in _expr_vars(f) for f in fields):
+                    raise _Bail(Diagnostic(
+                        tok.line, tok.col,
+                        f"input variable '{var}' is already used in an earlier field",
+                    ))
+                inputs.append((var, len(fields)))
+                fields.append(Var(var))
             else:
                 break
-        if binders:
-            return head, fields
-        plain = []
-        for f in fields:
-            if isinstance(f, tuple) and f and f[0] in ("in", "out"):
-                raise _Bail(
-                    Diagnostic(self.peek().line, self.peek().col,
-                               "channel transfer forms are not allowed here")
-                )
-            plain.append(f)
-        return EventTemplate(head, tuple(plain))
-
-    def event_field(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.next()
-            return Lit(int(tok.text))
-        if tok.kind == "ident":
-            name = self.next().text
-            if self.accept("op", "("):
-                args = [self.int_expr()]
-                while self.accept("op", ","):
-                    args.append(self.int_expr())
-                self.expect("op", ")")
-                return FunCall(name, tuple(args))
-            return Var(name)
-        if self.accept("op", "("):
-            inner = self.int_expr()
-            self.expect("op", ")")
-            return inner
-        raise _Bail(Diagnostic(tok.line, tok.col, f"expected an event field, found {tok.text!r}"))
-
-    def event_field_expr(self):
-        tok = self.peek()
-        if self.accept("op", "("):
-            inner = self.int_expr()
-            self.expect("op", ")")
-            return inner
-        if tok.kind == "num":
-            self.next()
-            return Lit(int(tok.text))
-        if tok.kind == "ident":
-            name = self.next().text
-            if self.accept("op", "("):
-                args = [self.int_expr()]
-                while self.accept("op", ","):
-                    args.append(self.int_expr())
-                self.expect("op", ")")
-                return FunCall(name, tuple(args))
-            return Var(name)
-        raise _Bail(Diagnostic(tok.line, tok.col, f"expected a value, found {tok.text!r}"))
+        template = EventTemplate(head, tuple(fields))
+        return (template, tuple(inputs)) if binders else template
 
     # -- processes (precedence climbing, loosest first) --
 
@@ -572,10 +540,10 @@ class Parser:
         """`event -> P` chains, channel transfer sugar included."""
         tok = self.peek()
         if tok.kind == "ident" and self._looks_like_prefix():
-            head, fields = self.event_template(binders=True)
+            ev, inputs = self.event_template(binders=True)
             self.expect("op", "->")
             cont = self.p_guarded()
-            return _desugar_prefix(head, fields, cont, tok)
+            return _InputPrefix(ev, inputs, cont) if inputs else Prefix(ev, cont)
         return self.p_postfix()
 
     def _looks_like_prefix(self) -> bool:
@@ -615,15 +583,11 @@ class Parser:
         while True:
             if self.accept("op", "\\"):
                 self.expect("op", "{")
-                evs = [self.event_template()]
-                while self.accept("op", ","):
-                    evs.append(self.event_template())
+                evs = self.comma_list(self.event_template)
                 self.expect("op", "}")
                 term = Hide(term, tuple(evs))
             elif self.accept("op", "[["):
-                pairs = [self.rename_pair()]
-                while self.accept("op", ","):
-                    pairs.append(self.rename_pair())
+                pairs = self.comma_list(self.rename_pair)
                 self.expect("op", "]]")
                 term = Rename(term, tuple(pairs))
             else:
@@ -646,13 +610,11 @@ class Parser:
         if self.at("op", "[]") or self.at("op", "|~|"):
             # indexed choice: [] x : {set} @ P
             op = self.next().text
-            var = self.expect("ident").text
+            var = self.ident()
             self.expect("op", ":")
-            self.expect("op", "{")
-            items = self.id_set_tail()
+            items = self.id_set()
             self.expect("op", "@")
-            body = self.p_guarded()
-            return _IndexedChoice(op, var, items, body)
+            return IndexedChoice(op, var, items, self.p_guarded())
         if self.accept("op", "("):
             inner = self.process()
             self.expect("op", ")")
@@ -661,25 +623,10 @@ class Parser:
             name = self.next().text
             args = []
             if self.accept("op", "("):
-                args.append(self.int_expr())
-                while self.accept("op", ","):
-                    args.append(self.int_expr())
+                args = self.comma_list(self.int_expr)
                 self.expect("op", ")")
             return Call(name, tuple(args))
         raise _Bail(Diagnostic(tok.line, tok.col, f"expected a process, found {tok.text!r}"))
-
-    def id_set_tail(self):
-        """Contents of a '{...}' id set, '{' already consumed."""
-        first = self.int_expr()
-        if self.accept("op", ".."):
-            hi = self.int_expr()
-            self.expect("op", "}")
-            return [("range", first, hi)]
-        items = [("value", first)]
-        while self.accept("op", ","):
-            items.append(("value", self.int_expr()))
-        self.expect("op", "}")
-        return items
 
 
 class _Bail(Exception):
@@ -688,97 +635,27 @@ class _Bail(Exception):
         super().__init__(str(diagnostic))
 
 
-@dataclass(frozen=True, eq=False)
-class _IndexedChoice(Term):
-    """Replicated choice over a finite id set; the set may mention
-    definition parameters, so expansion happens when the term is bound."""
-
-    op: str
-    var: str
-    items: tuple
-    body: Term
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_h", hash(("_Indexed", self.op, self.var, tuple(map(tuple, self.items)), self.body))
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, _IndexedChoice)
-            and (self.op, self.var, self.items, self.body)
-            == (other.op, other.var, other.items, other.body)
-        )
-
-    def __hash__(self):
-        return self._h
-
-    def bind_hook(self, bindings, env):
-        from .terms import EmptyChoiceList, bind
-
-        values = []
-        for item in self.items:
-            if item[0] == "range":
-                lo = eval_expr(item[1], bindings, env)
-                hi = eval_expr(item[2], bindings, env)
-                values.extend(range(lo, hi + 1))
-            else:
-                values.append(eval_expr(item[1], bindings, env))
-        branches = tuple(
-            bind(_substitute_var(self.body, self.var, Lit(v)), bindings, env)
-            for v in dict.fromkeys(values)
-        )
-        if not branches:
-            raise EmptyChoiceList(
-                f"indexed choice over an empty set (variable '{self.var}')"
-            )
-        if len(branches) == 1:
-            return branches[0]
-        return ExtChoice(branches) if self.op == "[]" else IntChoice(branches)
-
-    def pretty_hook(self):
-        items = []
-        for item in self.items:
-            if item[0] == "range":
-                items.append(f"{fmt_expr(item[1])}..{fmt_expr(item[2])}")
-            else:
-                items.append(fmt_expr(item[1]))
-        return (
-            f"{self.op} {self.var} : {{{', '.join(items)}}} @ {pretty(self.body)}"
-        )
+def _expr_vars(e) -> set:
+    """Names of the variables an integer expression mentions."""
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, BinOp):
+        return _expr_vars(e.left) | _expr_vars(e.right)
+    if isinstance(e, UnOp):
+        return _expr_vars(e.operand)
+    if isinstance(e, FunCall):
+        return set().union(*map(_expr_vars, e.args))
+    return set()
 
 
-def _desugar_prefix(head, fields, cont, tok):
-    """Build Prefix/ExtChoice from a dotted event with transfer markers.
-
-    '?x' markers require the channel's field domain, which is only known at
-    elaboration; they are recorded as a parse-time marker node.
-    """
-    has_input = any(isinstance(f, tuple) and f and f[0] == "in" for f in fields)
-    if not has_input:
-        plain = tuple(f[1] if isinstance(f, tuple) and f and f[0] == "out" else f for f in fields)
-        return Prefix(EventTemplate(head, plain), cont)
-    return _InputPrefix(head, tuple(fields), cont)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _InputPrefix(Term):
-    head: str
-    fields: tuple
+    """``event -> cont`` where some fields are inputs ``?x``; the fields'
+    domains are known only at elaboration, which desugars it."""
+
+    event: EventTemplate  # each input field is the variable it binds
+    inputs: tuple  # (variable, field position) pairs, in order
     cont: Term
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("_InPrefix", self.head, self.fields, self.cont)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, _InputPrefix)
-            and (self.head, self.fields, self.cont)
-            == (other.head, other.fields, other.cont)
-        )
-
-    def __hash__(self):
-        return self._h
 
 
 def parse_network(text: str) -> NetworkDecl:
@@ -790,14 +667,12 @@ def parse_network(text: str) -> NetworkDecl:
 # elaboration
 
 
-def _field_values(spec, env):
-    if spec[0] == "range":
-        lo = eval_expr(spec[1], {}, env)
-        hi = eval_expr(spec[2], {}, env)
+def _field_values(items, env):
+    if items[0][0] == "range":
+        lo, hi = (eval_expr(e, {}, env) for e in items[0][1:])
         if hi - lo > 4096:
             raise RangeOverflow(f"field range {lo}..{hi} is too large")
-        return list(range(lo, hi + 1))
-    return [eval_expr(e, {}, env) for e in spec[1]]
+    return set_values(items, {}, env)
 
 
 class _Channels:
@@ -845,21 +720,18 @@ class _Channels:
 
 
 def _expand_sugar(term, channels: _Channels):
-    """Replace parse-time nodes (input prefixes, indexed choices) by core
-    terms; runs before binding so the result is a plain source term."""
+    """Desugar each input prefix ``ch?x -> P`` into the replicated choice
+    ``[] x : dom @ ch.x -> P`` over the field's declared domain, nesting one
+    indexed choice per input field, first field outermost."""
     t = type(term)
     if t is _InputPrefix:
-        cont = _expand_sugar(term.cont, channels)
-        return _expand_input(term.head, list(term.fields), cont, channels)
-    if t is _IndexedChoice:
-        body = _expand_sugar(term.body, channels)
-        branches = []
-        for item in term.items:
-            if item[0] == "range":
-                branches.append(("range", item[1], item[2]))
-            else:
-                branches.append(item)
-        return _IndexedChoice(term.op, term.var, tuple(branches), body)
+        body = Prefix(term.event, _expand_sugar(term.cont, channels))
+        for var, pos in reversed(term.inputs):
+            domain = channels.field_domain(term.event.head, pos)
+            body = IndexedChoice("[]", var, tuple(("value", Lit(v)) for v in domain), body)
+        return body
+    if t is IndexedChoice:
+        return IndexedChoice(term.op, term.var, term.items, _expand_sugar(term.body, channels))
     if t is Prefix:
         return Prefix(term.event, _expand_sugar(term.cont, channels))
     if t is ExtChoice:
@@ -881,119 +753,10 @@ def _expand_sugar(term, channels: _Channels):
     return term
 
 
-def _expand_input(head, fields, cont, channels: _Channels):
-    """Desugar the first '?x' marker into an indexed external choice over
-    the channel field's domain; recurse for any further markers."""
-    for pos, f in enumerate(fields):
-        if isinstance(f, tuple) and f and f[0] == "in":
-            var = f[1]
-            domain = channels.field_domain(head, pos)
-            branches = []
-            for v in domain:
-                new_fields = list(fields)
-                new_fields[pos] = Lit(v)
-                sub = _substitute_var(cont, var, Lit(v))
-                branches.append(_expand_input(head, new_fields, sub, channels))
-            if len(branches) == 1:
-                return branches[0]
-            return ExtChoice(tuple(branches))
-    plain = tuple(f[1] if isinstance(f, tuple) and f and f[0] == "out" else f for f in fields)
-    return Prefix(EventTemplate(head, plain), cont)
-
-
-def _substitute_var(term, var, value):
-    """Substitute an integer expression for a variable in a source term."""
-
-    def in_expr(e):
-        if isinstance(e, Var):
-            return value if e.name == var else e
-        if isinstance(e, Lit):
-            return e
-        if isinstance(e, BinOp):
-            return BinOp(e.op, in_expr(e.left), in_expr(e.right))
-        if isinstance(e, UnOp):
-            return UnOp(e.op, in_expr(e.operand))
-        if isinstance(e, FunCall):
-            return FunCall(e.name, tuple(in_expr(a) for a in e.args))
-        return e
-
-    def in_template(ev):
-        if isinstance(ev, EventTemplate):
-            return EventTemplate(ev.head, tuple(in_expr(f) for f in ev.fields))
-        return ev
-
-    t = type(term)
-    if t is Prefix:
-        return Prefix(in_template(term.event), _substitute_var(term.cont, var, value))
-    if t is _InputPrefix:
-        fields = []
-        shadowed = False
-        for f in term.fields:
-            if isinstance(f, tuple) and f and f[0] == "in":
-                fields.append(f)
-                if f[1] == var:
-                    shadowed = True
-            elif isinstance(f, tuple) and f and f[0] == "out":
-                fields.append(("out", in_expr(f[1])))
-            else:
-                fields.append(in_expr(f))
-        cont = term.cont if shadowed else _substitute_var(term.cont, var, value)
-        return _InputPrefix(term.head, tuple(fields), cont)
-    if t is _IndexedChoice:
-        items = []
-        for item in term.items:
-            if item[0] == "range":
-                items.append(("range", in_expr(item[1]), in_expr(item[2])))
-            else:
-                items.append(("value", in_expr(item[1])))
-        body = term.body if term.var == var else _substitute_var(term.body, var, value)
-        return _IndexedChoice(term.op, term.var, tuple(items), body)
-    if t is ExtChoice:
-        return ExtChoice(tuple(_substitute_var(i, var, value) for i in term.items))
-    if t is IntChoice:
-        return IntChoice(tuple(_substitute_var(i, var, value) for i in term.items))
-    if t is Guard:
-        return Guard(in_expr_deep(term.cond, var, value), _substitute_var(term.body, var, value))
-    if t is Seq:
-        return Seq(
-            _substitute_var(term.first, var, value),
-            _substitute_var(term.second, var, value),
-        )
-    if t is Hide:
-        evs = term.events
-        if isinstance(evs, tuple):
-            evs = tuple(in_template(e) for e in evs)
-        return Hide(_substitute_var(term.body, var, value), evs)
-    if t is Rename:
-        pairs = term.pairs
-        if pairs and isinstance(pairs[0][0], EventTemplate):
-            pairs = tuple((in_template(a), in_template(b)) for a, b in pairs)
-        return Rename(_substitute_var(term.body, var, value), pairs)
-    if t is Interrupt:
-        return Interrupt(
-            _substitute_var(term.body, var, value),
-            _substitute_var(term.handler, var, value),
-        )
-    if t is Call:
-        return Call(term.name, tuple(in_expr(a) for a in term.args))
-    return term
-
-
-def in_expr_deep(e, var, value):
-    if isinstance(e, Var):
-        return value if e.name == var else e
-    if isinstance(e, BinOp):
-        return BinOp(e.op, in_expr_deep(e.left, var, value), in_expr_deep(e.right, var, value))
-    if isinstance(e, UnOp):
-        return UnOp(e.op, in_expr_deep(e.operand, var, value))
-    if isinstance(e, FunCall):
-        return FunCall(e.name, tuple(in_expr_deep(a, var, value) for a in e.args))
-    return e
-
-
 def elaborate(decl: NetworkDecl) -> Network:
     """Evaluate constants, expand channels and sugar, and instantiate atoms
-    into concrete components."""
+    into concrete components: each instance binds ``id`` to its value in
+    the atom's alphabet and behaviour."""
     env = DefEnv()
     for name, expr in decl.constants:
         env.constants[name] = eval_expr(expr, {}, env)
@@ -1016,29 +779,21 @@ def elaborate(decl: NetworkDecl) -> Network:
             ids = [0]
             names = [inst.name]
         else:
-            ids = []
-            for item in inst.ids:
-                if item[0] == "range":
-                    lo = eval_expr(item[1], {}, env)
-                    hi = eval_expr(item[2], {}, env)
-                    ids.extend(range(lo, hi + 1))
-                else:
-                    ids.append(eval_expr(item[1], {}, env))
+            ids = set_values(inst.ids, {}, env)
             names = [f"{inst.name}.{v}" for v in ids]
         if not ids:
             warnings.append(f"instance '{inst.name}' has an empty id set")
             continue
+        behaviour = _expand_sugar(atom.behaviour, channels)
         for value, name in zip(ids, names):
             if name in seen:
                 raise DuplicateComponentName(name)
             seen.add(name)
+            bindings = {"id": value}
             alphabet = set()
             for mode, template in atom.alphabet:
                 try:
-                    fields = [
-                        eval_expr(in_expr_deep(f, "id", Lit(value)), {}, env)
-                        for f in template.fields
-                    ]
+                    fields = [eval_expr(f, bindings, env) for f in template.fields]
                 except Exception as exc:
                     raise NonGroundAlphabet(
                         f"alphabet of '{name}': {exc}"
@@ -1053,12 +808,11 @@ def elaborate(decl: NetworkDecl) -> Network:
                             f"event {template.head} needs all fields in exact form"
                         )
                     alphabet.add(event(".".join([template.head] + [str(v) for v in fields])))
-            behaviour = _substitute_var(
-                _expand_sugar(atom.behaviour, channels), "id", Lit(value)
-            )
-            components.append(
-                Component(name, frozenset(alphabet), behaviour, env)
-            )
+            try:
+                term = bind(behaviour, bindings, env)
+            except DslValueError as exc:
+                raise ElaborationError(f"behaviour of '{name}': {exc}") from exc
+            components.append(Component(name, frozenset(alphabet), term, env))
     net = Network(components, sigma=channels.sigma())
     net.warnings = tuple(warnings)
     return net

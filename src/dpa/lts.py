@@ -180,14 +180,9 @@ def _step(term: Term, env: DefEnv, visiting=()):
     raise TypeError(f"cannot step {term!r}")
 
 
-def compile_term(
-    env: DefEnv,
-    term: Term,
-    limit: int = DEFAULT_STATE_LIMIT,
-    bindings: dict | None = None,
-) -> Lts:
+def compile_term(env: DefEnv, term: Term, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
     """Compile a term (closed under ``env``) to its reachable LTS."""
-    start = bind(term, bindings or {}, env)
+    start = bind(term, {}, env)
     ids: dict[Term, int] = {start: 0}
     order: list[Term] = [start]
     trans: list[tuple] = []

@@ -77,6 +77,14 @@ class LimitReached:
             "frontier": self.frontier,
         }
 
+    def describe(self) -> str:
+        # the search stops at the first new state past the limit, so the
+        # states found so far, expanded or queued, number exactly the limit
+        return (
+            f"state limit of {self.states_explored + self.frontier} states reached "
+            f"({self.states_explored} expanded, {self.frontier} on the frontier)"
+        )
+
 
 class _Product:
     """Precomputed per-component transition tables for the n-way product.

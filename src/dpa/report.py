@@ -71,7 +71,6 @@ class DpaReport:
     timings: dict
     oracle: object | None = None
     oracle_cycle: tuple = ()
-    bench: dict | None = None
 
     def to_json(self, net: Network):
         data = {
@@ -87,8 +86,6 @@ class DpaReport:
         data["subnetworks"] = [s.to_json() for s in self.subnetworks]
         if self.oracle is not None:
             data["oracle"] = self.oracle.to_json(net)
-        if self.bench is not None:
-            data["bench"] = self.bench
         return data
 
     def summary(self) -> str:
@@ -135,9 +132,7 @@ class DpaReport:
                         + " -> ".join(str(c) for c in self.oracle_cycle)
                     )
             else:
-                lines.append(
-                    f"oracle: state limit reached ({self.oracle.states_explored} states)"
-                )
+                lines.append(f"oracle: {self.oracle.describe()}")
         lines.append(f"overall: {self.overall.upper()}")
         for r in self.reasons:
             lines.append(f"  reason: {r}")

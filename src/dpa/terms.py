@@ -1,10 +1,11 @@
 """Process-term syntax.
 
 The term language covers the sequential fragment needed to describe network
-components: STOP/SKIP/div, event prefixing, external and internal choice,
-boolean guards, sequential composition, hiding, relational renaming,
-interrupt, and calls to named (possibly recursive, integer-parametrised)
-definitions.  Parallel composition lives at the LTS level, not here.
+components: STOP/SKIP/div, event prefixing, external and internal choice
+(binary and indexed over a finite integer set), boolean guards, sequential
+composition, hiding, relational renaming, interrupt, and calls to named
+(possibly recursive, integer-parametrised) definitions.  Parallel
+composition lives at the LTS level, not here.
 
 Terms come in two flavours sharing the same node classes:
 
@@ -15,8 +16,9 @@ Terms come in two flavours sharing the same node classes:
   and evaluated call arguments.  Ground terms are hashable canonical forms;
   the compiler memoises on them.
 
-Guards disappear during binding: a true guard yields its body, a false one
-yields STOP.
+Guards and indexed choices disappear during binding: a true guard yields
+its body, a false one yields STOP, and an indexed choice becomes the plain
+choice of its body bound to each value.
 """
 
 from __future__ import annotations
@@ -389,6 +391,33 @@ class Call(Term):
         return self._h
 
 
+@dataclass(frozen=True, eq=False)
+class IndexedChoice(Term):
+    """Replicated choice ``op var : {items} @ body`` over a finite integer
+    set.  ``items`` holds ``("range", lo, hi)`` and ``("value", e)`` entries
+    whose expressions may mention variables; :func:`bind` expands it."""
+
+    op: str  # "[]" or "|~|"
+    var: str
+    items: tuple
+    body: Term
+
+    def __post_init__(self):
+        _cached_hash(self, ("Indexed", self.op, self.var, self.items, self.body))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, IndexedChoice)
+            and self.op == other.op
+            and self.var == other.var
+            and self.items == other.items
+            and self.body == other.body
+        )
+
+    def __hash__(self):
+        return self._h
+
+
 STOP = Stop()
 SKIP = Skip()
 DIV = Div()
@@ -487,10 +516,25 @@ def rename_of(body: Term, pairs: tuple) -> Term:
 # binding: source term + variable bindings -> ground term
 
 
+def set_values(items, bindings, env) -> list:
+    """The integers of a ``("range", lo, hi)`` / ``("value", e)`` set, in
+    order and with repeats."""
+    values = []
+    for item in items:
+        if item[0] == "range":
+            lo = eval_expr(item[1], bindings, env)
+            values.extend(range(lo, eval_expr(item[2], bindings, env) + 1))
+        else:
+            values.append(eval_expr(item[1], bindings, env))
+    return values
+
+
 def bind(term: Term, bindings: dict, env: DefEnv) -> Term:
     """Close a term: evaluate guards, event fields, hide/rename sets and
-    call arguments under ``bindings``.  The result contains only interned
-    event ids and is suitable for compilation."""
+    call arguments under ``bindings``, and expand indexed choices by binding
+    their variable to each value in turn.  This is the only place a variable
+    gets its value.  The result contains only interned event ids and is
+    suitable for compilation."""
     t = type(term)
     if t in (Stop, Skip, Div, Omega):
         return term
@@ -507,6 +551,17 @@ def bind(term: Term, bindings: dict, env: DefEnv) -> Term:
         if not term.items:
             raise EmptyChoiceList("internal choice over an empty list")
         return IntChoice(tuple(bind(i, bindings, env) for i in term.items))
+    if t is IndexedChoice:
+        var, body = term.var, term.body
+        branches = tuple(
+            bind(body, {**bindings, var: v}, env)
+            for v in dict.fromkeys(set_values(term.items, bindings, env))
+        )
+        if not branches:
+            raise EmptyChoiceList(f"indexed choice over an empty set (variable '{var}')")
+        if len(branches) == 1:
+            return branches[0]
+        return ExtChoice(branches) if term.op == "[]" else IntChoice(branches)
     if t is Guard:
         if eval_expr(term.cond, bindings, env):
             return bind(term.body, bindings, env)
@@ -536,9 +591,6 @@ def bind(term: Term, bindings: dict, env: DefEnv) -> Term:
         args = tuple(eval_expr(a, bindings, env) for a in term.args)
         env.lookup(term.name, len(args))  # fail early on unbound calls
         return Call(term.name, args)
-    hook = getattr(term, "bind_hook", None)
-    if hook is not None:
-        return hook(bindings, env)
     raise DslValueError(f"cannot bind {term!r}")
 
 
@@ -572,9 +624,6 @@ def fmt_expr(expr) -> str:
 
 
 def pretty(term: Term) -> str:
-    hook = getattr(term, "pretty_hook", None)
-    if hook is not None:
-        return hook()
     t = type(term)
     if t is Stop:
         return "STOP"
@@ -615,6 +664,12 @@ def pretty(term: Term) -> str:
         if not term.args:
             return term.name
         return f"{term.name}({', '.join(fmt_expr(a) for a in term.args)})"
+    if t is IndexedChoice:
+        items = ", ".join(
+            f"{fmt_expr(i[1])}..{fmt_expr(i[2])}" if i[0] == "range" else fmt_expr(i[1])
+            for i in term.items
+        )
+        return f"{term.op} {term.var} : {{{items}}} @ {_paren(term.body, Guard)}"
     return repr(term)
 
 

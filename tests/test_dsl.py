@@ -52,6 +52,12 @@ def test_syntax_error_produces_diagnostics_only():
     with pytest.raises(ParseError) as err2:
         parse_network("version 1\nchannel a\nP = (a -> STOP []) \nQ = a -> Q\n")
     assert err2.value.diagnostics[0].line == 3
+    # an output with no value leaves the '!' where no declaration can start
+    with pytest.raises(ParseError) as err3:
+        parse_network("version 1\nchannel c : {0..1}\nP = c! -> P\nQ = c.0 -> Q\n")
+    assert [str(d) for d in err3.value.diagnostics] == [
+        "3:6: expected a declaration, found '!'"
+    ]
 
 
 def test_ring_buffer_alphabets():
@@ -109,6 +115,127 @@ def test_input_sugar_equals_explicit_choice():
     b1 = lts_behaviours(sugar[0].compiled(), sigma, 5)
     b2 = lts_behaviours(explicit[0].compiled(), sigma, 5)
     assert diff_behaviours(b1, b2, 5) is None
+
+
+def compiled_table(src):
+    """Per component: name, alphabet, transitions and state names."""
+    out = []
+    for comp in net_of(src).components:
+        lts = comp.compiled()
+        out.append((
+            comp.name,
+            names(comp.alphabet),
+            [[f"{EVENTS.name(l)} {t}" for l, t in row] for row in lts.trans],
+            [lts.state_name(s) for s in range(lts.n_states)],
+        ))
+    return out
+
+
+# Each input field desugars into an indexed choice that binds its variable;
+# the tables below were recorded with the earlier substitution-based
+# elaborator, so binding must reproduce them exactly.
+
+
+def test_desugar_two_inputs_in_one_event():
+    assert compiled_table(
+        "version 1\nchannel c : {0..1}.{0..2}\nchannel d : {0..3}\n"
+        "P = c?x?y -> d!(x+y) -> P\n"
+        "atom PA = alphabet {| c, d |} behaviour P\ninstance P = PA\n"
+    ) == [(
+        "P",
+        ["c.0.0", "c.0.1", "c.0.2", "c.1.0", "c.1.1", "c.1.2",
+         "d.0", "d.1", "d.2", "d.3"],
+        [["c.0.0 1", "c.0.1 2", "c.0.2 3", "c.1.0 2", "c.1.1 3", "c.1.2 4"],
+         ["d.0 0"], ["d.1 0"], ["d.2 0"], ["d.3 0"]],
+        ["P", "d.0 -> P", "d.1 -> P", "d.2 -> P", "d.3 -> P"],
+    )]
+
+
+def test_desugar_input_shadows_parameter():
+    assert compiled_table(
+        "version 1\nchannel c : {0..2}\nchannel d : {0..2}\n"
+        "P(x) = c?x -> d!x -> P(x)\n"
+        "atom PA = alphabet {| c, d |} behaviour P(1)\ninstance P = PA\n"
+    ) == [(
+        "P",
+        ["c.0", "c.1", "c.2", "d.0", "d.1", "d.2"],
+        [["c.0 1", "c.1 2", "c.2 3"], ["d.0 4"], ["d.1 0"], ["d.2 5"],
+         ["c.0 1", "c.1 2", "c.2 3"], ["c.0 1", "c.1 2", "c.2 3"]],
+        ["P(1)", "d.0 -> P(0)", "d.1 -> P(1)", "d.2 -> P(2)", "P(0)", "P(2)"],
+    )]
+
+
+def test_desugar_input_inside_indexed_choice():
+    assert compiled_table(
+        "version 1\nchannel c : {0..1}.{0..1}\nchannel d : {0..2}\nchannel a\n"
+        "P = a -> P\n"
+        "atom PA = alphabet {| a, c, d |} "
+        "behaviour [] i : {0..1} @ c.i?x -> d!(i+x) -> P\ninstance P = PA\n"
+    ) == [(
+        "P",
+        ["a", "c.0.0", "c.0.1", "c.1.0", "c.1.1", "d.0", "d.1", "d.2"],
+        [["c.0.0 1", "c.0.1 2", "c.1.0 2", "c.1.1 3"],
+         ["d.0 4"], ["d.1 4"], ["d.2 4"], ["a 4"]],
+        ["((c.0.0 -> d.0 -> P) [] (c.0.1 -> d.1 -> P)) [] "
+         "((c.1.0 -> d.1 -> P) [] (c.1.1 -> d.2 -> P))",
+         "d.0 -> P", "d.1 -> P", "d.2 -> P", "P"],
+    )]
+
+
+def test_desugar_one_value_domain_is_a_bare_prefix():
+    assert compiled_table(
+        "version 1\nchannel c : {7}\nchannel d : {7}\n"
+        "atom PA = alphabet {| c, d |} behaviour c?x -> d!x -> STOP\n"
+        "instance P = PA\n"
+    ) == [(
+        "P",
+        ["c.7", "d.7"],
+        [["c.7 1"], ["d.7 2"], []],
+        ["c.7 -> d.7 -> STOP", "d.7 -> STOP", "STOP"],
+    )]
+
+
+def test_id_in_guard_and_alphabet():
+    assert compiled_table(
+        "version 1\nchannel a : {0..2}\nchannel b : {0..2}\n"
+        "P(n) = a.n -> P(n)\n"
+        "atom PA = alphabet {| a.id, b.id |} "
+        "behaviour (id > 0 & b.id -> STOP) [] a.id -> P(id)\n"
+        "instance P = PA {0..2}\n"
+    ) == [
+        ("P.0", ["a.0", "b.0"], [["a.0 1"], ["a.0 1"]],
+         ["STOP [] (a.0 -> P(0))", "P(0)"]),
+        ("P.1", ["a.1", "b.1"], [["a.1 2", "b.1 1"], [], ["a.1 2"]],
+         ["(b.1 -> STOP) [] (a.1 -> P(1))", "STOP", "P(1)"]),
+        ("P.2", ["a.2", "b.2"], [["a.2 2", "b.2 1"], [], ["a.2 2"]],
+         ["(b.2 -> STOP) [] (a.2 -> P(2))", "STOP", "P(2)"]),
+    ]
+
+
+def test_later_field_sees_the_input_value():
+    assert compiled_table(
+        "version 1\nchannel c : {0..2}.{0..2}\n"
+        "P = c?x!x -> P\n"
+        "atom PA = alphabet {| c |} behaviour P\ninstance P = PA\n"
+    ) == [(
+        "P",
+        ["c.0.0", "c.0.1", "c.0.2", "c.1.0", "c.1.1", "c.1.2",
+         "c.2.0", "c.2.1", "c.2.2"],
+        [["c.0.0 0", "c.1.1 0", "c.2.2 0"]],
+        ["P"],
+    )]
+
+
+@pytest.mark.parametrize("event", ["c.x?x", "c?x?x", "c.(x + 1)?x"])
+def test_input_may_not_rebind_a_variable_of_an_earlier_field(event):
+    with pytest.raises(ParseError) as err:
+        parse_network(
+            "version 1\nchannel c : {0..1}.{0..2}\n"
+            f"P(x) = {event} -> P(x)\n"
+        )
+    diag = err.value.diagnostics[0]
+    assert diag.line == 3
+    assert diag.message == "input variable 'x' is already used in an earlier field"
 
 
 def test_hiding_renaming_interrupt_parse_and_compile():

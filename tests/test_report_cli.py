@@ -199,6 +199,27 @@ def test_cli_conflict_rejects_out_of_range_index(model_dir, capsys, index):
     assert f"component index {index} is out of range 0..3" in captured.err
 
 
+@pytest.mark.parametrize("definition, behaviour, error", [
+    ("P = a.x -> P", "P",
+     "component 'P' failed to compile: unbound variable 'x'"),
+    ("Q = b -> Nope", "Q",
+     "component 'P' failed to compile: no definition for Nope/0"),
+    ("", "a.x -> STOP", "behaviour of 'P': unbound variable 'x'"),
+], ids=["unbound-variable", "undefined-process", "unbound-in-atom"])
+def test_cli_model_mistake_exits_2(tmp_path, capsys, definition, behaviour, error):
+    model = tmp_path / "mistake.net"
+    model.write_text(
+        "version 1\nchannel a : {0..1}\nchannel b\n"
+        f"{definition}\n"
+        f"atom PA = alphabet {{| a, b |}} behaviour {behaviour}\n"
+        "instance P = PA\n"
+    )
+    assert main(["check", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_cli_state_limit_hit_while_compiling(model_dir, capsys):
     model = str(model_dir / "ringbuffer.net")
     assert main(["check", model, "--state-limit", "3"]) == 2
@@ -211,8 +232,15 @@ def test_cli_oracle_state_limit_bounds_only_the_product(model_dir, capsys):
     model = str(model_dir / "ringbuffer.net")
     assert main(["oracle", model, "--state-limit", "50"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "state limit reached after 29 states\n"
+    assert captured.out == (
+        "state limit of 50 states reached (29 expanded, 21 on the frontier)\n"
+    )
     assert captured.err == ""
+    assert main(["check", model, "--oracle", "--state-limit", "200"]) == 0
+    assert (
+        "oracle: state limit of 200 states reached (160 expanded, 40 on the frontier)\n"
+        in capsys.readouterr().out
+    )
     sym = str(model_dir / "philosophers_symmetric.net")
     assert main(["oracle", sym]) == 1
     assert capsys.readouterr().out == (
@@ -263,15 +291,6 @@ def test_cli_bench_subcommand(capsys):
     assert data["family"] == "philosophers"
     assert data["rows"][0]["proven"] is True
     assert data["rows"][0]["oracle_result"] == "DeadlockFree"
-
-
-def test_cli_check_with_bench_flag(model_dir, tmp_path):
-    model = str(model_dir / "ringbuffer.net")
-    out = tmp_path / "r.json"
-    code = main(["check", model, "--bench", "ringbuffer:3", "--json", str(out)])
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert data["bench"]["rows"][0]["proven"] is True
 
 
 def test_oracle_witness_json_names_local_states(model_dir, tmp_path):

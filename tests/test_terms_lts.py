@@ -20,6 +20,7 @@ from dpa.terms import (
     FunCall,
     Guard,
     GuardNotClosed,
+    IndexedChoice,
     IntChoice,
     Lit,
     Prefix,
@@ -28,6 +29,8 @@ from dpa.terms import (
     STOP,
     UnboundCall,
     Var,
+    bind,
+    pretty,
 )
 
 A, B, C = event("a"), event("b"), event("c")
@@ -108,6 +111,23 @@ def test_empty_choice_is_an_error():
         compile_term(ENV, ExtChoice(()))
     with pytest.raises(EmptyChoiceList):
         compile_term(ENV, IntChoice(()))
+    with pytest.raises(EmptyChoiceList):
+        compile_term(ENV, IndexedChoice("[]", "i", (("range", Lit(1), Lit(0)),), STOP))
+
+
+def test_indexed_choice_binds_its_variable_once_per_value():
+    body = Prefix(EventTemplate("a", (Var("i"),)), STOP)
+    items = (("value", Lit(1)), ("range", Lit(0), Lit(1)))
+    term = IndexedChoice("[]", "i", items, body)
+    assert pretty(term) == "[] i : {1, 0..1} @ a.i -> STOP"
+    # a repeated value gives one branch, in first-seen order
+    assert bind(term, {}, ENV) == ExtChoice(
+        (Prefix(event("a.1"), STOP), Prefix(event("a.0"), STOP))
+    )
+    # one value gives the bare branch; the set is read outside the binder,
+    # the body inside it
+    single = IndexedChoice("|~|", "i", (("value", BinOp("+", Var("i"), Lit(1))),), body)
+    assert bind(single, {"i": 2}, ENV) == Prefix(event("a.3"), STOP)
 
 
 def test_unbound_call():
