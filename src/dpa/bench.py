@@ -12,6 +12,7 @@ import time
 
 from . import models
 from .dsl import elaborate, parse_descriptor, parse_network
+from .network import InputError
 from .oracle import explore_global
 from .report import PROVEN, run_dpa
 
@@ -30,7 +31,7 @@ def build_family(family: str, size: int):
         net = elaborate(parse_network(models.leadership_source(size)))
         descs = [parse_descriptor(models.leadership_descriptor(size), net)]
     else:
-        raise ValueError(f"unknown family {family!r}; pick one of {FAMILIES}")
+        raise InputError(f"unknown family {family!r}; pick one of {FAMILIES}")
     return net, descs
 
 
@@ -62,12 +63,15 @@ def parse_bench_spec(spec: str):
     parts = spec.split(":")
     family = parts[0]
     if len(parts) < 2:
-        raise ValueError("bench spec needs sizes, e.g. philosophers:3,5,10")
-    sizes = [int(s) for s in parts[1].split(",") if s]
-    oracle_sizes = []
-    if len(parts) > 2:
-        tail = parts[2]
-        if tail.startswith("oracle="):
-            tail = tail[len("oracle="):]
-        oracle_sizes = [int(s) for s in tail.split(",") if s]
+        raise InputError("bench spec needs sizes, e.g. philosophers:3,5,10")
+    try:
+        sizes = [int(s) for s in parts[1].split(",") if s]
+        oracle_sizes = []
+        if len(parts) > 2:
+            tail = parts[2]
+            if tail.startswith("oracle="):
+                tail = tail[len("oracle="):]
+            oracle_sizes = [int(s) for s in tail.split(",") if s]
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     return family, sizes, oracle_sizes

@@ -14,17 +14,10 @@ import sys
 
 from .bench import parse_bench_spec, run_bench
 from .decomposition import CONFLICT_FREE, check_conflict_free, decompose
-from .dsl import (
-    DescriptorError,
-    ElaborationError,
-    ParseError,
-    descriptor_echo,
-    load_descriptor,
-    load_network,
-)
+from .dsl import descriptor_echo, load_descriptor, load_network
 from .events import EVENTS
 from .lts import DEFAULT_STATE_LIMIT, StateLimitExceeded
-from .network import CompileFailure, NotLive, check_live, communication_graph
+from .network import CompileFailure, InputError, NotLive, check_live, communication_graph
 from .oracle import (
     DeadlockFree,
     DeadlockWitness,
@@ -32,14 +25,8 @@ from .oracle import (
     find_ungranted_cycle,
     snapshot_graph,
 )
-from .patterns import UnknownComponent, check_pattern
-from .report import (
-    InputError,
-    PROVEN,
-    emit_dot,
-    emit_report_json,
-    run_dpa,
-)
+from .patterns import check_pattern
+from .report import PROVEN, emit_dot, emit_report_json, run_dpa
 from .terms import DslValueError
 
 EXIT_PROVEN = 0
@@ -47,11 +34,21 @@ EXIT_INCONCLUSIVE = 1
 EXIT_INPUT_ERROR = 2
 
 
+def _state_limit(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("model", help="network model file (.net)")
     p.add_argument(
         "--state-limit",
-        type=int,
+        type=_state_limit,
         default=DEFAULT_STATE_LIMIT,
         help="per-check state-count cap (default %(default)s)",
     )
@@ -102,7 +99,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="scaling sweep over a bundled family")
     p.add_argument("spec", help="family:sizes[:oracle=sizes], e.g. philosophers:3,5,10")
-    p.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT)
+    p.add_argument("--state-limit", type=_state_limit, default=DEFAULT_STATE_LIMIT)
     p.add_argument("--json", metavar="OUT")
     return ap
 
@@ -133,9 +130,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, ElaborationError, DescriptorError, InputError,
-            UnknownComponent, NotLive, FileNotFoundError, KeyError,
-            ValueError) as exc:
+    except (InputError, NotLive, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (StateLimitExceeded, CompileFailure) as exc:

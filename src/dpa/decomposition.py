@@ -22,6 +22,7 @@ from .events import EVENTS
 from .lts import DEFAULT_STATE_LIMIT, Lts, compile_term, parallel_lts, rename_lts
 from .network import (
     CommGraph,
+    InputError,
     Network,
     NotLive,
     abs_divergent,
@@ -89,42 +90,12 @@ def bridges(g: CommGraph) -> frozenset:
     return frozenset(out)
 
 
-def bridges_reference(g: CommGraph) -> frozenset:
-    """Quadratic remove-and-count reference used to validate :func:`bridges`."""
-
-    def n_components(skip_edge):
-        seen = set()
-        count = 0
-        adj = {i: [] for i in range(g.n)}
-        for e in g.edges:
-            if e == skip_edge:
-                continue
-            adj[e[0]].append(e[1])
-            adj[e[1]].append(e[0])
-        for s in range(g.n):
-            if s in seen:
-                continue
-            count += 1
-            stack = [s]
-            seen.add(s)
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return count
-
-    base = n_components(None)
-    return frozenset(e for e in g.edges if n_components(e) > base)
-
-
 # ---------------------------------------------------------------------------
 # conflict freedom
 
 
 def fresh_req(net: Network) -> int:
-    return EVENTS.fresh("req", net.sigma)
+    return EVENTS.fresh("req", net.declares)
 
 
 def build_context(
@@ -133,10 +104,10 @@ def build_context(
     """Parallel composition of the two abstracted components, where every
     shared-event offer additionally offers the fresh request event."""
     if i == j:
-        raise ValueError(f"component {net[i].name} cannot conflict with itself")
+        raise InputError(f"component {net[i].name} cannot conflict with itself")
     shared = net[i].alphabet & net[j].alphabet
     if not shared:
-        raise ValueError(
+        raise InputError(
             f"components {net[i].name} and {net[j].name} share no event"
         )
     if req is None:
@@ -233,6 +204,11 @@ def check_conflict_free(
 # decomposition
 
 
+def _without(graph: CommGraph, removed) -> CommGraph:
+    edges = {e: shared for e, shared in graph.edges.items() if e not in removed}
+    return CommGraph(graph.n, graph.names, edges)
+
+
 @dataclass
 class DecompositionResult:
     graph: CommGraph
@@ -245,12 +221,7 @@ class DecompositionResult:
     def residual_graph(self) -> CommGraph:
         """The communication graph after removing the conflict-free bridges;
         its connected components are the essential subnetworks."""
-        edges = {
-            e: shared
-            for e, shared in self.graph.edges.items()
-            if e not in self.removed_edges
-        }
-        return CommGraph(self.graph.n, self.graph.names, edges)
+        return _without(self.graph, self.removed_edges)
 
     def subnetwork_names(self, net: Network):
         return [[net[i].name for i in sub] for sub in self.subnetworks]
@@ -289,28 +260,21 @@ def decompose(
     if timings is not None:
         timings["conflicts"] = time.perf_counter() - t0
     removed = frozenset(c.edge for c in checks if c.verdict == CONFLICT_FREE)
-    adj = {i: set() for i in range(graph.n)}
-    for e in graph.edges:
-        if e not in removed:
-            adj[e[0]].add(e[1])
-            adj[e[1]].add(e[0])
+    adj = _without(graph, removed).adjacency()
     seen = set()
-    subnetworks = []
+    subnetworks = []  # each found from its least index, so in order
     for s in range(graph.n):
         if s in seen:
             continue
-        comp = {s}
         seen.add(s)
-        stack = [s]
+        comp, stack = [s], [s]
         while stack:
-            v = stack.pop()
-            for w in adj[v]:
+            for w in adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
-                    comp.add(w)
+                    comp.append(w)
                     stack.append(w)
         subnetworks.append(sorted(comp))
-    subnetworks.sort(key=lambda sub: sub[0])
     return DecompositionResult(
         graph=graph,
         bridge_edges=bridge_edges,

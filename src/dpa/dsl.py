@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass, field
 
 from .events import EVENTS, event
-from .network import Component, Network
+from .network import Component, InputError, Network
 from .patterns import (
     AdDescriptor,
     CsDescriptor,
@@ -89,13 +89,13 @@ class Diagnostic:
         return f"{self.line}:{self.col}: {self.message}"
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         super().__init__("\n".join(str(d) for d in self.diagnostics))
 
 
-class ElaborationError(Exception):
+class ElaborationError(InputError):
     pass
 
 
@@ -115,7 +115,7 @@ class NonGroundAlphabet(ElaborationError):
     pass
 
 
-class DescriptorError(Exception):
+class DescriptorError(InputError):
     pass
 
 
@@ -676,25 +676,34 @@ def _field_values(items, env):
 
 
 class _Channels:
+    """The declared channels, and so the declared event universe: membership
+    is read off the field domains; only iteration interns every event."""
+
     def __init__(self):
         self.domains = {}  # name -> list of field value lists
+        self.spelled = {}  # name -> per field, its values as event names spell them
 
     def declare(self, decl: ChannelDecl, env):
         self.domains[decl.name] = [_field_values(f, env) for f in decl.fields]
+        self.spelled[decl.name] = [{str(v) for v in vs} for vs in self.domains[decl.name]]
 
-    def events_of(self, name):
-        if name not in self.domains:
-            raise UnknownChannel(f"undeclared channel '{name}'")
-        out = [name]
-        for values in self.domains[name]:
-            out = [f"{prefix}.{v}" for prefix in out for v in values]
-        return [event(e) for e in out]
+    def __contains__(self, eid):
+        if eid < 0:
+            return False
+        head, *fields = EVENTS.name(eid).split(".")
+        spelled = self.spelled.get(head)
+        return (
+            spelled is not None
+            and len(fields) == len(spelled)
+            and all(f in vs for f, vs in zip(fields, spelled))
+        )
 
-    def sigma(self):
-        evs = set()
-        for name in self.domains:
-            evs.update(self.events_of(name))
-        return frozenset(evs)
+    def __iter__(self):
+        for name, domains in self.domains.items():
+            out = [name]
+            for values in domains:
+                out = [f"{prefix}.{v}" for prefix in out for v in values]
+            yield from map(event, out)
 
     def completions(self, head, given_fields):
         """All events extending head with the given leading field values."""
@@ -813,7 +822,7 @@ def elaborate(decl: NetworkDecl) -> Network:
             except DslValueError as exc:
                 raise ElaborationError(f"behaviour of '{name}': {exc}") from exc
             components.append(Component(name, frozenset(alphabet), term, env))
-    net = Network(components, sigma=channels.sigma())
+    net = Network(components, sigma=channels)
     net.warnings = tuple(warnings)
     return net
 
@@ -837,31 +846,36 @@ def _resolve_component(net: Network, name):
 
 def _resolve_event(net: Network, name):
     eid = event(name)
-    if eid not in net.sigma:
+    if not net.declares(eid):
         raise UnknownEvent(f"event '{name}' is not part of the network alphabet")
     return eid
 
 
 def parse_descriptor(doc, net: Network):
-    """Resolve a JSON descriptor document against an elaborated network."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    schema = doc.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise DescriptorError(f"unsupported descriptor schema {schema}")
-    pattern = doc.get("pattern")
-    if pattern == "resource-allocation":
-        return _parse_ra(doc, net)
-    if pattern == "client-server":
-        return _parse_cs(doc, net)
-    if pattern == "async-dynamic":
-        return _parse_ad(doc, net)
+    """Resolve a JSON descriptor document against an elaborated network.
+    Text that is not JSON and a connection without a field it needs are
+    descriptor errors."""
+    try:
+        if isinstance(doc, str):
+            doc = json.loads(doc)
+        schema = doc.get("schema", SCHEMA_VERSION)
+        if schema != SCHEMA_VERSION:
+            raise DescriptorError(f"unsupported descriptor schema {schema}")
+        pattern = doc.get("pattern")
+        if pattern == "resource-allocation":
+            return _parse_ra(doc, net)
+        if pattern == "client-server":
+            return _parse_cs(doc, net)
+        if pattern == "async-dynamic":
+            return _parse_ad(doc, net)
+    except (json.JSONDecodeError, KeyError) as exc:
+        raise DescriptorError(str(exc)) from exc
     raise DescriptorError(f"unknown pattern {pattern!r}")
 
 
 def load_descriptor(path, net: Network):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_descriptor(json.load(fh), net)
+        return parse_descriptor(fh.read(), net)
 
 
 def _parse_ra(doc, net) -> RaDescriptor:

@@ -45,14 +45,13 @@ class EventTable:
         return sorted(self.name(e) for e in eids)
 
     def fresh(self, base: str, taken) -> int:
-        """Intern a name not colliding with any event in ``taken`` (a set of
-        ids).  Used to allocate the request event outside the network
-        alphabet."""
+        """Intern a name whose id the predicate ``taken`` rejects.  Used to
+        allocate the request event outside the declared universe."""
         candidate = base
         k = 0
         while True:
             eid = self.intern(candidate)
-            if eid not in taken:
+            if not taken(eid):
                 return eid
             k += 1
             candidate = f"{base}'{k}"
@@ -63,10 +62,6 @@ EVENTS = EventTable()
 
 def event(name: str) -> int:
     return EVENTS.intern(name)
-
-
-def name_of(eid: int) -> str:
-    return EVENTS.name(eid)
 
 
 def fmt_events(eids) -> str:

@@ -2,8 +2,8 @@
 
 A component pairs an alphabet with a behaviour (a term closed under a
 definition environment, or a precompiled LTS for synthetic inputs).  The
-network's vocabulary is the union of pairwise alphabet intersections: the
-events some other component must cooperate on.  Everything outside the
+network's vocabulary is the events with two or more owners: the events
+some other component must cooperate on.  Everything outside the
 vocabulary is a private action and gets hidden by :func:`abs_lts`, the
 abstraction all local behavioural checks run against.
 """
@@ -11,6 +11,7 @@ abstraction all local behavioural checks run against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .events import EVENTS
@@ -21,6 +22,14 @@ from .semantics import (
     stable_behaviours,
 )
 from .terms import DefEnv, EMPTY_ENV, Term
+
+
+class InputError(Exception):
+    """User-fixable problems: bad bindings, ambiguous descriptors."""
+
+
+class UnknownName(InputError, KeyError):
+    """A component name the network does not have."""
 
 
 class CompileFailure(Exception):
@@ -59,23 +68,36 @@ class Component:
 
 
 class Network:
-    """Ordered sequence of components with the derived event universe."""
+    """Ordered sequence of components with the derived event universe.
+
+    ``owners`` maps each alphabet event to the indices of the components
+    owning it, ascending.  ``sigma`` may be any container of event ids
+    (the declared universe, all alphabet events by default); it is
+    iterated only when the ``sigma`` attribute is first read."""
 
     def __init__(self, components, sigma=None):
         self.components: tuple = tuple(components)
-        names = [c.name for c in self.components]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate component names")
-        alpha_union = frozenset().union(*(c.alphabet for c in self.components)) if self.components else frozenset()
-        self.sigma: frozenset = frozenset(sigma) if sigma is not None else alpha_union
-        if not alpha_union <= self.sigma:
-            raise ValueError("component alphabets must lie inside sigma")
-        voc = set()
-        for a, b in combinations(self.components, 2):
-            voc |= a.alphabet & b.alphabet
-        self.voc: frozenset = frozenset(voc)
-        self.warnings: tuple = ()
         self._index = {c.name: i for i, c in enumerate(self.components)}
+        if len(self._index) != len(self.components):
+            raise ValueError("duplicate component names")
+        owners = {}
+        for i, c in enumerate(self.components):
+            for e in c.alphabet:
+                owners.setdefault(e, []).append(i)
+        self.owners: dict = {e: tuple(ix) for e, ix in owners.items()}
+        if sigma is not None and not all(e in sigma for e in self.owners):
+            raise ValueError("component alphabets must lie inside sigma")
+        self._declared = self.owners if sigma is None else sigma
+        self.voc: frozenset = frozenset(e for e, ix in self.owners.items() if len(ix) > 1)
+        self.warnings: tuple = ()
+
+    @cached_property
+    def sigma(self) -> frozenset:
+        return frozenset(self._declared)
+
+    def declares(self, e: int) -> bool:
+        """``e in self.sigma``, without building sigma."""
+        return e in self.owners or e in self._declared
 
     def __len__(self):
         return len(self.components)
@@ -85,7 +107,7 @@ class Network:
 
     def index_of(self, name: str) -> int:
         if name not in self._index:
-            raise KeyError(f"unknown component '{name}'")
+            raise UnknownName(f"unknown component '{name}'")
         return self._index[name]
 
     def names(self):
@@ -98,6 +120,12 @@ class SectionResult:
     ok: bool
     trace: tuple | None = None
     detail: str = ""
+
+    def to_json(self):
+        data = {"component": self.name, "ok": self.ok}
+        if self.trace is not None:
+            data["trace"] = [EVENTS.name(e) for e in self.trace]
+        return data
 
 
 @dataclass
@@ -131,16 +159,8 @@ class LivenessReport:
     def to_json(self):
         return {
             "live": self.live,
-            "busy": [
-                {"component": r.name, "ok": r.ok,
-                 **({"trace": [EVENTS.name(e) for e in r.trace]} if r.trace is not None else {})}
-                for r in self.busy
-            ],
-            "non_terminating": [
-                {"component": r.name, "ok": r.ok,
-                 **({"trace": [EVENTS.name(e) for e in r.trace]} if r.trace is not None else {})}
-                for r in self.non_terminating
-            ],
+            "busy": [r.to_json() for r in self.busy],
+            "non_terminating": [r.to_json() for r in self.non_terminating],
             "triple_disjoint": {"ok": self.triple_disjoint.ok,
                                 "detail": self.triple_disjoint.detail},
         }
@@ -162,12 +182,8 @@ def check_live(net: Network, limit: int = DEFAULT_STATE_LIMIT) -> LivenessReport
         busy.append(SectionResult(comp.name, dtrace is None, dtrace))
         ttrace = first_tick_trace(lts)
         non_term.append(SectionResult(comp.name, ttrace is None, ttrace))
-    owners = {}
     td = SectionResult("triple-disjoint", True)
-    for i, comp in enumerate(net.components):
-        for e in comp.alphabet:
-            owners.setdefault(e, []).append(i)
-    for e, idx in sorted(owners.items()):
+    for e, idx in sorted(net.owners.items()):
         if len(idx) > 2:
             who = ", ".join(net.components[i].name for i in idx)
             td = SectionResult(
@@ -199,13 +215,7 @@ class CommGraph:
     edges: dict  # (i, j) with i < j -> shared event set
 
     def neighbours(self, i):
-        out = []
-        for (a, b) in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        return self.adjacency()[i]
 
     def adjacency(self):
         adj = {i: [] for i in range(self.n)}
@@ -218,9 +228,11 @@ class CommGraph:
 
 
 def communication_graph(net: Network) -> CommGraph:
-    edges = {}
-    for i, j in combinations(range(len(net)), 2):
-        shared = net[i].alphabet & net[j].alphabet
-        if shared:
-            edges[(i, j)] = shared
+    """An edge for every pair of components that share an event, sorted by
+    ``(i, j)``; the pairs come off the owner index, not off every pair."""
+    shared = {}
+    for e, idx in net.owners.items():
+        for pair in combinations(idx, 2):
+            shared.setdefault(pair, set()).add(e)
+    edges = {pair: frozenset(shared[pair]) for pair in sorted(shared)}
     return CommGraph(len(net), net.names(), edges)

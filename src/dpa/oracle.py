@@ -112,11 +112,7 @@ class _Product:
             self.taus.append(comp_taus)
             self.vis.append(comp_vis)
             self.tick.append(comp_tick)
-        owners = {}
-        for i, c in enumerate(net.components):
-            for e in c.alphabet:
-                owners.setdefault(e, []).append(i)
-        self.owners = {e: tuple(ix) for e, ix in owners.items()}
+        self.owners = net.owners
         self.initial = tuple(lts.initial for lts in ltss)
 
     def moves(self, state):

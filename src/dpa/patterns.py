@@ -18,10 +18,11 @@ for the subnetwork the descriptor covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .events import EVENTS
 from .lts import DEFAULT_STATE_LIMIT, compile_term
-from .network import Network, abs_lts, abs_divergent
+from .network import InputError, Network, abs_lts, abs_divergent
 from .semantics import Counterexample, FAILURES, REVIVALS, normalize, refines
 from .terms import (
     BinOp,
@@ -46,7 +47,7 @@ CLIENT_SERVER = "client-server"
 ASYNC_DYNAMIC = "async-dynamic"
 
 
-class UnknownComponent(Exception):
+class UnknownComponent(InputError):
     pass
 
 
@@ -76,19 +77,31 @@ class RaDescriptor:
 
     pattern = RESOURCE_ALLOCATION
 
+    @cached_property
+    def _peers(self):
+        """user -> sorted resources, resource -> sorted users."""
+        of_user, of_resource = {}, {}
+        for u, r in self.connections:
+            of_user.setdefault(u, set()).add(r)
+            of_resource.setdefault(r, set()).add(u)
+        return (
+            {u: sorted(rs) for u, rs in of_user.items()},
+            {r: sorted(us) for r, us in of_resource.items()},
+        )
+
     @property
     def users(self):
-        return sorted({u for (u, _r) in self.connections})
+        return sorted(self._peers[0])
 
     @property
     def resources(self):
-        return sorted({r for (_u, r) in self.connections})
+        return sorted(self._peers[1])
 
     def resources_of(self, user):
-        return sorted({r for (u, r) in self.connections if u == user})
+        return list(self._peers[0].get(user, ()))
 
     def users_of(self, resource):
-        return sorted({u for (u, r) in self.connections if r == resource})
+        return list(self._peers[1].get(resource, ()))
 
     def components(self):
         return frozenset(self.users) | frozenset(self.resources)
@@ -237,7 +250,7 @@ def check_structural(desc, net: Network, scope) -> list:
     """Evaluate the pattern's structural predicates over the given component
     scope (a set of component names)."""
     scope = frozenset(scope)
-    for name in desc.components():
+    for name in sorted(desc.components()):
         if name not in scope:
             raise UnknownComponent(
                 f"descriptor references '{name}' outside the checked scope"
@@ -651,7 +664,7 @@ class PatternVerdict:
 def _refine_against(net, name, spec_env, spec_term, model, limit, spec_name):
     idx = net.index_of(name)
     spec_lts = compile_term(spec_env, spec_term, limit)
-    nspec = normalize(spec_lts, universe=net.sigma)
+    nspec = normalize(spec_lts, universe=lambda: net.sigma)
     impl = abs_lts(net, idx, limit)
     ce = refines(nspec, impl, model)
     return BehaviouralResult(name, spec_name, model, ce is None, ce)

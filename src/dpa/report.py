@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .decomposition import DecompositionResult, decompose
 from .events import EVENTS
 from .lts import DEFAULT_STATE_LIMIT
-from .network import CommGraph, LivenessReport, Network, check_live
+from .network import CommGraph, InputError, LivenessReport, Network, check_live
 from .oracle import (
     DeadlockFree,
     DeadlockWitness,
@@ -32,10 +32,6 @@ REPORT_SCHEMA = 1
 
 PROVEN = "proven"
 INCONCLUSIVE = "inconclusive"
-
-
-class InputError(Exception):
-    """User-fixable problems: bad bindings, ambiguous descriptors."""
 
 
 @dataclass

@@ -159,13 +159,19 @@ class NormalSpec:
     """Determinised specification automaton annotated with acceptance data.
 
     ``universe`` is the visible-event universe the spec constrains; refusal
-    sets in counterexamples are reported relative to it.
+    sets in counterexamples are reported relative to it.  It may be given
+    as a function returning it, called only when a refusal set is reported.
     """
 
-    universe: frozenset
+    given_universe: object  # frozenset, or a function returning one
     states: list
     trans: list  # per state: dict visible label -> state id
     initial: int = 0
+
+    @property
+    def universe(self) -> frozenset:
+        u = self.given_universe
+        return u() if callable(u) else u
 
     @property
     def n_states(self):
@@ -180,7 +186,7 @@ def _min_antichain(sets):
     return tuple(out)
 
 
-def normalize(spec: Lts, universe: frozenset | None = None) -> NormalSpec:
+def normalize(spec: Lts, universe=None) -> NormalSpec:
     """Subset-construct the deterministic automaton of a specification.
 
     Divergence anywhere in the explored subsets is an error: a divergent

@@ -7,7 +7,6 @@ from dpa.decomposition import (
     CONFLICT_FREE,
     POSSIBLE_CONFLICT,
     bridges,
-    bridges_reference,
     build_conflict_free_spec,
     build_context,
     check_conflict_free,
@@ -16,13 +15,43 @@ from dpa.decomposition import (
 )
 from dpa.dsl import elaborate, parse_network
 from dpa.events import EVENTS, event
-from dpa.network import CommGraph, Component, Network, NotLive
+from dpa.network import CommGraph, Component, InputError, Network, NotLive
 from dpa.semantics import REVIVAL_VIOLATION, replay
 from dpa.terms import Call, DefEnv, Definition, Prefix, STOP
 
 
 def graph(n, edges):
     return CommGraph(n, [f"C{i}" for i in range(n)], {e: frozenset() for e in edges})
+
+
+def bridges_reference(g: CommGraph) -> frozenset:
+    """Quadratic remove-and-count reference for :func:`bridges` (test only)."""
+
+    def n_components(skip_edge):
+        seen = set()
+        count = 0
+        adj = {i: [] for i in range(g.n)}
+        for e in g.edges:
+            if e == skip_edge:
+                continue
+            adj[e[0]].append(e[1])
+            adj[e[1]].append(e[0])
+        for s in range(g.n):
+            if s in seen:
+                continue
+            count += 1
+            stack = [s]
+            seen.add(s)
+            while stack:
+                v = stack.pop()
+                for w in adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return count
+
+    base = n_components(None)
+    return frozenset(e for e in g.edges if n_components(e) > base)
 
 
 def test_bridges_star():
@@ -83,7 +112,7 @@ def test_context_requires_an_edge():
         Component("P", frozenset({event("dy.a")}), Call("P"), env),
         Component("Q", frozenset({event("dy.b")}), Call("Q"), env),
     ])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         build_context(net, 0, 1)
 
 

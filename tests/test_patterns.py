@@ -7,6 +7,7 @@ from dpa.lts import compile_term
 from dpa.network import Component, Network, abs_lts
 from dpa.patterns import (
     EmptyRoleSet,
+    RaDescriptor,
     UnknownElement,
     check_behavioural,
     check_pattern,
@@ -252,3 +253,57 @@ def test_behavioural_skipped_when_structure_fails():
     verdict = check_pattern(desc, net, net.names())
     assert not verdict.adherent
     assert verdict.behavioural == []
+
+
+BIASED_RESOURCE = """version 1
+channel get : {0..1}
+channel put : {0..1}
+channel zz_unused : {0..2}
+User(id) = get.id -> put.id -> User(id)
+Res = get.0 -> put.0 -> Res
+atom UA = alphabet {| get.id, put.id |} behaviour User(id)
+atom RA = alphabet {| get, put |} behaviour Res
+instance U = UA {0..1}
+instance R = RA
+"""
+
+
+def test_failing_obligation_reports_the_full_refusal_set():
+    # R only ever serves U.0, so its ResourceSpec refusal is reported
+    # against every declared event, the unused channel included
+    net = elaborate(parse_network(BIASED_RESOURCE))
+    desc = parse_descriptor({
+        "pattern": "resource-allocation",
+        "connections": [
+            {"user": f"U.{u}", "resource": "R", "acquire": f"get.{u}", "release": f"put.{u}"}
+            for u in (0, 1)
+        ],
+        "order": {"U.0": ["R"], "U.1": ["R"]},
+        "resource_order": ["R"],
+    }, net)
+    assert "sigma" not in net.__dict__
+    results = check_behavioural(desc, net, net.names())
+    bad = [r for r in results if not r.ok]
+    assert [(r.component, r.spec_name) for r in bad] == [("R", "ResourceSpec")]
+    assert bad[0].counterexample.to_json() == {
+        "kind": "refusal",
+        "trace": [],
+        "acceptance": ["get.0"],
+        "refusal": [
+            "get.1", "put.0", "put.1", "zz_unused.0", "zz_unused.1", "zz_unused.2"
+        ],
+    }
+
+
+def test_ra_peer_lists_are_sorted_and_deduplicated():
+    conns = (("u2", "r1"), ("u1", "r2"), ("u1", "r1"), ("u2", "r1"), ("u0", "r2"))
+    desc = RaDescriptor(conns, {}, {}, {}, ())
+    assert desc.users == ["u0", "u1", "u2"]
+    assert desc.resources == ["r1", "r2"]
+    assert desc.resources_of("u1") == ["r1", "r2"]
+    assert desc.resources_of("u2") == ["r1"]
+    assert desc.users_of("r1") == ["u1", "u2"]
+    assert desc.users_of("r2") == ["u0", "u1"]
+    assert desc.users_of("nobody") == [] and desc.resources_of("nobody") == []
+    desc.users_of("r1").append("x")  # callers get their own list
+    assert desc.users_of("r1") == ["u1", "u2"]

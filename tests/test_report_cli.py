@@ -228,6 +228,63 @@ def test_cli_state_limit_hit_while_compiling(model_dir, capsys):
     assert "(raise --state-limit)" in err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("check", []),
+    ("decompose", []),
+    ("conflict", ["0", "1"]),
+    ("pattern", ["philosophers.pattern.json"]),
+    ("oracle", []),
+    ("bench", None),
+])
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_cli_rejects_state_limit_below_one(model_dir, capsys, command, extra, limit):
+    if extra is None:
+        argv = [command, "philosophers:3"]
+    else:
+        argv = [command, str(model_dir / "philosophers.net")]
+        argv += [str(model_dir / a) if a.endswith(".json") else a for a in extra]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--state-limit", limit])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --state-limit: must be at least 1, got {limit}\n" in captured.err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["bench", "philosophers"], "bench spec needs sizes, e.g. philosophers:3,5,10"),
+    (["bench", "philosophers:a"], "invalid literal for int() with base 10: 'a'"),
+    (["bench", "nofam:3"],
+     "unknown family 'nofam'; pick one of ('philosophers', 'ringbuffer', 'leadership')"),
+    (["conflict", "philosophers.net", "0", "2"],
+     "components Phil.0 and APhil.2 share no event"),
+    (["conflict", "philosophers.net", "nosuch", "1"], "\"unknown component 'nosuch'\""),
+    (["pattern", "philosophers.net", "bad.pattern.json"],
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["pattern", "philosophers.net", "missing.pattern.json"], "'user'"),
+    (["pattern", "philosophers.net", "philosophers.pattern.json", "--scope", "Fork.0"],
+     "descriptor references 'APhil.2' outside the checked scope"),
+], ids=["no-sizes", "bad-size", "bad-family", "no-shared-event", "unknown-name",
+        "malformed-json", "missing-field", "outside-scope"])
+def test_cli_input_errors_keep_their_lines(model_dir, capsys, argv, error):
+    (model_dir / "bad.pattern.json").write_text("{not json")
+    (model_dir / "missing.pattern.json").write_text(json.dumps(
+        {"pattern": "resource-allocation", "connections": [{"resource": "Fork.0"}]}
+    ))
+    argv = [str(model_dir / a) if a.endswith((".net", ".json")) else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_cli_internal_value_error_is_not_an_input_error(model_dir, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr("dpa.cli.run_dpa", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["check", str(model_dir / "ringbuffer.net")])
+
+
 def test_cli_oracle_state_limit_bounds_only_the_product(model_dir, capsys):
     model = str(model_dir / "ringbuffer.net")
     assert main(["oracle", model, "--state-limit", "50"]) == 1
