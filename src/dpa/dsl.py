@@ -851,25 +851,32 @@ def _resolve_event(net: Network, name):
     return eid
 
 
+def _need(conn, key):
+    """A field a descriptor connection must have."""
+    try:
+        return conn[key]
+    except KeyError:
+        raise DescriptorError(str(KeyError(key))) from None
+
+
 def parse_descriptor(doc, net: Network):
     """Resolve a JSON descriptor document against an elaborated network.
-    Text that is not JSON and a connection without a field it needs are
-    descriptor errors."""
-    try:
-        if isinstance(doc, str):
+    Text that is not JSON is a descriptor error."""
+    if isinstance(doc, str):
+        try:
             doc = json.loads(doc)
-        schema = doc.get("schema", SCHEMA_VERSION)
-        if schema != SCHEMA_VERSION:
-            raise DescriptorError(f"unsupported descriptor schema {schema}")
-        pattern = doc.get("pattern")
-        if pattern == "resource-allocation":
-            return _parse_ra(doc, net)
-        if pattern == "client-server":
-            return _parse_cs(doc, net)
-        if pattern == "async-dynamic":
-            return _parse_ad(doc, net)
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise DescriptorError(str(exc)) from exc
+        except json.JSONDecodeError as exc:
+            raise DescriptorError(str(exc)) from exc
+    schema = doc.get("schema", SCHEMA_VERSION)
+    if schema != SCHEMA_VERSION:
+        raise DescriptorError(f"unsupported descriptor schema {schema}")
+    pattern = doc.get("pattern")
+    if pattern == "resource-allocation":
+        return _parse_ra(doc, net)
+    if pattern == "client-server":
+        return _parse_cs(doc, net)
+    if pattern == "async-dynamic":
+        return _parse_ad(doc, net)
     raise DescriptorError(f"unknown pattern {pattern!r}")
 
 
@@ -883,11 +890,11 @@ def _parse_ra(doc, net) -> RaDescriptor:
     acquire = {}
     release = {}
     for conn in doc.get("connections", []):
-        u = _resolve_component(net, conn["user"])
-        r = _resolve_component(net, conn["resource"])
+        u = _resolve_component(net, _need(conn, "user"))
+        r = _resolve_component(net, _need(conn, "resource"))
         connections.append((u, r))
-        acquire[(u, r)] = _resolve_event(net, conn["acquire"])
-        release[(u, r)] = _resolve_event(net, conn["release"])
+        acquire[(u, r)] = _resolve_event(net, _need(conn, "acquire"))
+        release[(u, r)] = _resolve_event(net, _need(conn, "release"))
     order = {}
     for u, seq in doc.get("order", {}).items():
         order[_resolve_component(net, u)] = tuple(seq)
@@ -914,11 +921,11 @@ def _parse_cs(doc, net) -> CsDescriptor:
     connections = []
     requests = {}
     for conn in doc.get("connections", []):
-        c = _resolve_component(net, conn["client"])
-        s = _resolve_component(net, conn["server"])
+        c = _resolve_component(net, _need(conn, "client"))
+        s = _resolve_component(net, _need(conn, "server"))
         connections.append((c, s))
         requests[(c, s)] = frozenset(
-            _resolve_event(net, e) for e in conn["requests"]
+            _resolve_event(net, e) for e in _need(conn, "requests")
         )
         if not requests[(c, s)]:
             raise NonTotalMap(f"connection {c}->{s} declares no request events")
@@ -945,27 +952,27 @@ def _parse_ad(doc, net) -> AdDescriptor:
     link, send, receive, on, off, timeout = {}, {}, {}, {}, {}, {}
     seen_links = {}
     for conn in doc.get("connections", []):
-        i = _resolve_component(net, conn["from"])
-        j = _resolve_component(net, conn["to"])
+        i = _resolve_component(net, _need(conn, "from"))
+        j = _resolve_component(net, _need(conn, "to"))
         connections.append((i, j))
-        k = _resolve_component(net, conn["transport"])
+        k = _resolve_component(net, _need(conn, "transport"))
         if k in seen_links:
             raise DescriptorError(
                 f"transport '{k}' linked to both {seen_links[k]} and {(i, j)}"
             )
         seen_links[k] = (i, j)
         link[(i, j)] = k
-        send[(i, j)] = tuple(_resolve_event(net, e) for e in conn["send"])
-        receive[(i, j)] = tuple(_resolve_event(net, e) for e in conn["receive"])
+        send[(i, j)] = tuple(_resolve_event(net, e) for e in _need(conn, "send"))
+        receive[(i, j)] = tuple(_resolve_event(net, e) for e in _need(conn, "receive"))
         if len(send[(i, j)]) != len(receive[(i, j)]):
             raise NonTotalMap(
                 f"send/receive lists of {i}->{j} must pair up (same length)"
             )
         if not send[(i, j)]:
             raise NonTotalMap(f"connection {i}->{j} declares no data events")
-        on[(i, j)] = _resolve_event(net, conn["on"])
-        off[(i, j)] = _resolve_event(net, conn["off"])
-        timeout[(i, j)] = _resolve_event(net, conn["timeout"])
+        on[(i, j)] = _resolve_event(net, _need(conn, "on"))
+        off[(i, j)] = _resolve_event(net, _need(conn, "off"))
+        timeout[(i, j)] = _resolve_event(net, _need(conn, "timeout"))
     schedule = {}
     for p, seq in doc.get("schedule", {}).items():
         p = _resolve_component(net, p)

@@ -86,7 +86,7 @@ class Network:
                 owners.setdefault(e, []).append(i)
         self.owners: dict = {e: tuple(ix) for e, ix in owners.items()}
         if sigma is not None and not all(e in sigma for e in self.owners):
-            raise ValueError("component alphabets must lie inside sigma")
+            raise InputError("component alphabets must lie inside sigma")
         self._declared = self.owners if sigma is None else sigma
         self.voc: frozenset = frozenset(e for e, ix in self.owners.items() if len(ix) > 1)
         self.warnings: tuple = ()
@@ -213,9 +213,6 @@ class CommGraph:
     n: int
     names: list
     edges: dict  # (i, j) with i < j -> shared event set
-
-    def neighbours(self, i):
-        return self.adjacency()[i]
 
     def adjacency(self):
         adj = {i: [] for i in range(self.n)}

@@ -97,7 +97,7 @@ def test_communication_graph_shapes():
 
     ph = communication_graph(philosophers())
     assert len(ph.edges) == 6
-    assert all(len(ph.neighbours(i)) == 2 for i in range(6))  # one big ring
+    assert all(len(peers) == 2 for peers in ph.adjacency().values())  # one big ring
 
     x = event("solo.q")
     env = DefEnv([Definition("L", (), Prefix(x, Call("L")))])

@@ -264,13 +264,22 @@ def test_cli_rejects_state_limit_below_one(model_dir, capsys, command, extra, li
     (["pattern", "philosophers.net", "missing.pattern.json"], "'user'"),
     (["pattern", "philosophers.net", "philosophers.pattern.json", "--scope", "Fork.0"],
      "descriptor references 'APhil.2' outside the checked scope"),
+    (["check", "extend_out_of_domain.net"], "component alphabets must lie inside sigma"),
+    (["decompose", "exact_out_of_domain.net"], "component alphabets must lie inside sigma"),
 ], ids=["no-sizes", "bad-size", "bad-family", "no-shared-event", "unknown-name",
-        "malformed-json", "missing-field", "outside-scope"])
+        "malformed-json", "missing-field", "outside-scope", "extend-out-of-domain",
+        "exact-out-of-domain"])
 def test_cli_input_errors_keep_their_lines(model_dir, capsys, argv, error):
     (model_dir / "bad.pattern.json").write_text("{not json")
     (model_dir / "missing.pattern.json").write_text(json.dumps(
         {"pattern": "resource-allocation", "connections": [{"resource": "Fork.0"}]}
     ))
+    # instance U.2 names get.2, outside the channel's domain {0..1}
+    for form, alphabet in [("extend", "{| get.id |}"), ("exact", "{ get.id }")]:
+        (model_dir / f"{form}_out_of_domain.net").write_text(
+            "version 1\nchannel get : {0..1}\nU(id) = get.id -> U(id)\n"
+            f"atom UA = alphabet {alphabet} behaviour U(id)\ninstance U = UA {{0..2}}\n"
+        )
     argv = [str(model_dir / a) if a.endswith((".net", ".json")) else a for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
@@ -283,6 +292,16 @@ def test_cli_internal_value_error_is_not_an_input_error(model_dir, monkeypatch):
     monkeypatch.setattr("dpa.cli.run_dpa", broken)
     with pytest.raises(ValueError, match="internal"):
         main(["check", str(model_dir / "ringbuffer.net")])
+
+
+def test_cli_internal_key_error_in_a_descriptor_is_not_an_input_error(model_dir, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("dpa.dsl.RaDescriptor", broken)
+    model = str(model_dir / "philosophers.net")
+    with pytest.raises(KeyError, match="internal"):
+        main(["pattern", model, str(model_dir / "philosophers.pattern.json")])
 
 
 def test_cli_oracle_state_limit_bounds_only_the_product(model_dir, capsys):
