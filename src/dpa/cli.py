@@ -15,16 +15,10 @@ import sys
 from .bench import parse_bench_spec, run_bench
 from .decomposition import CONFLICT_FREE, check_conflict_free, decompose
 from .dsl import descriptor_echo, load_descriptor, load_network
-from .events import EVENTS
+from .events import fmt_trace
 from .lts import DEFAULT_STATE_LIMIT, StateLimitExceeded
 from .network import CompileFailure, InputError, NotLive, check_live, communication_graph
-from .oracle import (
-    DeadlockFree,
-    DeadlockWitness,
-    explore_global,
-    find_ungranted_cycle,
-    snapshot_graph,
-)
+from .oracle import DeadlockFree, DeadlockWitness, explain_deadlock, explore_global
 from .patterns import check_pattern
 from .report import PROVEN, emit_dot, emit_report_json, run_dpa
 from .terms import DslValueError
@@ -180,9 +174,8 @@ def _dispatch(args) -> int:
                     "essential.dot",
                     emit_dot(report.decomposition.residual_graph()),
                 )
-            if isinstance(report.oracle, DeadlockWitness):
-                snap = snapshot_graph(net, report.oracle.state)
-                _dot_out(args.dot_dir, "snapshot.dot", emit_dot(snap))
+            if report.oracle_snapshot is not None:
+                _dot_out(args.dot_dir, "snapshot.dot", emit_dot(report.oracle_snapshot))
         return EXIT_PROVEN if report.overall == PROVEN else EXIT_INCONCLUSIVE
 
     if args.command == "decompose":
@@ -223,14 +216,10 @@ def _dispatch(args) -> int:
         for pr in verdict.structural:
             print(f"structural {pr.name}: {'ok' if pr.ok else 'FAIL ' + pr.witness}")
         for br in verdict.behavioural:
-            extra = ""
-            if br.counterexample is not None:
-                extra = "  " + br.counterexample.describe()
-            elif br.note:
-                extra = "  " + br.note
+            who, what, detail = br.failure_parts()
             print(
-                f"behavioural {br.component} {br.spec_name} [{br.model}]: "
-                f"{'ok' if br.ok else 'FAIL'}{extra}"
+                f"behavioural {who} {what} [{br.model}]: {'ok' if br.ok else 'FAIL'}"
+                + (f"  {detail}" if detail else "")
             )
         for warn in verdict.warnings:
             print(f"warning: {warn}")
@@ -248,15 +237,12 @@ def _dispatch(args) -> int:
             print(f"deadlock free ({result.states_explored} states)")
             code = EXIT_PROVEN
         elif isinstance(result, DeadlockWitness):
-            trace = ", ".join(EVENTS.name(e) for e in result.trace)
-            print(f"deadlock after <{trace}>")
-            snap = snapshot_graph(net, result.state)
-            cycle = find_ungranted_cycle(snap)
-            result.cycle = cycle or ()
-            if cycle:
+            print(f"deadlock after {fmt_trace(result.trace)}")
+            snap = explain_deadlock(net, result)
+            if result.cycle:
                 print(
                     "ungranted-request cycle: "
-                    + " -> ".join(net[i].name for i in cycle)
+                    + " -> ".join(net[i].name for i in result.cycle)
                 )
             if args.dot_dir:
                 _dot_out(args.dot_dir, "snapshot.dot", emit_dot(snap))

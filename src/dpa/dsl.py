@@ -40,6 +40,9 @@ from dataclasses import dataclass, field
 from .events import EVENTS, event
 from .network import Component, InputError, Network
 from .patterns import (
+    ASYNC_DYNAMIC,
+    CLIENT_SERVER,
+    RESOURCE_ALLOCATION,
     AdDescriptor,
     CsDescriptor,
     RaDescriptor,
@@ -836,48 +839,76 @@ def load_network(path) -> Network:
 # descriptor files
 
 
-def _resolve_component(net: Network, name):
+_LIST = (list, tuple)
+_KINDS = {dict: "an object", _LIST: "a list", str: "a string"}
+
+
+def _typed(value, types, what):
+    """``value``, which must be one of ``types`` (a key of ``_KINDS``)."""
+    if not isinstance(value, types):
+        raise DescriptorError(f"{what} must be {_KINDS[types]}")
+    return value
+
+
+def _section(doc, key, types):
+    """An optional top-level field, empty when absent."""
+    return _typed(doc.get(key, {} if types is dict else ()), types, f"field '{key}'")
+
+
+def _name(value, key):
+    return _typed(value, str, f"each name in '{key}'")
+
+
+def _names(value, key):
+    """The names a list-valued field holds."""
+    return tuple(_name(x, key) for x in _typed(value, _LIST, f"field '{key}'"))
+
+
+def _resolve_component(net: Network, name, key):
     try:
-        net.index_of(name)
+        net.index_of(_name(name, key))
     except KeyError:
         raise UnknownComponent(f"unknown component '{name}'")
     return name
 
 
-def _resolve_event(net: Network, name):
-    eid = event(name)
+def _resolve_event(net: Network, name, key):
+    eid = event(_name(name, key))
     if not net.declares(eid):
         raise UnknownEvent(f"event '{name}' is not part of the network alphabet")
     return eid
 
 
-def _need(conn, key):
-    """A field a descriptor connection must have."""
+def _resolve_events(net: Network, names, key):
+    return tuple(_resolve_event(net, e, key) for e in _names(names, key))
+
+
+def _need(net: Network, conn, key, resolve):
+    """A field a descriptor connection must have, resolved by ``resolve``."""
     try:
-        return conn[key]
+        value = _typed(conn, dict, "each connection")[key]
     except KeyError:
         raise DescriptorError(str(KeyError(key))) from None
+    return resolve(net, value, key)
 
 
 def parse_descriptor(doc, net: Network):
     """Resolve a JSON descriptor document against an elaborated network.
-    Text that is not JSON is a descriptor error."""
+    Text that is not JSON, or of the wrong shape, is a descriptor error."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise DescriptorError(str(exc)) from exc
+    _typed(doc, dict, "the descriptor")
     schema = doc.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise DescriptorError(f"unsupported descriptor schema {schema}")
     pattern = doc.get("pattern")
-    if pattern == "resource-allocation":
-        return _parse_ra(doc, net)
-    if pattern == "client-server":
-        return _parse_cs(doc, net)
-    if pattern == "async-dynamic":
-        return _parse_ad(doc, net)
-    raise DescriptorError(f"unknown pattern {pattern!r}")
+    parser = _PARSERS.get(pattern) if isinstance(pattern, str) else None
+    if parser is None:
+        raise DescriptorError(f"unknown pattern {pattern!r}")
+    return parser(doc, net)
 
 
 def load_descriptor(path, net: Network):
@@ -889,17 +920,21 @@ def _parse_ra(doc, net) -> RaDescriptor:
     connections = []
     acquire = {}
     release = {}
-    for conn in doc.get("connections", []):
-        u = _resolve_component(net, _need(conn, "user"))
-        r = _resolve_component(net, _need(conn, "resource"))
+    for conn in _section(doc, "connections", _LIST):
+        u = _need(net, conn, "user", _resolve_component)
+        r = _need(net, conn, "resource", _resolve_component)
         connections.append((u, r))
-        acquire[(u, r)] = _resolve_event(net, _need(conn, "acquire"))
-        release[(u, r)] = _resolve_event(net, _need(conn, "release"))
+        acquire[(u, r)] = _need(net, conn, "acquire", _resolve_event)
+        release[(u, r)] = _need(net, conn, "release", _resolve_event)
     order = {}
-    for u, seq in doc.get("order", {}).items():
-        order[_resolve_component(net, u)] = tuple(seq)
+    for u, seq in _section(doc, "order", dict).items():
+        order[_resolve_component(net, u, "order")] = _names(seq, "order")
     desc = RaDescriptor(
-        tuple(connections), acquire, release, order, tuple(doc.get("resource_order", []))
+        tuple(connections),
+        acquire,
+        release,
+        order,
+        _names(doc.get("resource_order", ()), "resource_order"),
     )
     for u in desc.users:
         if u not in order:
@@ -920,19 +955,17 @@ def _parse_ra(doc, net) -> RaDescriptor:
 def _parse_cs(doc, net) -> CsDescriptor:
     connections = []
     requests = {}
-    for conn in doc.get("connections", []):
-        c = _resolve_component(net, _need(conn, "client"))
-        s = _resolve_component(net, _need(conn, "server"))
+    for conn in _section(doc, "connections", _LIST):
+        c = _need(net, conn, "client", _resolve_component)
+        s = _need(net, conn, "server", _resolve_component)
         connections.append((c, s))
-        requests[(c, s)] = frozenset(
-            _resolve_event(net, e) for e in _need(conn, "requests")
-        )
+        requests[(c, s)] = frozenset(_need(net, conn, "requests", _resolve_events))
         if not requests[(c, s)]:
             raise NonTotalMap(f"connection {c}->{s} declares no request events")
     responses = {}
-    for ev_name, resp in doc.get("responses", {}).items():
-        responses[_resolve_event(net, ev_name)] = frozenset(
-            _resolve_event(net, e) for e in resp
+    for ev_name, resp in _section(doc, "responses", dict).items():
+        responses[_resolve_event(net, ev_name, "responses")] = frozenset(
+            _resolve_events(net, resp, "responses")
         )
     all_requests = set()
     for evs in requests.values():
@@ -943,7 +976,7 @@ def _parse_cs(doc, net) -> CsDescriptor:
         tuple(connections),
         requests,
         responses,
-        tuple(doc.get("component_order", [])),
+        _names(doc.get("component_order", ()), "component_order"),
     )
 
 
@@ -951,32 +984,32 @@ def _parse_ad(doc, net) -> AdDescriptor:
     connections = []
     link, send, receive, on, off, timeout = {}, {}, {}, {}, {}, {}
     seen_links = {}
-    for conn in doc.get("connections", []):
-        i = _resolve_component(net, _need(conn, "from"))
-        j = _resolve_component(net, _need(conn, "to"))
+    for conn in _section(doc, "connections", _LIST):
+        i = _need(net, conn, "from", _resolve_component)
+        j = _need(net, conn, "to", _resolve_component)
         connections.append((i, j))
-        k = _resolve_component(net, _need(conn, "transport"))
+        k = _need(net, conn, "transport", _resolve_component)
         if k in seen_links:
             raise DescriptorError(
                 f"transport '{k}' linked to both {seen_links[k]} and {(i, j)}"
             )
         seen_links[k] = (i, j)
         link[(i, j)] = k
-        send[(i, j)] = tuple(_resolve_event(net, e) for e in _need(conn, "send"))
-        receive[(i, j)] = tuple(_resolve_event(net, e) for e in _need(conn, "receive"))
+        send[(i, j)] = _need(net, conn, "send", _resolve_events)
+        receive[(i, j)] = _need(net, conn, "receive", _resolve_events)
         if len(send[(i, j)]) != len(receive[(i, j)]):
             raise NonTotalMap(
                 f"send/receive lists of {i}->{j} must pair up (same length)"
             )
         if not send[(i, j)]:
             raise NonTotalMap(f"connection {i}->{j} declares no data events")
-        on[(i, j)] = _resolve_event(net, _need(conn, "on"))
-        off[(i, j)] = _resolve_event(net, _need(conn, "off"))
-        timeout[(i, j)] = _resolve_event(net, _need(conn, "timeout"))
+        on[(i, j)] = _need(net, conn, "on", _resolve_event)
+        off[(i, j)] = _need(net, conn, "off", _resolve_event)
+        timeout[(i, j)] = _need(net, conn, "timeout", _resolve_event)
     schedule = {}
-    for p, seq in doc.get("schedule", {}).items():
-        p = _resolve_component(net, p)
-        peers = tuple(_resolve_component(net, q) for q in seq)
+    for p, seq in _section(doc, "schedule", dict).items():
+        p = _resolve_component(net, p, "schedule")
+        peers = tuple(_resolve_component(net, q, "schedule") for q in _names(seq, "schedule"))
         if len(set(peers)) != len(peers):
             raise DuplicateInSchedule(f"schedule of '{p}' repeats a peer")
         schedule[p] = peers
@@ -989,38 +1022,16 @@ def _parse_ad(doc, net) -> AdDescriptor:
     return desc
 
 
+_PARSERS = {
+    RESOURCE_ALLOCATION: _parse_ra,
+    CLIENT_SERVER: _parse_cs,
+    ASYNC_DYNAMIC: _parse_ad,
+}
+
+
 def descriptor_echo(desc) -> str:
     """Readable role listing for review, in the style of a worked example."""
-    lines = [f"pattern: {desc.pattern}"]
-    if isinstance(desc, RaDescriptor):
-        lines.append(f"  users     = {desc.users}")
-        lines.append(f"  resources = {desc.resources}")
-        for (u, r) in desc.connections:
-            lines.append(
-                f"  acquire({u},{r}) = {EVENTS.name(desc.acquire[(u, r)])}, "
-                f"release({u},{r}) = {EVENTS.name(desc.release[(u, r)])}"
-            )
-        for u in desc.users:
-            lines.append(f"  order({u}) = {list(desc.order[u])}")
-        lines.append(f"  resource order (greatest first) = {list(desc.ra_order)}")
-    elif isinstance(desc, CsDescriptor):
-        for (c, s) in desc.connections:
-            lines.append(
-                f"  {c} -> {s}: requests {EVENTS.names(desc.requests[(c, s)])}"
-            )
-        for e, resp in sorted(desc.responses.items()):
-            lines.append(f"  responses({EVENTS.name(e)}) = {EVENTS.names(resp)}")
-        lines.append(f"  component order (greatest first) = {list(desc.cs_order)}")
-    elif isinstance(desc, AdDescriptor):
-        for (i, j) in desc.connections:
-            lines.append(
-                f"  {i} -> {j} via {desc.link[(i, j)]}: "
-                f"send {EVENTS.names(desc.send[(i, j)])}, "
-                f"receive {EVENTS.names(desc.receive[(i, j)])}"
-            )
-        for p, seq in sorted(desc.schedule.items()):
-            lines.append(f"  schedule({p}) = {list(seq)}")
-    return "\n".join(lines)
+    return "\n".join([f"pattern: {desc.pattern}"] + desc.echo_lines())
 
 
 # ---------------------------------------------------------------------------

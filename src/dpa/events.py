@@ -66,3 +66,7 @@ def event(name: str) -> int:
 
 def fmt_events(eids) -> str:
     return "{" + ", ".join(EVENTS.names(eids)) + "}"
+
+
+def fmt_trace(trace) -> str:
+    return "<" + ", ".join(EVENTS.name(e) for e in trace) + ">"

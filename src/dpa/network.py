@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .events import EVENTS
+from .events import EVENTS, fmt_trace
 from .lts import DEFAULT_STATE_LIMIT, Lts, check_alphabet, compile_term, hide_lts
+from .lts import AlphabetViolation
 from .semantics import (
     component_deadlocks,
     first_tick_trace,
@@ -55,15 +56,20 @@ class Component:
     _compiled: Lts | None = field(default=None, repr=False)
 
     def compiled(self, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
+        """The behaviour's LTS, compiled once; it is cached only after it
+        has been checked against the alphabet."""
         if self._compiled is None:
-            if self.lts is not None:
-                self._compiled = self.lts
-            else:
+            lts = self.lts
+            if lts is None:
                 try:
-                    self._compiled = compile_term(self.env, self.term, limit)
+                    lts = compile_term(self.env, self.term, limit)
                 except Exception as exc:
                     raise CompileFailure(self.name, exc) from exc
-            check_alphabet(self._compiled, self.alphabet)
+            try:
+                check_alphabet(lts, self.alphabet)
+            except AlphabetViolation as exc:
+                raise InputError(f"component '{self.name}' has {exc}") from exc
+            self._compiled = lts
         return self._compiled
 
 
@@ -145,10 +151,10 @@ class LivenessReport:
     def summary(self) -> str:
         lines = []
         for r in self.busy:
-            lines.append(f"  busy {r.name}: {'ok' if r.ok else 'DEADLOCKS ' + _tr(r.trace)}")
+            lines.append(f"  busy {r.name}: {'ok' if r.ok else 'DEADLOCKS ' + fmt_trace(r.trace)}")
         for r in self.non_terminating:
             lines.append(
-                f"  non-terminating {r.name}: {'ok' if r.ok else 'TICKS after ' + _tr(r.trace)}"
+                f"  non-terminating {r.name}: {'ok' if r.ok else 'TICKS after ' + fmt_trace(r.trace)}"
             )
         t = self.triple_disjoint
         lines.append(
@@ -164,12 +170,6 @@ class LivenessReport:
             "triple_disjoint": {"ok": self.triple_disjoint.ok,
                                 "detail": self.triple_disjoint.detail},
         }
-
-
-def _tr(trace):
-    if trace is None:
-        return ""
-    return "<" + ", ".join(EVENTS.name(e) for e in trace) + ">"
 
 
 def check_live(net: Network, limit: int = DEFAULT_STATE_LIMIT) -> LivenessReport:

@@ -254,6 +254,14 @@ def snapshot_graph(net: Network, state: GlobalState) -> SnapshotGraph:
     return SnapshotGraph(len(net), net.names(), arcs)
 
 
+def explain_deadlock(net: Network, witness: DeadlockWitness) -> SnapshotGraph:
+    """The snapshot graph at the witness's deadlocked state; sets
+    ``witness.cycle`` to an ungranted-request cycle in it, or ``()``."""
+    snap = snapshot_graph(net, witness.state)
+    witness.cycle = find_ungranted_cycle(snap) or ()
+    return snap
+
+
 def find_ungranted_cycle(g: SnapshotGraph):
     """Some directed cycle of the snapshot graph (DFS back edge), or None."""
     adj = {i: [] for i in range(g.n)}

@@ -60,7 +60,128 @@ class EmptyRoleSet(Exception):
 
 
 # ---------------------------------------------------------------------------
-# descriptors
+# order side conditions
+
+
+def respects_order(seq, order) -> bool:
+    """True when consecutive elements are strictly descending under the
+    order given as a greatest-first sequence."""
+    rank = {x: i for i, x in enumerate(order)}
+    for x in seq:
+        if x not in rank:
+            raise UnknownElement(f"'{x}' is not ranked by the order")
+    return all(rank[seq[i]] < rank[seq[i + 1]] for i in range(len(seq) - 1))
+
+
+# ---------------------------------------------------------------------------
+# obligation results
+
+
+@dataclass
+class PredicateResult:
+    name: str
+    ok: bool
+    witness: str = ""
+
+    def failure_parts(self):
+        """``(who, what, detail)`` for report lines; a structural
+        predicate names no single component."""
+        return "", self.name, self.witness
+
+    def to_json(self):
+        data = {"predicate": self.name, "ok": self.ok}
+        if self.witness:
+            data["witness"] = self.witness
+        return data
+
+
+@dataclass
+class BehaviouralResult:
+    component: str
+    spec_name: str
+    model: str
+    ok: bool
+    counterexample: Counterexample | None = None
+    note: str = ""
+
+    def failure_parts(self):
+        """``(who, what, detail)`` for report lines: the note, else the
+        counterexample."""
+        detail = self.note
+        if not detail and self.counterexample is not None:
+            detail = self.counterexample.describe()
+        return self.component, self.spec_name, detail
+
+    def to_json(self):
+        data = {
+            "component": self.component,
+            "spec": self.spec_name,
+            "model": self.model,
+            "ok": self.ok,
+        }
+        if self.counterexample is not None:
+            data["counterexample"] = self.counterexample.to_json()
+        if self.note:
+            data["note"] = self.note
+        return data
+
+
+# ---------------------------------------------------------------------------
+# building blocks shared by the patterns
+
+
+def _alpha(net, name):
+    try:
+        return net[net.index_of(name)].alphabet
+    except KeyError as exc:
+        raise UnknownComponent(str(exc)) from exc
+
+
+def _controlled(net, name, expected, predicate):
+    actual = _alpha(net, name) & net.voc
+    if actual == expected:
+        return PredicateResult(predicate, True)
+    diff = (actual ^ expected)
+    return PredicateResult(
+        predicate,
+        False,
+        witness=f"{name}: mismatch on {EVENTS.names(diff)}",
+    )
+
+
+def _partitioned(scope, left, right, name):
+    users, resources = frozenset(left), frozenset(right)
+    if users & resources:
+        return PredicateResult(
+            name, False, witness=f"both roles: {sorted(users & resources)}"
+        )
+    if users | resources != scope:
+        missing = sorted(scope - (users | resources))
+        return PredicateResult(name, False, witness=f"unassigned: {missing}")
+    return PredicateResult(name, True)
+
+
+def _chain(events, tail: Term) -> Term:
+    term = tail
+    for e in reversed(events):
+        term = Prefix(e, term)
+    return term
+
+
+def _choice_prefixes(choice, events, cont) -> Term | None:
+    """``choice`` over ``e -> cont`` per event, in event order; None for none."""
+    items = tuple(Prefix(e, cont) for e in sorted(events))
+    if not items:
+        return None
+    return items[0] if len(items) == 1 else choice(items)
+
+
+# ---------------------------------------------------------------------------
+# descriptors: one class per pattern holds all that varies by pattern.
+# ``roles`` maps a role to (spec name, model, builder); a builder maps
+# ``(net, name)`` to ``(env, term)``, or raises EmptyRoleSet when the role's
+# process degenerates.  ``obligations(scope)`` lists (role, component)
+# pairs in check order; ``side_conditions()`` and ``echo_lines()`` follow.
 
 
 @dataclass
@@ -106,6 +227,99 @@ class RaDescriptor:
     def components(self):
         return frozenset(self.users) | frozenset(self.resources)
 
+    def structural(self, net, scope):
+        out = [_partitioned(scope, self.users, self.resources, "partitioned")]
+        acq = set(self.acquire.values())
+        rel = set(self.release.values())
+        clash = acq & rel
+        out.append(
+            PredicateResult(
+                "mutually_disjoint_events",
+                not clash,
+                witness="" if not clash else f"acquire = release on {EVENTS.names(clash)}",
+            )
+        )
+        for u in self.users:
+            expected = frozenset(
+                self.acquire[(u, r)] for r in self.resources_of(u)
+            ) | frozenset(self.release[(u, r)] for r in self.resources_of(u))
+            out.append(_controlled(net, u, expected, "controlled_alpha_users"))
+        for r in self.resources:
+            expected = frozenset(
+                self.acquire[(u, r)] for u in self.users_of(r)
+            ) | frozenset(self.release[(u, r)] for u in self.users_of(r))
+            out.append(_controlled(net, r, expected, "controlled_alpha_resources"))
+        return out
+
+    def user_spec(self, net, name):
+        seq = self.order.get(name)
+        if seq is None:
+            raise UnknownComponent(f"no acquisition order for user '{name}'")
+        acquires = [self.acquire[(name, r)] for r in seq]
+        releases = [self.release[(name, r)] for r in seq]
+        env = DefEnv()
+        env.define(Definition("User", (), _chain(acquires + releases, Call("User"))))
+        return env, Call("User")
+
+    def resource_spec(self, net, name):
+        branches = tuple(
+            Prefix(
+                self.acquire[(u, name)],
+                Prefix(self.release[(u, name)], Call("Resource")),
+            )
+            for u in self.users_of(name)
+        )
+        if not branches:
+            raise EmptyRoleSet(f"resource '{name}' has no users")
+        env = DefEnv()
+        env.define(
+            Definition(
+                "Resource",
+                (),
+                branches[0] if len(branches) == 1 else ExtChoice(branches),
+            )
+        )
+        return env, Call("Resource")
+
+    roles = {
+        "user": ("UserSpec", FAILURES, user_spec),
+        "resource": ("ResourceSpec", FAILURES, resource_spec),
+    }
+
+    def obligations(self, scope):
+        return [("user", u) for u in self.users] + [
+            ("resource", r) for r in self.resources
+        ]
+
+    def side_conditions(self):
+        """Each user's acquisition sequence descends under the resource order."""
+        out = []
+        for u in self.users:
+            try:
+                ok = respects_order(self.order[u], self.ra_order)
+                note = "" if ok else (
+                    f"acquisition order {list(self.order[u])} is not descending "
+                    f"under the resource order"
+                )
+            except UnknownElement as exc:
+                ok, note = False, str(exc)
+            out.append(
+                BehaviouralResult(u, "acquisition-order", "structural", ok, note=note)
+            )
+        return out
+
+    def echo_lines(self):
+        lines = [f"  users     = {self.users}", f"  resources = {self.resources}"]
+        for (u, r) in self.connections:
+            lines.append(
+                f"  acquire({u},{r}) = {EVENTS.name(self.acquire[(u, r)])}, "
+                f"release({u},{r}) = {EVENTS.name(self.release[(u, r)])}"
+            )
+        for u in self.users:
+            lines.append(f"  order({u}) = {list(self.order[u])}")
+        lines.append(f"  resource order (greatest first) = {list(self.ra_order)}")
+        return lines
+
 
 @dataclass
 class CsDescriptor:
@@ -145,6 +359,126 @@ class CsDescriptor:
             s for (_c, s) in self.connections
         )
 
+    def structural(self, net, scope):
+        out = []
+        all_requests = set()
+        for evs in self.requests.values():
+            all_requests |= evs
+        all_responses = set()
+        for evs in self.responses.values():
+            all_responses |= evs
+        clash = all_requests & all_responses
+        out.append(
+            PredicateResult(
+                "disjoint_events",
+                not clash,
+                witness="" if not clash else EVENTS.names(clash).__str__(),
+            )
+        )
+        for name in sorted(scope):
+            sreq = self.server_requests(name)
+            creq = self.client_requests(name)
+            expected = sreq | creq | self.responses_of(sreq) | self.responses_of(creq)
+            out.append(_controlled(net, name, expected, "controlled_alpha"))
+        rank = {x: i for i, x in enumerate(self.cs_order)}
+        bad = [
+            (c, s)
+            for (c, s) in self.connections
+            if c not in rank or s not in rank or not rank[c] < rank[s]
+        ]
+        out.append(
+            PredicateResult(
+                "ordered",
+                not bad,
+                witness="" if not bad else f"connections against the order: {bad}",
+            )
+        )
+        return out
+
+    def server_requests_spec(self, net, name):
+        # the choice of non-server events ranges over the component alphabet
+        if net is None:
+            raise ValueError("the server-requests role needs the network")
+        s_evts = self.server_requests(name)
+        other = _alpha(net, name) - s_evts
+        env = DefEnv()
+        if not other:
+            if not s_evts:
+                raise EmptyRoleSet(f"'{name}' has neither server events nor others")
+            env.define(
+                Definition("Run", (), _choice_prefixes(ExtChoice, s_evts, Call("Run")))
+            )
+            return env, Call("Run")
+        branches = [_choice_prefixes(IntChoice, other, SKIP)]
+        # an empty replicated external choice offers nothing
+        branches.append(_choice_prefixes(ExtChoice, s_evts, SKIP) or STOP)
+        env.define(
+            Definition("Server", (), Seq(IntChoice(tuple(branches)), Call("Server")))
+        )
+        return env, Call("Server")
+
+    def requests_responses_spec(self, net, name):
+        c_evts = self.client_requests(name)
+        s_evts = self.server_requests(name)
+        env = DefEnv()
+
+        def round_term(events, external_responses):
+            branches = []
+            for e in sorted(events):
+                resp = self.responses.get(e, frozenset())
+                if not resp:
+                    cont = SKIP
+                elif external_responses:
+                    cont = _choice_prefixes(ExtChoice, resp, SKIP)
+                else:
+                    cont = _choice_prefixes(IntChoice, resp, SKIP)
+                branches.append(Prefix(e, cont))
+            if len(branches) == 1:
+                return branches[0]
+            return IntChoice(tuple(branches))
+
+        if not c_evts and not s_evts:
+            # the stated definition degenerates to STOP, which can never be
+            # refined by a busy component
+            raise EmptyRoleSet(
+                f"'{name}' has no request events in either role; its "
+                "request-response process is STOP and violates busyness"
+            )
+        rounds = []
+        if c_evts:
+            rounds.append(round_term(c_evts, external_responses=True))
+        if s_evts:
+            rounds.append(round_term(s_evts, external_responses=False))
+        body = rounds[0] if len(rounds) == 1 else IntChoice(tuple(rounds))
+        env.define(Definition("CS", (), Seq(body, Call("CS"))))
+        return env, Call("CS")
+
+    roles = {
+        "serverRequests": ("ServerRequestsSpec", REVIVALS, server_requests_spec),
+        "requestsResponses": ("RequestsResponsesSpec", FAILURES, requests_responses_spec),
+    }
+
+    def obligations(self, scope):
+        return [
+            (role, name)
+            for name in sorted(scope)
+            for role in ("serverRequests", "requestsResponses")
+        ]
+
+    def side_conditions(self):
+        return []
+
+    def echo_lines(self):
+        lines = []
+        for (c, s) in self.connections:
+            lines.append(
+                f"  {c} -> {s}: requests {EVENTS.names(self.requests[(c, s)])}"
+            )
+        for e, resp in sorted(self.responses.items()):
+            lines.append(f"  responses({EVENTS.name(e)}) = {EVENTS.names(resp)}")
+        lines.append(f"  component order (greatest first) = {list(self.cs_order)}")
+        return lines
+
 
 @dataclass
 class AdDescriptor:
@@ -175,75 +509,171 @@ class AdDescriptor:
     def transport_entities(self):
         return sorted(self.link.values())
 
-    def source(self, k):
-        for conn, name in self.link.items():
-            if name == k:
-                return conn[0]
-        raise UnknownComponent(k)
-
-    def target(self, k):
-        for conn, name in self.link.items():
-            if name == k:
-                return conn[1]
-        raise UnknownComponent(k)
-
     def components(self):
         return frozenset(self.participants) | frozenset(self.transport_entities)
 
+    def structural(self, net, scope):
+        out = [
+            _partitioned(scope, self.participants, self.transport_entities, "partitioned")
+        ]
+        families = {
+            "send": set().union(*self.send.values()) if self.send else set(),
+            "receive": set().union(*self.receive.values()) if self.receive else set(),
+            "on": set(self.on.values()),
+            "off": set(self.off.values()),
+            "timeout": set(self.timeout.values()),
+        }
+        clash = ""
+        fam = sorted(families)
+        for i in range(len(fam)):
+            for j in range(i + 1, len(fam)):
+                inter = families[fam[i]] & families[fam[j]]
+                if inter:
+                    clash = f"{fam[i]}/{fam[j]} overlap on {EVENTS.names(inter)}"
+        out.append(PredicateResult("mutually_disjoint_events", not clash, witness=clash))
+        for p in self.participants:
+            expected = set()
+            for (i, j) in self.connections:
+                if i == p:
+                    expected |= set(self.send[(i, j)])
+                    expected.add(self.on[(i, j)])
+                    expected.add(self.off[(i, j)])
+                if j == p:
+                    expected |= set(self.receive[(i, j)])
+                    expected.add(self.timeout[(i, j)])
+            out.append(
+                _controlled(net, p, frozenset(expected), "controlled_alpha_participant")
+            )
+        for conn, k in sorted(self.link.items()):
+            expected = (
+                frozenset(self.send[conn])
+                | frozenset(self.receive[conn])
+                | {self.on[conn], self.off[conn], self.timeout[conn]}
+            )
+            out.append(
+                _controlled(net, k, expected, "controlled_alpha_transport_entity")
+            )
+        return out
+
+    def transport_spec(self, net, name):
+        conn = None
+        for c, k in self.link.items():
+            if k == name:
+                conn = c
+        if conn is None:
+            raise UnknownComponent(f"'{name}' is not a transport entity")
+        sends = self.send[conn]
+        recvs = self.receive[conn]
+        on, off, timeout = self.on[conn], self.off[conn], self.timeout[conn]
+        env = DefEnv()
+        env.define(
+            Definition(
+                "Off",
+                (),
+                ExtChoice((Prefix(on, Call("On")), Prefix(timeout, Call("Off")))),
+            )
+        )
+        env.define(
+            Definition(
+                "On",
+                (),
+                ExtChoice(
+                    (Prefix(off, Call("Off")),)
+                    + tuple(Prefix(s, Call("Full", (k,))) for k, s in enumerate(sends))
+                ),
+            )
+        )
+        # the full buffer relays the datum it stores: the emit branch is gated
+        # on the slot value (false guards vanish, STOP in a choice is inert)
+        full_branches = (
+            (Prefix(off, Call("Off")),)
+            + tuple(Prefix(s, Call("Full", (k,))) for k, s in enumerate(sends))
+            + tuple(
+                Guard(BinOp("==", Var("d"), Lit(k)), Prefix(recvs[k], Call("On")))
+                for k in range(len(recvs))
+            )
+        )
+        env.define(Definition("Full", ("d",), ExtChoice(full_branches)))
+        return env, Call("Off")
+
+    def participant_spec(self, net, name):
+        sched = self.schedule.get(name)
+        if sched is None:
+            raise UnknownComponent(f"no schedule for participant '{name}'")
+        outgoing = [p for p in sched if (name, p) in self.link]
+        incoming = [p for p in sched if (p, name) in self.link]
+        env = DefEnv()
+        send_receive: Term = Call("SR")
+        for p in reversed(incoming):
+            conn = (p, name)
+            offer = _choice_prefixes(
+                ExtChoice, tuple(self.receive[conn]) + (self.timeout[conn],), SKIP
+            )
+            send_receive = Seq(offer, send_receive)
+        for p in reversed(outgoing):
+            conn = (name, p)
+            pick = _choice_prefixes(IntChoice, self.send[conn], SKIP)
+            if pick is None:
+                raise EmptyRoleSet(f"connection {conn} has no send events")
+            send_receive = Seq(pick, send_receive)
+        env.define(Definition("SR", (), send_receive))
+        on_detect = _chain([self.on[(name, p)] for p in outgoing], SKIP)
+        off_detect = _chain([self.off[(name, p)] for p in outgoing], SKIP)
+        body = Seq(
+            on_detect,
+            Seq(
+                Interrupt(Call("SR"), IntChoice((SKIP, STOP))),
+                Seq(off_detect, Call("Participant")),
+            ),
+        )
+        env.define(Definition("Participant", (), body))
+        return env, Call("Participant")
+
+    roles = {
+        "transport": ("TransportSpec", FAILURES, transport_spec),
+        "participant": ("ParticipantSpec", FAILURES, participant_spec),
+    }
+
+    def obligations(self, scope):
+        return [("transport", k) for k in self.transport_entities] + [
+            ("participant", p) for p in self.participants
+        ]
+
+    def side_conditions(self):
+        """No participant's schedule repeats a peer."""
+        out = []
+        for p in self.participants:
+            sched = self.schedule.get(p, ())
+            dup = len(sched) != len(set(sched))
+            out.append(
+                BehaviouralResult(
+                    p,
+                    "schedule",
+                    "structural",
+                    not dup,
+                    note="" if not dup else f"schedule {list(sched)} repeats a peer",
+                )
+            )
+        return out
+
+    def echo_lines(self):
+        lines = []
+        for (i, j) in self.connections:
+            lines.append(
+                f"  {i} -> {j} via {self.link[(i, j)]}: "
+                f"send {EVENTS.names(self.send[(i, j)])}, "
+                f"receive {EVENTS.names(self.receive[(i, j)])}"
+            )
+        for p, seq in sorted(self.schedule.items()):
+            lines.append(f"  schedule({p}) = {list(seq)}")
+        return lines
+
+
+server_requests_spec = CsDescriptor.server_requests_spec
+
 
 # ---------------------------------------------------------------------------
-# order side conditions
-
-
-def respects_order(seq, order) -> bool:
-    """True when consecutive elements are strictly descending under the
-    order given as a greatest-first sequence."""
-    rank = {x: i for i, x in enumerate(order)}
-    for x in seq:
-        if x not in rank:
-            raise UnknownElement(f"'{x}' is not ranked by the order")
-    return all(rank[seq[i]] < rank[seq[i + 1]] for i in range(len(seq) - 1))
-
-
-# ---------------------------------------------------------------------------
-# structural predicates
-
-
-@dataclass
-class PredicateResult:
-    name: str
-    ok: bool
-    witness: str = ""
-
-    def failure_parts(self):
-        """``(who, what, detail)`` for report lines; a structural
-        predicate names no single component."""
-        return "", self.name, self.witness
-
-    def to_json(self):
-        data = {"predicate": self.name, "ok": self.ok}
-        if self.witness:
-            data["witness"] = self.witness
-        return data
-
-
-def _alpha(net, name):
-    try:
-        return net[net.index_of(name)].alphabet
-    except KeyError as exc:
-        raise UnknownComponent(str(exc)) from exc
-
-
-def _controlled(net, name, expected, predicate):
-    actual = _alpha(net, name) & net.voc
-    if actual == expected:
-        return PredicateResult(predicate, True)
-    diff = (actual ^ expected)
-    return PredicateResult(
-        predicate,
-        False,
-        witness=f"{name}: mismatch on {EVENTS.names(diff)}",
-    )
+# running a descriptor's obligations
 
 
 def check_structural(desc, net: Network, scope) -> list:
@@ -256,135 +686,7 @@ def check_structural(desc, net: Network, scope) -> list:
                 f"descriptor references '{name}' outside the checked scope"
             )
         net.index_of(name)
-    if isinstance(desc, RaDescriptor):
-        return _ra_structural(desc, net, scope)
-    if isinstance(desc, CsDescriptor):
-        return _cs_structural(desc, net, scope)
-    if isinstance(desc, AdDescriptor):
-        return _ad_structural(desc, net, scope)
-    raise TypeError(f"unknown descriptor {desc!r}")
-
-
-def _partitioned(scope, left, right, name):
-    users, resources = frozenset(left), frozenset(right)
-    if users & resources:
-        return PredicateResult(
-            name, False, witness=f"both roles: {sorted(users & resources)}"
-        )
-    if users | resources != scope:
-        missing = sorted(scope - (users | resources))
-        return PredicateResult(name, False, witness=f"unassigned: {missing}")
-    return PredicateResult(name, True)
-
-
-def _ra_structural(desc: RaDescriptor, net, scope):
-    out = [_partitioned(scope, desc.users, desc.resources, "partitioned")]
-    acq = set(desc.acquire.values())
-    rel = set(desc.release.values())
-    clash = acq & rel
-    out.append(
-        PredicateResult(
-            "mutually_disjoint_events",
-            not clash,
-            witness="" if not clash else f"acquire = release on {EVENTS.names(clash)}",
-        )
-    )
-    for u in desc.users:
-        expected = frozenset(
-            desc.acquire[(u, r)] for r in desc.resources_of(u)
-        ) | frozenset(desc.release[(u, r)] for r in desc.resources_of(u))
-        out.append(_controlled(net, u, expected, "controlled_alpha_users"))
-    for r in desc.resources:
-        expected = frozenset(
-            desc.acquire[(u, r)] for u in desc.users_of(r)
-        ) | frozenset(desc.release[(u, r)] for u in desc.users_of(r))
-        out.append(_controlled(net, r, expected, "controlled_alpha_resources"))
-    return out
-
-
-def _cs_structural(desc: CsDescriptor, net, scope):
-    out = []
-    all_requests = set()
-    for evs in desc.requests.values():
-        all_requests |= evs
-    all_responses = set()
-    for evs in desc.responses.values():
-        all_responses |= evs
-    clash = all_requests & all_responses
-    out.append(
-        PredicateResult(
-            "disjoint_events",
-            not clash,
-            witness="" if not clash else EVENTS.names(clash).__str__(),
-        )
-    )
-    for name in sorted(scope):
-        sreq = desc.server_requests(name)
-        creq = desc.client_requests(name)
-        expected = sreq | creq | desc.responses_of(sreq) | desc.responses_of(creq)
-        out.append(_controlled(net, name, expected, "controlled_alpha"))
-    rank = {x: i for i, x in enumerate(desc.cs_order)}
-    bad = [
-        (c, s)
-        for (c, s) in desc.connections
-        if c not in rank or s not in rank or not rank[c] < rank[s]
-    ]
-    out.append(
-        PredicateResult(
-            "ordered",
-            not bad,
-            witness="" if not bad else f"connections against the order: {bad}",
-        )
-    )
-    return out
-
-
-def _ad_structural(desc: AdDescriptor, net, scope):
-    out = [
-        _partitioned(scope, desc.participants, desc.transport_entities, "partitioned")
-    ]
-    families = {
-        "send": set().union(*desc.send.values()) if desc.send else set(),
-        "receive": set().union(*desc.receive.values()) if desc.receive else set(),
-        "on": set(desc.on.values()),
-        "off": set(desc.off.values()),
-        "timeout": set(desc.timeout.values()),
-    }
-    clash = ""
-    fam = sorted(families)
-    for i in range(len(fam)):
-        for j in range(i + 1, len(fam)):
-            inter = families[fam[i]] & families[fam[j]]
-            if inter:
-                clash = f"{fam[i]}/{fam[j]} overlap on {EVENTS.names(inter)}"
-    out.append(PredicateResult("mutually_disjoint_events", not clash, witness=clash))
-    for p in desc.participants:
-        expected = set()
-        for (i, j) in desc.connections:
-            if i == p:
-                expected |= set(desc.send[(i, j)])
-                expected.add(desc.on[(i, j)])
-                expected.add(desc.off[(i, j)])
-            if j == p:
-                expected |= set(desc.receive[(i, j)])
-                expected.add(desc.timeout[(i, j)])
-        out.append(
-            _controlled(net, p, frozenset(expected), "controlled_alpha_participant")
-        )
-    for conn, k in sorted(desc.link.items()):
-        expected = (
-            frozenset(desc.send[conn])
-            | frozenset(desc.receive[conn])
-            | {desc.on[conn], desc.off[conn], desc.timeout[conn]}
-        )
-        out.append(
-            _controlled(net, k, expected, "controlled_alpha_transport_entity")
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# characteristic processes
+    return desc.structural(net, scope)
 
 
 def generate_spec(desc, role: str, name: str, net: Network | None = None):
@@ -392,250 +694,12 @@ def generate_spec(desc, role: str, name: str, net: Network | None = None):
 
     Returns (env, term); the pair compiles to the specification the
     component's abstraction must refine.  The server-requests role needs
-    the network (the choice of non-server events ranges over the whole
-    component alphabet).
+    the network.
     """
-    if isinstance(desc, RaDescriptor):
-        if role == "user":
-            return _user_spec(desc, name)
-        if role == "resource":
-            return _resource_spec(desc, name)
-    if isinstance(desc, CsDescriptor):
-        if role == "serverRequests":
-            if net is None:
-                raise ValueError("the server-requests role needs the network")
-            return server_requests_spec(desc, net, name)
-        if role == "requestsResponses":
-            return _requests_responses_spec(desc, name)
-    if isinstance(desc, AdDescriptor):
-        if role == "transport":
-            return _transport_spec(desc, name)
-        if role == "participant":
-            return _participant_spec(desc, name)
-    raise ValueError(f"role {role!r} is not valid for {desc.pattern}")
-
-
-def _chain(events, tail: Term) -> Term:
-    term = tail
-    for e in reversed(events):
-        term = Prefix(e, term)
-    return term
-
-
-def _user_spec(desc: RaDescriptor, name):
-    seq = desc.order.get(name)
-    if seq is None:
-        raise UnknownComponent(f"no acquisition order for user '{name}'")
-    acquires = [desc.acquire[(name, r)] for r in seq]
-    releases = [desc.release[(name, r)] for r in seq]
-    env = DefEnv()
-    env.define(Definition("User", (), _chain(acquires + releases, Call("User"))))
-    return env, Call("User")
-
-
-def _resource_spec(desc: RaDescriptor, name):
-    branches = tuple(
-        Prefix(
-            desc.acquire[(u, name)],
-            Prefix(desc.release[(u, name)], Call("Resource")),
-        )
-        for u in desc.users_of(name)
-    )
-    if not branches:
-        raise EmptyRoleSet(f"resource '{name}' has no users")
-    env = DefEnv()
-    env.define(
-        Definition(
-            "Resource",
-            (),
-            branches[0] if len(branches) == 1 else ExtChoice(branches),
-        )
-    )
-    return env, Call("Resource")
-
-
-def _int_choice_prefixes(events, cont) -> Term | None:
-    items = tuple(Prefix(e, cont) for e in sorted(events))
-    if not items:
-        return None
-    return items[0] if len(items) == 1 else IntChoice(items)
-
-
-def _ext_choice_prefixes(events, cont) -> Term:
-    items = tuple(Prefix(e, cont) for e in sorted(events))
-    if not items:
-        return STOP  # an empty replicated external choice offers nothing
-    return items[0] if len(items) == 1 else ExtChoice(items)
-
-
-def _requests_responses_spec(desc: CsDescriptor, name):
-    c_evts = desc.client_requests(name)
-    s_evts = desc.server_requests(name)
-    env = DefEnv()
-
-    def round_term(events, external_responses):
-        branches = []
-        for e in sorted(events):
-            resp = desc.responses.get(e, frozenset())
-            if not resp:
-                cont = SKIP
-            elif external_responses:
-                cont = _ext_choice_prefixes(resp, SKIP)
-            else:
-                cont = _int_choice_prefixes(resp, SKIP)
-            branches.append(Prefix(e, cont))
-        if len(branches) == 1:
-            return branches[0]
-        return IntChoice(tuple(branches))
-
-    if not c_evts and not s_evts:
-        # the stated definition degenerates to STOP, which can never be
-        # refined by a busy component
-        raise EmptyRoleSet(
-            f"'{name}' has no request events in either role; its "
-            "request-response process is STOP and violates busyness"
-        )
-    rounds = []
-    if c_evts:
-        rounds.append(round_term(c_evts, external_responses=True))
-    if s_evts:
-        rounds.append(round_term(s_evts, external_responses=False))
-    body = rounds[0] if len(rounds) == 1 else IntChoice(tuple(rounds))
-    env.define(Definition("CS", (), Seq(body, Call("CS"))))
-    return env, Call("CS")
-
-
-def _transport_spec(desc: AdDescriptor, name):
-    conn = None
-    for c, k in desc.link.items():
-        if k == name:
-            conn = c
-    if conn is None:
-        raise UnknownComponent(f"'{name}' is not a transport entity")
-    sends = desc.send[conn]
-    recvs = desc.receive[conn]
-    on, off, timeout = desc.on[conn], desc.off[conn], desc.timeout[conn]
-    env = DefEnv()
-    env.define(
-        Definition(
-            "Off",
-            (),
-            ExtChoice((Prefix(on, Call("On")), Prefix(timeout, Call("Off")))),
-        )
-    )
-    env.define(
-        Definition(
-            "On",
-            (),
-            ExtChoice(
-                (Prefix(off, Call("Off")),)
-                + tuple(Prefix(s, Call("Full", (k,))) for k, s in enumerate(sends))
-            ),
-        )
-    )
-    # the full buffer relays the datum it stores: the emit branch is gated
-    # on the slot value (false guards vanish, STOP in a choice is inert)
-    full_branches = (
-        (Prefix(off, Call("Off")),)
-        + tuple(Prefix(s, Call("Full", (k,))) for k, s in enumerate(sends))
-        + tuple(
-            Guard(BinOp("==", Var("d"), Lit(k)), Prefix(recvs[k], Call("On")))
-            for k in range(len(recvs))
-        )
-    )
-    env.define(Definition("Full", ("d",), ExtChoice(full_branches)))
-    return env, Call("Off")
-
-
-def _participant_spec(desc: AdDescriptor, name):
-    sched = desc.schedule.get(name)
-    if sched is None:
-        raise UnknownComponent(f"no schedule for participant '{name}'")
-    outgoing = [p for p in sched if (name, p) in desc.link]
-    incoming = [p for p in sched if (p, name) in desc.link]
-    env = DefEnv()
-    send_receive: Term = Call("SR")
-    for p in reversed(incoming):
-        conn = (p, name)
-        offer = _ext_choice_prefixes(
-            tuple(desc.receive[conn]) + (desc.timeout[conn],), SKIP
-        )
-        send_receive = Seq(offer, send_receive)
-    for p in reversed(outgoing):
-        conn = (name, p)
-        pick = _int_choice_prefixes(desc.send[conn], SKIP)
-        if pick is None:
-            raise EmptyRoleSet(f"connection {conn} has no send events")
-        send_receive = Seq(pick, send_receive)
-    env.define(Definition("SR", (), send_receive))
-    on_detect = _chain([desc.on[(name, p)] for p in outgoing], SKIP)
-    off_detect = _chain([desc.off[(name, p)] for p in outgoing], SKIP)
-    body = Seq(
-        on_detect,
-        Seq(
-            Interrupt(Call("SR"), IntChoice((SKIP, STOP))),
-            Seq(off_detect, Call("Participant")),
-        ),
-    )
-    env.define(Definition("Participant", (), body))
-    return env, Call("Participant")
-
-
-# server-requests needs the component alphabet, so it takes the network too
-
-
-def server_requests_spec(desc: CsDescriptor, net: Network, name: str):
-    s_evts = desc.server_requests(name)
-    other = _alpha(net, name) - s_evts
-    env = DefEnv()
-    if not other:
-        if not s_evts:
-            raise EmptyRoleSet(f"'{name}' has neither server events nor others")
-        env.define(
-            Definition("Run", (), _ext_choice_prefixes(s_evts, Call("Run")))
-        )
-        return env, Call("Run")
-    branches = [_int_choice_prefixes(other, SKIP)]
-    branches.append(_ext_choice_prefixes(s_evts, SKIP))
-    env.define(
-        Definition("Server", (), Seq(IntChoice(tuple(branches)), Call("Server")))
-    )
-    return env, Call("Server")
-
-
-# ---------------------------------------------------------------------------
-# behavioural compliance
-
-
-@dataclass
-class BehaviouralResult:
-    component: str
-    spec_name: str
-    model: str
-    ok: bool
-    counterexample: Counterexample | None = None
-    note: str = ""
-
-    def failure_parts(self):
-        """``(who, what, detail)`` for report lines: the note, else the
-        counterexample."""
-        detail = self.note
-        if not detail and self.counterexample is not None:
-            detail = self.counterexample.describe()
-        return self.component, self.spec_name, detail
-
-    def to_json(self):
-        data = {
-            "component": self.component,
-            "spec": self.spec_name,
-            "model": self.model,
-            "ok": self.ok,
-        }
-        if self.counterexample is not None:
-            data["counterexample"] = self.counterexample.to_json()
-        if self.note:
-            data["note"] = self.note
-        return data
+    if role not in desc.roles:
+        raise ValueError(f"role {role!r} is not valid for {desc.pattern}")
+    _spec_name, _model, build = desc.roles[role]
+    return build(desc, net, name)
 
 
 @dataclass
@@ -671,78 +735,24 @@ def _refine_against(net, name, spec_env, spec_term, model, limit, spec_name):
 
 
 def check_behavioural(desc, net: Network, scope, limit=DEFAULT_STATE_LIMIT) -> list:
-    """Run every behavioural obligation of the pattern over the scope."""
-    scope = frozenset(scope)
-    jobs = []
-    if isinstance(desc, RaDescriptor):
-        for u in desc.users:
-            env, term = generate_spec(desc, "user", u)
-            jobs.append((u, env, term, FAILURES, "UserSpec"))
-        for r in desc.resources:
-            env, term = generate_spec(desc, "resource", r)
-            jobs.append((r, env, term, FAILURES, "ResourceSpec"))
-        results = [
-            _refine_against(net, name, env, term, model, limit, spec_name)
-            for name, env, term, model, spec_name in jobs
-        ]
-        for u in desc.users:
-            try:
-                ok = respects_order(desc.order[u], desc.ra_order)
-                note = "" if ok else (
-                    f"acquisition order {list(desc.order[u])} is not descending "
-                    f"under the resource order"
-                )
-            except UnknownElement as exc:
-                ok, note = False, str(exc)
-            results.append(
-                BehaviouralResult(u, "acquisition-order", "structural", ok, note=note)
+    """Run every behavioural obligation of the pattern over the scope: the
+    refinements in the descriptor's order, then the roles whose process
+    degenerates (each a failed obligation carrying its note), then the
+    side conditions."""
+    refined, degenerate = [], []
+    for role, name in desc.obligations(frozenset(scope)):
+        spec_name, model, build = desc.roles[role]
+        try:
+            env, term = build(desc, net, name)
+        except EmptyRoleSet as exc:
+            degenerate.append(
+                BehaviouralResult(name, spec_name, model, False, note=str(exc))
             )
-        return results
-    if isinstance(desc, CsDescriptor):
-        degenerate = []
-        for name in sorted(scope):
-            env, term = server_requests_spec(desc, net, name)
-            jobs.append((name, env, term, REVIVALS, "ServerRequestsSpec"))
-            try:
-                env2, term2 = generate_spec(desc, "requestsResponses", name)
-            except EmptyRoleSet as exc:
-                degenerate.append(
-                    BehaviouralResult(
-                        name, "RequestsResponsesSpec", FAILURES, False, note=str(exc)
-                    )
-                )
-            else:
-                jobs.append((name, env2, term2, FAILURES, "RequestsResponsesSpec"))
-        results = [
-            _refine_against(net, name, env, term, model, limit, spec_name)
-            for name, env, term, model, spec_name in jobs
-        ]
-        return results + degenerate
-    if isinstance(desc, AdDescriptor):
-        for k in desc.transport_entities:
-            env, term = generate_spec(desc, "transport", k)
-            jobs.append((k, env, term, FAILURES, "TransportSpec"))
-        for p in desc.participants:
-            env, term = generate_spec(desc, "participant", p)
-            jobs.append((p, env, term, FAILURES, "ParticipantSpec"))
-        results = [
-            _refine_against(net, name, env, term, model, limit, spec_name)
-            for name, env, term, model, spec_name in jobs
-        ]
-        for p in desc.participants:
-            sched = desc.schedule.get(p, ())
-            dup = len(sched) != len(set(sched))
-            results.append(
-                BehaviouralResult(
-                    p,
-                    "schedule",
-                    "structural",
-                    not dup,
-                    note="" if not dup else f"schedule {list(sched)} repeats a peer",
-                )
+        else:
+            refined.append(
+                _refine_against(net, name, env, term, model, limit, spec_name)
             )
-        return results
-    raise TypeError(f"unknown descriptor {desc!r}")
+    return refined + degenerate + desc.side_conditions()
 
 
 def check_pattern(desc, net: Network, scope, limit=DEFAULT_STATE_LIMIT) -> PatternVerdict:

@@ -15,18 +15,17 @@ import time
 from dataclasses import dataclass
 
 from .decomposition import DecompositionResult, decompose
-from .events import EVENTS
+from .events import EVENTS, fmt_trace
 from .lts import DEFAULT_STATE_LIMIT
 from .network import CommGraph, InputError, LivenessReport, Network, check_live
 from .oracle import (
     DeadlockFree,
     DeadlockWitness,
+    SnapshotGraph,
+    explain_deadlock,
     explore_global,
-    find_ungranted_cycle,
-    snapshot_graph,
 )
 from .patterns import PatternVerdict, check_pattern
-from .oracle import SnapshotGraph
 
 REPORT_SCHEMA = 1
 
@@ -66,7 +65,7 @@ class DpaReport:
     reasons: list
     timings: dict
     oracle: object | None = None
-    oracle_cycle: tuple = ()
+    oracle_snapshot: SnapshotGraph | None = None  # at the oracle's deadlock
 
     def to_json(self, net: Network):
         data = {
@@ -120,12 +119,12 @@ class DpaReport:
                     f"oracle: deadlock free ({self.oracle.states_explored} states)"
                 )
             elif isinstance(self.oracle, DeadlockWitness):
-                tr = ", ".join(EVENTS.name(e) for e in self.oracle.trace)
-                lines.append(f"oracle: DEADLOCK after <{tr}>")
-                if self.oracle_cycle:
+                lines.append(f"oracle: DEADLOCK after {fmt_trace(self.oracle.trace)}")
+                if self.oracle.cycle:
+                    names = self.oracle_snapshot.names
                     lines.append(
                         "  ungranted-request cycle: "
-                        + " -> ".join(str(c) for c in self.oracle_cycle)
+                        + " -> ".join(names[i] for i in self.oracle.cycle)
                     )
             else:
                 lines.append(f"oracle: {self.oracle.describe()}")
@@ -165,7 +164,6 @@ def run_dpa(
     descriptors=(),
     state_limit: int = DEFAULT_STATE_LIMIT,
     with_oracle: bool = False,
-    oracle_limit: int | None = None,
     model_name: str = "<network>",
 ) -> DpaReport:
     timings = {}
@@ -214,21 +212,15 @@ def run_dpa(
                             f"subnetwork {s.components}: {who} fails {what}"
                             + (f" ({detail})" if detail else "")
                         )
-    oracle_result = None
-    oracle_cycle = ()
+    oracle_result = oracle_snapshot = None
     if with_oracle:
         t0 = time.perf_counter()
-        oracle_result = explore_global(net, oracle_limit or state_limit)
+        oracle_result = explore_global(net, state_limit)
         timings["oracle"] = time.perf_counter() - t0
         if isinstance(oracle_result, DeadlockWitness):
-            snap = snapshot_graph(net, oracle_result.state)
-            cycle = find_ungranted_cycle(snap)
-            oracle_result.cycle = cycle or ()
-            oracle_cycle = tuple(net[i].name for i in (cycle or ()))
+            oracle_snapshot = explain_deadlock(net, oracle_result)
             reasons.append(
-                "oracle found a deadlock after <"
-                + ", ".join(EVENTS.name(e) for e in oracle_result.trace)
-                + ">"
+                "oracle found a deadlock after " + fmt_trace(oracle_result.trace)
             )
     # the overall verdict is the method's own; the oracle result sits beside
     # it so a disagreement (which would be a soundness bug) stays visible
@@ -241,7 +233,7 @@ def run_dpa(
         reasons=reasons,
         timings=timings,
         oracle=oracle_result,
-        oracle_cycle=oracle_cycle,
+        oracle_snapshot=oracle_snapshot,
     )
 
 

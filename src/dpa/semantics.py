@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .events import TAU, TICK, EVENTS, fmt_events
+from .events import TAU, TICK, EVENTS, fmt_events, fmt_trace
 from .lts import Lts
 
 FAILURES = "failures"
@@ -39,15 +39,9 @@ REVIVALS = "revivals"
 class SpecDivergence(Exception):
     def __init__(self, trace):
         super().__init__(
-            "specification diverges after " + _fmt_trace(trace)
+            "specification diverges after " + fmt_trace(trace)
         )
         self.trace = trace
-
-
-def _fmt_trace(trace):
-    if not trace:
-        return "<>"
-    return "<" + ", ".join(EVENTS.name(e) for e in trace) + ">"
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +102,7 @@ def component_deadlocks(lts: Lts):
     while queue:
         s = queue.popleft()
         if not lts.trans[s]:
-            return _reconstruct(parents, s)
+            return _pair_trace(parents, s)
         for l, t in lts.trans[s]:
             if t not in parents:
                 parents[t] = (s, l)
@@ -124,21 +118,11 @@ def first_tick_trace(lts: Lts):
         s = queue.popleft()
         for l, t in lts.trans[s]:
             if l == TICK:
-                return _reconstruct(parents, s)
+                return _pair_trace(parents, s)
             if t not in parents:
                 parents[t] = (s, l)
                 queue.append(t)
     return None
-
-
-def _reconstruct(parents, s):
-    trace = []
-    while parents[s] is not None:
-        s, l = parents[s]
-        if l >= 0:
-            trace.append(l)
-    trace.reverse()
-    return tuple(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +255,7 @@ class Counterexample:
     refusal: frozenset | None = None  # reported refusal set (vs universe)
 
     def describe(self) -> str:
-        t = _fmt_trace(self.trace)
+        t = fmt_trace(self.trace)
         if self.kind == TRACE_VIOLATION:
             ev = "tick" if self.event == TICK else EVENTS.name(self.event)
             return f"trace violation: after {t} the implementation performs {ev}"
@@ -397,6 +381,7 @@ def _judge(spec: NormalSpec, ns: int, row, model: str):
 
 
 def _pair_trace(visited, pair):
+    """The visible labels on the parent links from the root to ``pair``."""
     trace = []
     while visited[pair] is not None:
         pair, l = visited[pair]

@@ -1,3 +1,4 @@
+import pytest
 from conftest import random_live_network
 
 from dpa import models
@@ -5,6 +6,7 @@ from dpa.dsl import elaborate, parse_network
 from dpa.events import event
 from dpa.network import (
     Component,
+    InputError,
     Network,
     abs_divergent,
     abs_lts,
@@ -43,6 +45,15 @@ def test_stop_component_fails_busyness():
     dead = [r for r in report.busy if r.name == "Dead"][0]
     assert not dead.ok
     assert dead.trace == ()
+
+
+def test_behaviour_outside_its_alphabet_is_an_input_error_on_every_call():
+    z1, z2 = event("z1"), event("z2")
+    env = DefEnv([Definition("L", (), Prefix(z1, Prefix(z2, Call("L"))))])
+    comp = Component("Leaky", frozenset({z1}), Call("L"), env)
+    for _ in range(2):  # nothing unchecked is cached by the first call
+        with pytest.raises(InputError, match="'Leaky' has transitions outside .*: z2"):
+            comp.compiled()
 
 
 def test_triple_disjoint_violation_cites_event():

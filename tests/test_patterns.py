@@ -307,3 +307,90 @@ def test_ra_peer_lists_are_sorted_and_deduplicated():
     assert desc.users_of("nobody") == [] and desc.resources_of("nobody") == []
     desc.users_of("r1").append("x")  # callers get their own list
     assert desc.users_of("r1") == ["u1", "u2"]
+
+
+# (component, spec, model, ok) per behavioural obligation, in check order,
+# recorded before the pattern logic moved into one class per pattern
+BEHAVIOURAL_ORDER = {
+    "philosophers": [
+        ("APhil.2", "UserSpec", "failures", True),
+        ("Phil.0", "UserSpec", "failures", True),
+        ("Phil.1", "UserSpec", "failures", True),
+        ("Fork.0", "ResourceSpec", "failures", True),
+        ("Fork.1", "ResourceSpec", "failures", True),
+        ("Fork.2", "ResourceSpec", "failures", True),
+        ("APhil.2", "acquisition-order", "structural", True),
+        ("Phil.0", "acquisition-order", "structural", True),
+        ("Phil.1", "acquisition-order", "structural", True),
+    ],
+    "philosophers_symmetric": [
+        ("Phil.0", "UserSpec", "failures", True),
+        ("Phil.1", "UserSpec", "failures", True),
+        ("Phil.2", "UserSpec", "failures", True),
+        ("Fork.0", "ResourceSpec", "failures", True),
+        ("Fork.1", "ResourceSpec", "failures", True),
+        ("Fork.2", "ResourceSpec", "failures", True),
+        ("Phil.0", "acquisition-order", "structural", True),
+        ("Phil.1", "acquisition-order", "structural", True),
+        ("Phil.2", "acquisition-order", "structural", False),
+    ],
+    "client_server": [
+        ("C0", "ServerRequestsSpec", "revivals", True),
+        ("C0", "RequestsResponsesSpec", "failures", True),
+        ("C1", "ServerRequestsSpec", "revivals", True),
+        ("C1", "RequestsResponsesSpec", "failures", True),
+        ("C2", "ServerRequestsSpec", "revivals", True),
+        ("C2", "RequestsResponsesSpec", "failures", True),
+    ],
+    "leadership": [
+        ("Bus.0.1", "TransportSpec", "failures", True),
+        ("Bus.1.0", "TransportSpec", "failures", True),
+        ("Node.0", "ParticipantSpec", "failures", True),
+        ("Node.1", "ParticipantSpec", "failures", True),
+        ("Node.0", "schedule", "structural", True),
+        ("Node.1", "schedule", "structural", True),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEHAVIOURAL_ORDER))
+def test_behavioural_obligations_keep_their_order(name):
+    source, descriptor = {
+        "philosophers": (models.philosophers_source(3), models.philosophers_descriptor(3)),
+        "philosophers_symmetric": (models.philosophers_source(3, symmetric=True),
+                                   models.philosophers_descriptor(3, symmetric=True)),
+        "client_server": (models.client_server_source(), models.client_server_descriptor()),
+        "leadership": (models.leadership_source(2), models.leadership_descriptor(2)),
+    }[name]
+    net = elaborate(parse_network(source))
+    desc = parse_descriptor(descriptor, net)
+    results = check_behavioural(desc, net, net.names())
+    got = [(r.component, r.spec_name, r.model, r.ok) for r in results]
+    assert got == BEHAVIOURAL_ORDER[name]
+
+
+def test_degenerate_role_fails_after_the_refinements():
+    # with C1's connections removed its request-response process is STOP:
+    # a failed obligation carrying the note, after every refinement
+    net = elaborate(parse_network(models.client_server_source()))
+    desc = parse_descriptor(models.client_server_descriptor(), net)
+    stripped = type(desc)(
+        tuple((c, s) for (c, s) in desc.connections if "C1" not in (c, s)),
+        {k: v for k, v in desc.requests.items() if "C1" not in k},
+        desc.responses,
+        desc.cs_order,
+    )
+    results = check_behavioural(stripped, net, net.names())
+    assert [(r.component, r.spec_name, r.model, r.ok) for r in results] == [
+        ("C0", "ServerRequestsSpec", "revivals", True),
+        ("C0", "RequestsResponsesSpec", "failures", False),
+        ("C1", "ServerRequestsSpec", "revivals", True),
+        ("C2", "ServerRequestsSpec", "revivals", True),
+        ("C2", "RequestsResponsesSpec", "failures", False),
+        ("C1", "RequestsResponsesSpec", "failures", False),
+    ]
+    assert results[-1].note == (
+        "'C1' has no request events in either role; its request-response "
+        "process is STOP and violates busyness"
+    )
+    assert results[-1].counterexample is None

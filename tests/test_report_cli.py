@@ -205,7 +205,9 @@ def test_cli_conflict_rejects_out_of_range_index(model_dir, capsys, index):
     ("Q = b -> Nope", "Q",
      "component 'P' failed to compile: no definition for Nope/0"),
     ("", "a.x -> STOP", "behaviour of 'P': unbound variable 'x'"),
-], ids=["unbound-variable", "undefined-process", "unbound-in-atom"])
+    ("channel c\nQ = b -> c -> Q", "Q",
+     "component 'P' has transitions outside the declared alphabet: c"),
+], ids=["unbound-variable", "undefined-process", "unbound-in-atom", "outside-alphabet"])
 def test_cli_model_mistake_exits_2(tmp_path, capsys, definition, behaviour, error):
     model = tmp_path / "mistake.net"
     model.write_text(
@@ -266,14 +268,36 @@ def test_cli_rejects_state_limit_below_one(model_dir, capsys, command, extra, li
      "descriptor references 'APhil.2' outside the checked scope"),
     (["check", "extend_out_of_domain.net"], "component alphabets must lie inside sigma"),
     (["decompose", "exact_out_of_domain.net"], "component alphabets must lie inside sigma"),
+    (["pattern", "philosophers.net", "list.pattern.json"],
+     "the descriptor must be an object"),
+    (["pattern", "philosophers.net", "int_connection.pattern.json"],
+     "each connection must be an object"),
+    (["pattern", "philosophers.net", "list_order.pattern.json"],
+     "field 'order' must be an object"),
+    (["pattern", "philosophers.net", "int_resource_order.pattern.json"],
+     "field 'resource_order' must be a list"),
+    (["pattern", "philosophers.net", "int_acquire.pattern.json"],
+     "each name in 'acquire' must be a string"),
 ], ids=["no-sizes", "bad-size", "bad-family", "no-shared-event", "unknown-name",
         "malformed-json", "missing-field", "outside-scope", "extend-out-of-domain",
-        "exact-out-of-domain"])
+        "exact-out-of-domain", "descriptor-not-object", "connection-not-object",
+        "order-not-object", "resource-order-not-list", "event-not-string"])
 def test_cli_input_errors_keep_their_lines(model_dir, capsys, argv, error):
     (model_dir / "bad.pattern.json").write_text("{not json")
     (model_dir / "missing.pattern.json").write_text(json.dumps(
         {"pattern": "resource-allocation", "connections": [{"resource": "Fork.0"}]}
     ))
+    ra = {"pattern": "resource-allocation"}
+    for name, doc in [
+        ("list", []),
+        ("int_connection", {**ra, "connections": [1]}),
+        ("list_order", {**ra, "order": []}),
+        ("int_resource_order", {**ra, "resource_order": 3}),
+        ("int_acquire", {**ra, "connections": [{
+            "user": "Phil.0", "resource": "Fork.0", "acquire": 5, "release": "putdown.0.0",
+        }]}),
+    ]:
+        (model_dir / f"{name}.pattern.json").write_text(json.dumps(doc))
     # instance U.2 names get.2, outside the channel's domain {0..1}
     for form, alphabet in [("extend", "{| get.id |}"), ("exact", "{ get.id }")]:
         (model_dir / f"{form}_out_of_domain.net").write_text(
@@ -426,3 +450,127 @@ def test_cli_check_json_report(model_dir, tmp_path):
     assert data["overall"] == "inconclusive"
     assert data["oracle"]["result"] == "deadlock"
     assert data["reasons"]
+
+
+# the full `dpa pattern` output for each bundled descriptor, recorded before the
+# pattern logic moved into one class per pattern
+PATTERN_OUTPUT = {
+    "philosophers": (0, """\
+pattern: resource-allocation
+  users     = ['APhil.2', 'Phil.0', 'Phil.1']
+  resources = ['Fork.0', 'Fork.1', 'Fork.2']
+  acquire(Phil.0,Fork.0) = pickup.0.0, release(Phil.0,Fork.0) = putdown.0.0
+  acquire(Phil.0,Fork.1) = pickup.0.1, release(Phil.0,Fork.1) = putdown.0.1
+  acquire(Phil.1,Fork.1) = pickup.1.1, release(Phil.1,Fork.1) = putdown.1.1
+  acquire(Phil.1,Fork.2) = pickup.1.2, release(Phil.1,Fork.2) = putdown.1.2
+  acquire(APhil.2,Fork.0) = pickup.2.0, release(APhil.2,Fork.0) = putdown.2.0
+  acquire(APhil.2,Fork.2) = pickup.2.2, release(APhil.2,Fork.2) = putdown.2.2
+  order(APhil.2) = ['Fork.0', 'Fork.2']
+  order(Phil.0) = ['Fork.0', 'Fork.1']
+  order(Phil.1) = ['Fork.1', 'Fork.2']
+  resource order (greatest first) = ['Fork.0', 'Fork.1', 'Fork.2']
+structural partitioned: ok
+structural mutually_disjoint_events: ok
+structural controlled_alpha_users: ok
+structural controlled_alpha_users: ok
+structural controlled_alpha_users: ok
+structural controlled_alpha_resources: ok
+structural controlled_alpha_resources: ok
+structural controlled_alpha_resources: ok
+behavioural APhil.2 UserSpec [failures]: ok
+behavioural Phil.0 UserSpec [failures]: ok
+behavioural Phil.1 UserSpec [failures]: ok
+behavioural Fork.0 ResourceSpec [failures]: ok
+behavioural Fork.1 ResourceSpec [failures]: ok
+behavioural Fork.2 ResourceSpec [failures]: ok
+behavioural APhil.2 acquisition-order [structural]: ok
+behavioural Phil.0 acquisition-order [structural]: ok
+behavioural Phil.1 acquisition-order [structural]: ok
+adherent: True
+"""),
+    "philosophers_symmetric": (1, """\
+pattern: resource-allocation
+  users     = ['Phil.0', 'Phil.1', 'Phil.2']
+  resources = ['Fork.0', 'Fork.1', 'Fork.2']
+  acquire(Phil.0,Fork.0) = pickup.0.0, release(Phil.0,Fork.0) = putdown.0.0
+  acquire(Phil.0,Fork.1) = pickup.0.1, release(Phil.0,Fork.1) = putdown.0.1
+  acquire(Phil.1,Fork.1) = pickup.1.1, release(Phil.1,Fork.1) = putdown.1.1
+  acquire(Phil.1,Fork.2) = pickup.1.2, release(Phil.1,Fork.2) = putdown.1.2
+  acquire(Phil.2,Fork.0) = pickup.2.0, release(Phil.2,Fork.0) = putdown.2.0
+  acquire(Phil.2,Fork.2) = pickup.2.2, release(Phil.2,Fork.2) = putdown.2.2
+  order(Phil.0) = ['Fork.0', 'Fork.1']
+  order(Phil.1) = ['Fork.1', 'Fork.2']
+  order(Phil.2) = ['Fork.2', 'Fork.0']
+  resource order (greatest first) = ['Fork.0', 'Fork.1', 'Fork.2']
+structural partitioned: ok
+structural mutually_disjoint_events: ok
+structural controlled_alpha_users: ok
+structural controlled_alpha_users: ok
+structural controlled_alpha_users: ok
+structural controlled_alpha_resources: ok
+structural controlled_alpha_resources: ok
+structural controlled_alpha_resources: ok
+behavioural Phil.0 UserSpec [failures]: ok
+behavioural Phil.1 UserSpec [failures]: ok
+behavioural Phil.2 UserSpec [failures]: ok
+behavioural Fork.0 ResourceSpec [failures]: ok
+behavioural Fork.1 ResourceSpec [failures]: ok
+behavioural Fork.2 ResourceSpec [failures]: ok
+behavioural Phil.0 acquisition-order [structural]: ok
+behavioural Phil.1 acquisition-order [structural]: ok
+behavioural Phil.2 acquisition-order [structural]: FAIL  acquisition order ['Fork.2', 'Fork.0'] is not descending under the resource order
+adherent: False
+"""),
+    "client_server": (0, """\
+pattern: client-server
+  C2 -> C1: requests ['req21']
+  C2 -> C0: requests ['req20']
+  C1 -> C0: requests ['req10']
+  responses(req21) = ['res21']
+  responses(req20) = ['res20']
+  responses(req10) = ['res10']
+  component order (greatest first) = ['C2', 'C1', 'C0']
+structural disjoint_events: ok
+structural controlled_alpha: ok
+structural controlled_alpha: ok
+structural controlled_alpha: ok
+structural ordered: ok
+behavioural C0 ServerRequestsSpec [revivals]: ok
+behavioural C0 RequestsResponsesSpec [failures]: ok
+behavioural C1 ServerRequestsSpec [revivals]: ok
+behavioural C1 RequestsResponsesSpec [failures]: ok
+behavioural C2 ServerRequestsSpec [revivals]: ok
+behavioural C2 RequestsResponsesSpec [failures]: ok
+adherent: True
+"""),
+    "leadership": (0, """\
+pattern: async-dynamic
+  Node.0 -> Node.1 via Bus.0.1: send ['snd.0.1.0', 'snd.0.1.1'], receive ['rcv.0.1.0', 'rcv.0.1.1']
+  Node.1 -> Node.0 via Bus.1.0: send ['snd.1.0.0', 'snd.1.0.1'], receive ['rcv.1.0.0', 'rcv.1.0.1']
+  schedule(Node.0) = ['Node.1']
+  schedule(Node.1) = ['Node.0']
+structural partitioned: ok
+structural mutually_disjoint_events: ok
+structural controlled_alpha_participant: ok
+structural controlled_alpha_participant: ok
+structural controlled_alpha_transport_entity: ok
+structural controlled_alpha_transport_entity: ok
+behavioural Bus.0.1 TransportSpec [failures]: ok
+behavioural Bus.1.0 TransportSpec [failures]: ok
+behavioural Node.0 ParticipantSpec [failures]: ok
+behavioural Node.1 ParticipantSpec [failures]: ok
+behavioural Node.0 schedule [structural]: ok
+behavioural Node.1 schedule [structural]: ok
+adherent: True
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_OUTPUT))
+def test_cli_pattern_output_is_pinned(model_dir, capsys, name):
+    code, expected = PATTERN_OUTPUT[name]
+    model = str(model_dir / f"{name}.net")
+    assert main(["pattern", model, str(model_dir / f"{name}.pattern.json")]) == code
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
