@@ -309,8 +309,7 @@ def test_ra_peer_lists_are_sorted_and_deduplicated():
     assert desc.users_of("r1") == ["u1", "u2"]
 
 
-# (component, spec, model, ok) per behavioural obligation, in check order,
-# recorded before the pattern logic moved into one class per pattern
+# (component, spec, model, ok) per behavioural obligation, in check order
 BEHAVIOURAL_ORDER = {
     "philosophers": [
         ("APhil.2", "UserSpec", "failures", True),

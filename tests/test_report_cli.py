@@ -452,8 +452,7 @@ def test_cli_check_json_report(model_dir, tmp_path):
     assert data["reasons"]
 
 
-# the full `dpa pattern` output for each bundled descriptor, recorded before the
-# pattern logic moved into one class per pattern
+# exit code and full `dpa pattern` output for each bundled descriptor
 PATTERN_OUTPUT = {
     "philosophers": (0, """\
 pattern: resource-allocation
