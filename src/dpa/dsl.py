@@ -651,14 +651,13 @@ def _expr_vars(e) -> set:
     return set()
 
 
-@dataclass(frozen=True)
 class _InputPrefix(Term):
     """``event -> cont`` where some fields are inputs ``?x``; the fields'
-    domains are known only at elaboration, which desugars it."""
+    domains are known only at elaboration, which desugars it.  ``event`` is
+    an EventTemplate whose input fields are the variables they bind;
+    ``inputs`` holds (variable, field position) pairs, in order."""
 
-    event: EventTemplate  # each input field is the variable it binds
-    inputs: tuple  # (variable, field position) pairs, in order
-    cont: Term
+    __slots__ = ("event", "inputs", "cont")
 
 
 def parse_network(text: str) -> NetworkDecl:
@@ -894,7 +893,8 @@ def _need(net: Network, conn, key, resolve):
 
 def parse_descriptor(doc, net: Network):
     """Resolve a JSON descriptor document against an elaborated network.
-    Text that is not JSON, or of the wrong shape, is a descriptor error."""
+    Text that is not JSON, of the wrong shape, or naming no component is a
+    descriptor error."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
@@ -908,7 +908,10 @@ def parse_descriptor(doc, net: Network):
     parser = _PARSERS.get(pattern) if isinstance(pattern, str) else None
     if parser is None:
         raise DescriptorError(f"unknown pattern {pattern!r}")
-    return parser(doc, net)
+    desc = parser(doc, net)
+    if not desc.components():
+        raise DescriptorError("the descriptor names no component")
+    return desc
 
 
 def load_descriptor(path, net: Network):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .events import EVENTS, TAU, TICK
 from .lts import DEFAULT_STATE_LIMIT
 from .network import Network
+from .semantics import _pair_trace
 
 
 class UnstableState(Exception):
@@ -116,7 +117,7 @@ class _Product:
         self.initial = tuple(lts.initial for lts in ltss)
 
     def moves(self, state):
-        """Every move out of ``state`` as ``[(event or None, successor)]``.
+        """Every move out of ``state`` as ``[(event or TAU, successor)]``.
 
         Tau moves come first (components ascending, then targets), then
         the synchronised events in ascending order, each with its
@@ -131,7 +132,7 @@ class _Product:
             for t in self.taus[i][s]:
                 nxt = list(state)
                 nxt[i] = t
-                out.append((None, tuple(nxt)))
+                out.append((TAU, tuple(nxt)))
             offers.append(self.vis[i][s])
         owners = self.owners
         enabled = []
@@ -172,7 +173,7 @@ def explore_global(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
         explored += 1
         moves = prod.moves(state)
         if not moves and not prod.all_tick(state):
-            trace = _trace_to(parents, state)
+            trace = _pair_trace(parents, state)
             gs = GlobalState(state, True, trace)
             return DeadlockWitness(trace, gs, states_explored=explored)
         for e, nxt in moves:
@@ -182,16 +183,6 @@ def explore_global(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
                 parents[nxt] = (state, e)
                 queue.append(nxt)
     return DeadlockFree(explored)
-
-
-def _trace_to(parents, state):
-    trace = []
-    while parents[state] is not None:
-        state, e = parents[state]
-        if e is not None:
-            trace.append(e)
-    trace.reverse()
-    return tuple(trace)
 
 
 def iter_reachable(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
@@ -204,12 +195,12 @@ def iter_reachable(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
         state = queue.popleft()
         trace = seen[state]
         moves = prod.moves(state)
-        yield GlobalState(state, all(e is not None for e, _ in moves), trace)
+        yield GlobalState(state, all(e != TAU for e, _ in moves), trace)
         for e, nxt in moves:
             if nxt not in seen:
                 if len(seen) >= state_limit:
                     return
-                seen[nxt] = trace if e is None else trace + (e,)
+                seen[nxt] = trace if e == TAU else trace + (e,)
                 queue.append(nxt)
 
 

@@ -249,32 +249,28 @@ def emit_dot(g) -> str:
     """Graphviz text for a communication graph (undirected) or snapshot
     graph (directed); node order follows component order."""
     if isinstance(g, CommGraph):
-        lines = ["graph communication {"]
-        for name in g.names:
-            lines.append(f"  {_dot_escape(name)};")
-        for (i, j), shared in sorted(g.edges.items()):
-            label = ", ".join(EVENTS.names(shared)[:4])
-            if len(shared) > 4:
-                label += ", ..."
-            lines.append(
-                f"  {_dot_escape(g.names[i])} -- {_dot_escape(g.names[j])}"
-                f" [label=\"{label}\"];"
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _dot("graph communication", "--", g.names, g.edges, more=", ...")
     if isinstance(g, SnapshotGraph):
-        lines = ["digraph snapshot {"]
-        for name in g.names:
-            lines.append(f"  {_dot_escape(name)};")
-        for (i, j), offers in sorted(g.arcs.items()):
-            label = ", ".join(EVENTS.names(offers)[:4])
-            lines.append(
-                f"  {_dot_escape(g.names[i])} -> {_dot_escape(g.names[j])}"
-                f" [label=\"{label}\"];"
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _dot("digraph snapshot", "->", g.names, g.arcs, more="")
     raise TypeError(f"cannot render {g!r}")
+
+
+def _dot(header, op, names, edges, more):
+    """Nodes in order, then one edge per (i, j) labelled with its first four
+    events; ``more`` marks a label with events left out."""
+    lines = [header + " {"]
+    for name in names:
+        lines.append(f"  {_dot_escape(name)};")
+    for (i, j), events in sorted(edges.items()):
+        label = ", ".join(EVENTS.names(events)[:4])
+        if len(events) > 4:
+            label += more
+        lines.append(
+            f"  {_dot_escape(names[i])} {op} {_dot_escape(names[j])}"
+            f" [label=\"{label}\"];"
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def emit_report_json(report: DpaReport, net: Network) -> str:

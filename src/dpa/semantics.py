@@ -95,13 +95,13 @@ def stable_behaviours(lts: Lts) -> StableInfo:
     return StableInfo(closures, stable, acceptance, divergent)
 
 
-def component_deadlocks(lts: Lts):
-    """Shortest trace to a state that offers nothing at all, or None."""
+def _shortest_trace(lts: Lts, found):
+    """Shortest visible trace to a state where ``found(state)``, or None."""
     queue = deque([lts.initial])
     parents = {lts.initial: None}
     while queue:
         s = queue.popleft()
-        if not lts.trans[s]:
+        if found(s):
             return _pair_trace(parents, s)
         for l, t in lts.trans[s]:
             if t not in parents:
@@ -110,19 +110,14 @@ def component_deadlocks(lts: Lts):
     return None
 
 
+def component_deadlocks(lts: Lts):
+    """Shortest trace to a state that offers nothing at all, or None."""
+    return _shortest_trace(lts, lambda s: not lts.trans[s])
+
+
 def first_tick_trace(lts: Lts):
     """Shortest visible trace leading to an enabled termination, or None."""
-    queue = deque([lts.initial])
-    parents = {lts.initial: None}
-    while queue:
-        s = queue.popleft()
-        for l, t in lts.trans[s]:
-            if l == TICK:
-                return _pair_trace(parents, s)
-            if t not in parents:
-                parents[t] = (s, l)
-                queue.append(t)
-    return None
+    return _shortest_trace(lts, lts.has_tick)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ Terms come in two flavours sharing the same node classes:
   integer expressions over definition parameters inside events, guards and
   call arguments;
 * *ground* terms, produced by :func:`bind`, contain only interned event ids
-  and evaluated call arguments.  Ground terms are hashable canonical forms;
-  the compiler memoises on them.
+  and evaluated call arguments.  Ground terms are canonical forms; the
+  compiler memoises on them.
+
+Every term is hash-consed: building a term with the same class and fields
+as an existing one returns that object, so two equal terms are the same
+object and the compiler's memo compares by identity.
 
 Guards and indexed choices disappear during binding: a true guard yields
 its body, a false one yields STOP, and an indexed choice becomes the plain
@@ -23,7 +27,7 @@ choice of its body bound to each value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .events import EVENTS
 
@@ -168,254 +172,107 @@ class EventTemplate:
 
 
 class Term:
+    """Base of the term classes.  Terms are hash-consed: constructing a term
+    equal to one already built returns that object, so equality and hashing
+    are object identity."""
+
     __slots__ = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        term = _TERMS.get(key)
+        if term is None:
+            term = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields, strict=True):
+                object.__setattr__(term, name, value)
+            _TERMS[key] = term
+        return term
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self):
         return pretty(self)
 
 
-def _cached_hash(obj, key):
-    object.__setattr__(obj, "_h", hash(key))
+# (class, *fields) -> the one term with those fields; never shrinks, since
+# the terms of a model recur across its components and its checks
+_TERMS: dict = {}
 
 
-@dataclass(frozen=True, eq=False)
 class Stop(Term):
-    def __post_init__(self):
-        _cached_hash(self, ("Stop",))
-
-    def __eq__(self, other):
-        return isinstance(other, Stop)
-
-    def __hash__(self):
-        return self._h
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Skip(Term):
-    def __post_init__(self):
-        _cached_hash(self, ("Skip",))
-
-    def __eq__(self, other):
-        return isinstance(other, Skip)
-
-    def __hash__(self):
-        return self._h
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Div(Term):
-    def __post_init__(self):
-        _cached_hash(self, ("Div",))
-
-    def __eq__(self, other):
-        return isinstance(other, Div)
-
-    def __hash__(self):
-        return self._h
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Omega(Term):
     """Terminated process: the target of a tick transition."""
 
-    def __post_init__(self):
-        _cached_hash(self, ("Omega",))
-
-    def __eq__(self, other):
-        return isinstance(other, Omega)
-
-    def __hash__(self):
-        return self._h
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Prefix(Term):
-    event: object  # int when ground, EventTemplate otherwise
-    cont: Term
-
-    def __post_init__(self):
-        _cached_hash(self, ("Prefix", self.event, self.cont))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Prefix)
-            and self.event == other.event
-            and self.cont == other.cont
-        )
-
-    def __hash__(self):
-        return self._h
+    __slots__ = ("event", "cont")  # event: int when ground, EventTemplate otherwise
 
 
-@dataclass(frozen=True, eq=False)
 class ExtChoice(Term):
-    items: tuple
-
-    def __post_init__(self):
-        _cached_hash(self, ("Ext", self.items))
-
-    def __eq__(self, other):
-        return isinstance(other, ExtChoice) and self.items == other.items
-
-    def __hash__(self):
-        return self._h
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True, eq=False)
 class IntChoice(Term):
-    items: tuple
-
-    def __post_init__(self):
-        _cached_hash(self, ("Int", self.items))
-
-    def __eq__(self, other):
-        return isinstance(other, IntChoice) and self.items == other.items
-
-    def __hash__(self):
-        return self._h
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True, eq=False)
 class Guard(Term):
-    cond: Expr
-    body: Term
-
-    def __post_init__(self):
-        _cached_hash(self, ("Guard", self.cond, self.body))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Guard)
-            and self.cond == other.cond
-            and self.body == other.body
-        )
-
-    def __hash__(self):
-        return self._h
+    __slots__ = ("cond", "body")
 
 
-@dataclass(frozen=True, eq=False)
 class Seq(Term):
-    first: Term
-    second: Term
-
-    def __post_init__(self):
-        _cached_hash(self, ("Seq", self.first, self.second))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Seq)
-            and self.first == other.first
-            and self.second == other.second
-        )
-
-    def __hash__(self):
-        return self._h
+    __slots__ = ("first", "second")
 
 
-@dataclass(frozen=True, eq=False)
 class Hide(Term):
-    body: Term
-    events: object  # frozenset[int] when ground, tuple[EventTemplate] otherwise
-
-    def __post_init__(self):
-        _cached_hash(self, ("Hide", self.body, self.events))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Hide)
-            and self.body == other.body
-            and self.events == other.events
-        )
-
-    def __hash__(self):
-        return self._h
+    # events: frozenset[int] when ground, tuple[EventTemplate] otherwise
+    __slots__ = ("body", "events")
 
 
-@dataclass(frozen=True, eq=False)
 class Rename(Term):
-    body: Term
-    # ground: sorted tuple of (from_id, to_id) pairs; the relation may be
-    # one-to-many.  source form: tuple of (EventTemplate, EventTemplate).
-    pairs: tuple
-
-    def __post_init__(self):
-        _cached_hash(self, ("Rename", self.body, self.pairs))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Rename)
-            and self.body == other.body
-            and self.pairs == other.pairs
-        )
-
-    def __hash__(self):
-        return self._h
+    # pairs, ground: sorted tuple of (from_id, to_id) pairs; the relation may
+    # be one-to-many.  source form: tuple of (EventTemplate, EventTemplate).
+    __slots__ = ("body", "pairs")
 
 
-@dataclass(frozen=True, eq=False)
 class Interrupt(Term):
-    body: Term
-    handler: Term
-
-    def __post_init__(self):
-        _cached_hash(self, ("Interrupt", self.body, self.handler))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Interrupt)
-            and self.body == other.body
-            and self.handler == other.handler
-        )
-
-    def __hash__(self):
-        return self._h
+    __slots__ = ("body", "handler")
 
 
-@dataclass(frozen=True, eq=False)
 class Call(Term):
-    name: str
-    args: tuple = ()
+    __slots__ = ("name", "args")
 
-    def __post_init__(self):
-        _cached_hash(self, ("Call", self.name, self.args))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Call)
-            and self.name == other.name
-            and self.args == other.args
-        )
-
-    def __hash__(self):
-        return self._h
+    def __new__(cls, name, args=()):
+        return Term.__new__(cls, name, args)
 
 
-@dataclass(frozen=True, eq=False)
 class IndexedChoice(Term):
     """Replicated choice ``op var : {items} @ body`` over a finite integer
     set.  ``items`` holds ``("range", lo, hi)`` and ``("value", e)`` entries
     whose expressions may mention variables; :func:`bind` expands it."""
 
-    op: str  # "[]" or "|~|"
-    var: str
-    items: tuple
-    body: Term
-
-    def __post_init__(self):
-        _cached_hash(self, ("Indexed", self.op, self.var, self.items, self.body))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IndexedChoice)
-            and self.op == other.op
-            and self.var == other.var
-            and self.items == other.items
-            and self.body == other.body
-        )
-
-    def __hash__(self):
-        return self._h
+    __slots__ = ("op", "var", "items", "body")  # op: "[]" or "|~|"
 
 
 STOP = Stop()

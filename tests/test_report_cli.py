@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dpa
 from dpa import models
 from dpa.cli import main
 from dpa.dsl import elaborate, parse_descriptor, parse_network
+from dpa.events import event
 from dpa.network import communication_graph
 from dpa.oracle import DeadlockWitness, explore_global, snapshot_graph
 from dpa.report import (
@@ -133,6 +139,27 @@ def test_dot_for_snapshot_cycle():
     text = emit_dot(snap)
     assert text.startswith("digraph snapshot {")
     assert text.count(" -> ") == 6
+
+
+def test_dot_labels_are_pinned_for_both_graph_kinds():
+    """Output recorded before the two writers were merged: only a
+    communication edge marks events left out of its label."""
+    from dpa.network import CommGraph
+    from dpa.oracle import SnapshotGraph
+
+    many = frozenset(event(f"dotlabel.{i}") for i in range(6))
+    few = frozenset(event(f"dotlabel.{i}") for i in range(2))
+    names = ["A", 'B"q', "C"]
+    assert emit_dot(CommGraph(3, names, {(0, 1): many, (1, 2): few})) == (
+        'graph communication {\n  "A";\n  "B\\"q";\n  "C";\n'
+        '  "A" -- "B\\"q" [label="dotlabel.0, dotlabel.1, dotlabel.2, dotlabel.3, ..."];\n'
+        '  "B\\"q" -- "C" [label="dotlabel.0, dotlabel.1"];\n}\n'
+    )
+    assert emit_dot(SnapshotGraph(3, names, {(2, 0): few, (0, 1): many})) == (
+        'digraph snapshot {\n  "A";\n  "B\\"q";\n  "C";\n'
+        '  "A" -> "B\\"q" [label="dotlabel.0, dotlabel.1, dotlabel.2, dotlabel.3"];\n'
+        '  "C" -> "A" [label="dotlabel.0, dotlabel.1"];\n}\n'
+    )
 
 
 def test_cli_check_exit_codes_stable(model_dir, capsys):
@@ -278,10 +305,20 @@ def test_cli_rejects_state_limit_below_one(model_dir, capsys, command, extra, li
      "field 'resource_order' must be a list"),
     (["pattern", "philosophers.net", "int_acquire.pattern.json"],
      "each name in 'acquire' must be a string"),
+    (["pattern", "philosophers.net", "empty_ra.pattern.json"],
+     "the descriptor names no component"),
+    (["pattern", "client_server.net", "empty_cs.pattern.json"],
+     "the descriptor names no component"),
+    (["pattern", "leadership.net", "empty_ad.pattern.json"],
+     "the descriptor names no component"),
+    (["check", "client_server.net", "--pattern", "empty_cs.pattern.json"],
+     "the descriptor names no component"),
 ], ids=["no-sizes", "bad-size", "bad-family", "no-shared-event", "unknown-name",
         "malformed-json", "missing-field", "outside-scope", "extend-out-of-domain",
         "exact-out-of-domain", "descriptor-not-object", "connection-not-object",
-        "order-not-object", "resource-order-not-list", "event-not-string"])
+        "order-not-object", "resource-order-not-list", "event-not-string",
+        "empty-resource-allocation", "empty-client-server", "empty-async-dynamic",
+        "check-empty-client-server"])
 def test_cli_input_errors_keep_their_lines(model_dir, capsys, argv, error):
     (model_dir / "bad.pattern.json").write_text("{not json")
     (model_dir / "missing.pattern.json").write_text(json.dumps(
@@ -296,6 +333,9 @@ def test_cli_input_errors_keep_their_lines(model_dir, capsys, argv, error):
         ("int_acquire", {**ra, "connections": [{
             "user": "Phil.0", "resource": "Fork.0", "acquire": 5, "release": "putdown.0.0",
         }]}),
+        ("empty_ra", ra),
+        ("empty_cs", {"pattern": "client-server"}),
+        ("empty_ad", {"pattern": "async-dynamic"}),
     ]:
         (model_dir / f"{name}.pattern.json").write_text(json.dumps(doc))
     # instance U.2 names get.2, outside the channel's domain {0..1}
@@ -573,3 +613,31 @@ def test_cli_pattern_output_is_pinned(model_dir, capsys, name):
     captured = capsys.readouterr()
     assert captured.out == expected
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("model, descriptor, code", [
+    ("philosophers_symmetric.net", "philosophers_symmetric.pattern.json", 1),
+    ("leadership.net", "leadership.pattern.json", 0),
+    ("ringbuffer.net", None, 0),
+], ids=["philosophers_symmetric", "leadership", "ringbuffer"])
+def test_cli_output_is_the_same_under_two_hash_seeds(model_dir, model, descriptor, code):
+    """Terms hash by identity and strings by a per-process seed, so output
+    that followed hash order would differ between these two processes."""
+    argv = [sys.executable, "-m", "dpa.cli", "check", str(model_dir / model), "--oracle"]
+    if descriptor is not None:
+        argv += ["--pattern", str(model_dir / descriptor)]
+    package_root = str(Path(dpa.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for seed in ("0", "1"):
+        out = model_dir / f"report.{seed}.json"
+        proc = subprocess.run(
+            argv + ["--json", str(out)],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300,
+        )
+        report = json.loads(out.read_text())
+        del report["timings"]
+        runs.append((proc.returncode, proc.stdout, proc.stderr, report))
+    assert runs[0][0] == code
+    assert runs[0] == runs[1]

@@ -1,5 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
+from dpa import models
+from dpa.dsl import _InputPrefix, elaborate, parse_descriptor, parse_network
 from dpa.events import EVENTS, TAU, event
 from dpa.lts import (
     AlphabetViolation,
@@ -9,6 +14,7 @@ from dpa.lts import (
     hide_lts,
     parallel_lts,
 )
+from dpa.patterns import generate_spec
 from dpa.terms import (
     BinOp,
     Call,
@@ -20,6 +26,7 @@ from dpa.terms import (
     FunCall,
     Guard,
     GuardNotClosed,
+    Hide,
     IndexedChoice,
     IntChoice,
     Lit,
@@ -158,7 +165,7 @@ def test_recursion_through_hiding_and_renaming_stays_finite():
         Definition("H", (), Prefix(A, Prefix(B, Call("H")))),
         Definition("R", (), Prefix(A, Call("R"))),
     ])
-    from dpa.terms import Hide, Rename
+    from dpa.terms import Rename
 
     hidden = compile_term(env, Hide(Call("H"), frozenset({A})))
     assert hidden.n_states <= 4
@@ -268,7 +275,6 @@ def test_parallel_commutative_and_associative():
 
 def test_hide_then_compile_equals_compile_then_hide():
     from dpa.denotational import diff_behaviours, lts_behaviours
-    from dpa.terms import Hide
 
     sigma = frozenset({A, B, C})
     term = ExtChoice((Prefix(A, Prefix(B, STOP)), Prefix(C, SKIP)))
@@ -278,3 +284,72 @@ def test_hide_then_compile_equals_compile_then_hide():
     assert diff_behaviours(
         lts_behaviours(via_term, sigma, 6), lts_behaviours(via_lts, sigma, 6), 6
     ) is None
+
+
+# ---------------------------------------------------------------------------
+# hash-consing: equal terms are one object
+
+
+@pytest.mark.parametrize("source", [
+    models.philosophers_source(3), models.leadership_source(2), models.ring_buffer_source(3),
+], ids=["philosophers", "leadership", "ringbuffer"])
+def test_elaborating_a_model_twice_gives_the_same_term_objects(source):
+    first, second = (elaborate(parse_network(source)) for _ in range(2))
+    for a, b in zip(first.components, second.components, strict=True):
+        assert a.env is not b.env
+        assert a.term is b.term
+        assert len(a.compiled().terms) == len(b.compiled().terms) > 1
+        assert all(x is y for x, y in zip(a.compiled().terms, b.compiled().terms))
+
+
+def test_binding_under_two_environments_gives_the_same_term_objects():
+    x = Var("x")
+    source = IndexedChoice(
+        "[]", "x", (("range", Lit(0), Lit(2)),),
+        Prefix(EventTemplate("c", (x,)), Seq(Call("P", (x,)), SKIP)),
+    )
+    envs = [DefEnv([Definition("P", ("x",), Prefix(EventTemplate("d", (x,)), STOP))])
+            for _ in range(2)]
+    a, b = (bind(source, {}, env) for env in envs)
+    assert type(a) is ExtChoice and len(a.items) == 3
+    assert a is b
+    assert envs[0].expand("P", (1,)) is envs[1].expand("P", (1,))
+
+
+def test_generating_a_spec_twice_gives_the_same_term_objects():
+    net = elaborate(parse_network(models.philosophers_source(3)))
+    desc = parse_descriptor(models.philosophers_descriptor(3), net)
+    for role, name in [("resource", "Fork.0"), ("user", "APhil.2")]:
+        (env1, term1), (env2, term2) = (generate_spec(desc, role, name) for _ in range(2))
+        assert env1 is not env2
+        assert term1 is term2
+        assert env1.definitions.keys() == env2.definitions.keys()
+        for key, d in env1.definitions.items():
+            assert d.body is env2.definitions[key].body
+
+
+def test_terms_differing_in_one_field_are_different_objects():
+    assert Prefix(A, STOP) is Prefix(A, STOP)
+    assert Prefix(A, STOP) is not Prefix(B, STOP)
+    assert Prefix(A, STOP) is not Prefix(A, SKIP)
+    assert Call("P") is Call("P", ())
+    assert Call("P", (1,)) is not Call("P", (2,))
+    assert Call("P", (1,)) is not Call("Q", (1,))
+    assert ExtChoice((STOP, SKIP)) is not IntChoice((STOP, SKIP))
+    assert ExtChoice((STOP, SKIP)) is not ExtChoice((SKIP, STOP))
+    assert Hide(STOP, frozenset({A})) is not Hide(STOP, frozenset({B}))
+    assert Prefix(A, STOP) != Prefix(B, STOP)
+
+
+def test_terms_are_immutable_and_copy_and_print_as_themselves():
+    term = Prefix(A, ExtChoice((Call("P", (1,)), SKIP)))
+    with pytest.raises(AttributeError):
+        term.cont = SKIP
+    assert term.cont is ExtChoice((Call("P", (1,)), SKIP))
+    assert copy.copy(term) is copy.deepcopy(term) is pickle.loads(pickle.dumps(term)) is term
+    assert repr(Prefix(A, STOP)) == f"Prefix(event={A}, cont=Stop())"
+    sugar = _InputPrefix(EventTemplate("c", (Var("x"),)), (("x", 0),), STOP)
+    assert str(sugar) == repr(sugar) == (
+        "_InputPrefix(event=EventTemplate(head='c', fields=(Var(name='x'),)), "
+        "inputs=(('x', 0),), cont=Stop())"
+    )
