@@ -22,7 +22,6 @@ from .terms import (
 )
 from .lts import Lts, StateLimitExceeded, compile_term, parallel_lts
 from .semantics import FAILURES, REVIVALS, normalize, refines, stable_behaviours
-from .denotational import BehaviourSet, denotational_oracle, lts_behaviours
 from .network import Component, Network, check_live, communication_graph, abs_lts
 from .decomposition import bridges, check_conflict_free, decompose
 from .patterns import (

@@ -2,8 +2,9 @@
 
 Runs the local method through ``run_dpa`` (and optionally the global
 oracle) across a size sweep of one family and reports wall-clock times
-together with deterministic work measures (oracle states explored), which
-is what the trend assertions in the test-suite key on.
+together with deterministic work measures (the states of every bridge
+check's conflict context, oracle states explored), which is what the trend
+assertions in the test-suite key on.
 """
 
 from __future__ import annotations
@@ -42,11 +43,13 @@ def run_bench(family: str, sizes, oracle_sizes=(), state_limit=1_000_000) -> dic
         t0 = time.perf_counter()
         report = run_dpa(net, descs, state_limit)
         dpa_time = time.perf_counter() - t0
+        checks = report.decomposition.checks if report.decomposition else ()
         row = {
             "size": size,
             "components": len(net),
             "dpa_seconds": round(dpa_time, 4),
             "proven": report.overall == PROVEN,
+            "context_states": sum(c.context_states for c in checks),
         }
         if size in oracle_sizes:
             t0 = time.perf_counter()

@@ -226,6 +226,39 @@ def hide_lts(lts: Lts, hidden: frozenset) -> Lts:
     return Lts(lts.initial, tuple(trans), lts.terms)
 
 
+def bisim_quotient(lts: Lts) -> Lts:
+    """The quotient by strong bisimulation, TAU and TICK counting as
+    ordinary labels, or ``lts`` itself when it is already minimal.
+
+    Naive signature refinement: each round partitions the states by their
+    sets of (label, target block) pairs, until the number of blocks stops
+    growing or every state has a block of its own.  Starting from one
+    block, each round refines the one before, so the old block need not be
+    part of the signature.  Blocks are numbered by their first state, and
+    the quotient carries no terms (a block stands for several of them)."""
+    trans = lts.trans
+    block = [0] * len(trans)
+    count = 1
+    while count < len(trans):
+        sigs = {}
+        block = [
+            sigs.setdefault(frozenset([(l, block[t]) for (l, t) in row]), len(sigs))
+            for row in trans
+        ]
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+    if count == len(trans):
+        return lts
+    first = {}
+    for s, b in enumerate(block):
+        first.setdefault(b, s)
+    rows = tuple(
+        tuple(sorted({(l, block[t]) for (l, t) in trans[s]})) for s in first.values()
+    )
+    return Lts(block[lts.initial], rows)
+
+
 def rename_lts(lts: Lts, relation: dict) -> Lts:
     """Apply a (possibly one-to-many) renaming relation: event id -> tuple of
     event ids.  Events outside the relation's domain are unchanged."""

@@ -5,7 +5,10 @@ definition environment, or a precompiled LTS for synthetic inputs).  The
 network's vocabulary is the events with two or more owners: the events
 some other component must cooperate on.  Everything outside the
 vocabulary is a private action and gets hidden by :func:`abs_lts`, the
-abstraction all local behavioural checks run against.
+abstraction all local behavioural checks run against.  Each component is
+abstracted once per network: the hidden LTS is quotiented by strong
+bisimulation, which is finer than the failures and revivals models and
+keeps divergence, and the result is cached on the network.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ from functools import cached_property
 from itertools import combinations
 
 from .events import EVENTS, fmt_trace
-from .lts import DEFAULT_STATE_LIMIT, Lts, check_alphabet, compile_term, hide_lts
+from .lts import (
+    DEFAULT_STATE_LIMIT,
+    Lts,
+    bisim_quotient,
+    check_alphabet,
+    compile_term,
+    hide_lts,
+)
 from .lts import AlphabetViolation
 from .semantics import (
     component_deadlocks,
@@ -96,6 +106,7 @@ class Network:
         self._declared = self.owners if sigma is None else sigma
         self.voc: frozenset = frozenset(e for e, ix in self.owners.items() if len(ix) > 1)
         self.warnings: tuple = ()
+        self.abstractions: dict = {}  # component index -> abs_lts result
 
     @cached_property
     def sigma(self) -> frozenset:
@@ -196,9 +207,14 @@ def check_live(net: Network, limit: int = DEFAULT_STATE_LIMIT) -> LivenessReport
 
 
 def abs_lts(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
-    """Component behaviour with every non-vocabulary event hidden."""
-    lts = net[i].compiled(limit)
-    return hide_lts(lts, net[i].alphabet - net.voc)
+    """Component behaviour with every non-vocabulary event hidden, quotiented
+    by strong bisimulation; built on the first request and cached on the
+    network."""
+    lts = net.abstractions.get(i)
+    if lts is None:
+        hidden = hide_lts(net[i].compiled(limit), net[i].alphabet - net.voc)
+        lts = net.abstractions[i] = bisim_quotient(hidden)
+    return lts
 
 
 def abs_divergent(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> bool:

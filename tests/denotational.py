@@ -9,8 +9,9 @@ substitution occurred, and exact on observations shorter than the unfold
 depth for recursion guarded by visible events.
 
 It deliberately shares nothing with the operational compiler: it is the
-independent oracle the LTS semantics is validated against.  Everything is
-brute force; a size cap turns runaway set growth into an explicit error.
+independent oracle the LTS semantics is validated against, and only the
+tests import it.  Everything is brute force; a size cap turns runaway set
+growth into an explicit error.
 
 Two clause-table gaps are filled here, both forced by consistency with the
 other clauses (and cross-checked against the operational semantics by the
@@ -32,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .events import TICK, TAU
-from .lts import Lts
-from .terms import (
+from dpa.events import TICK, TAU
+from dpa.lts import Lts
+from dpa.terms import (
     Call,
     DefEnv,
     Div,

@@ -6,9 +6,9 @@ import time
 from contextlib import contextmanager
 
 from conftest import ev3, random_env, random_live_network, random_plain_term, random_term
+from denotational import denotational_oracle, diff_behaviours, lts_behaviours
 
 from dpa import models
-from dpa.denotational import denotational_oracle, diff_behaviours, lts_behaviours
 from dpa.dsl import elaborate, parse_descriptor, parse_network
 from dpa.lts import compile_term
 from dpa.oracle import (

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from conftest import ev3, random_env, random_term
-
-from dpa.denotational import (
+from denotational import (
     CombinatorialBlowup,
     denotational_oracle,
     diff_behaviours,

@@ -1,7 +1,7 @@
 import pytest
 
+from denotational import diff_behaviours, lts_behaviours
 from dpa import models
-from dpa.denotational import diff_behaviours, lts_behaviours
 from dpa.dsl import (
     DuplicateInSchedule,
     ParseError,

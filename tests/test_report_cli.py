@@ -431,6 +431,13 @@ def test_cli_bench_subcommand(capsys):
     assert data["family"] == "philosophers"
     assert data["rows"][0]["proven"] is True
     assert data["rows"][0]["oracle_result"] == "DeadlockFree"
+    assert data["rows"][0]["context_states"] == 0  # a ring: no bridge
+    runs = []
+    for _ in range(2):
+        assert main(["bench", "ringbuffer:3"]) == 0
+        runs.append(json.loads(capsys.readouterr().out)["rows"][0])
+    assert runs[0]["context_states"] > 0
+    assert runs[0]["context_states"] == runs[1]["context_states"]
 
 
 def test_oracle_witness_json_names_local_states(model_dir, tmp_path):

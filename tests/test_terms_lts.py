@@ -3,6 +3,7 @@ import pickle
 
 import pytest
 
+from denotational import diff_behaviours, lts_behaviours
 from dpa import models
 from dpa.dsl import _InputPrefix, elaborate, parse_descriptor, parse_network
 from dpa.events import EVENTS, TAU, event
@@ -254,8 +255,6 @@ def test_alphabet_violation_rejected():
 
 
 def test_parallel_commutative_and_associative():
-    from dpa.denotational import diff_behaviours, lts_behaviours
-
     sigma = frozenset({A, B, C})
     p = compile_term(ENV, Prefix(A, Prefix(B, STOP)))
     q = compile_term(ENV, ExtChoice((Prefix(B, STOP), Prefix(C, STOP))))
@@ -274,8 +273,6 @@ def test_parallel_commutative_and_associative():
 
 
 def test_hide_then_compile_equals_compile_then_hide():
-    from dpa.denotational import diff_behaviours, lts_behaviours
-
     sigma = frozenset({A, B, C})
     term = ExtChoice((Prefix(A, Prefix(B, STOP)), Prefix(C, SKIP)))
     hidden = frozenset({A})
