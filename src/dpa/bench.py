@@ -4,11 +4,14 @@ Runs the local method through ``run_dpa`` (and optionally the global
 oracle) across a size sweep of one family and reports wall-clock times
 together with deterministic work measures (the states of every bridge
 check's conflict context, oracle states explored), which is what the trend
-assertions in the test-suite key on.
+assertions in the test-suite key on.  With ``repeat`` above one, each size
+runs that many times, each on a freshly built network (compiled LTSs are
+cached on components), and the row reports the median and the minimum.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from . import models
@@ -36,18 +39,23 @@ def build_family(family: str, size: int):
     return net, descs
 
 
-def run_bench(family: str, sizes, oracle_sizes=(), state_limit=1_000_000) -> dict:
+def run_bench(
+    family: str, sizes, oracle_sizes=(), state_limit=1_000_000, repeat=1
+) -> dict:
     rows = []
     for size in sizes:
-        net, descs = build_family(family, size)
-        t0 = time.perf_counter()
-        report = run_dpa(net, descs, state_limit)
-        dpa_time = time.perf_counter() - t0
+        times = []
+        for _ in range(repeat):
+            net, descs = build_family(family, size)
+            t0 = time.perf_counter()
+            report = run_dpa(net, descs, state_limit)
+            times.append(time.perf_counter() - t0)
         checks = report.decomposition.checks if report.decomposition else ()
         row = {
             "size": size,
             "components": len(net),
-            "dpa_seconds": round(dpa_time, 4),
+            "dpa_seconds": round(statistics.median(times), 4),
+            "dpa_seconds_min": round(min(times), 4),
             "proven": report.overall == PROVEN,
             "context_states": sum(c.context_states for c in checks),
         }

@@ -28,7 +28,7 @@ EXIT_INCONCLUSIVE = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _state_limit(text):
+def _positive_int(text):
     try:
         value = int(text)
     except ValueError:
@@ -42,7 +42,7 @@ def _add_common(p):
     p.add_argument("model", help="network model file (.net)")
     p.add_argument(
         "--state-limit",
-        type=_state_limit,
+        type=_positive_int,
         default=DEFAULT_STATE_LIMIT,
         help="per-check state-count cap (default %(default)s)",
     )
@@ -93,7 +93,14 @@ def build_parser():
 
     p = sub.add_parser("bench", help="scaling sweep over a bundled family")
     p.add_argument("spec", help="family:sizes[:oracle=sizes], e.g. philosophers:3,5,10")
-    p.add_argument("--state-limit", type=_state_limit, default=DEFAULT_STATE_LIMIT)
+    p.add_argument("--state-limit", type=_positive_int, default=DEFAULT_STATE_LIMIT)
+    p.add_argument(
+        "--repeat",
+        type=_positive_int,
+        default=1,
+        help="runs per size, each on a freshly built network; rows report "
+        "the median and the minimum (default %(default)s)",
+    )
     p.add_argument("--json", metavar="OUT")
     return ap
 
@@ -145,7 +152,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "bench":
         family, sizes, oracle_sizes = parse_bench_spec(args.spec)
-        result = run_bench(family, sizes, oracle_sizes, args.state_limit)
+        result = run_bench(family, sizes, oracle_sizes, args.state_limit, args.repeat)
         text = json.dumps(result, indent=2)
         print(text)
         if args.json:

@@ -74,6 +74,7 @@ from .terms import (
     Var,
     bind,
     eval_expr,
+    expr_vars,
     fmt_expr,
     pretty,
     set_values,
@@ -484,7 +485,7 @@ class Parser:
             elif binders and self.accept("op", "?"):
                 tok = self.peek()
                 var = self.ident()
-                if any(var in _expr_vars(f) for f in fields):
+                if any(var in expr_vars(f) for f in fields):
                     raise _Bail(Diagnostic(
                         tok.line, tok.col,
                         f"input variable '{var}' is already used in an earlier field",
@@ -636,19 +637,6 @@ class _Bail(Exception):
     def __init__(self, diagnostic):
         self.diagnostic = diagnostic
         super().__init__(str(diagnostic))
-
-
-def _expr_vars(e) -> set:
-    """Names of the variables an integer expression mentions."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, BinOp):
-        return _expr_vars(e.left) | _expr_vars(e.right)
-    if isinstance(e, UnOp):
-        return _expr_vars(e.operand)
-    if isinstance(e, FunCall):
-        return set().union(*map(_expr_vars, e.args))
-    return set()
 
 
 class _InputPrefix(Term):

@@ -8,7 +8,8 @@ vocabulary is a private action and gets hidden by :func:`abs_lts`, the
 abstraction all local behavioural checks run against.  Each component is
 abstracted once per network: the hidden LTS is quotiented by strong
 bisimulation, which is finer than the failures and revivals models and
-keeps divergence, and the result is cached on the network.
+keeps divergence, and the result is cached on the network, and so is
+whether it diverges.
 """
 
 from __future__ import annotations
@@ -107,6 +108,7 @@ class Network:
         self.voc: frozenset = frozenset(e for e, ix in self.owners.items() if len(ix) > 1)
         self.warnings: tuple = ()
         self.abstractions: dict = {}  # component index -> abs_lts result
+        self.divergence: dict = {}  # component index -> abs_divergent result
 
     @cached_property
     def sigma(self) -> frozenset:
@@ -219,9 +221,13 @@ def abs_lts(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
 
 def abs_divergent(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> bool:
     """True when hiding private events introduced divergence, which makes
-    stable checks on this abstraction vacuous."""
-    info = stable_behaviours(abs_lts(net, i, limit))
-    return any(info.divergent)
+    stable checks on this abstraction vacuous; judged once per component
+    and cached on the network."""
+    lts = abs_lts(net, i, limit)
+    divergent = net.divergence.get(i)
+    if divergent is None:
+        divergent = net.divergence[i] = any(stable_behaviours(lts).divergent)
+    return divergent
 
 
 @dataclass

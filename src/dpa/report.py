@@ -169,6 +169,10 @@ def run_dpa(
     timings = {}
     reasons = []
     t0 = time.perf_counter()
+    for comp in net.components:
+        comp.compiled(state_limit)
+    timings["compile"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     liveness = check_live(net, state_limit)
     timings["liveness"] = time.perf_counter() - t0
     decomposition = None

@@ -23,6 +23,14 @@ object and the compiler's memo compares by identity.
 Guards and indexed choices disappear during binding: a true guard yields
 its body, a false one yields STOP, and an indexed choice becomes the plain
 choice of its body bound to each value.
+
+Binding is memoised.  :func:`free_vars` gives the variables a source term
+reads, and the ground form of an indexed choice (and of a definition body,
+in :meth:`DefEnv.expand`) is kept on its :class:`DefEnv` per (term, values
+of those variables), a memo function in the sense of Hughes ("Lazy
+memo-functions", FPCA 1985).  A nested input ``c?x -> d?x -> P`` therefore
+binds its inner choice once, not once per outer value of ``x``; the ground
+terms are the same as without the memo.
 """
 
 from __future__ import annotations
@@ -296,7 +304,9 @@ class DefEnv:
     """Named process definitions plus integer constants and helper functions.
 
     Definitions are keyed by (name, arity); recursion and mutual recursion
-    are expressed through :class:`Call` nodes.
+    are expressed through :class:`Call` nodes.  Constants and functions are
+    fixed once binding starts: the binding memo resolves a variable that is
+    not bound through them.
     """
 
     def __init__(self, definitions=(), constants=None, functions=None):
@@ -305,7 +315,9 @@ class DefEnv:
         self.functions: dict[str, tuple] = dict(functions or {})
         for d in definitions:
             self.define(d)
-        self._expand_cache: dict[tuple, Term] = {}
+        # (source term, values of its free variables, None when unbound)
+        # -> ground term; filled by bind and expand, only on success
+        self.bound: dict[tuple, Term] = {}
 
     def define(self, definition: Definition):
         self.definitions[(definition.name, len(definition.params))] = definition
@@ -320,14 +332,9 @@ class DefEnv:
         return d
 
     def expand(self, name, args) -> Term:
-        """Ground body of a call, memoised per (name, evaluated args)."""
-        key = (name, args)
-        cached = self._expand_cache.get(key)
-        if cached is None:
-            d = self.lookup(name, len(args))
-            cached = bind(d.body, dict(zip(d.params, args)), self)
-            self._expand_cache[key] = cached
-        return cached
+        """Ground body of a call, memoised per (body, values it reads)."""
+        d = self.lookup(name, len(args))
+        return _memoised(bind, d.body, dict(zip(d.params, args)), self)
 
 
 EMPTY_ENV = DefEnv()
@@ -386,12 +393,89 @@ def set_values(items, bindings, env) -> list:
     return values
 
 
+def expr_vars(expr) -> set:
+    """Names of the variables an integer expression reads.  A function call
+    reads its arguments; its body reads only its parameters and the
+    constants."""
+    if isinstance(expr, (int, Lit)):
+        return set()
+    if isinstance(expr, Var):
+        return {expr.name}
+    if isinstance(expr, BinOp):
+        return expr_vars(expr.left) | expr_vars(expr.right)
+    if isinstance(expr, UnOp):
+        return expr_vars(expr.operand)
+    if isinstance(expr, FunCall):
+        return set().union(*map(expr_vars, expr.args))
+    raise DslValueError(f"cannot evaluate {expr!r}")
+
+
+def _event_vars(ev) -> set:
+    if isinstance(ev, int):
+        return set()
+    return set().union(*map(expr_vars, ev.fields))
+
+
+def _term_vars(term: Term) -> set:
+    t = type(term)
+    if t in (Stop, Skip, Div, Omega):
+        return set()
+    if t is Prefix:
+        return _event_vars(term.event) | set(free_vars(term.cont))
+    if t in (ExtChoice, IntChoice):
+        return set().union(*map(free_vars, term.items))
+    if t is IndexedChoice:
+        out = set(free_vars(term.body)) - {term.var}
+        for item in term.items:
+            out.update(*map(expr_vars, item[1:]))
+        return out
+    if t is Guard:
+        return expr_vars(term.cond) | set(free_vars(term.body))
+    if t is Seq:
+        return set(free_vars(term.first) + free_vars(term.second))
+    if t is Hide:
+        out = set(free_vars(term.body))
+        if not isinstance(term.events, frozenset):
+            out.update(*map(_event_vars, term.events))
+        return out
+    if t is Rename:
+        out = set(free_vars(term.body))
+        for a, b in term.pairs:
+            out.update(_event_vars(a), _event_vars(b))
+        return out
+    if t is Interrupt:
+        return set(free_vars(term.body) + free_vars(term.handler))
+    if t is Call:
+        return set().union(*map(expr_vars, term.args))
+    raise DslValueError(f"cannot bind {term!r}")
+
+
+# term -> free_vars(term); like _TERMS it never shrinks
+_FREE_VARS: dict = {}
+
+
+def free_vars(term: Term) -> tuple:
+    """The sorted names of the variables a source term reads: in event
+    fields, guards, call arguments, indexed-choice sets and hide/rename
+    templates.  An indexed choice's own variable is not free in it.  A
+    ground term reads none."""
+    names = _FREE_VARS.get(term)
+    if names is None:
+        names = _FREE_VARS[term] = tuple(sorted(_term_vars(term)))
+    return names
+
+
 def bind(term: Term, bindings: dict, env: DefEnv) -> Term:
     """Close a term: evaluate guards, event fields, hide/rename sets and
     call arguments under ``bindings``, and expand indexed choices by binding
     their variable to each value in turn.  This is the only place a variable
     gets its value.  The result contains only interned event ids and is
-    suitable for compilation."""
+    suitable for compilation.
+
+    An indexed choice is bound once per value of its :func:`free_vars`:
+    the ground result is memoised in ``env.bound``, keyed on the choice and
+    those values (None for a variable left to ``env.constants``).  Only
+    successes are stored, so an error is raised on every attempt."""
     t = type(term)
     if t in (Stop, Skip, Div, Omega):
         return term
@@ -409,16 +493,7 @@ def bind(term: Term, bindings: dict, env: DefEnv) -> Term:
             raise EmptyChoiceList("internal choice over an empty list")
         return IntChoice(tuple(bind(i, bindings, env) for i in term.items))
     if t is IndexedChoice:
-        var, body = term.var, term.body
-        branches = tuple(
-            bind(body, {**bindings, var: v}, env)
-            for v in dict.fromkeys(set_values(term.items, bindings, env))
-        )
-        if not branches:
-            raise EmptyChoiceList(f"indexed choice over an empty set (variable '{var}')")
-        if len(branches) == 1:
-            return branches[0]
-        return ExtChoice(branches) if term.op == "[]" else IntChoice(branches)
+        return _memoised(_bind_choice, term, bindings, env)
     if t is Guard:
         if eval_expr(term.cond, bindings, env):
             return bind(term.body, bindings, env)
@@ -449,6 +524,29 @@ def bind(term: Term, bindings: dict, env: DefEnv) -> Term:
         env.lookup(term.name, len(args))  # fail early on unbound calls
         return Call(term.name, args)
     raise DslValueError(f"cannot bind {term!r}")
+
+
+def _memoised(build, term: Term, bindings: dict, env: DefEnv) -> Term:
+    """``build(term, bindings, env)``, once per term and values of its free
+    variables in ``env.bound``; a failed build stores nothing."""
+    key = (term, tuple(map(bindings.get, free_vars(term))))
+    ground = env.bound.get(key)
+    if ground is None:
+        ground = env.bound[key] = build(term, bindings, env)
+    return ground
+
+
+def _bind_choice(term: IndexedChoice, bindings: dict, env: DefEnv) -> Term:
+    var, body = term.var, term.body
+    branches = tuple(
+        bind(body, {**bindings, var: v}, env)
+        for v in dict.fromkeys(set_values(term.items, bindings, env))
+    )
+    if not branches:
+        raise EmptyChoiceList(f"indexed choice over an empty set (variable '{var}')")
+    if len(branches) == 1:
+        return branches[0]
+    return ExtChoice(branches) if term.op == "[]" else IntChoice(branches)
 
 
 # ---------------------------------------------------------------------------

@@ -200,3 +200,20 @@ def test_each_component_is_abstracted_once(monkeypatch):
     report = run_dpa(net)
     assert len(report.decomposition.checks) == len(net) - 1
     assert sorted(map(id, calls)) == sorted(id(c.compiled()) for c in net.components)
+
+
+def test_each_abstraction_is_judged_for_divergence_once(monkeypatch):
+    judged = []
+
+    def counting(lts):
+        judged.append(lts)
+        return stable_behaviours(lts)
+
+    monkeypatch.setattr(dpa.network, "stable_behaviours", counting)
+    net = _net(models.ring_buffer_source(4))
+    report = run_dpa(net)
+    # the hub takes part in every bridge check, and is still judged once
+    assert len(report.decomposition.checks) == len(net) - 1
+    assert sorted(map(id, judged)) == sorted(id(abs_lts(net, k)) for k in range(len(net)))
+    assert abs_divergent(net, 0) is abs_divergent(net, 0)
+    assert len(judged) == len(net)

@@ -11,7 +11,8 @@ from dpa import models
 from dpa.cli import main
 from dpa.dsl import elaborate, parse_descriptor, parse_network
 from dpa.events import event
-from dpa.network import communication_graph
+from dpa.lts import compile_term
+from dpa.network import CompileFailure, check_live, communication_graph
 from dpa.oracle import DeadlockWitness, explore_global, snapshot_graph
 from dpa.report import (
     INCONCLUSIVE,
@@ -39,7 +40,40 @@ def test_ring_buffer_proven_by_decomposition_alone():
     assert report.overall == PROVEN
     assert report.reasons == []
     assert report.decomposition.all_singular
-    assert set(report.timings) >= {"liveness", "bridges", "conflicts", "patterns"}
+    assert set(report.timings) >= {"compile", "liveness", "bridges", "conflicts", "patterns"}
+
+
+def test_components_compile_in_their_own_phase_in_order(monkeypatch):
+    import dpa.network
+    import dpa.report
+
+    phases = []
+
+    def live(net, limit):
+        phases.append("liveness")
+        return check_live(net, limit)
+
+    def compiling(env, term, limit):
+        phases.append("compile")
+        return compile_term(env, term, limit)
+
+    monkeypatch.setattr(dpa.report, "check_live", live)
+    monkeypatch.setattr(dpa.network, "compile_term", compiling)
+    net = net_of(models.ring_buffer_source(3))
+    report = run_dpa(net)
+    assert phases == ["compile"] * len(net) + ["liveness"]
+    assert list(report.timings)[:2] == ["compile", "liveness"]
+    # a compile error still names its component: here P.0 compiles and
+    # P.1 reads an unbound variable
+    broken = net_of(
+        "version 1\nchannel a : {0..1}\n"
+        "P(n) = (n == 1 & a.m -> STOP) [] a.n -> STOP\n"
+        "atom PA = alphabet {| a |} behaviour P(id)\n"
+        "instance P = PA {0..1}\n"
+    )
+    with pytest.raises(CompileFailure, match="unbound variable 'm'") as err:
+        run_dpa(broken)
+    assert err.value.component == "P.1"
 
 
 def test_philosophers_proven_by_pattern():
@@ -232,9 +266,12 @@ def test_cli_conflict_rejects_out_of_range_index(model_dir, capsys, index):
     ("Q = b -> Nope", "Q",
      "component 'P' failed to compile: no definition for Nope/0"),
     ("", "a.x -> STOP", "behaviour of 'P': unbound variable 'x'"),
+    ("Q = a?x -> (x == 1 & a.y -> Q [] b -> Q)", "Q",
+     "component 'P' failed to compile: unbound variable 'y'"),
     ("channel c\nQ = b -> c -> Q", "Q",
      "component 'P' has transitions outside the declared alphabet: c"),
-], ids=["unbound-variable", "undefined-process", "unbound-in-atom", "outside-alphabet"])
+], ids=["unbound-variable", "undefined-process", "unbound-in-atom", "unbound-in-one-branch",
+        "outside-alphabet"])
 def test_cli_model_mistake_exits_2(tmp_path, capsys, definition, behaviour, error):
     model = tmp_path / "mistake.net"
     model.write_text(
@@ -425,7 +462,7 @@ def test_cli_oracle_subcommand(model_dir, tmp_path, capsys):
     assert "deadlock after" in out
 
 
-def test_cli_bench_subcommand(capsys):
+def test_cli_bench_subcommand(capsys, monkeypatch):
     assert main(["bench", "philosophers:3:oracle=3"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["family"] == "philosophers"
@@ -438,6 +475,28 @@ def test_cli_bench_subcommand(capsys):
         runs.append(json.loads(capsys.readouterr().out)["rows"][0])
     assert runs[0]["context_states"] > 0
     assert runs[0]["context_states"] == runs[1]["context_states"]
+    # each repeat runs on a freshly built network
+    import dpa.bench
+
+    built = []
+    original = dpa.bench.build_family
+
+    def building(family, size):
+        built.append((family, size))
+        return original(family, size)
+
+    monkeypatch.setattr(dpa.bench, "build_family", building)
+    assert main(["bench", "ringbuffer:2,3", "--repeat", "2"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert built == [("ringbuffer", 2)] * 2 + [("ringbuffer", 3)] * 2
+    assert [r["size"] for r in rows] == [2, 3]
+    for row in rows:
+        assert 0 < row["dpa_seconds_min"] <= row["dpa_seconds"]
+        assert row["proven"] and row["context_states"] > 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "ringbuffer:3", "--repeat", "0"])
+    assert exc.value.code == 2
+    assert "--repeat: must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_oracle_witness_json_names_local_states(model_dir, tmp_path):

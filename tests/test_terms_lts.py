@@ -21,6 +21,7 @@ from dpa.terms import (
     Call,
     DefEnv,
     Definition,
+    DslValueError,
     EmptyChoiceList,
     EventTemplate,
     ExtChoice,
@@ -32,12 +33,14 @@ from dpa.terms import (
     IntChoice,
     Lit,
     Prefix,
+    Rename,
     Seq,
     SKIP,
     STOP,
     UnboundCall,
     Var,
     bind,
+    free_vars,
     pretty,
 )
 
@@ -141,6 +144,107 @@ def test_indexed_choice_binds_its_variable_once_per_value():
 def test_unbound_call():
     with pytest.raises(UnboundCall):
         compile_term(ENV, Call("Nope"))
+
+
+# ---------------------------------------------------------------------------
+# free variables and the binding memo
+
+
+def _choice(var, items, body, op="[]"):
+    return IndexedChoice(op, var, items, body)
+
+
+def _upto(hi):
+    return (("range", Lit(0), hi),)
+
+
+def _ev(head, *fields):
+    return EventTemplate(head, fields)
+
+
+X, Y = Var("x"), Var("y")
+
+
+def test_an_inner_input_shadows_the_outer_one():
+    net = elaborate(parse_network(
+        "version 1\nchannel c : {0..1}\nchannel d : {2..3}\nchannel e : {0..3}\n"
+        "atom PA = alphabet {| c, d, e |} behaviour c?x -> d?x -> e!x -> STOP\n"
+        "instance P = PA\n"
+    ))
+    lts = net[0].compiled()
+    after_c = {t for _l, t in lts.trans[lts.initial]}
+    assert len(after_c) == 1  # the inner choice does not read the outer x
+    (mid,) = after_c
+    ends = sorted(EVENTS.name(l) for _l, t in lts.trans[mid] for l, _ in lts.trans[t])
+    assert ends == ["e.2", "e.3"]
+    inner = _choice("x", _upto(Lit(1)), Prefix(_ev("e", X), STOP))
+    outer = _choice("x", _upto(Lit(1)), Prefix(_ev("c", X), inner))
+    assert free_vars(inner) == free_vars(outer) == ()
+    assert free_vars(Prefix(_ev("e", X), STOP)) == ("x",)
+
+
+@pytest.mark.parametrize("term, reads", [
+    # read only in an inner choice's set
+    (Prefix(_ev("a"), _choice("y", _upto(X), Prefix(_ev("b", Y), STOP))), ("x",)),
+    # only in a guard
+    (Guard(BinOp(">", X, Lit(0)), Prefix(_ev("a"), STOP)), ("x",)),
+    # only in a call argument
+    (Seq(SKIP, Call("P", (BinOp("+", X, Y),))), ("x", "y")),
+    # only in a hide or a rename template
+    (Hide(Prefix(_ev("a", Lit(0)), STOP), (_ev("a", X),)), ("x",)),
+    (Rename(Prefix(_ev("a", Lit(0)), STOP), ((_ev("a", Lit(0)), _ev("b", Y)),)), ("y",)),
+    # a function call reads its arguments, not its body's parameters
+    (Prefix(_ev("a", FunCall("f", (Y,))), STOP), ("y",)),
+    # the bound variable is not free, the set's variables are
+    (_choice("x", (("value", X),), Prefix(_ev("a", X), STOP)), ("x",)),
+    (Prefix(event("a.0"), STOP), ()),
+], ids=["inner-set", "guard", "call-argument", "hide", "rename", "function-call",
+        "choice-set", "ground"])
+def test_free_vars_and_memoised_binding_agree_with_the_reference(term, reads):
+    from test_bind_reference import reference_bind
+
+    assert free_vars(term) == reads
+    env = DefEnv(
+        [Definition("P", ("n",), Prefix(_ev("a", Var("n")), STOP))],
+        functions={"f": (("n",), BinOp("+", Var("n"), Lit(1)))},
+    )
+    # bind each choice under the memo, and again under other values of
+    # what it reads, against a fresh reference each time
+    memoised = _choice("z", _upto(Lit(1)), ExtChoice((term, Prefix(_ev("a", Var("z")), STOP))))
+    for values in [{"x": 0, "y": 1}, {"x": 1, "y": 1}, {"x": 1, "y": 0}, {"x": 0, "y": 1}]:
+        assert bind(memoised, values, env) is reference_bind(memoised, values, DefEnv(
+            env.definitions.values(), functions=env.functions
+        ))
+    assert len(env.bound) >= 1
+
+
+def test_a_constant_is_read_through_the_environment():
+    term = _choice("i", _upto(Var("N")), Prefix(_ev("a", Var("i")), STOP))
+    assert free_vars(term) == ("N",)
+    small, large = DefEnv(constants={"N": 0}), DefEnv(constants={"N": 1})
+    assert bind(term, {}, small) == Prefix(event("a.0"), STOP)
+    assert bind(term, {}, large) == ExtChoice(
+        (Prefix(event("a.0"), STOP), Prefix(event("a.1"), STOP))
+    )
+    # a bound name wins over the constant, and keys the memo apart
+    assert bind(term, {"N": 1}, small) is bind(term, {}, large)
+    assert {key[1] for key in small.bound} == {(None,), (1,)}
+
+
+def test_an_error_in_one_branch_is_raised_on_every_attempt():
+    guarded = Guard(BinOp("==", X, Lit(1)), Prefix(_ev("a", Y), STOP))
+    term = _choice("x", _upto(Lit(1)), ExtChoice((guarded, Prefix(_ev("a", X), STOP))))
+    env = DefEnv()
+    for _ in range(2):
+        with pytest.raises(GuardNotClosed, match="unbound variable 'y'"):
+            bind(term, {}, env)
+    assert all(key[0] is not term for key in env.bound)
+    assert bind(term, {"y": 0}, env) is bind(term, {"y": 0}, DefEnv())
+
+
+def test_free_vars_rejects_an_unknown_term():
+    with pytest.raises(DslValueError):
+        free_vars(object())
 
 
 def test_state_limit():
