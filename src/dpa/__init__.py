@@ -29,7 +29,6 @@ from .patterns import (
     CsDescriptor,
     RaDescriptor,
     check_pattern,
-    generate_spec,
     respects_order,
 )
 from .oracle import explore_global, find_ungranted_cycle, snapshot_graph

@@ -20,22 +20,27 @@ from .network import InputError
 from .oracle import explore_global
 from .report import PROVEN, run_dpa
 
-FAMILIES = ("philosophers", "ringbuffer", "leadership")
+# family -> (model source, descriptor source or None, least size that
+# builds a network of the family)
+_FAMILIES = {
+    "philosophers": (models.philosophers_source, models.philosophers_descriptor, 2),
+    "ringbuffer": (models.ring_buffer_source, None, 1),
+    "leadership": (models.leadership_source, models.leadership_descriptor, 2),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
+def _family(family: str):
+    if family not in _FAMILIES:
+        raise InputError(f"unknown family {family!r}; pick one of {FAMILIES}")
+    return _FAMILIES[family]
 
 
 def build_family(family: str, size: int):
     """Network + descriptors for one instance of a benchmark family."""
-    if family == "philosophers":
-        net = elaborate(parse_network(models.philosophers_source(size)))
-        descs = [parse_descriptor(models.philosophers_descriptor(size), net)]
-    elif family == "ringbuffer":
-        net = elaborate(parse_network(models.ring_buffer_source(size)))
-        descs = []
-    elif family == "leadership":
-        net = elaborate(parse_network(models.leadership_source(size)))
-        descs = [parse_descriptor(models.leadership_descriptor(size), net)]
-    else:
-        raise InputError(f"unknown family {family!r}; pick one of {FAMILIES}")
+    source, descriptor, _least = _family(family)
+    net = elaborate(parse_network(source(size)))
+    descs = [parse_descriptor(descriptor(size), net)] if descriptor else []
     return net, descs
 
 
@@ -70,13 +75,14 @@ def run_bench(
 
 
 def parse_bench_spec(spec: str):
-    """'family:3,5,10[:oracle=3,4]' -> (family, sizes, oracle_sizes)."""
+    """'family:3,5,10[:oracle=3,4]' -> (family, sizes, oracle_sizes).
+
+    The sizes must be non-empty and at least the family's least size, and
+    every oracle size must be among them."""
     parts = spec.split(":")
     family = parts[0]
-    if len(parts) < 2:
-        raise InputError("bench spec needs sizes, e.g. philosophers:3,5,10")
     try:
-        sizes = [int(s) for s in parts[1].split(",") if s]
+        sizes = [int(s) for s in parts[1].split(",") if s] if len(parts) > 1 else []
         oracle_sizes = []
         if len(parts) > 2:
             tail = parts[2]
@@ -85,4 +91,12 @@ def parse_bench_spec(spec: str):
             oracle_sizes = [int(s) for s in tail.split(",") if s]
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if not sizes:
+        raise InputError("bench spec needs sizes, e.g. philosophers:3,5,10")
+    _source, _descriptor, least = _family(family)
+    if min(sizes) < least:
+        raise InputError(f"{family} needs sizes of at least {least}, got {min(sizes)}")
+    extra = sorted(set(oracle_sizes) - set(sizes))
+    if extra:
+        raise InputError(f"oracle sizes {extra} are not among the sizes {sizes}")
     return family, sizes, oracle_sizes

@@ -131,7 +131,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (InputError, NotLive, FileNotFoundError, UnicodeDecodeError) as exc:
+    except (InputError, NotLive, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (StateLimitExceeded, CompileFailure) as exc:
@@ -160,6 +160,8 @@ def _dispatch(args) -> int:
         return EXIT_PROVEN
 
     net = load_network(args.model)
+    for warning in net.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
     if args.command == "check":
         descriptors = [load_descriptor(f, net) for f in args.pattern]

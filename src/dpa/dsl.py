@@ -75,8 +75,6 @@ from .terms import (
     bind,
     eval_expr,
     expr_vars,
-    fmt_expr,
-    pretty,
     set_values,
 )
 
@@ -689,11 +687,8 @@ class _Channels:
         )
 
     def __iter__(self):
-        for name, domains in self.domains.items():
-            out = [name]
-            for values in domains:
-                out = [f"{prefix}.{v}" for prefix in out for v in values]
-            yield from map(event, out)
+        for name in self.domains:
+            yield from self.completions(name, [])
 
     def completions(self, head, given_fields):
         """All events extending head with the given leading field values."""
@@ -1023,52 +1018,3 @@ _PARSERS = {
 def descriptor_echo(desc) -> str:
     """Readable role listing for review, in the style of a worked example."""
     return "\n".join([f"pattern: {desc.pattern}"] + desc.echo_lines())
-
-
-# ---------------------------------------------------------------------------
-# network emission (round-tripping)
-
-
-def emit_network(net: Network, decl_env: DefEnv | None = None) -> str:
-    """Print an elaborated network back as a parseable model; definitions
-    come out symbolically, components as singleton instances with exact
-    alphabets."""
-    env = decl_env
-    if env is None:
-        for c in net.components:
-            if c.env is not None:
-                env = c.env
-                break
-    lines = [f"version {SCHEMA_VERSION}"]
-    if env is not None:
-        for name, value in sorted(env.constants.items()):
-            lines.append(f"const {name} = {value}")
-    by_channel = {}
-    for e in sorted(net.sigma):
-        parts = EVENTS.name(e).split(".")
-        head = parts[0]
-        fields = tuple(int(p) for p in parts[1:])
-        by_channel.setdefault((head, len(fields)), set()).add(fields)
-    for (head, arity), combos in sorted(by_channel.items()):
-        if arity == 0:
-            lines.append(f"channel {head}")
-            continue
-        domains = [sorted({c[i] for c in combos}) for i in range(arity)]
-        rendered = ".".join("{" + ", ".join(str(v) for v in d) + "}" for d in domains)
-        lines.append(f"channel {head} : {rendered}")
-    if env is not None:
-        for name, (params, body) in sorted(env.functions.items()):
-            lines.append(f"fun {name}({', '.join(params)}) = {fmt_expr(body)}")
-        for (name, _arity), d in sorted(env.definitions.items()):
-            params = f"({', '.join(d.params)})" if d.params else ""
-            lines.append(f"{name}{params} = {pretty(d.body)}")
-    for idx, comp in enumerate(net.components):
-        if comp.term is None:
-            raise ValueError(f"component '{comp.name}' has no term to print")
-        atom = f"C{idx}"
-        alpha = ", ".join(EVENTS.names(comp.alphabet))
-        lines.append(
-            f"atom {atom} = alphabet {{ {alpha} }} behaviour {pretty(comp.term)}"
-        )
-        lines.append(f"instance {comp.name} = {atom}")
-    return "\n".join(lines) + "\n"

@@ -78,9 +78,6 @@ class Lts:
     def taus(self, s):
         return [t for (l, t) in self.trans[s] if l == TAU]
 
-    def is_stable(self, s) -> bool:
-        return all(l != TAU for (l, _) in self.trans[s])
-
     def has_tick(self, s) -> bool:
         return any(l == TICK for (l, _) in self.trans[s])
 

@@ -185,25 +185,6 @@ def explore_global(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
     return DeadlockFree(explored)
 
 
-def iter_reachable(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
-    """Yield reachable global states (with traces) up to the limit."""
-    prod = _Product(net, state_limit)
-    start = prod.initial
-    seen = {start: ()}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        trace = seen[state]
-        moves = prod.moves(state)
-        yield GlobalState(state, all(e != TAU for e, _ in moves), trace)
-        for e, nxt in moves:
-            if nxt not in seen:
-                if len(seen) >= state_limit:
-                    return
-                seen[nxt] = trace if e == TAU else trace + (e,)
-                queue.append(nxt)
-
-
 @dataclass
 class SnapshotGraph:
     n: int

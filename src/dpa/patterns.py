@@ -397,8 +397,6 @@ class CsDescriptor:
 
     def server_requests_spec(self, net, name):
         # the choice of non-server events ranges over the component alphabet
-        if net is None:
-            raise ValueError("the server-requests role needs the network")
         s_evts = self.server_requests(name)
         other = _alpha(net, name) - s_evts
         env = DefEnv()
@@ -669,9 +667,6 @@ class AdDescriptor:
         return lines
 
 
-server_requests_spec = CsDescriptor.server_requests_spec
-
-
 # ---------------------------------------------------------------------------
 # running a descriptor's obligations
 
@@ -687,19 +682,6 @@ def check_structural(desc, net: Network, scope) -> list:
             )
         net.index_of(name)
     return desc.structural(net, scope)
-
-
-def generate_spec(desc, role: str, name: str, net: Network | None = None):
-    """Characteristic process for one component in one role.
-
-    Returns (env, term); the pair compiles to the specification the
-    component's abstraction must refine.  The server-requests role needs
-    the network.
-    """
-    if role not in desc.roles:
-        raise ValueError(f"role {role!r} is not valid for {desc.pattern}")
-    _spec_name, _model, build = desc.roles[role]
-    return build(desc, net, name)
 
 
 @dataclass

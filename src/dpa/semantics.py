@@ -55,9 +55,6 @@ class StableInfo:
     acceptance: list  # visible initials + TICK for stable states, else None
     divergent: list  # state lies on an internal-transition cycle
 
-    def stable_members(self, s):
-        return [m for m in self.tau_closure[s] if self.stable[m]]
-
 
 def stable_behaviours(lts: Lts) -> StableInfo:
     """Tau-closures, stable acceptances and divergence flags, per state.
@@ -384,51 +381,3 @@ def _pair_trace(visited, pair):
             trace.append(l)
     trace.reverse()
     return tuple(trace)
-
-
-# ---------------------------------------------------------------------------
-# counterexample replay
-
-
-def replay(impl: Lts, ce: Counterexample) -> bool:
-    """Re-execute a counterexample trace on the implementation and confirm it
-    reaches a configuration witnessing the reported violation."""
-    current = _closure(impl, {impl.initial})
-    for e in ce.trace:
-        nxt = set()
-        for s in current:
-            nxt.update(impl.successors(s, e))
-        if not nxt:
-            return False
-        current = _closure(impl, nxt)
-    if ce.kind == TRACE_VIOLATION:
-        if ce.event == TICK:
-            return any(impl.has_tick(s) for s in current)
-        return any(ce.event in impl.visible_initials(s) for s in current)
-    for s in current:
-        acc = impl.visible_initials(s)
-        tick = impl.has_tick(s)
-        if ce.kind == REFUSAL_VIOLATION and tick and ce.acceptance == {TICK}:
-            return True
-        if not impl.is_stable(s):
-            continue
-        if ce.kind == DEADLOCK_VIOLATION and not acc and not tick:
-            return True
-        if ce.kind == REFUSAL_VIOLATION and not tick and acc == ce.acceptance:
-            return True
-        if ce.kind == REVIVAL_VIOLATION and not tick:
-            if ce.event in acc and acc == ce.acceptance:
-                return True
-    return False
-
-
-def _closure(lts, states):
-    seen = set(states)
-    stack = list(states)
-    while stack:
-        s = stack.pop()
-        for t in lts.taus(s):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen

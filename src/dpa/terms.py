@@ -550,7 +550,7 @@ def _bind_choice(term: IndexedChoice, bindings: dict, env: DefEnv) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# pretty printing (diagnostics and network round-tripping)
+# pretty printing (diagnostics and state names)
 
 
 def _fmt_event(ev) -> str:

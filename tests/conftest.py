@@ -1,11 +1,22 @@
-"""Shared fixtures and random-model generators for the test suite."""
+"""Shared fixtures, random-model generators and the reference helpers that
+more than one test file reads: counterexample replay, the plain product
+BFS's reachable states and a role's characteristic process."""
 
 import random
+from collections import deque
 
 import pytest
 
-from dpa.events import event
+from dpa.events import TICK, event
+from dpa.lts import DEFAULT_STATE_LIMIT
 from dpa.network import Component, Network
+from dpa.oracle import GlobalState
+from dpa.semantics import (
+    DEADLOCK_VIOLATION,
+    REFUSAL_VIOLATION,
+    REVIVAL_VIOLATION,
+    TRACE_VIOLATION,
+)
 from dpa.terms import (
     Call,
     DefEnv,
@@ -192,3 +203,135 @@ def random_live_network(rng: random.Random, max_components=4, max_states=5):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# ---------------------------------------------------------------------------
+# counterexample replay
+
+
+def replay(impl, ce) -> bool:
+    """Re-execute a counterexample trace on the implementation and confirm it
+    reaches a configuration witnessing the reported violation."""
+    current = _closure(impl, {impl.initial})
+    for e in ce.trace:
+        nxt = set()
+        for s in current:
+            nxt.update(impl.successors(s, e))
+        if not nxt:
+            return False
+        current = _closure(impl, nxt)
+    if ce.kind == TRACE_VIOLATION:
+        if ce.event == TICK:
+            return any(impl.has_tick(s) for s in current)
+        return any(ce.event in impl.visible_initials(s) for s in current)
+    for s in current:
+        acc = impl.visible_initials(s)
+        tick = impl.has_tick(s)
+        if ce.kind == REFUSAL_VIOLATION and tick and ce.acceptance == {TICK}:
+            return True
+        if impl.taus(s):
+            continue
+        if ce.kind == DEADLOCK_VIOLATION and not acc and not tick:
+            return True
+        if ce.kind == REFUSAL_VIOLATION and not tick and acc == ce.acceptance:
+            return True
+        if ce.kind == REVIVAL_VIOLATION and not tick:
+            if ce.event in acc and acc == ce.acceptance:
+                return True
+    return False
+
+
+def _closure(lts, states):
+    seen = set(states)
+    stack = list(states)
+    while stack:
+        s = stack.pop()
+        for t in lts.taus(s):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# reference: the plain product BFS, which tests every owned event against
+# every owner at every global state
+
+
+class ReferenceProduct:
+    def __init__(self, net, limit):
+        ltss = [c.compiled(max(limit, DEFAULT_STATE_LIMIT)) for c in net.components]
+        self.taus = [[lts.taus(s) for s in range(lts.n_states)] for lts in ltss]
+        self.vis = [
+            [{e: lts.successors(s, e) for e in lts.visible_initials(s)}
+             for s in range(lts.n_states)]
+            for lts in ltss
+        ]
+        self.tick = [[lts.has_tick(s) for s in range(lts.n_states)] for lts in ltss]
+        self.owners = {}
+        for i, c in enumerate(net.components):
+            for e in c.alphabet:
+                self.owners.setdefault(e, []).append(i)
+        self.initial = tuple(lts.initial for lts in ltss)
+
+    def moves(self, state):
+        out = []
+        for i, s in enumerate(state):
+            for t in self.taus[i][s]:
+                nxt = list(state)
+                nxt[i] = t
+                out.append((None, tuple(nxt)))
+        for e in self.enabled_events(state):
+            succs = [list(state)]
+            for i in self.owners[e]:
+                expanded = []
+                for base in succs:
+                    for t in self.vis[i][state[i]][e]:
+                        nxt = list(base)
+                        nxt[i] = t
+                        expanded.append(nxt)
+                succs = expanded
+            out.extend((e, tuple(s)) for s in succs)
+        return out
+
+    def enabled_events(self, state):
+        return sorted(
+            e for e, owners in self.owners.items()
+            if all(e in self.vis[i][state[i]] for i in owners)
+        )
+
+    def is_stable(self, state):
+        return all(not self.taus[i][s] for i, s in enumerate(state))
+
+    def all_tick(self, state):
+        return all(self.tick[i][s] for i, s in enumerate(state))
+
+
+def reference_reachable(net, state_limit=DEFAULT_STATE_LIMIT):
+    """Yield the reachable global states, each with a shortest trace, in BFS
+    order, until the limit is met."""
+    prod = ReferenceProduct(net, state_limit)
+    seen = {prod.initial: ()}
+    queue = deque([prod.initial])
+    while queue:
+        state = queue.popleft()
+        trace = seen[state]
+        yield GlobalState(state, prod.is_stable(state), trace)
+        for e, nxt in prod.moves(state):
+            if nxt not in seen:
+                if len(seen) >= state_limit:
+                    return
+                seen[nxt] = trace if e is None else trace + (e,)
+                queue.append(nxt)
+
+
+# ---------------------------------------------------------------------------
+# characteristic processes
+
+
+def generate_spec(desc, role, name):
+    """``(env, term)`` of one component's characteristic process in one of
+    the descriptor's roles; the roles that read the network are called on
+    the descriptor directly."""
+    _spec_name, _model, build = desc.roles[role]
+    return build(desc, None, name)

@@ -16,7 +16,7 @@ import random
 import pytest
 
 import dpa.network
-from conftest import random_live_network
+from conftest import random_live_network, replay
 from dpa import models
 from dpa.decomposition import build_context, check_conflict_free
 from dpa.dsl import elaborate, parse_descriptor, parse_network
@@ -25,7 +25,7 @@ from dpa.lts import Lts, bisim_quotient, hide_lts
 from dpa.network import Network, abs_divergent, abs_lts, communication_graph
 from dpa.patterns import check_behavioural
 from dpa.report import run_dpa
-from dpa.semantics import replay, stable_behaviours
+from dpa.semantics import stable_behaviours
 
 
 def uncompressed(net):

@@ -5,7 +5,14 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import ev3, random_env, random_live_network, random_plain_term, random_term
+from conftest import (
+    ev3,
+    random_env,
+    random_live_network,
+    random_plain_term,
+    random_term,
+    replay,
+)
 from denotational import denotational_oracle, diff_behaviours, lts_behaviours
 
 from dpa import models
@@ -19,7 +26,7 @@ from dpa.oracle import (
     snapshot_graph,
 )
 from dpa.report import INCONCLUSIVE, PROVEN, run_dpa
-from dpa.semantics import FAILURES, REVIVALS, normalize, refines, replay
+from dpa.semantics import FAILURES, REVIVALS, normalize, refines
 from dpa.terms import DefEnv
 
 

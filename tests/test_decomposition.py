@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import replay
 from dpa import models
 from dpa.decomposition import (
     CONFLICT_FREE,
@@ -16,7 +17,7 @@ from dpa.decomposition import (
 from dpa.dsl import elaborate, parse_network
 from dpa.events import EVENTS, event
 from dpa.network import CommGraph, Component, InputError, Network, NotLive
-from dpa.semantics import REVIVAL_VIOLATION, replay
+from dpa.semantics import REVIVAL_VIOLATION
 from dpa.terms import Call, DefEnv, Definition, Prefix, STOP
 
 

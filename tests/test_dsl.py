@@ -3,18 +3,18 @@ import pytest
 from denotational import diff_behaviours, lts_behaviours
 from dpa import models
 from dpa.dsl import (
+    SCHEMA_VERSION,
     DuplicateInSchedule,
     ParseError,
     UnknownEvent,
     descriptor_echo,
     elaborate,
-    emit_network,
     parse_descriptor,
     parse_network,
 )
 from dpa.events import EVENTS, event
 from dpa.patterns import UnknownComponent
-from dpa.terms import Call, Prefix, pretty
+from dpa.terms import Call, Prefix, fmt_expr, pretty
 
 
 def net_of(src):
@@ -257,6 +257,43 @@ def test_hiding_renaming_interrupt_parse_and_compile():
     )
     hidden = net_of(hidden_src)[0].compiled()
     assert names(hidden.visible_events()) == ["b"]
+
+
+def emit_network(net):
+    """Print an elaborated network back as a parseable model; definitions
+    come out symbolically, components as singleton instances with exact
+    alphabets."""
+    env = next((c.env for c in net.components if c.env is not None), None)
+    lines = [f"version {SCHEMA_VERSION}"]
+    if env is not None:
+        for name, value in sorted(env.constants.items()):
+            lines.append(f"const {name} = {value}")
+    by_channel = {}
+    for e in sorted(net.sigma):
+        parts = EVENTS.name(e).split(".")
+        head = parts[0]
+        fields = tuple(int(p) for p in parts[1:])
+        by_channel.setdefault((head, len(fields)), set()).add(fields)
+    for (head, arity), combos in sorted(by_channel.items()):
+        if arity == 0:
+            lines.append(f"channel {head}")
+            continue
+        domains = [sorted({c[i] for c in combos}) for i in range(arity)]
+        rendered = ".".join("{" + ", ".join(str(v) for v in d) + "}" for d in domains)
+        lines.append(f"channel {head} : {rendered}")
+    if env is not None:
+        for name, (params, body) in sorted(env.functions.items()):
+            lines.append(f"fun {name}({', '.join(params)}) = {fmt_expr(body)}")
+        for (name, _arity), d in sorted(env.definitions.items()):
+            params = f"({', '.join(d.params)})" if d.params else ""
+            lines.append(f"{name}{params} = {pretty(d.body)}")
+    for idx, comp in enumerate(net.components):
+        alpha = ", ".join(EVENTS.names(comp.alphabet))
+        lines.append(
+            f"atom C{idx} = alphabet {{ {alpha} }} behaviour {pretty(comp.term)}"
+        )
+        lines.append(f"instance {comp.name} = C{idx}")
+    return "\n".join(lines) + "\n"
 
 
 def test_round_trip_through_emission():

@@ -1,5 +1,5 @@
 import pytest
-from conftest import random_live_network
+from conftest import random_live_network, reference_reachable
 
 from dpa import models
 from dpa.dsl import elaborate, parse_network
@@ -13,7 +13,7 @@ from dpa.network import (
     check_live,
     communication_graph,
 )
-from dpa.oracle import DeadlockFree, explore_global, iter_reachable, snapshot_graph
+from dpa.oracle import DeadlockFree, explore_global, snapshot_graph
 from dpa.terms import Call, DefEnv, Definition, Prefix, STOP
 
 
@@ -121,7 +121,7 @@ def test_snapshot_arcs_stay_inside_communication_graph(rng):
         net = random_live_network(rng)
         graph = communication_graph(net)
         count = 0
-        for state in iter_reachable(net, state_limit=4000):
+        for state in reference_reachable(net, state_limit=4000):
             if not state.stable:
                 continue
             snap = snapshot_graph(net, state)

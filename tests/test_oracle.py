@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from conftest import random_live_network
+from conftest import ReferenceProduct, random_live_network, reference_reachable
 from dpa import models
 from dpa.dsl import elaborate, parse_network
 from dpa.events import EVENTS, TAU, TICK
@@ -17,7 +17,6 @@ from dpa.oracle import (
     UnstableState,
     explore_global,
     find_ungranted_cycle,
-    iter_reachable,
     snapshot_graph,
 )
 
@@ -78,7 +77,7 @@ def test_snapshot_of_symmetric_deadlock_is_the_six_cycle():
 def test_ring_buffer_has_no_mutual_controller_cell_arcs():
     net = net_of(models.ring_buffer_source(3))
     checked = 0
-    for state in iter_reachable(net, state_limit=10_000):
+    for state in reference_reachable(net, state_limit=10_000):
         if not state.stable:
             continue
         snap = snapshot_graph(net, state)
@@ -91,7 +90,7 @@ def test_ring_buffer_has_no_mutual_controller_cell_arcs():
 def test_non_vocabulary_offers_produce_no_arcs():
     # a component offering only a private event is not requesting anything
     net = net_of(models.philosophers_source(3, symmetric=True))
-    init = next(iter_reachable(net, state_limit=1))
+    init = next(reference_reachable(net, state_limit=1))
     assert init.stable
     snap = snapshot_graph(net, init)
     # initially the philosophers offer sit.i (private): no arcs from them
@@ -103,7 +102,7 @@ def test_snapshot_requires_stable_state():
     # the election layer has internal choices, hence unstable global states
     net = net_of(models.leadership_source(2))
     unstable = None
-    for state in iter_reachable(net, state_limit=2000):
+    for state in reference_reachable(net, state_limit=2000):
         if not state.stable:
             unstable = state
             break
@@ -155,61 +154,11 @@ def test_every_deadlock_yields_blocked_components_and_a_cycle(rng):
 
 
 # ---------------------------------------------------------------------------
-# reference: the plain product BFS, which tests every owned event against
-# every owner at every global state
-
-
-class _ReferenceProduct:
-    def __init__(self, net, limit):
-        ltss = [c.compiled(max(limit, DEFAULT_STATE_LIMIT)) for c in net.components]
-        self.taus = [[lts.taus(s) for s in range(lts.n_states)] for lts in ltss]
-        self.vis = [
-            [{e: lts.successors(s, e) for e in lts.visible_initials(s)}
-             for s in range(lts.n_states)]
-            for lts in ltss
-        ]
-        self.tick = [[lts.has_tick(s) for s in range(lts.n_states)] for lts in ltss]
-        self.owners = {}
-        for i, c in enumerate(net.components):
-            for e in c.alphabet:
-                self.owners.setdefault(e, []).append(i)
-        self.initial = tuple(lts.initial for lts in ltss)
-
-    def moves(self, state):
-        out = []
-        for i, s in enumerate(state):
-            for t in self.taus[i][s]:
-                nxt = list(state)
-                nxt[i] = t
-                out.append((None, tuple(nxt)))
-        for e in self.enabled_events(state):
-            succs = [list(state)]
-            for i in self.owners[e]:
-                expanded = []
-                for base in succs:
-                    for t in self.vis[i][state[i]][e]:
-                        nxt = list(base)
-                        nxt[i] = t
-                        expanded.append(nxt)
-                succs = expanded
-            out.extend((e, tuple(s)) for s in succs)
-        return out
-
-    def enabled_events(self, state):
-        return sorted(
-            e for e, owners in self.owners.items()
-            if all(e in self.vis[i][state[i]] for i in owners)
-        )
-
-    def is_stable(self, state):
-        return all(not self.taus[i][s] for i, s in enumerate(state))
-
-    def all_tick(self, state):
-        return all(self.tick[i][s] for i, s in enumerate(state))
+# reference: the plain product BFS over conftest.ReferenceProduct
 
 
 def _reference_explore(net, state_limit=DEFAULT_STATE_LIMIT):
-    prod = _ReferenceProduct(net, state_limit)
+    prod = ReferenceProduct(net, state_limit)
     parents = {prod.initial: None}
     queue = deque([prod.initial])
     explored = 0
@@ -234,22 +183,6 @@ def _reference_explore(net, state_limit=DEFAULT_STATE_LIMIT):
                 parents[nxt] = (state, e)
                 queue.append(nxt)
     return DeadlockFree(explored)
-
-
-def _reference_reachable(net, state_limit=DEFAULT_STATE_LIMIT):
-    prod = _ReferenceProduct(net, state_limit)
-    seen = {prod.initial: ()}
-    queue = deque([prod.initial])
-    while queue:
-        state = queue.popleft()
-        trace = seen[state]
-        yield GlobalState(state, prod.is_stable(state), trace)
-        for e, nxt in prod.moves(state):
-            if nxt not in seen:
-                if len(seen) >= state_limit:
-                    return
-                seen[nxt] = trace if e is None else trace + (e,)
-                queue.append(nxt)
 
 
 def _corpus(group):
@@ -298,12 +231,4 @@ def test_explore_global_matches_reference(group):
             assert explore_global(net, limit) == expected
             kinds.add(type(expected).__name__)
     assert "LimitReached" in kinds and "DeadlockFree" in kinds
-
-
-@pytest.mark.parametrize("group", GROUPS)
-def test_iter_reachable_matches_reference(group):
-    for net in _corpus(group):
-        for limit in LIMITS:
-            assert list(iter_reachable(net, limit)) == list(
-                _reference_reachable(net, limit))
 

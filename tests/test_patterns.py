@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import generate_spec
 from dpa import models
 from dpa.dsl import elaborate, parse_descriptor, parse_network
 from dpa.events import EVENTS, event
@@ -12,9 +13,7 @@ from dpa.patterns import (
     check_behavioural,
     check_pattern,
     check_structural,
-    generate_spec,
     respects_order,
-    server_requests_spec,
 )
 from dpa.semantics import FAILURES, normalize, refines
 
@@ -174,7 +173,7 @@ def test_requests_responses_spec_rejects_unconnected_component():
 def test_server_requests_spec_offers_all_server_events():
     net = elaborate(parse_network(models.client_server_source()))
     desc = parse_descriptor(models.client_server_descriptor(), net)
-    env, term = server_requests_spec(desc, net, "C0")
+    env, term = desc.server_requests_spec(net, "C0")
     lts = compile_term(env, term)
     spec = normalize(lts, universe=net.sigma)
     init = spec.states[0]

@@ -3,15 +3,15 @@ are oracle-deadlock-free, generated specifications stay small."""
 
 import pytest
 
-from conftest import random_plain_term
+from conftest import generate_spec, random_plain_term, replay
 
 from dpa import models
 from dpa.dsl import elaborate, parse_descriptor, parse_network
 from dpa.events import event
 from dpa.lts import compile_term
 from dpa.oracle import DeadlockFree, explore_global
-from dpa.patterns import check_pattern, generate_spec, server_requests_spec
-from dpa.semantics import FAILURES, REVIVALS, normalize, refines, replay
+from dpa.patterns import check_pattern
+from dpa.semantics import FAILURES, REVIVALS, normalize, refines
 from dpa.terms import DefEnv
 
 ENV = DefEnv()
@@ -117,7 +117,7 @@ def test_generated_specs_are_deterministic_and_small():
 
     cs = net_of(models.client_server_source())
     csd = parse_descriptor(models.client_server_descriptor(), cs)
-    env, term = server_requests_spec(csd, cs, "C0")
+    env, term = csd.server_requests_spec(cs, "C0")
     assert compile_term(env, term).n_states <= 10 * 4
 
 

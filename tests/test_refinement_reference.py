@@ -12,7 +12,7 @@ from collections import deque
 
 import pytest
 
-from conftest import ev3, random_env, random_live_network, random_term
+from conftest import ev3, random_env, random_live_network, random_term, replay
 from dpa import decomposition, models, patterns
 from dpa.decomposition import check_conflict_free
 from dpa.dsl import elaborate, parse_descriptor, parse_network
@@ -35,7 +35,6 @@ from dpa.semantics import (
     _pair_trace,
     normalize,
     refines,
-    replay,
     stable_behaviours,
 )
 from dpa.terms import DefEnv, ExtChoice, IntChoice, Prefix, STOP

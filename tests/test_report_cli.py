@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -216,6 +217,48 @@ def test_cli_input_error_exit_code(model_dir, tmp_path, capsys):
     assert main(["check", str(model_dir / "nope.net")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_filesystem_mistakes_exit_2_with_one_line(model_dir, tmp_path, capsys):
+    model = str(model_dir / "ringbuffer.net")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+
+    def line(cls, code, path):
+        return f"error: {cls(code, os.strerror(code), str(path))}\n"
+
+    for argv, expected in [
+        (["check", str(model_dir / "nope.net")],
+         line(FileNotFoundError, errno.ENOENT, model_dir / "nope.net")),
+        (["check", str(tmp_path)], line(IsADirectoryError, errno.EISDIR, tmp_path)),
+        (["check", model, "--json", str(tmp_path)],
+         line(IsADirectoryError, errno.EISDIR, tmp_path)),
+        (["decompose", model, "--dot-dir", str(a_file)],
+         line(FileExistsError, errno.EEXIST, a_file)),
+    ]:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == expected
+
+
+def test_cli_prints_elaboration_warnings(tmp_path, capsys):
+    model = tmp_path / "empty_ids.net"
+    model.write_text(
+        "version 1\nchannel a\nP = a -> P\n"
+        "atom PA = alphabet {| a |} behaviour P\n"
+        "instance P = PA\ninstance X = PA {1..0}\n"
+    )
+    quiet = tmp_path / "quiet.net"
+    quiet.write_text(model.read_text().replace("instance X = PA {1..0}\n", ""))
+    for command in ("check", "decompose", "oracle"):
+        runs = []
+        for path in (model, quiet):
+            code = main([command, str(path)])
+            captured = capsys.readouterr()
+            runs.append((code, captured.out.replace(str(path), "MODEL"), captured.err))
+        (code, out, err), (quiet_code, quiet_out, quiet_err) = runs
+        assert (code, out) == (quiet_code, quiet_out)
+        assert quiet_err == ""
+        assert err == "warning: instance 'X' has an empty id set\n"
 
 
 def test_cli_decompose_and_dot_output(model_dir, tmp_path, capsys):
@@ -498,6 +541,31 @@ def test_cli_bench_subcommand(capsys, monkeypatch):
     assert exc.value.code == 2
     assert "--repeat: must be at least 1, got 0" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("spec, error", [
+    ("ringbuffer:0", "ringbuffer needs sizes of at least 1, got 0"),
+    ("ringbuffer:-1", "ringbuffer needs sizes of at least 1, got -1"),
+    ("philosophers:0", "philosophers needs sizes of at least 2, got 0"),
+    ("philosophers:3,1", "philosophers needs sizes of at least 2, got 1"),
+    ("leadership:1", "leadership needs sizes of at least 2, got 1"),
+    ("philosophers:2:oracle=5", "oracle sizes [5] are not among the sizes [2]"),
+    ("ringbuffer:", "bench spec needs sizes, e.g. philosophers:3,5,10"),
+], ids=["ringbuffer-0", "ringbuffer-negative", "philosophers-0", "philosophers-1-of-two",
+        "leadership-1", "oracle-size-not-listed", "empty-size-list"])
+def test_cli_bench_rejects_sizes_that_build_no_family_network(capsys, spec, error):
+    assert main(["bench", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+def test_cli_bench_runs_each_family_at_its_least_size(capsys):
+    for spec in ("ringbuffer:1", "philosophers:2:oracle=2", "leadership:2:oracle=2"):
+        assert main(["bench", spec]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["proven"] is True
+        assert row.get("oracle_result", "DeadlockFree") == "DeadlockFree"
 
 def test_oracle_witness_json_names_local_states(model_dir, tmp_path):
     sym = str(model_dir / "philosophers_symmetric.net")

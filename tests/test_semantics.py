@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import replay
 from dpa.events import event
 from dpa.lts import compile_term
 from dpa.semantics import (
@@ -12,7 +13,6 @@ from dpa.semantics import (
     TRACE_VIOLATION,
     normalize,
     refines,
-    replay,
     stable_behaviours,
 )
 from dpa.terms import (
@@ -42,7 +42,7 @@ def test_internal_choice_stable_members():
     lts = compile_term(ENV, IntChoice((Prefix(A, STOP), Prefix(B, STOP))))
     info = stable_behaviours(lts)
     assert not info.stable[lts.initial]
-    accs = {info.acceptance[m] for m in info.stable_members(lts.initial)}
+    accs = {info.acceptance[m] for m in info.tau_closure[lts.initial] if info.stable[m]}
     assert accs == {frozenset({A}), frozenset({B})}
 
 

@@ -3,6 +3,7 @@ import pickle
 
 import pytest
 
+from conftest import generate_spec
 from denotational import diff_behaviours, lts_behaviours
 from dpa import models
 from dpa.dsl import _InputPrefix, elaborate, parse_descriptor, parse_network
@@ -15,7 +16,6 @@ from dpa.lts import (
     hide_lts,
     parallel_lts,
 )
-from dpa.patterns import generate_spec
 from dpa.terms import (
     BinOp,
     Call,
