@@ -244,6 +244,29 @@ class NetworkDecl:
 # ---------------------------------------------------------------------------
 # parser
 
+# Binary expression operators by level, loosest first.  Prefix ``not`` sits
+# between ``and`` and the comparisons, unary ``-`` binds tightest, and
+# comparisons do not chain.
+_OR, _AND, _NOT, _CMP, _ADD, _MUL, _UNARY = range(1, 8)
+_EXPR_OPS = {
+    "or": _OR, "and": _AND,
+    "==": _CMP, "!=": _CMP, "<=": _CMP, ">=": _CMP, "<": _CMP, ">": _CMP,
+    "+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "%": _MUL,
+}
+# Process operators, loosest first: operator -> (level, node, n-ary).  The
+# choices flatten into one node; interrupt and sequence fold left.
+_PROCESS_OPS = {
+    "|~|": (1, IntChoice, True),
+    "[]": (2, ExtChoice, True),
+    "/\\": (3, Interrupt, False),
+    ";": (4, Seq, False),
+}
+# What a guard condition or an event may hold besides names, numbers,
+# parentheses and the commas between a call's arguments.
+_OPERAND_OPS = frozenset(_EXPR_OPS) | {"not", ".", "!", "?"}
+_CONSTANT_PROCESSES = {"STOP": STOP, "SKIP": SKIP, "DIV": DIV}
+_DECLARATION_KEYWORDS = ("version", "const", "channel", "fun", "atom", "instance")
+
 
 class Parser:
     def __init__(self, tokens):
@@ -254,35 +277,43 @@ class Parser:
     # -- machinery --
 
     def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        """Unchecked: callers stay between the first token and ``eof``."""
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def at(self, kind, text=None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def accept(self, kind, text=None):
-        if self.at(kind, text):
-            return self.next()
-        return None
+        return self.next() if self.at(kind, text) else None
 
     def expect(self, kind, text=None) -> Token:
-        tok = self.peek()
         if self.at(kind, text):
             return self.next()
-        want = text or kind
-        raise _Bail(Diagnostic(tok.line, tok.col, f"expected {want!r}, found {tok.text!r}"))
+        self.fail(repr(text or kind))
+
+    def fail(self, what):
+        tok = self.tokens[self.pos]
+        raise _Bail(Diagnostic(tok.line, tok.col, f"expected {what}, found {tok.text!r}"))
 
     def comma_list(self, item) -> list:
         """``item (, item)*``, each parsed by calling ``item()``."""
         items = [item()]
         while self.accept("op", ","):
             items.append(item())
+        return items
+
+    def enclosed(self, opening, item, closing) -> list:
+        """``opening item (, item)* closing``."""
+        self.expect("op", opening)
+        items = self.comma_list(item)
+        self.expect("op", closing)
         return items
 
     def ident(self) -> str:
@@ -303,14 +334,15 @@ class Parser:
         return decl
 
     def recover(self):
-        """Skip to the next plausible declaration start."""
+        """Skip to the next plausible declaration start: a declaration
+        keyword, or a name that opens a line and is followed by ``(`` or
+        ``=`` (further along a line, ``Q(0)`` is a call)."""
         while not self.at("eof"):
             tok = self.peek()
-            if tok.kind == "kw" and tok.text in (
-                "version", "const", "channel", "fun", "atom", "instance",
-            ):
+            if tok.kind == "kw" and tok.text in _DECLARATION_KEYWORDS:
                 return
-            if tok.kind == "ident" and self.peek(1).text in ("(", "="):
+            starts_line = self.pos == 0 or self.peek(-1).line < tok.line
+            if tok.kind == "ident" and starts_line and self.peek(1).text in ("(", "="):
                 return
             self.next()
 
@@ -335,9 +367,7 @@ class Parser:
             decl.channels.append(ChannelDecl(name, fields))
         elif self.accept("kw", "fun"):
             name = self.ident()
-            self.expect("op", "(")
-            params = self.comma_list(self.ident)
-            self.expect("op", ")")
+            params = self.enclosed("(", self.ident, ")")
             self.expect("op", "=")
             decl.functions.append((name, params, self.int_expr()))
         elif self.accept("kw", "atom"):
@@ -356,17 +386,12 @@ class Parser:
             decl.instances.append(InstanceDecl(name, atom, ids))
         elif tok.kind == "ident":
             name = self.next().text
-            params = []
-            if self.accept("op", "("):
-                params = self.comma_list(self.ident)
-                self.expect("op", ")")
+            params = self.enclosed("(", self.ident, ")") if self.at("op", "(") else []
             self.expect("op", "=")
             body = self.process()
             decl.process_defs.append(Definition(name, tuple(params), body))
         else:
-            raise _Bail(
-                Diagnostic(tok.line, tok.col, f"expected a declaration, found {tok.text!r}")
-            )
+            self.fail("a declaration")
 
     def instance_name(self) -> str:
         parts = [self.ident()]
@@ -389,63 +414,35 @@ class Parser:
 
     def alphabet_expr(self):
         """A {| e1, e2 |} extension list or a { e1, e2 } exact event list."""
-        if self.accept("op", "{|"):
-            items = self.comma_list(self.event_template)
-            self.expect("op", "|}")
-            return [("extend", t) for t in items]
-        self.expect("op", "{")
-        items = self.comma_list(self.event_template)
-        self.expect("op", "}")
-        return [("exact", t) for t in items]
+        if self.at("op", "{|"):
+            return [("extend", t) for t in self.enclosed("{|", self.event_template, "|}")]
+        return [("exact", t) for t in self.enclosed("{", self.event_template, "}")]
 
     # -- integer / boolean expressions --
 
-    def int_expr(self):
-        return self.or_expr()
-
-    def or_expr(self):
-        left = self.and_expr()
-        while self.accept("kw", "or"):
-            left = BinOp("or", left, self.and_expr())
-        return left
-
-    def and_expr(self):
-        left = self.not_expr()
-        while self.accept("kw", "and"):
-            left = BinOp("and", left, self.not_expr())
-        return left
-
-    def not_expr(self):
-        if self.accept("kw", "not"):
-            return UnOp("not", self.not_expr())
-        return self.cmp_expr()
-
-    def cmp_expr(self):
-        left = self.add_expr()
-        for op in ("==", "!=", "<=", ">=", "<", ">"):
-            if self.at("op", op):
-                self.next()
-                return BinOp(op, left, self.add_expr())
-        return left
-
-    def add_expr(self):
-        left = self.mul_expr()
-        while self.at("op", "+") or self.at("op", "-"):
-            op = self.next().text
-            left = BinOp(op, left, self.mul_expr())
-        return left
-
-    def mul_expr(self):
-        left = self.unary_expr()
-        while self.at("op", "*") or self.at("op", "/") or self.at("op", "%"):
-            op = self.next().text
-            left = BinOp(op, left, self.unary_expr())
-        return left
-
-    def unary_expr(self):
-        if self.accept("op", "-"):
-            return UnOp("-", self.unary_expr())
-        return self.atom_expr("an expression")
+    def int_expr(self, level=_OR):
+        """Precedence climbing over ``_EXPR_OPS``: an expression whose binary
+        operators all bind at ``level`` or tighter."""
+        text = self.peek().text
+        tightest = _MUL
+        if text == "-":
+            self.pos += 1
+            left = UnOp("-", self.int_expr(_UNARY))
+        elif text == "not" and level <= _NOT:
+            self.pos += 1
+            left = UnOp("not", self.int_expr(_NOT))
+            tightest = _AND
+        else:
+            left = self.atom_expr("an expression")
+        while True:
+            op = self.peek().text
+            p = _EXPR_OPS.get(op)
+            if p is None or not level <= p <= tightest:
+                return left
+            self.pos += 1
+            left = BinOp(op, left, self.int_expr(p + 1))
+            # the operand took all tighter operators but a second comparison
+            tightest = _AND if p == _CMP else p
 
     def atom_expr(self, what):
         """A number, variable, ``f(args)`` or ``(expr)``; ``what`` names the
@@ -456,16 +453,14 @@ class Parser:
             return Lit(int(tok.text))
         if tok.kind == "ident":
             name = self.next().text
-            if self.accept("op", "("):
-                args = self.comma_list(self.int_expr)
-                self.expect("op", ")")
-                return FunCall(name, tuple(args))
+            if self.at("op", "("):
+                return FunCall(name, tuple(self.enclosed("(", self.int_expr, ")")))
             return Var(name)
         if self.accept("op", "("):
             inner = self.int_expr()
             self.expect("op", ")")
             return inner
-        raise _Bail(Diagnostic(tok.line, tok.col, f"expected {what}, found {tok.text!r}"))
+        self.fail(what)
 
     # -- events --
 
@@ -495,103 +490,70 @@ class Parser:
         template = EventTemplate(head, tuple(fields))
         return (template, tuple(inputs)) if binders else template
 
-    # -- processes (precedence climbing, loosest first) --
+    # -- processes --
 
-    def process(self) -> Term:
-        return self.p_intchoice()
+    def process(self, level=1) -> Term:
+        """Precedence climbing over ``_PROCESS_OPS``: operands joined by
+        operators that bind at ``level`` or tighter."""
+        left = self.operand()
+        while True:
+            entry = _PROCESS_OPS.get(self.peek().text)
+            if entry is None or entry[0] < level:
+                return left
+            p, node, nary = entry
+            op = self.next().text
+            if nary:
+                items = [left, self.process(p + 1)]
+                while self.accept("op", op):
+                    items.append(self.process(p + 1))
+                left = node(tuple(items))
+            else:
+                left = node(left, self.process(p + 1))
 
-    def p_intchoice(self):
-        left = self.p_extchoice()
-        items = [left]
-        while self.accept("op", "|~|"):
-            items.append(self.p_extchoice())
-        return items[0] if len(items) == 1 else IntChoice(tuple(items))
-
-    def p_extchoice(self):
-        items = [self.p_interrupt()]
-        while self.accept("op", "[]"):
-            items.append(self.p_interrupt())
-        return items[0] if len(items) == 1 else ExtChoice(tuple(items))
-
-    def p_interrupt(self):
-        left = self.p_seq()
-        while self.accept("op", "/\\"):
-            left = Interrupt(left, self.p_seq())
-        return left
-
-    def p_seq(self):
-        left = self.p_guarded()
-        while self.accept("op", ";"):
-            left = Seq(left, self.p_guarded())
-        return left
-
-    def p_guarded(self):
-        """Either `boolexpr & proc` or a prefix chain; resolved by trying the
-        guard form first and backtracking."""
-        save = self.pos
-        try:
+    def operand(self) -> Term:
+        """A guarded process ``cond & P``, a prefix ``event -> P`` or a
+        postfix process.  One scan over the tokens a guard condition or an
+        event may hold decides which before anything is parsed.  The scan
+        stops at the first other token, at a ``)`` or ``,`` it did not
+        open, or where an operand follows another.  A ``&`` there makes a
+        guard, a ``->`` after a leading name a prefix, and anything else, or
+        a ``(`` left open, a postfix process."""
+        toks, i, depth, after_operand = self.tokens, self.pos, 0, False
+        while True:
+            tok = toks[i]
+            if tok.kind in ("num", "ident") or tok.text == "(":
+                # a name's '(' opens its arguments, not a second operand
+                if after_operand and not (tok.text == "(" and toks[i - 1].kind == "ident"):
+                    break
+                depth += tok.text == "("
+                after_operand = tok.text != "("
+            elif tok.text == ")" and depth:
+                depth -= 1
+                after_operand = True
+            elif tok.text in _OPERAND_OPS or (tok.text == "," and depth):
+                after_operand = False
+            else:
+                break
+            i += 1
+        stop = toks[i].text if depth == 0 else None
+        if stop == "&":
             cond = self.int_expr()
-            if self.accept("op", "&"):
-                return Guard(cond, self.p_guarded())
-        except _Bail:
-            pass
-        self.pos = save
-        return self.p_prefix()
-
-    def p_prefix(self):
-        """`event -> P` chains, channel transfer sugar included."""
-        tok = self.peek()
-        if tok.kind == "ident" and self._looks_like_prefix():
+            self.expect("op", "&")
+            return Guard(cond, self.operand())
+        if stop == "->" and self.peek().kind == "ident":
             ev, inputs = self.event_template(binders=True)
             self.expect("op", "->")
-            cont = self.p_guarded()
+            cont = self.operand()
             return _InputPrefix(ev, inputs, cont) if inputs else Prefix(ev, cont)
         return self.p_postfix()
-
-    def _looks_like_prefix(self) -> bool:
-        """Scan forward over a dotted/transfer event to see if '->' follows."""
-        toks = self.tokens
-
-        def skip_parens(i):
-            if toks[i].kind == "op" and toks[i].text == "(":
-                depth = 1
-                i += 1
-                while depth and toks[i].kind != "eof":
-                    if toks[i].text == "(":
-                        depth += 1
-                    elif toks[i].text == ")":
-                        depth -= 1
-                    i += 1
-            return i
-
-        def skip_field(i):
-            """One field after '.', '!' or '?': value, name, call or group."""
-            if toks[i].kind in ("num", "ident"):
-                return skip_parens(i + 1)
-            if toks[i].kind == "op" and toks[i].text == "(":
-                return skip_parens(i)
-            return None
-
-        i = self.pos + 1
-        while toks[i].kind == "op" and toks[i].text in (".", "!", "?"):
-            nxt = skip_field(i + 1)
-            if nxt is None:
-                return False
-            i = nxt
-        return toks[i].kind == "op" and toks[i].text == "->"
 
     def p_postfix(self):
         term = self.p_primary()
         while True:
             if self.accept("op", "\\"):
-                self.expect("op", "{")
-                evs = self.comma_list(self.event_template)
-                self.expect("op", "}")
-                term = Hide(term, tuple(evs))
-            elif self.accept("op", "[["):
-                pairs = self.comma_list(self.rename_pair)
-                self.expect("op", "]]")
-                term = Rename(term, tuple(pairs))
+                term = Hide(term, tuple(self.enclosed("{", self.event_template, "}")))
+            elif self.at("op", "[["):
+                term = Rename(term, tuple(self.enclosed("[[", self.rename_pair, "]]")))
             else:
                 return term
 
@@ -603,12 +565,9 @@ class Parser:
 
     def p_primary(self):
         tok = self.peek()
-        if self.accept("kw", "STOP"):
-            return STOP
-        if self.accept("kw", "SKIP"):
-            return SKIP
-        if self.accept("kw", "DIV"):
-            return DIV
+        if tok.kind == "kw" and tok.text in _CONSTANT_PROCESSES:
+            self.next()
+            return _CONSTANT_PROCESSES[tok.text]
         if self.at("op", "[]") or self.at("op", "|~|"):
             # indexed choice: [] x : {set} @ P
             op = self.next().text
@@ -616,19 +575,16 @@ class Parser:
             self.expect("op", ":")
             items = self.id_set()
             self.expect("op", "@")
-            return IndexedChoice(op, var, items, self.p_guarded())
+            return IndexedChoice(op, var, items, self.operand())
         if self.accept("op", "("):
             inner = self.process()
             self.expect("op", ")")
             return inner
         if tok.kind == "ident":
             name = self.next().text
-            args = []
-            if self.accept("op", "("):
-                args = self.comma_list(self.int_expr)
-                self.expect("op", ")")
+            args = self.enclosed("(", self.int_expr, ")") if self.at("op", "(") else ()
             return Call(name, tuple(args))
-        raise _Bail(Diagnostic(tok.line, tok.col, f"expected a process, found {tok.text!r}"))
+        self.fail("a process")
 
 
 class _Bail(Exception):

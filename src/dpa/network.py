@@ -43,6 +43,8 @@ class InputError(Exception):
 class UnknownName(InputError, KeyError):
     """A component name the network does not have."""
 
+    __str__ = Exception.__str__  # the message, without KeyError's quotes
+
 
 class CompileFailure(Exception):
     def __init__(self, component, cause):

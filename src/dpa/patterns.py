@@ -131,10 +131,7 @@ class BehaviouralResult:
 
 
 def _alpha(net, name):
-    try:
-        return net[net.index_of(name)].alphabet
-    except KeyError as exc:
-        raise UnknownComponent(str(exc)) from exc
+    return net[net.index_of(name)].alphabet
 
 
 def _controlled(net, name, expected, predicate):
@@ -673,14 +670,16 @@ class AdDescriptor:
 
 def check_structural(desc, net: Network, scope) -> list:
     """Evaluate the pattern's structural predicates over the given component
-    scope (a set of component names)."""
+    scope (a set of component names; one the network lacks is an input
+    error)."""
     scope = frozenset(scope)
+    for name in sorted(scope):
+        net.index_of(name)
     for name in sorted(desc.components()):
         if name not in scope:
             raise UnknownComponent(
                 f"descriptor references '{name}' outside the checked scope"
             )
-        net.index_of(name)
     return desc.structural(net, scope)
 
 

@@ -81,6 +81,8 @@ class DpaReport:
         data["subnetworks"] = [s.to_json() for s in self.subnetworks]
         if self.oracle is not None:
             data["oracle"] = self.oracle.to_json(net)
+        if net.warnings:
+            data["warnings"] = list(net.warnings)
         return data
 
     def summary(self) -> str:

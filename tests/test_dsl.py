@@ -52,11 +52,11 @@ def test_syntax_error_produces_diagnostics_only():
     with pytest.raises(ParseError) as err2:
         parse_network("version 1\nchannel a\nP = (a -> STOP []) \nQ = a -> Q\n")
     assert err2.value.diagnostics[0].line == 3
-    # an output with no value leaves the '!' where no declaration can start
+    # an output with no value is a prefix whose value is missing
     with pytest.raises(ParseError) as err3:
         parse_network("version 1\nchannel c : {0..1}\nP = c! -> P\nQ = c.0 -> Q\n")
     assert [str(d) for d in err3.value.diagnostics] == [
-        "3:6: expected a declaration, found '!'"
+        "3:8: expected a value, found '->'"
     ]
 
 

@@ -240,7 +240,10 @@ def test_cli_filesystem_mistakes_exit_2_with_one_line(model_dir, tmp_path, capsy
         assert capsys.readouterr().err == expected
 
 
-def test_cli_prints_elaboration_warnings(tmp_path, capsys):
+@pytest.fixture
+def empty_ids_models(tmp_path):
+    """A model whose instance X has an empty id set, and the same model
+    without X."""
     model = tmp_path / "empty_ids.net"
     model.write_text(
         "version 1\nchannel a\nP = a -> P\n"
@@ -249,6 +252,11 @@ def test_cli_prints_elaboration_warnings(tmp_path, capsys):
     )
     quiet = tmp_path / "quiet.net"
     quiet.write_text(model.read_text().replace("instance X = PA {1..0}\n", ""))
+    return model, quiet
+
+
+def test_cli_prints_elaboration_warnings(empty_ids_models, capsys):
+    model, quiet = empty_ids_models
     for command in ("check", "decompose", "oracle"):
         runs = []
         for path in (model, quiet):
@@ -259,6 +267,21 @@ def test_cli_prints_elaboration_warnings(tmp_path, capsys):
         assert (code, out) == (quiet_code, quiet_out)
         assert quiet_err == ""
         assert err == "warning: instance 'X' has an empty id set\n"
+
+
+def test_json_report_carries_elaboration_warnings(empty_ids_models, tmp_path, capsys):
+    reports = []
+    for path in empty_ids_models:
+        out_json = tmp_path / "report.json"
+        assert main(["check", str(path), "--json", str(out_json)]) == 0
+        reports.append(json.loads(out_json.read_text()))
+    capsys.readouterr()
+    warned, plain = reports
+    assert warned.pop("warnings") == ["instance 'X' has an empty id set"]
+    assert "warnings" not in plain  # the key appears only with a warning
+    for report in reports:
+        del report["model"], report["timings"]
+    assert warned == plain
 
 
 def test_cli_decompose_and_dot_output(model_dir, tmp_path, capsys):
@@ -367,12 +390,19 @@ def test_cli_rejects_state_limit_below_one(model_dir, capsys, command, extra, li
      "unknown family 'nofam'; pick one of ('philosophers', 'ringbuffer', 'leadership')"),
     (["conflict", "philosophers.net", "0", "2"],
      "components Phil.0 and APhil.2 share no event"),
-    (["conflict", "philosophers.net", "nosuch", "1"], "\"unknown component 'nosuch'\""),
+    (["conflict", "philosophers.net", "nosuch", "1"], "unknown component 'nosuch'"),
     (["pattern", "philosophers.net", "bad.pattern.json"],
      "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     (["pattern", "philosophers.net", "missing.pattern.json"], "'user'"),
     (["pattern", "philosophers.net", "philosophers.pattern.json", "--scope", "Fork.0"],
      "descriptor references 'APhil.2' outside the checked scope"),
+    (["pattern", "philosophers.net", "philosophers.pattern.json",
+      "--scope", "APhil.2,Phil.0,Phil.1,Fork.0,Fork.1,Fork.2,Nope"],
+     "unknown component 'Nope'"),
+    (["pattern", "client_server.net", "client_server.pattern.json",
+      "--scope", "C0,C1,C2,Nope"], "unknown component 'Nope'"),
+    (["pattern", "leadership.net", "leadership.pattern.json",
+      "--scope", "Bus.0.1,Bus.1.0,Node.0,Node.1,Nope"], "unknown component 'Nope'"),
     (["check", "extend_out_of_domain.net"], "component alphabets must lie inside sigma"),
     (["decompose", "exact_out_of_domain.net"], "component alphabets must lie inside sigma"),
     (["pattern", "philosophers.net", "list.pattern.json"],
@@ -394,7 +424,8 @@ def test_cli_rejects_state_limit_below_one(model_dir, capsys, command, extra, li
     (["check", "client_server.net", "--pattern", "empty_cs.pattern.json"],
      "the descriptor names no component"),
 ], ids=["no-sizes", "bad-size", "bad-family", "no-shared-event", "unknown-name",
-        "malformed-json", "missing-field", "outside-scope", "extend-out-of-domain",
+        "malformed-json", "missing-field", "outside-scope", "unknown-in-scope-ra",
+        "unknown-in-scope-cs", "unknown-in-scope-ad", "extend-out-of-domain",
         "exact-out-of-domain", "descriptor-not-object", "connection-not-object",
         "order-not-object", "resource-order-not-list", "event-not-string",
         "empty-resource-allocation", "empty-client-server", "empty-async-dynamic",
