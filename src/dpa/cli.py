@@ -18,7 +18,7 @@ from .dsl import descriptor_echo, load_descriptor, load_network
 from .events import fmt_trace
 from .lts import DEFAULT_STATE_LIMIT, StateLimitExceeded
 from .network import CompileFailure, InputError, NotLive, check_live, communication_graph
-from .oracle import DeadlockFree, DeadlockWitness, explain_deadlock, explore_global
+from .oracle import DeadlockFree, DeadlockWitness, explore_global
 from .patterns import check_pattern
 from .report import PROVEN, emit_dot, emit_report_json, run_dpa
 from .terms import DslValueError
@@ -183,8 +183,8 @@ def _dispatch(args) -> int:
                     "essential.dot",
                     emit_dot(report.decomposition.residual_graph()),
                 )
-            if report.oracle_snapshot is not None:
-                _dot_out(args.dot_dir, "snapshot.dot", emit_dot(report.oracle_snapshot))
+            if isinstance(report.oracle, DeadlockWitness):
+                _dot_out(args.dot_dir, "snapshot.dot", emit_dot(report.oracle.snapshot))
         return EXIT_PROVEN if report.overall == PROVEN else EXIT_INCONCLUSIVE
 
     if args.command == "decompose":
@@ -247,14 +247,13 @@ def _dispatch(args) -> int:
             code = EXIT_PROVEN
         elif isinstance(result, DeadlockWitness):
             print(f"deadlock after {fmt_trace(result.trace)}")
-            snap = explain_deadlock(net, result)
             if result.cycle:
                 print(
                     "ungranted-request cycle: "
                     + " -> ".join(net[i].name for i in result.cycle)
                 )
             if args.dot_dir:
-                _dot_out(args.dot_dir, "snapshot.dot", emit_dot(snap))
+                _dot_out(args.dot_dir, "snapshot.dot", emit_dot(result.snapshot))
             code = EXIT_INCONCLUSIVE
         else:
             print(result.describe())

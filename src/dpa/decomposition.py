@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from .events import EVENTS
 from .lts import DEFAULT_STATE_LIMIT, Lts, compile_term, parallel_lts, rename_lts
 from .network import (
+    OTHER,
+    TREE,
     CommGraph,
     InputError,
     Network,
@@ -29,6 +31,7 @@ from .network import (
     abs_lts,
     check_live,
     communication_graph,
+    dfs_labeled_edges,
 )
 from .semantics import Counterexample, NormalSpec, REVIVALS, normalize, refines
 from .terms import (
@@ -51,43 +54,35 @@ POSSIBLE_CONFLICT = "possible-conflict"
 
 
 def bridges(g: CommGraph) -> frozenset:
-    """All disconnecting edges, via the low-link bridge algorithm,
-    implemented iteratively (linear in nodes + edges)."""
-    adj = g.adjacency()
-    pre = {v: -1 for v in range(g.n)}
-    low = {}
-    counter = 0
+    """All disconnecting edges, via the low-link bridge algorithm over one
+    depth-first search (linear in nodes + edges)."""
+    pre, low, parent = {}, {}, {}
     out = set()
-    for root in range(g.n):
-        if pre[root] != -1:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        pre[root] = counter
-        low[root] = counter
-        counter += 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if pre[w] == -1:
-                    pre[w] = counter
-                    low[w] = counter
-                    counter += 1
-                    stack.append((w, v, iter(adj[w])))
-                    advanced = True
-                    break
-                elif w != parent:
-                    # back or cross edge within the component (the graph is
-                    # simple, so skipping every parent occurrence is sound)
-                    low[v] = min(low[v], pre[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > pre[u]:
-                        out.add((min(u, v), max(u, v)))
+    for u, v, kind in dfs_labeled_edges(g.adjacency(), range(g.n)):
+        if kind == TREE:
+            pre[v] = low[v] = len(pre)
+            parent[v] = u
+        elif kind == OTHER:
+            # back or cross edge within the component (the graph is simple,
+            # so skipping the edge back to the parent is sound)
+            if v != parent[u]:
+                low[u] = min(low[u], pre[v])
+        elif u is not None:
+            low[u] = min(low[u], low[v])
+            if low[v] > pre[u]:
+                out.add((min(u, v), max(u, v)))
     return frozenset(out)
+
+
+def connected_components(g: CommGraph) -> list:
+    """Sorted index lists, each found from its least index, so in order."""
+    out = []
+    for u, v, kind in dfs_labeled_edges(g.adjacency(), range(g.n)):
+        if kind == TREE:
+            if u is None:
+                out.append([])
+            out[-1].append(v)
+    return [sorted(sub) for sub in out]
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +255,7 @@ def decompose(
     if timings is not None:
         timings["conflicts"] = time.perf_counter() - t0
     removed = frozenset(c.edge for c in checks if c.verdict == CONFLICT_FREE)
-    adj = _without(graph, removed).adjacency()
-    seen = set()
-    subnetworks = []  # each found from its least index, so in order
-    for s in range(graph.n):
-        if s in seen:
-            continue
-        seen.add(s)
-        comp, stack = [s], [s]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        subnetworks.append(sorted(comp))
+    subnetworks = connected_components(_without(graph, removed))
     return DecompositionResult(
         graph=graph,
         bridge_edges=bridge_edges,

@@ -703,18 +703,27 @@ def _expand_sugar(term, channels: _Channels):
     return term
 
 
+def _evaluated(what, evaluate, *args):
+    """``evaluate(*args)``; a mistake in an expression (an unbound name, a
+    zero divisor) is an elaboration error naming the declaration."""
+    try:
+        return evaluate(*args)
+    except DslValueError as exc:
+        raise ElaborationError(f"{what}: {exc}") from exc
+
+
 def elaborate(decl: NetworkDecl) -> Network:
     """Evaluate constants, expand channels and sugar, and instantiate atoms
     into concrete components: each instance binds ``id`` to its value in
     the atom's alphabet and behaviour."""
     env = DefEnv()
     for name, expr in decl.constants:
-        env.constants[name] = eval_expr(expr, {}, env)
+        env.constants[name] = _evaluated(f"constant '{name}'", eval_expr, expr, {}, env)
     for name, params, body in decl.functions:
         env.def_fun(name, params, body)
     channels = _Channels()
     for ch in decl.channels:
-        channels.declare(ch, env)
+        _evaluated(f"channel '{ch.name}'", channels.declare, ch, env)
     for d in decl.process_defs:
         env.define(Definition(d.name, d.params, _expand_sugar(d.body, channels)))
     atoms = {a.name: a for a in decl.atoms}
@@ -729,7 +738,7 @@ def elaborate(decl: NetworkDecl) -> Network:
             ids = [0]
             names = [inst.name]
         else:
-            ids = set_values(inst.ids, {}, env)
+            ids = _evaluated(f"instance '{inst.name}'", set_values, inst.ids, {}, env)
             names = [f"{inst.name}.{v}" for v in ids]
         if not ids:
             warnings.append(f"instance '{inst.name}' has an empty id set")
@@ -758,10 +767,7 @@ def elaborate(decl: NetworkDecl) -> Network:
                             f"event {template.head} needs all fields in exact form"
                         )
                     alphabet.add(event(".".join([template.head] + [str(v) for v in fields])))
-            try:
-                term = bind(behaviour, bindings, env)
-            except DslValueError as exc:
-                raise ElaborationError(f"behaviour of '{name}': {exc}") from exc
+            term = _evaluated(f"behaviour of '{name}'", bind, behaviour, bindings, env)
             components.append(Component(name, frozenset(alphabet), term, env))
     net = Network(components, sigma=channels)
     net.warnings = tuple(warnings)

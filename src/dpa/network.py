@@ -248,6 +248,38 @@ class CommGraph:
         return adj
 
 
+TREE, OTHER, DONE = "tree", "other", "done"
+
+
+def dfs_labeled_edges(adj, roots):
+    """Depth-first search over ``adj`` (vertex -> successors in visit
+    order) from each root not yet reached, in the order given; iterative,
+    linear in vertices + edges.  Yields ``(u, v, TREE)`` when ``v`` is first
+    reached, from ``u`` (``None`` for a root), ``(u, v, OTHER)`` for every
+    other edge walked, and ``(u, v, DONE)`` when all of ``v``'s edges are
+    walked, ``u`` being its tree parent (as networkx's ``dfs_labeled_edges``
+    does, with different labels)."""
+    seen = set()
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        yield None, root, TREE
+        stack = [(None, root, iter(adj[root]))]
+        while stack:
+            parent, v, it = stack[-1]
+            for w in it:
+                if w not in seen:
+                    seen.add(w)
+                    yield v, w, TREE
+                    stack.append((v, w, iter(adj[w])))
+                    break
+                yield v, w, OTHER
+            else:
+                stack.pop()
+                yield parent, v, DONE
+
+
 def communication_graph(net: Network) -> CommGraph:
     """An edge for every pair of components that share an event, sorted by
     ``(i, j)``; the pairs come off the owner index, not off every pair."""

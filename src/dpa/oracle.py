@@ -2,10 +2,11 @@
 
 This is the complete-but-exponential method the local analysis is measured
 against: a breadth-first search over tuples of per-component LTS states,
-synchronising shared events, with shortest-witness deadlock detection.  It
-also builds snapshot graphs of ungranted requests at stable states; on any
-deadlocked state those must contain a cycle, which the test-suite uses as a
-standing sanity check on both the oracle and the theory.
+synchronising shared events, with shortest-witness deadlock detection.  A
+witness arrives explained: it holds the snapshot graph of ungranted requests
+at the deadlocked state and a cycle in it.  On any deadlocked state of a
+live network that cycle must exist, which the test-suite uses as a standing
+sanity check on both the oracle and the theory.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .events import EVENTS, TAU, TICK
 from .lts import DEFAULT_STATE_LIMIT
-from .network import Network
+from .network import DONE, TREE, Network, dfs_labeled_edges
 from .semantics import _pair_trace
 
 
@@ -50,10 +51,14 @@ class DeadlockFree:
 
 @dataclass
 class DeadlockWitness:
+    """A shortest trace to a deadlocked state, explained by the snapshot
+    graph there and an ungranted-request cycle in it (``()`` if none)."""
+
     trace: tuple
     state: GlobalState
-    cycle: tuple = ()
-    states_explored: int = 0
+    snapshot: SnapshotGraph
+    cycle: tuple
+    states_explored: int
 
     def to_json(self, net: Network):
         data = {
@@ -175,7 +180,9 @@ def explore_global(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
         if not moves and not prod.all_tick(state):
             trace = _pair_trace(parents, state)
             gs = GlobalState(state, True, trace)
-            return DeadlockWitness(trace, gs, states_explored=explored)
+            snap = snapshot_graph(net, gs)
+            cycle = find_ungranted_cycle(snap) or ()
+            return DeadlockWitness(trace, gs, snap, cycle, explored)
         for e, nxt in moves:
             if nxt not in parents:
                 if len(parents) >= state_limit:
@@ -206,32 +213,14 @@ def snapshot_graph(net: Network, state: GlobalState) -> SnapshotGraph:
     from j, they cannot agree, and everything both offer needs cooperation."""
     if not state.stable:
         raise UnstableState("snapshot graphs are defined on stable states only")
-    ltss = [c.compiled() for c in net.components]
-    offers = [
-        ltss[i].visible_initials(state.locals[i]) for i in range(len(net))
-    ]
+    offers = [c.compiled().visible_initials(s) for c, s in zip(net.components, state.locals)]
     arcs = {}
-    for i in range(len(net)):
-        for j in range(len(net)):
-            if i == j:
-                continue
-            request = offers[i] & net[j].alphabet
-            if not request:
-                continue
-            if offers[i] & offers[j]:
-                continue
-            if not (offers[i] | offers[j]) <= net.voc:
-                continue
-            arcs[(i, j)] = frozenset(request)
+    for i, mine in enumerate(offers):
+        for j, theirs in enumerate(offers):
+            request = mine & net[j].alphabet
+            if i != j and request and not mine & theirs and (mine | theirs) <= net.voc:
+                arcs[(i, j)] = frozenset(request)
     return SnapshotGraph(len(net), net.names(), arcs)
-
-
-def explain_deadlock(net: Network, witness: DeadlockWitness) -> SnapshotGraph:
-    """The snapshot graph at the witness's deadlocked state; sets
-    ``witness.cycle`` to an ungranted-request cycle in it, or ``()``."""
-    snap = snapshot_graph(net, witness.state)
-    witness.cycle = find_ungranted_cycle(snap) or ()
-    return snap
 
 
 def find_ungranted_cycle(g: SnapshotGraph):
@@ -239,32 +228,13 @@ def find_ungranted_cycle(g: SnapshotGraph):
     adj = {i: [] for i in range(g.n)}
     for (i, j) in sorted(g.arcs):
         adj[i].append(j)
-    color = {i: 0 for i in range(g.n)}
-    parent = {}
-    for root in range(g.n):
-        if color[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == 0:
-                    color[w] = 1
-                    parent[w] = v
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if color[w] == 1:
-                    cycle = [v]
-                    cur = v
-                    while cur != w:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return tuple(cycle)
-            if not advanced:
-                color[v] = 2
-                stack.pop()
+    path, on_path = [], {}  # the vertices being walked, and their positions
+    for u, v, kind in dfs_labeled_edges(adj, range(g.n)):
+        if kind == TREE:
+            on_path[v] = len(path)
+            path.append(v)
+        elif kind == DONE:
+            del on_path[path.pop()]
+        elif v in on_path:
+            return tuple(path[on_path[v]:])
     return None

@@ -63,10 +63,9 @@ class EmptyRoleSet(Exception):
 # order side conditions
 
 
-def respects_order(seq, order) -> bool:
-    """True when consecutive elements are strictly descending under the
-    order given as a greatest-first sequence."""
-    rank = {x: i for i, x in enumerate(order)}
+def respects_order(seq, rank) -> bool:
+    """True when consecutive elements are strictly descending under an
+    order given by ``rank``, each element's position in it, greatest first."""
     for x in seq:
         if x not in rank:
             raise UnknownElement(f"'{x}' is not ranked by the order")
@@ -207,6 +206,11 @@ class RaDescriptor:
             {r: sorted(us) for r, us in of_resource.items()},
         )
 
+    @cached_property
+    def _rank(self):
+        """resource -> its position in the resource order, greatest first."""
+        return {r: i for i, r in enumerate(self.ra_order)}
+
     @property
     def users(self):
         return sorted(self._peers[0])
@@ -293,7 +297,7 @@ class RaDescriptor:
         out = []
         for u in self.users:
             try:
-                ok = respects_order(self.order[u], self.ra_order)
+                ok = respects_order(self.order[u], self._rank)
                 note = "" if ok else (
                     f"acquisition order {list(self.order[u])} is not descending "
                     f"under the resource order"

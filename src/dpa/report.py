@@ -18,13 +18,7 @@ from .decomposition import DecompositionResult, decompose
 from .events import EVENTS, fmt_trace
 from .lts import DEFAULT_STATE_LIMIT
 from .network import CommGraph, InputError, LivenessReport, Network, check_live
-from .oracle import (
-    DeadlockFree,
-    DeadlockWitness,
-    SnapshotGraph,
-    explain_deadlock,
-    explore_global,
-)
+from .oracle import DeadlockFree, DeadlockWitness, SnapshotGraph, explore_global
 from .patterns import PatternVerdict, check_pattern
 
 REPORT_SCHEMA = 1
@@ -65,7 +59,6 @@ class DpaReport:
     reasons: list
     timings: dict
     oracle: object | None = None
-    oracle_snapshot: SnapshotGraph | None = None  # at the oracle's deadlock
 
     def to_json(self, net: Network):
         data = {
@@ -123,7 +116,7 @@ class DpaReport:
             elif isinstance(self.oracle, DeadlockWitness):
                 lines.append(f"oracle: DEADLOCK after {fmt_trace(self.oracle.trace)}")
                 if self.oracle.cycle:
-                    names = self.oracle_snapshot.names
+                    names = self.oracle.snapshot.names
                     lines.append(
                         "  ungranted-request cycle: "
                         + " -> ".join(names[i] for i in self.oracle.cycle)
@@ -218,13 +211,12 @@ def run_dpa(
                             f"subnetwork {s.components}: {who} fails {what}"
                             + (f" ({detail})" if detail else "")
                         )
-    oracle_result = oracle_snapshot = None
+    oracle_result = None
     if with_oracle:
         t0 = time.perf_counter()
         oracle_result = explore_global(net, state_limit)
         timings["oracle"] = time.perf_counter() - t0
         if isinstance(oracle_result, DeadlockWitness):
-            oracle_snapshot = explain_deadlock(net, oracle_result)
             reasons.append(
                 "oracle found a deadlock after " + fmt_trace(oracle_result.trace)
             )
@@ -239,7 +231,6 @@ def run_dpa(
         reasons=reasons,
         timings=timings,
         oracle=oracle_result,
-        oracle_snapshot=oracle_snapshot,
     )
 
 

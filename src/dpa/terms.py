@@ -35,6 +35,7 @@ terms are the same as without the memo.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .events import EVENTS
@@ -53,6 +54,10 @@ class UnboundCall(DslValueError):
 
 
 class EmptyChoiceList(DslValueError):
+    pass
+
+
+class ZeroDivisor(DslValueError):
     pass
 
 
@@ -93,58 +98,50 @@ class FunCall(Expr):
     args: tuple
 
 
+# every operator but the short-circuiting ``and`` and ``or``, by arity and
+# spelling; comparisons give 1 or 0, ``/`` and ``%`` floor (so ``%`` takes
+# the sign of the divisor)
+_OPERATORS = {
+    (1, "-"): operator.neg,
+    (1, "not"): lambda v: 0 if v else 1,
+    (2, "+"): operator.add,
+    (2, "-"): operator.sub,
+    (2, "*"): operator.mul,
+    (2, "/"): operator.floordiv,
+    (2, "%"): operator.mod,
+    (2, "=="): lambda l, r: 1 if l == r else 0,
+    (2, "!="): lambda l, r: 1 if l != r else 0,
+    (2, "<"): lambda l, r: 1 if l < r else 0,
+    (2, "<="): lambda l, r: 1 if l <= r else 0,
+    (2, ">"): lambda l, r: 1 if l > r else 0,
+    (2, ">="): lambda l, r: 1 if l >= r else 0,
+}
+
+
 def eval_expr(expr, bindings, env):
     """Evaluate a closed expression to an int (booleans are 0/1)."""
-    if isinstance(expr, int):
-        return expr
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Var):
+    t = type(expr)
+    if t is Var:
         if expr.name in bindings:
             return bindings[expr.name]
         if env is not None and expr.name in env.constants:
             return env.constants[expr.name]
         raise GuardNotClosed(f"unbound variable '{expr.name}'")
-    if isinstance(expr, UnOp):
-        v = eval_expr(expr.operand, bindings, env)
-        if expr.op == "-":
-            return -v
-        if expr.op == "not":
-            return 0 if v else 1
-        raise DslValueError(f"unknown unary operator {expr.op}")
-    if isinstance(expr, BinOp):
+    if t is Lit:
+        return expr.value
+    if t is int:
+        return expr
+    if t is BinOp:
         op = expr.op
         l = eval_expr(expr.left, bindings, env)
         if op == "and":
             return eval_expr(expr.right, bindings, env) if l else 0
         if op == "or":
             return l if l else eval_expr(expr.right, bindings, env)
-        r = eval_expr(expr.right, bindings, env)
-        if op == "+":
-            return l + r
-        if op == "-":
-            return l - r
-        if op == "*":
-            return l * r
-        if op == "/":
-            return l // r
-        if op == "%":
-            # mathematical modulo: result has the sign of the divisor
-            return l % r
-        if op == "==":
-            return 1 if l == r else 0
-        if op == "!=":
-            return 1 if l != r else 0
-        if op == "<":
-            return 1 if l < r else 0
-        if op == "<=":
-            return 1 if l <= r else 0
-        if op == ">":
-            return 1 if l > r else 0
-        if op == ">=":
-            return 1 if l >= r else 0
-        raise DslValueError(f"unknown operator {op}")
-    if isinstance(expr, FunCall):
+        args = (l, eval_expr(expr.right, bindings, env))
+    elif t is UnOp:
+        args = (eval_expr(expr.operand, bindings, env),)
+    elif t is FunCall:
         if env is None or expr.name not in env.functions:
             raise UnboundCall(f"unknown function '{expr.name}'")
         params, body = env.functions[expr.name]
@@ -152,7 +149,12 @@ def eval_expr(expr, bindings, env):
             raise UnboundCall(f"function '{expr.name}' expects {len(params)} arguments")
         inner = dict(zip(params, (eval_expr(a, bindings, env) for a in expr.args)))
         return eval_expr(body, inner, env)
-    raise DslValueError(f"cannot evaluate {expr!r}")
+    else:
+        raise DslValueError(f"cannot evaluate {expr!r}")
+    try:
+        return _OPERATORS[len(args), expr.op](*args)
+    except ZeroDivisionError:
+        raise ZeroDivisor(f"division by zero: {args[0]} {expr.op} 0") from None
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,26 @@ def test_snapshot_of_symmetric_deadlock_is_the_six_cycle():
     assert set(cycle) == set(range(6))
 
 
+def test_deadlock_witness_arrives_explained():
+    # the search itself reads the snapshot graph at the deadlock and a
+    # cycle in it; nothing is set on the witness afterwards
+    net = net_of(models.philosophers_source(3, symmetric=True))
+    witness = explore_global(net)
+    assert witness.snapshot == snapshot_graph(net, witness.state)
+    assert len(witness.cycle) == 6 and set(witness.cycle) == set(range(6))
+    # a lone component that stops deadlocks with no request to explain it
+    lone = net_of("""
+version 1
+channel a
+P = a -> STOP
+atom PA = alphabet { a } behaviour P
+instance X = PA
+""")
+    witness = explore_global(lone)
+    assert witness.snapshot.arcs == {} and witness.cycle == ()
+    assert "cycle" not in witness.to_json(lone)
+
+
 def test_ring_buffer_has_no_mutual_controller_cell_arcs():
     net = net_of(models.ring_buffer_source(3))
     checked = 0
@@ -174,7 +194,9 @@ def _reference_explore(net, state_limit=DEFAULT_STATE_LIMIT):
                 if e is not None:
                     trace.append(e)
             trace = tuple(reversed(trace))
-            return DeadlockWitness(trace, GlobalState(state, True, trace),
+            gs = GlobalState(state, True, trace)
+            snap = snapshot_graph(net, gs)
+            return DeadlockWitness(trace, gs, snap, find_ungranted_cycle(snap) or (),
                                    states_explored=explored)
         for e, nxt in prod.moves(state):
             if nxt not in parents:

@@ -352,6 +352,39 @@ def test_cli_model_mistake_exits_2(tmp_path, capsys, definition, behaviour, erro
     assert captured.err == f"error: {error}\n"
 
 
+EXPRESSION_MODEL = """version 1
+const X = 1
+channel a : {0..1}
+channel c : {0..1}
+P = a.0 -> P
+atom PA = alphabet {| a |} behaviour P
+instance P = PA {0..0}
+"""
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("const X = 1", "const X = Y", "constant 'X': unbound variable 'Y'"),
+    ("const X = 1", "const X = 1 / 0", "constant 'X': division by zero: 1 / 0"),
+    ("c : {0..1}", "c : {0..4 % 0}", "channel 'c': division by zero: 4 % 0"),
+    ("{0..0}", "{0..1 / 0}", "instance 'P': division by zero: 1 / 0"),
+    ("a.0 -> P", "a.(1 / 0) -> P",
+     "component 'P.0' failed to compile: division by zero: 1 / 0"),
+    ("behaviour P", "behaviour a.(2 % 0) -> P",
+     "behaviour of 'P.0': division by zero: 2 % 0"),
+    ("{| a |}", "{| a.(1 / 0) |}", "alphabet of 'P.0': division by zero: 1 / 0"),
+], ids=["unbound-constant", "zero-in-constant", "zero-in-channel-range", "zero-in-id-set",
+        "zero-in-definition", "zero-in-atom-behaviour", "zero-in-alphabet"])
+def test_cli_expression_mistake_exits_2(tmp_path, capsys, old, new, error):
+    # each mistake is reported with the declaration that holds it
+    assert EXPRESSION_MODEL.count(old) == 1
+    model = tmp_path / "mistake.net"
+    model.write_text(EXPRESSION_MODEL.replace(old, new))
+    assert main(["check", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_cli_state_limit_hit_while_compiling(model_dir, capsys):
     model = str(model_dir / "ringbuffer.net")
     assert main(["check", model, "--state-limit", "3"]) == 2
