@@ -1,9 +1,17 @@
 """Ground-truth exploration of the full synchronised product.
 
 This is the complete-but-exponential method the local analysis is measured
-against: a breadth-first search over tuples of per-component LTS states,
-synchronising shared events, with shortest-witness deadlock detection.  A
-witness arrives explained: it holds the snapshot graph of ungranted requests
+against: a breadth-first search over the per-component LTS states,
+synchronising shared events, with shortest-witness deadlock detection.
+
+A global state is one mixed-radix integer, and every local move is a
+precomputed delta, so a successor is the state plus one delta per owner of
+its event.  One pass over the components decodes each local state once and
+finds both the tau moves and the enabled events, the latter from what the
+components offer rather than by scanning the alphabet.  Only a witness
+decodes its state back into a tuple of local states.
+
+A witness arrives explained: it holds the snapshot graph of ungranted requests
 at the deadlocked state and a cycle in it.  On any deadlocked state of a
 live network that cycle must exist, which the test-suite uses as a standing
 sanity check on both the oracle and the theory.
@@ -14,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .events import EVENTS, TAU, TICK
+from .events import EVENTS, TAU
 from .lts import DEFAULT_STATE_LIMIT
 from .network import DONE, TREE, Network, dfs_labeled_edges
 from .semantics import _pair_trace
@@ -93,75 +101,92 @@ class LimitReached:
 
 
 class _Product:
-    """Precomputed per-component transition tables for the n-way product.
+    """The n-way product over integer-coded global states.
+
+    A global state is one mixed-radix integer: component ``i`` in local
+    state ``s`` contributes ``s * stride_i``, where ``stride_i`` is the
+    product of the sizes of components ``0..i-1``.  A local move from ``s``
+    to ``t`` is then the delta ``(t - s) * stride_i``, and a synchronised
+    move adds one delta per owner.  Per component and local state the
+    tables hold the tau deltas, the visible offers (event -> deltas) and
+    the events the component leads (it is their least owner), each with
+    its other owners.
 
     The exploration limit bounds the product space only; components are
     compiled under the default cap."""
 
     def __init__(self, net: Network, limit: int):
         ltss = [c.compiled(max(limit, DEFAULT_STATE_LIMIT)) for c in net.components]
-        self.taus = []
-        self.vis = []
+        owners = net.owners
+        self.strides = []
         self.tick = []
-        for lts in ltss:
-            comp_taus = []
-            comp_vis = []
-            comp_tick = []
-            for row in lts.trans:
-                comp_taus.append(tuple(t for (l, t) in row if l == TAU))
-                vmap = {}
+        self.initial = 0
+        tables = []
+        stride = 1
+        for i, lts in enumerate(ltss):
+            rows = []
+            for s, row in enumerate(lts.trans):
+                taus = tuple((t - s) * stride for (l, t) in row if l == TAU)
+                offers = {}
                 for l, t in row:
                     if l >= 0:
-                        vmap.setdefault(l, []).append(t)
-                comp_vis.append({l: tuple(ts) for l, ts in vmap.items()})
-                comp_tick.append(any(l == TICK for (l, _) in row))
-            self.taus.append(comp_taus)
-            self.vis.append(comp_vis)
-            self.tick.append(comp_tick)
-        self.owners = net.owners
-        self.initial = tuple(lts.initial for lts in ltss)
+                        offers.setdefault(l, []).append((t - s) * stride)
+                offers = {l: tuple(ds) for l, ds in offers.items()}
+                leads = tuple((e, ds, owners[e][1:]) for e, ds in offers.items()
+                              if owners[e][0] == i)
+                rows.append((taus, offers, leads))
+            tables.append((i, stride, rows))
+            self.strides.append((stride, lts.n_states))
+            self.tick.append([lts.has_tick(s) for s in range(lts.n_states)])
+            self.initial += lts.initial * stride
+            stride *= lts.n_states
+        self.n = len(ltss)
+        self.descending = tables[::-1]
 
-    def moves(self, state):
-        """Every move out of ``state`` as ``[(event or TAU, successor)]``.
+    def locals(self, code):
+        return tuple(code // stride % size for stride, size in self.strides)
+
+    def moves(self, code):
+        """Every move out of ``code`` as ``[(event or TAU, successor)]``.
 
         Tau moves come first (components ascending, then targets), then
         the synchronised events in ascending order, each with its
-        successors (owners ascending, local targets ascending).  An event
-        is enabled when all its owners offer it; each component's offers
-        lie inside its alphabet (``check_alphabet``), so walking what the
-        components offer finds every enabled event once, at its first
-        owner, without scanning the alphabet."""
-        out = []
-        offers = []
-        for i, s in enumerate(state):
-            for t in self.taus[i][s]:
-                nxt = list(state)
-                nxt[i] = t
-                out.append((TAU, tuple(nxt)))
-            offers.append(self.vis[i][s])
-        owners = self.owners
+        successors (earlier owners' targets outermost).  One pass over
+        the components in descending index decodes each local state once;
+        an event is checked at its least owner, when the offers of all its
+        other owners (higher indices) are known.  Each component's offers
+        lie inside its alphabet (``check_alphabet``), so this finds every
+        enabled event once, without scanning the alphabet."""
+        offers = [None] * self.n
+        taus = []
         enabled = []
-        for i, offer in enumerate(offers):
-            for e in offer:
-                own = owners[e]
-                if own[0] == i and all(e in offers[j] for j in own[1:]):
-                    enabled.append(e)
-        enabled.sort()
-        for e in enabled:
-            succs = [list(state)]
-            for i in owners[e]:
-                targets = offers[i][e]
-                if len(targets) == 1:
-                    for nxt in succs:
-                        nxt[i] = targets[0]
+        rem = code
+        for i, stride, rows in self.descending:
+            s, rem = divmod(rem, stride)
+            tau, offers[i], leads = rows[s]
+            if tau:
+                taus.append(tau)
+            for e, ds, others in leads:
+                for j in others:
+                    more = offers[j].get(e)
+                    if more is None:
+                        break
+                    if len(ds) == 1 == len(more):  # the common case: no list built
+                        ds = (ds[0] + more[0],)
+                    else:
+                        ds = [d + m for d in ds for m in more]
                 else:
-                    succs = [nxt[:i] + [t] + nxt[i + 1:]
-                             for nxt in succs for t in targets]
-            out += [(e, tuple(nxt)) for nxt in succs]
+                    enabled.append((e, ds))
+        out = []
+        for tau in reversed(taus):
+            out += [(TAU, code + d) for d in tau]
+        enabled.sort()
+        for e, ds in enabled:
+            out += [(e, code + d) for d in ds]
         return out
 
-    def all_tick(self, state):
-        return all(self.tick[i][s] for i, s in enumerate(state))
+    def all_tick(self, code):
+        return all(tick[s] for tick, s in zip(self.tick, self.locals(code)))
 
 
 def explore_global(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
@@ -174,12 +199,12 @@ def explore_global(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
     queue = deque([start])
     explored = 0
     while queue:
-        state = queue.popleft()
+        code = queue.popleft()
         explored += 1
-        moves = prod.moves(state)
-        if not moves and not prod.all_tick(state):
-            trace = _pair_trace(parents, state)
-            gs = GlobalState(state, True, trace)
+        moves = prod.moves(code)
+        if not moves and not prod.all_tick(code):
+            trace = _pair_trace(parents, code)
+            gs = GlobalState(prod.locals(code), True, trace)
             snap = snapshot_graph(net, gs)
             cycle = find_ungranted_cycle(snap) or ()
             return DeadlockWitness(trace, gs, snap, cycle, explored)
@@ -187,7 +212,7 @@ def explore_global(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
             if nxt not in parents:
                 if len(parents) >= state_limit:
                     return LimitReached(explored, len(queue))
-                parents[nxt] = (state, e)
+                parents[nxt] = (code, e)
                 queue.append(nxt)
     return DeadlockFree(explored)
 

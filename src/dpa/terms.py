@@ -422,8 +422,6 @@ def _term_vars(term: Term) -> set:
     t = type(term)
     if t in (Stop, Skip, Div, Omega):
         return set()
-    if t is Prefix:
-        return _event_vars(term.event) | set(free_vars(term.cont))
     if t in (ExtChoice, IntChoice):
         return set().union(*map(free_vars, term.items))
     if t is IndexedChoice:
@@ -460,10 +458,21 @@ def free_vars(term: Term) -> tuple:
     """The sorted names of the variables a source term reads: in event
     fields, guards, call arguments, indexed-choice sets and hide/rename
     templates.  An indexed choice's own variable is not free in it.  A
-    ground term reads none."""
+    ground term reads none.
+
+    A prefix chain is walked down to its first term not a prefix, then
+    folded back up, so its length costs no stack."""
     names = _FREE_VARS.get(term)
+    chain = []
+    while names is None and type(term) is Prefix:
+        chain.append(term)
+        term = term.cont
+        names = _FREE_VARS.get(term)
     if names is None:
         names = _FREE_VARS[term] = tuple(sorted(_term_vars(term)))
+    for prefix in reversed(chain):
+        names = _FREE_VARS[prefix] = tuple(
+            sorted(_event_vars(prefix.event).union(names)))
     return names
 
 
@@ -482,10 +491,16 @@ def bind(term: Term, bindings: dict, env: DefEnv) -> Term:
     if t in (Stop, Skip, Div, Omega):
         return term
     if t is Prefix:
-        ev = term.event
-        if not isinstance(ev, int):
-            ev = ev.resolve(bindings, env)
-        return Prefix(ev, bind(term.cont, bindings, env))
+        # walked down and folded back up, so a chain's length costs no stack
+        events = []
+        while type(term) is Prefix:
+            ev = term.event
+            events.append(ev if isinstance(ev, int) else ev.resolve(bindings, env))
+            term = term.cont
+        bound = bind(term, bindings, env)
+        for ev in reversed(events):
+            bound = Prefix(ev, bound)
+        return bound
     if t is ExtChoice:
         if not term.items:
             raise EmptyChoiceList("external choice over an empty list")

@@ -15,6 +15,7 @@ from dpa.oracle import (
     LimitReached,
     SnapshotGraph,
     UnstableState,
+    _Product,
     explore_global,
     find_ungranted_cycle,
     snapshot_graph,
@@ -254,3 +255,16 @@ def test_explore_global_matches_reference(group):
             kinds.add(type(expected).__name__)
     assert "LimitReached" in kinds and "DeadlockFree" in kinds
 
+
+@pytest.mark.parametrize("symmetric", (False, True))
+def test_explore_global_matches_reference_on_wide_codes(symmetric):
+    # 60 components: a global state's code is wider than a machine word
+    net = net_of(models.philosophers_source(30, symmetric=symmetric))
+    stride, size = _Product(net, 1).strides[-1]
+    assert (stride * size).bit_length() > 64
+    kinds = set()
+    for limit in (1, 10, 100, 2000):
+        expected = _reference_explore(net, limit)
+        assert explore_global(net, limit) == expected
+        kinds.add(type(expected).__name__)
+    assert "LimitReached" in kinds

@@ -600,6 +600,13 @@ def test_cli_bench_subcommand(capsys, monkeypatch):
     for row in rows:
         assert 0 < row["dpa_seconds_min"] <= row["dpa_seconds"]
         assert row["proven"] and row["context_states"] > 0
+    # so does each oracle repeat, after the repeats of run_dpa
+    built.clear()
+    assert main(["bench", "philosophers:3:oracle=3", "--repeat", "3"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert built == [("philosophers", 3)] * 6
+    assert 0 < row["oracle_seconds_min"] <= row["oracle_seconds"]
+    assert row["oracle_result"] == "DeadlockFree"
     with pytest.raises(SystemExit) as exc:
         main(["bench", "ringbuffer:3", "--repeat", "0"])
     assert exc.value.code == 2

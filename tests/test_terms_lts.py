@@ -16,6 +16,7 @@ from dpa.lts import (
     hide_lts,
     parallel_lts,
 )
+from dpa.report import PROVEN, run_dpa
 from dpa.terms import (
     BinOp,
     Call,
@@ -286,6 +287,21 @@ def test_unbounded_sequencing_reports_state_limit():
     ])
     with pytest.raises(StateLimitExceeded):
         compile_term(env, Call("P"))
+
+
+def test_a_long_prefix_chain_compiles_and_runs():
+    # free_vars and bind walk prefix chains without a stack frame per prefix
+    source = ("version 1\nchannel a\nP = " + "a -> " * 600 + "P\n"
+              "atom PA = alphabet { a } behaviour P\ninstance X = PA\n")
+    net = elaborate(parse_network(source))
+    assert net[0].compiled().n_states == 600
+    assert run_dpa(net).overall == PROVEN
+    chain = STOP
+    for _ in range(600):
+        chain = Prefix(_ev("e", X), chain)
+    assert free_vars(chain) == ("x",)
+    bound = bind(chain, {"x": 1}, DefEnv())
+    assert compile_term(ENV, bound).n_states == 601
 
 
 def test_compilation_deterministic():
