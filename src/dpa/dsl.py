@@ -27,8 +27,9 @@ choice ``[] x : dom @ ch.x -> P`` over the field's declared domain, so
 input may not rebind a variable an earlier field uses.  Comments run from
 ``--`` to end of line.
 
-Pattern descriptors are JSON documents (one object per pattern kind) that
-are resolved and validated against an elaborated network before use.
+Pattern descriptors are JSON documents whose ``pattern`` field picks a
+descriptor class of ``dpa.patterns``; ``parse_descriptor`` checks the
+document's envelope here and the class reads and validates its body.
 """
 
 from __future__ import annotations
@@ -36,18 +37,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .events import EVENTS, event
 from .network import Component, InputError, Network
-from .patterns import (
-    ASYNC_DYNAMIC,
-    CLIENT_SERVER,
-    RESOURCE_ALLOCATION,
-    AdDescriptor,
-    CsDescriptor,
-    RaDescriptor,
-    UnknownComponent,
-)
+from .patterns import DESCRIPTORS, DescriptorError, _typed
 from .terms import (
     BinOp,
     Call,
@@ -114,22 +108,6 @@ class DuplicateComponentName(ElaborationError):
 
 
 class NonGroundAlphabet(ElaborationError):
-    pass
-
-
-class DescriptorError(InputError):
-    pass
-
-
-class UnknownEvent(DescriptorError):
-    pass
-
-
-class NonTotalMap(DescriptorError):
-    pass
-
-
-class DuplicateInSchedule(DescriptorError):
     pass
 
 
@@ -511,13 +489,34 @@ class Parser:
                 left = node(left, self.process(p + 1))
 
     def operand(self) -> Term:
-        """A guarded process ``cond & P``, a prefix ``event -> P`` or a
-        postfix process.  One scan over the tokens a guard condition or an
-        event may hold decides which before anything is parsed.  The scan
+        """Guards ``cond &`` and prefixes ``event ->`` in any number, then a
+        postfix process.  The run is read in one loop and folded from the
+        inside out, so its length costs no stack."""
+        heads = []
+        while True:
+            stop = self.operand_stop()
+            if stop == "&":
+                cond = self.int_expr()
+                self.expect("op", "&")
+                heads.append(partial(Guard, cond))
+            elif stop == "->" and self.peek().kind == "ident":
+                ev, inputs = self.event_template(binders=True)
+                self.expect("op", "->")
+                heads.append(partial(_InputPrefix, ev, inputs) if inputs else partial(Prefix, ev))
+            else:
+                break
+        term = self.p_postfix()
+        for head in reversed(heads):
+            term = head(term)
+        return term
+
+    def operand_stop(self):
+        """What comes next in an operand: one scan over the tokens a guard
+        condition or an event may hold, before anything is parsed.  The scan
         stops at the first other token, at a ``)`` or ``,`` it did not
         open, or where an operand follows another.  A ``&`` there makes a
         guard, a ``->`` after a leading name a prefix, and anything else, or
-        a ``(`` left open, a postfix process."""
+        a ``(`` left open (returned as None), a postfix process."""
         toks, i, depth, after_operand = self.tokens, self.pos, 0, False
         while True:
             tok = toks[i]
@@ -535,17 +534,7 @@ class Parser:
             else:
                 break
             i += 1
-        stop = toks[i].text if depth == 0 else None
-        if stop == "&":
-            cond = self.int_expr()
-            self.expect("op", "&")
-            return Guard(cond, self.operand())
-        if stop == "->" and self.peek().kind == "ident":
-            ev, inputs = self.event_template(binders=True)
-            self.expect("op", "->")
-            cont = self.operand()
-            return _InputPrefix(ev, inputs, cont) if inputs else Prefix(ev, cont)
-        return self.p_postfix()
+        return toks[i].text if depth == 0 else None
 
     def p_postfix(self):
         term = self.p_primary()
@@ -683,7 +672,15 @@ def _expand_sugar(term, channels: _Channels):
     if t is IndexedChoice:
         return IndexedChoice(term.op, term.var, term.items, _expand_sugar(term.body, channels))
     if t is Prefix:
-        return Prefix(term.event, _expand_sugar(term.cont, channels))
+        # walked down and folded back up, as in terms.bind
+        events = []
+        while type(term) is Prefix:
+            events.append(term.event)
+            term = term.cont
+        body = _expand_sugar(term, channels)
+        for ev in reversed(events):
+            body = Prefix(ev, body)
+        return body
     if t is ExtChoice:
         return ExtChoice(tuple(_expand_sugar(i, channels) for i in term.items))
     if t is IntChoice:
@@ -783,63 +780,11 @@ def load_network(path) -> Network:
 # descriptor files
 
 
-_LIST = (list, tuple)
-_KINDS = {dict: "an object", _LIST: "a list", str: "a string"}
-
-
-def _typed(value, types, what):
-    """``value``, which must be one of ``types`` (a key of ``_KINDS``)."""
-    if not isinstance(value, types):
-        raise DescriptorError(f"{what} must be {_KINDS[types]}")
-    return value
-
-
-def _section(doc, key, types):
-    """An optional top-level field, empty when absent."""
-    return _typed(doc.get(key, {} if types is dict else ()), types, f"field '{key}'")
-
-
-def _name(value, key):
-    return _typed(value, str, f"each name in '{key}'")
-
-
-def _names(value, key):
-    """The names a list-valued field holds."""
-    return tuple(_name(x, key) for x in _typed(value, _LIST, f"field '{key}'"))
-
-
-def _resolve_component(net: Network, name, key):
-    try:
-        net.index_of(_name(name, key))
-    except KeyError:
-        raise UnknownComponent(f"unknown component '{name}'")
-    return name
-
-
-def _resolve_event(net: Network, name, key):
-    eid = event(_name(name, key))
-    if not net.declares(eid):
-        raise UnknownEvent(f"event '{name}' is not part of the network alphabet")
-    return eid
-
-
-def _resolve_events(net: Network, names, key):
-    return tuple(_resolve_event(net, e, key) for e in _names(names, key))
-
-
-def _need(net: Network, conn, key, resolve):
-    """A field a descriptor connection must have, resolved by ``resolve``."""
-    try:
-        value = _typed(conn, dict, "each connection")[key]
-    except KeyError:
-        raise DescriptorError(str(KeyError(key))) from None
-    return resolve(net, value, key)
-
-
 def parse_descriptor(doc, net: Network):
     """Resolve a JSON descriptor document against an elaborated network.
-    Text that is not JSON, of the wrong shape, or naming no component is a
-    descriptor error."""
+    Text that is not JSON, not an object, of another schema or pattern, or
+    naming no component is a descriptor error; the pattern's class reads
+    the rest."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
@@ -850,10 +795,10 @@ def parse_descriptor(doc, net: Network):
     if schema != SCHEMA_VERSION:
         raise DescriptorError(f"unsupported descriptor schema {schema}")
     pattern = doc.get("pattern")
-    parser = _PARSERS.get(pattern) if isinstance(pattern, str) else None
-    if parser is None:
+    cls = DESCRIPTORS.get(pattern) if isinstance(pattern, str) else None
+    if cls is None:
         raise DescriptorError(f"unknown pattern {pattern!r}")
-    desc = parser(doc, net)
+    desc = cls.from_json(doc, net)
     if not desc.components():
         raise DescriptorError("the descriptor names no component")
     return desc
@@ -862,119 +807,6 @@ def parse_descriptor(doc, net: Network):
 def load_descriptor(path, net: Network):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_descriptor(fh.read(), net)
-
-
-def _parse_ra(doc, net) -> RaDescriptor:
-    connections = []
-    acquire = {}
-    release = {}
-    for conn in _section(doc, "connections", _LIST):
-        u = _need(net, conn, "user", _resolve_component)
-        r = _need(net, conn, "resource", _resolve_component)
-        connections.append((u, r))
-        acquire[(u, r)] = _need(net, conn, "acquire", _resolve_event)
-        release[(u, r)] = _need(net, conn, "release", _resolve_event)
-    order = {}
-    for u, seq in _section(doc, "order", dict).items():
-        order[_resolve_component(net, u, "order")] = _names(seq, "order")
-    desc = RaDescriptor(
-        tuple(connections),
-        acquire,
-        release,
-        order,
-        _names(doc.get("resource_order", ()), "resource_order"),
-    )
-    for u in desc.users:
-        if u not in order:
-            raise NonTotalMap(f"no acquisition order for user '{u}'")
-        for r in order[u]:
-            if (u, r) not in acquire:
-                raise NonTotalMap(f"order of '{u}' mentions unconnected '{r}'")
-        if set(order[u]) != set(desc.resources_of(u)):
-            raise NonTotalMap(
-                f"order of '{u}' must cover exactly its connected resources"
-            )
-    for r in desc.resources:
-        if r not in desc.ra_order:
-            raise NonTotalMap(f"resource order does not rank '{r}'")
-    return desc
-
-
-def _parse_cs(doc, net) -> CsDescriptor:
-    connections = []
-    requests = {}
-    for conn in _section(doc, "connections", _LIST):
-        c = _need(net, conn, "client", _resolve_component)
-        s = _need(net, conn, "server", _resolve_component)
-        connections.append((c, s))
-        requests[(c, s)] = frozenset(_need(net, conn, "requests", _resolve_events))
-        if not requests[(c, s)]:
-            raise NonTotalMap(f"connection {c}->{s} declares no request events")
-    responses = {}
-    for ev_name, resp in _section(doc, "responses", dict).items():
-        responses[_resolve_event(net, ev_name, "responses")] = frozenset(
-            _resolve_events(net, resp, "responses")
-        )
-    all_requests = set()
-    for evs in requests.values():
-        all_requests |= evs
-    for e in all_requests:
-        responses.setdefault(e, frozenset())
-    return CsDescriptor(
-        tuple(connections),
-        requests,
-        responses,
-        _names(doc.get("component_order", ()), "component_order"),
-    )
-
-
-def _parse_ad(doc, net) -> AdDescriptor:
-    connections = []
-    link, send, receive, on, off, timeout = {}, {}, {}, {}, {}, {}
-    seen_links = {}
-    for conn in _section(doc, "connections", _LIST):
-        i = _need(net, conn, "from", _resolve_component)
-        j = _need(net, conn, "to", _resolve_component)
-        connections.append((i, j))
-        k = _need(net, conn, "transport", _resolve_component)
-        if k in seen_links:
-            raise DescriptorError(
-                f"transport '{k}' linked to both {seen_links[k]} and {(i, j)}"
-            )
-        seen_links[k] = (i, j)
-        link[(i, j)] = k
-        send[(i, j)] = _need(net, conn, "send", _resolve_events)
-        receive[(i, j)] = _need(net, conn, "receive", _resolve_events)
-        if len(send[(i, j)]) != len(receive[(i, j)]):
-            raise NonTotalMap(
-                f"send/receive lists of {i}->{j} must pair up (same length)"
-            )
-        if not send[(i, j)]:
-            raise NonTotalMap(f"connection {i}->{j} declares no data events")
-        on[(i, j)] = _need(net, conn, "on", _resolve_event)
-        off[(i, j)] = _need(net, conn, "off", _resolve_event)
-        timeout[(i, j)] = _need(net, conn, "timeout", _resolve_event)
-    schedule = {}
-    for p, seq in _section(doc, "schedule", dict).items():
-        p = _resolve_component(net, p, "schedule")
-        peers = tuple(_resolve_component(net, q, "schedule") for q in _names(seq, "schedule"))
-        if len(set(peers)) != len(peers):
-            raise DuplicateInSchedule(f"schedule of '{p}' repeats a peer")
-        schedule[p] = peers
-    desc = AdDescriptor(
-        tuple(connections), link, send, receive, on, off, timeout, schedule
-    )
-    for p in desc.participants:
-        if p not in schedule:
-            raise NonTotalMap(f"no schedule for participant '{p}'")
-    return desc
-
-
-_PARSERS = {
-    RESOURCE_ALLOCATION: _parse_ra,
-    CLIENT_SERVER: _parse_cs,
-    ASYNC_DYNAMIC: _parse_ad,
-}
 
 
 def descriptor_echo(desc) -> str:

@@ -89,9 +89,6 @@ class Lts:
             l for row in self.trans for (l, _) in row if l >= 0
         )
 
-    def successors(self, s, label):
-        return [t for (l, t) in self.trans[s] if l == label]
-
     def state_name(self, s) -> str:
         if self.terms is not None:
             return pretty(self.terms[s])

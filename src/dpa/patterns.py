@@ -1,7 +1,10 @@
 """Behavioural patterns: resource-allocation, client/server, async-dynamic.
 
-Each pattern couples a descriptor (who plays which role, over which
-events) with two kinds of obligations:
+Each pattern is one descriptor class: who plays which role, over which
+events.  ``from_json`` reads the class's JSON body against an elaborated
+network and validates it in full, so a descriptor that reads is one every
+obligation below can be built from; ``DESCRIPTORS`` maps each class's
+``pattern`` name to it.  A descriptor carries two kinds of obligations:
 
 * structural predicates: pure alphabet arithmetic against the network's
   vocabulary, no behaviour involved;
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .events import EVENTS
+from .events import EVENTS, event
 from .lts import DEFAULT_STATE_LIMIT, compile_term
 from .network import InputError, Network, abs_lts, abs_divergent
 from .semantics import Counterexample, FAILURES, REVIVALS, normalize, refines
@@ -42,12 +45,24 @@ from .terms import (
     Var,
 )
 
-RESOURCE_ALLOCATION = "resource-allocation"
-CLIENT_SERVER = "client-server"
-ASYNC_DYNAMIC = "async-dynamic"
-
 
 class UnknownComponent(InputError):
+    pass
+
+
+class DescriptorError(InputError):
+    pass
+
+
+class UnknownEvent(DescriptorError):
+    pass
+
+
+class NonTotalMap(DescriptorError):
+    pass
+
+
+class DuplicateInSchedule(DescriptorError):
     pass
 
 
@@ -173,11 +188,71 @@ def _choice_prefixes(choice, events, cont) -> Term | None:
 
 
 # ---------------------------------------------------------------------------
+# reading a descriptor's JSON body: a value of the wrong JSON shape, a name
+# the network lacks or a missing connection field is a DescriptorError (or
+# UnknownComponent) naming the field
+
+
+_LIST = (list, tuple)
+_KINDS = {dict: "an object", _LIST: "a list", str: "a string"}
+
+
+def _typed(value, types, what):
+    """``value``, which must be one of ``types`` (a key of ``_KINDS``)."""
+    if not isinstance(value, types):
+        raise DescriptorError(f"{what} must be {_KINDS[types]}")
+    return value
+
+
+def _section(doc, key, types):
+    """An optional top-level field, empty when absent."""
+    return _typed(doc.get(key, {} if types is dict else ()), types, f"field '{key}'")
+
+
+def _name(value, key):
+    return _typed(value, str, f"each name in '{key}'")
+
+
+def _names(value, key):
+    """The names a list-valued field holds."""
+    return tuple(_name(x, key) for x in _typed(value, _LIST, f"field '{key}'"))
+
+
+def _resolve_component(net: Network, name, key):
+    try:
+        net.index_of(_name(name, key))
+    except KeyError:
+        raise UnknownComponent(f"unknown component '{name}'")
+    return name
+
+
+def _resolve_event(net: Network, name, key):
+    eid = event(_name(name, key))
+    if not net.declares(eid):
+        raise UnknownEvent(f"event '{name}' is not part of the network alphabet")
+    return eid
+
+
+def _resolve_events(net: Network, names, key):
+    return tuple(_resolve_event(net, e, key) for e in _names(names, key))
+
+
+def _need(net: Network, conn, key, resolve):
+    """A field a descriptor connection must have, resolved by ``resolve``."""
+    try:
+        value = _typed(conn, dict, "each connection")[key]
+    except KeyError:
+        raise DescriptorError(str(KeyError(key))) from None
+    return resolve(net, value, key)
+
+
+# ---------------------------------------------------------------------------
 # descriptors: one class per pattern holds all that varies by pattern.
-# ``roles`` maps a role to (spec name, model, builder); a builder maps
-# ``(net, name)`` to ``(env, term)``, or raises EmptyRoleSet when the role's
-# process degenerates.  ``obligations(scope)`` lists (role, component)
-# pairs in check order; ``side_conditions()`` and ``echo_lines()`` follow.
+# ``from_json(doc, net)`` reads and validates the body; ``roles`` maps a
+# role to (spec name, model, builder); a builder maps ``(net, name)`` to
+# ``(env, term)``, or raises EmptyRoleSet when the role's process
+# degenerates.  ``obligations(scope)`` lists (role, component) pairs in
+# check order; ``side_conditions()`` and ``echo_lines()`` follow.
 
 
 @dataclass
@@ -192,7 +267,45 @@ class RaDescriptor:
     order: dict  # user -> tuple of resource names (acquisition sequence)
     ra_order: tuple  # resource names, greatest first
 
-    pattern = RESOURCE_ALLOCATION
+    pattern = "resource-allocation"
+
+    @classmethod
+    def from_json(cls, doc, net):
+        """Every user has an acquisition order over exactly its connected
+        resources, and the resource order ranks every resource."""
+        connections = []
+        acquire = {}
+        release = {}
+        for conn in _section(doc, "connections", _LIST):
+            u = _need(net, conn, "user", _resolve_component)
+            r = _need(net, conn, "resource", _resolve_component)
+            connections.append((u, r))
+            acquire[(u, r)] = _need(net, conn, "acquire", _resolve_event)
+            release[(u, r)] = _need(net, conn, "release", _resolve_event)
+        order = {}
+        for u, seq in _section(doc, "order", dict).items():
+            order[_resolve_component(net, u, "order")] = _names(seq, "order")
+        desc = cls(
+            tuple(connections),
+            acquire,
+            release,
+            order,
+            _names(doc.get("resource_order", ()), "resource_order"),
+        )
+        for u in desc.users:
+            if u not in order:
+                raise NonTotalMap(f"no acquisition order for user '{u}'")
+            for r in order[u]:
+                if (u, r) not in acquire:
+                    raise NonTotalMap(f"order of '{u}' mentions unconnected '{r}'")
+            if set(order[u]) != set(desc.resources_of(u)):
+                raise NonTotalMap(
+                    f"order of '{u}' must cover exactly its connected resources"
+                )
+        for r in desc.resources:
+            if r not in desc.ra_order:
+                raise NonTotalMap(f"resource order does not rank '{r}'")
+        return desc
 
     @cached_property
     def _peers(self):
@@ -253,9 +366,7 @@ class RaDescriptor:
         return out
 
     def user_spec(self, net, name):
-        seq = self.order.get(name)
-        if seq is None:
-            raise UnknownComponent(f"no acquisition order for user '{name}'")
+        seq = self.order[name]
         acquires = [self.acquire[(name, r)] for r in seq]
         releases = [self.release[(name, r)] for r in seq]
         env = DefEnv()
@@ -270,16 +381,9 @@ class RaDescriptor:
             )
             for u in self.users_of(name)
         )
-        if not branches:
-            raise EmptyRoleSet(f"resource '{name}' has no users")
         env = DefEnv()
-        env.define(
-            Definition(
-                "Resource",
-                (),
-                branches[0] if len(branches) == 1 else ExtChoice(branches),
-            )
-        )
+        body = branches[0] if len(branches) == 1 else ExtChoice(branches)
+        env.define(Definition("Resource", (), body))
         return env, Call("Resource")
 
     roles = {
@@ -296,14 +400,11 @@ class RaDescriptor:
         """Each user's acquisition sequence descends under the resource order."""
         out = []
         for u in self.users:
-            try:
-                ok = respects_order(self.order[u], self._rank)
-                note = "" if ok else (
-                    f"acquisition order {list(self.order[u])} is not descending "
-                    f"under the resource order"
-                )
-            except UnknownElement as exc:
-                ok, note = False, str(exc)
+            ok = respects_order(self.order[u], self._rank)
+            note = "" if ok else (
+                f"acquisition order {list(self.order[u])} is not descending "
+                f"under the resource order"
+            )
             out.append(
                 BehaviouralResult(u, "acquisition-order", "structural", ok, note=note)
             )
@@ -333,49 +434,56 @@ class CsDescriptor:
     responses: dict  # request event id -> frozenset of event ids
     cs_order: tuple  # component names, greatest first
 
-    pattern = CLIENT_SERVER
+    pattern = "client-server"
+
+    @classmethod
+    def from_json(cls, doc, net):
+        """Every connection declares a request event; every request has a
+        (possibly empty) response set."""
+        connections = []
+        requests = {}
+        for conn in _section(doc, "connections", _LIST):
+            c = _need(net, conn, "client", _resolve_component)
+            s = _need(net, conn, "server", _resolve_component)
+            connections.append((c, s))
+            requests[(c, s)] = frozenset(_need(net, conn, "requests", _resolve_events))
+            if not requests[(c, s)]:
+                raise NonTotalMap(f"connection {c}->{s} declares no request events")
+        responses = {}
+        for ev_name, resp in _section(doc, "responses", dict).items():
+            responses[_resolve_event(net, ev_name, "responses")] = frozenset(
+                _resolve_events(net, resp, "responses")
+            )
+        for e in frozenset().union(*requests.values()):
+            responses.setdefault(e, frozenset())
+        return cls(
+            tuple(connections),
+            requests,
+            responses,
+            _names(doc.get("component_order", ()), "component_order"),
+        )
 
     def client_requests(self, name):
-        out = set()
-        for (c, s) in self.connections:
-            if c == name:
-                out |= self.requests[(c, s)]
-        return frozenset(out)
+        return frozenset().union(*(evs for (c, _s), evs in self.requests.items() if c == name))
 
     def server_requests(self, name):
-        out = set()
-        for (c, s) in self.connections:
-            if s == name:
-                out |= self.requests[(c, s)]
-        return frozenset(out)
+        return frozenset().union(*(evs for (_c, s), evs in self.requests.items() if s == name))
 
     def responses_of(self, events):
-        out = set()
-        for e in events:
-            out |= self.responses.get(e, frozenset())
-        return frozenset(out)
+        return frozenset().union(*(self.responses.get(e, ()) for e in events))
 
     def components(self):
-        return frozenset(c for (c, _s) in self.connections) | frozenset(
-            s for (_c, s) in self.connections
-        )
+        return frozenset(name for conn in self.connections for name in conn)
 
     def structural(self, net, scope):
-        out = []
-        all_requests = set()
-        for evs in self.requests.values():
-            all_requests |= evs
-        all_responses = set()
-        for evs in self.responses.values():
-            all_responses |= evs
-        clash = all_requests & all_responses
-        out.append(
-            PredicateResult(
-                "disjoint_events",
-                not clash,
-                witness="" if not clash else EVENTS.names(clash).__str__(),
-            )
+        clash = frozenset().union(*self.requests.values()) & frozenset().union(
+            *self.responses.values()
         )
+        out = [
+            PredicateResult(
+                "disjoint_events", not clash, witness=str(EVENTS.names(clash)) if clash else ""
+            )
+        ]
         for name in sorted(scope):
             sreq = self.server_requests(name)
             creq = self.client_requests(name)
@@ -494,15 +602,59 @@ class AdDescriptor:
     timeout: dict  # (sender, receiver) -> event id
     schedule: dict  # participant -> tuple of peer names
 
-    pattern = ASYNC_DYNAMIC
+    pattern = "async-dynamic"
+
+    @classmethod
+    def from_json(cls, doc, net):
+        """Each transport entity carries one connection, whose send and
+        receive lists pair up and are not empty; every participant has a
+        schedule that repeats no peer."""
+        connections = []
+        link, send, receive, on, off, timeout = {}, {}, {}, {}, {}, {}
+        seen_links = {}
+        for conn in _section(doc, "connections", _LIST):
+            i = _need(net, conn, "from", _resolve_component)
+            j = _need(net, conn, "to", _resolve_component)
+            connections.append((i, j))
+            k = _need(net, conn, "transport", _resolve_component)
+            if k in seen_links:
+                raise DescriptorError(
+                    f"transport '{k}' linked to both {seen_links[k]} and {(i, j)}"
+                )
+            seen_links[k] = (i, j)
+            link[(i, j)] = k
+            send[(i, j)] = _need(net, conn, "send", _resolve_events)
+            receive[(i, j)] = _need(net, conn, "receive", _resolve_events)
+            if len(send[(i, j)]) != len(receive[(i, j)]):
+                raise NonTotalMap(
+                    f"send/receive lists of {i}->{j} must pair up (same length)"
+                )
+            if not send[(i, j)]:
+                raise NonTotalMap(f"connection {i}->{j} declares no data events")
+            on[(i, j)] = _need(net, conn, "on", _resolve_event)
+            off[(i, j)] = _need(net, conn, "off", _resolve_event)
+            timeout[(i, j)] = _need(net, conn, "timeout", _resolve_event)
+        schedule = {}
+        for p, seq in _section(doc, "schedule", dict).items():
+            p = _resolve_component(net, p, "schedule")
+            peers = tuple(_resolve_component(net, q, "schedule") for q in _names(seq, "schedule"))
+            if len(set(peers)) != len(peers):
+                raise DuplicateInSchedule(f"schedule of '{p}' repeats a peer")
+            schedule[p] = peers
+        desc = cls(tuple(connections), link, send, receive, on, off, timeout, schedule)
+        for p in desc.participants:
+            if p not in schedule:
+                raise NonTotalMap(f"no schedule for participant '{p}'")
+        return desc
+
+    @cached_property
+    def _connection_of(self):
+        """transport entity -> the connection it carries."""
+        return {k: c for c, k in self.link.items()}
 
     @property
     def participants(self):
-        out = set()
-        for (i, j) in self.connections:
-            out.add(i)
-            out.add(j)
-        return sorted(out)
+        return sorted({name for conn in self.connections for name in conn})
 
     @property
     def transport_entities(self):
@@ -555,12 +707,7 @@ class AdDescriptor:
         return out
 
     def transport_spec(self, net, name):
-        conn = None
-        for c, k in self.link.items():
-            if k == name:
-                conn = c
-        if conn is None:
-            raise UnknownComponent(f"'{name}' is not a transport entity")
+        conn = self._connection_of[name]
         sends = self.send[conn]
         recvs = self.receive[conn]
         on, off, timeout = self.on[conn], self.off[conn], self.timeout[conn]
@@ -596,9 +743,7 @@ class AdDescriptor:
         return env, Call("Off")
 
     def participant_spec(self, net, name):
-        sched = self.schedule.get(name)
-        if sched is None:
-            raise UnknownComponent(f"no schedule for participant '{name}'")
+        sched = self.schedule[name]
         outgoing = [p for p in sched if (name, p) in self.link]
         incoming = [p for p in sched if (p, name) in self.link]
         env = DefEnv()
@@ -612,8 +757,6 @@ class AdDescriptor:
         for p in reversed(outgoing):
             conn = (name, p)
             pick = _choice_prefixes(IntChoice, self.send[conn], SKIP)
-            if pick is None:
-                raise EmptyRoleSet(f"connection {conn} has no send events")
             send_receive = Seq(pick, send_receive)
         env.define(Definition("SR", (), send_receive))
         on_detect = _chain([self.on[(name, p)] for p in outgoing], SKIP)
@@ -666,6 +809,9 @@ class AdDescriptor:
         for p, seq in sorted(self.schedule.items()):
             lines.append(f"  schedule({p}) = {list(seq)}")
         return lines
+
+
+DESCRIPTORS = {cls.pattern: cls for cls in (RaDescriptor, CsDescriptor, AdDescriptor)}
 
 
 # ---------------------------------------------------------------------------

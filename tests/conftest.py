@@ -1,6 +1,7 @@
-"""Shared fixtures, random-model generators and the reference helpers that
-more than one test file reads: counterexample replay, the plain product
-BFS's reachable states and a role's characteristic process."""
+"""Shared fixtures, models, random-model generators and the reference
+helpers that more than one test file reads: an LTS's successors under a
+label, counterexample replay, the plain product BFS's reachable states and
+a role's characteristic process."""
 
 import random
 from collections import deque
@@ -32,6 +33,20 @@ from dpa.terms import (
     SKIP,
     STOP,
 )
+
+
+# two components that each wait for the other's first event: the one edge
+# is a possible conflict
+CROSSED_MODEL = """version 1
+channel a
+channel b
+A = a -> b -> A
+B = b -> a -> B
+atom AC = alphabet { a, b } behaviour A
+atom BC = alphabet { a, b } behaviour B
+instance P = AC
+instance Q = BC
+"""
 
 
 def ev3():
@@ -209,6 +224,11 @@ def rng():
 # counterexample replay
 
 
+def successors(lts, s, label):
+    """The targets of ``s``'s transitions labelled ``label``."""
+    return [t for (l, t) in lts.trans[s] if l == label]
+
+
 def replay(impl, ce) -> bool:
     """Re-execute a counterexample trace on the implementation and confirm it
     reaches a configuration witnessing the reported violation."""
@@ -216,7 +236,7 @@ def replay(impl, ce) -> bool:
     for e in ce.trace:
         nxt = set()
         for s in current:
-            nxt.update(impl.successors(s, e))
+            nxt.update(successors(impl, s, e))
         if not nxt:
             return False
         current = _closure(impl, nxt)
@@ -263,7 +283,7 @@ class ReferenceProduct:
         ltss = [c.compiled(max(limit, DEFAULT_STATE_LIMIT)) for c in net.components]
         self.taus = [[lts.taus(s) for s in range(lts.n_states)] for lts in ltss]
         self.vis = [
-            [{e: lts.successors(s, e) for e in lts.visible_initials(s)}
+            [{e: successors(lts, s, e) for e in lts.visible_initials(s)}
              for s in range(lts.n_states)]
             for lts in ltss
         ]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import replay
+from conftest import CROSSED_MODEL, replay
 from dpa import models
 from dpa.decomposition import (
     CONFLICT_FREE,
@@ -16,7 +16,7 @@ from dpa.decomposition import (
 )
 from dpa.dsl import elaborate, parse_network
 from dpa.events import EVENTS, event
-from dpa.network import CommGraph, Component, InputError, Network, NotLive
+from dpa.network import CommGraph, Component, InputError, Network, NotLive, communication_graph
 from dpa.semantics import REVIVAL_VIOLATION
 from dpa.terms import Call, DefEnv, Definition, Prefix, STOP
 
@@ -170,6 +170,27 @@ def test_possible_conflict_with_witness():
     assert {event("cx.a"), event("cx.b")} <= set(ce.refusal)
     ctx = build_context(net, 0, 1, req=ce.event)
     assert replay(ctx, ce)
+
+
+def _edge_verdicts(net):
+    out = []
+    for i, j in sorted(communication_graph(net).edges):
+        check = check_conflict_free(net, i, j)
+        ce = check.counterexample
+        out.append((check.names, check.verdict, ce and (ce.kind, ce.trace, ce.refusal)))
+    return out
+
+
+@pytest.mark.parametrize("source", [models.ring_buffer_source(3), CROSSED_MODEL],
+                         ids=["ringbuffer", "crossed"])
+def test_a_declared_req_channel_moves_the_request_event_aside(source):
+    # the request event lies outside the declared universe, so a model that
+    # declares ``req`` gets ``req'1``, and every edge keeps its verdict
+    plain = elaborate(parse_network(source))
+    declared = elaborate(parse_network(source.replace("version 1\n", "version 1\nchannel req\n", 1)))
+    assert EVENTS.name(fresh_req(plain)) == "req"
+    assert EVENTS.name(fresh_req(declared)) == "req'1"
+    assert _edge_verdicts(declared) == _edge_verdicts(plain)
 
 
 def test_ring_buffer_edges_all_conflict_free():

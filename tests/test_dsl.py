@@ -4,16 +4,14 @@ from denotational import diff_behaviours, lts_behaviours
 from dpa import models
 from dpa.dsl import (
     SCHEMA_VERSION,
-    DuplicateInSchedule,
     ParseError,
-    UnknownEvent,
     descriptor_echo,
     elaborate,
     parse_descriptor,
     parse_network,
 )
 from dpa.events import EVENTS, event
-from dpa.patterns import UnknownComponent
+from dpa.patterns import DuplicateInSchedule, UnknownComponent, UnknownEvent
 from dpa.terms import Call, Prefix, fmt_expr, pretty
 
 

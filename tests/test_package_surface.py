@@ -10,10 +10,9 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dpa"
 
-# kept on purpose, though no line of the package reads them:
-# regenerates the bundled model files (a test's failure message names it)
-# and the tests' reference product and reference specs read successors
-KEPT = {"models.write_bundled", "Lts.successors"}
+# kept on purpose, though no line of the package reads it: it regenerates
+# the bundled model files (a test's failure message names it)
+KEPT = {"models.write_bundled"}
 
 
 def _definitions_and_uses(package):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import generate_spec
+from conftest import generate_spec, successors
 from dpa import models
 from dpa.dsl import elaborate, parse_descriptor, parse_network
 from dpa.events import EVENTS, event
@@ -128,7 +128,7 @@ def test_fork_resource_spec_offers_both_users():
     lts = compile_term(env, term)
     offers = {EVENTS.name(e) for e in lts.visible_initials(0)}
     assert offers == {"pickup.0.0", "pickup.2.0"}
-    after = lts.successors(0, event("pickup.2.0"))[0]
+    after = successors(lts, 0, event("pickup.2.0"))[0]
     assert {EVENTS.name(e) for e in lts.visible_initials(after)} == {"putdown.2.0"}
 
 
@@ -153,10 +153,10 @@ def test_transport_spec_three_modes():
     # off-state offers power-on and timeout only
     offers = {EVENTS.name(e) for e in lts.visible_initials(0)}
     assert offers == {"on.0.1", "to.0.1"}
-    on = lts.successors(0, event("on.0.1"))[0]
+    on = successors(lts, 0, event("on.0.1"))[0]
     on_offers = {EVENTS.name(e) for e in lts.visible_initials(on)}
     assert on_offers == {"off.0.1", "snd.0.1.0", "snd.0.1.1"}
-    full = lts.successors(on, event("snd.0.1.1"))[0]
+    full = successors(lts, on, event("snd.0.1.1"))[0]
     full_offers = {EVENTS.name(e) for e in lts.visible_initials(full)}
     # a full buffer relays exactly the datum it stores, and may be overwritten
     assert full_offers == {"off.0.1", "snd.0.1.0", "snd.0.1.1", "rcv.0.1.1"}

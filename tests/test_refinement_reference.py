@@ -12,7 +12,7 @@ from collections import deque
 
 import pytest
 
-from conftest import ev3, random_env, random_live_network, random_term, replay
+from conftest import ev3, random_env, random_live_network, random_term, replay, successors
 from dpa import decomposition, models, patterns
 from dpa.decomposition import check_conflict_free
 from dpa.dsl import elaborate, parse_descriptor, parse_network
@@ -83,7 +83,7 @@ def _reference_normalize(spec, universe=None):
         for l in labels:
             targets = set()
             for m in members:
-                for t in spec.successors(m, l):
+                for t in successors(spec, m, l):
                     targets |= info.tau_closure[t]
             tgt = frozenset(targets)
             sid = ids.get(tgt)

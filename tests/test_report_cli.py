@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import dpa
+from conftest import CROSSED_MODEL
 from dpa import models
 from dpa.cli import main
 from dpa.dsl import elaborate, parse_descriptor, parse_network
@@ -15,6 +16,7 @@ from dpa.events import event
 from dpa.lts import compile_term
 from dpa.network import CompileFailure, check_live, communication_graph
 from dpa.oracle import DeadlockWitness, explore_global, snapshot_graph
+from dpa.patterns import RaDescriptor
 from dpa.report import (
     INCONCLUSIVE,
     InputError,
@@ -385,6 +387,30 @@ def test_cli_expression_mistake_exits_2(tmp_path, capsys, old, new, error):
     assert captured.err == f"error: {error}\n"
 
 
+def test_cli_proves_a_chain_of_2000_prefixes(tmp_path, capsys):
+    # the parser reads a run of prefixes in one loop and elaboration walks
+    # the chain down and back up, so no layer spends a frame per prefix
+    model = tmp_path / "chain.net"
+    model.write_text("version 1\nchannel a\nP = " + "a -> " * 2000 + "P\n"
+                     "atom PA = alphabet { a } behaviour P\ninstance X = PA\n")
+    assert main(["check", str(model)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("overall: PROVEN\n")
+    assert captured.err == ""
+
+
+def test_cli_conflict_prints_the_counterexample(tmp_path, capsys):
+    model = tmp_path / "crossed.net"
+    model.write_text(CROSSED_MODEL)
+    assert main(["conflict", str(model), "P", "Q"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "edge P -- Q: possible-conflict\n"
+        "  revival violation: after <> the implementation offers req while refusing {a, b}\n"
+    )
+    assert captured.err == ""
+
+
 def test_cli_state_limit_hit_while_compiling(model_dir, capsys):
     model = str(model_dir / "ringbuffer.net")
     assert main(["check", model, "--state-limit", "3"]) == 2
@@ -506,7 +532,7 @@ def test_cli_internal_key_error_in_a_descriptor_is_not_an_input_error(model_dir,
     def broken(*args, **kwargs):
         raise KeyError("internal")
 
-    monkeypatch.setattr("dpa.dsl.RaDescriptor", broken)
+    monkeypatch.setattr(RaDescriptor, "__init__", broken)
     model = str(model_dir / "philosophers.net")
     with pytest.raises(KeyError, match="internal"):
         main(["pattern", model, str(model_dir / "philosophers.pattern.json")])
