@@ -58,6 +58,15 @@ def test_syntax_error_produces_diagnostics_only():
     ]
 
 
+def test_constants_evaluate_unary_and_boolean_operators():
+    net = net_of(
+        "version 1\nconst A = -2\nconst B = 1 and 0 or 3\nconst C = not 1 == 0\n"
+        "const D = -A * 2\nconst E = 0 and 1 / 0\nchannel a\n"
+        "atom PA = alphabet { a } behaviour a -> STOP\ninstance P = PA\n"
+    )
+    assert net.components[0].env.constants == {"A": -2, "B": 3, "C": 1, "D": 4, "E": 0}
+
+
 def test_ring_buffer_alphabets():
     net = net_of(models.ring_buffer_source(3))
     ctrl = net[net.index_of("Controller")]

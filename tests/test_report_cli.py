@@ -338,8 +338,11 @@ def test_cli_conflict_rejects_out_of_range_index(model_dir, capsys, index):
      "component 'P' failed to compile: unbound variable 'y'"),
     ("channel c\nQ = b -> c -> Q", "Q",
      "component 'P' has transitions outside the declared alphabet: c"),
+    # inputs are checked against the channels even where no instance reaches
+    ("Q = d?x -> Q", "b -> STOP", "undeclared channel 'd'"),
+    ("Q = a.0?x -> Q", "Q", "channel 'a' has no field 1"),
 ], ids=["unbound-variable", "undefined-process", "unbound-in-atom", "unbound-in-one-branch",
-        "outside-alphabet"])
+        "outside-alphabet", "input-on-undeclared-channel", "input-past-the-last-field"])
 def test_cli_model_mistake_exits_2(tmp_path, capsys, definition, behaviour, error):
     model = tmp_path / "mistake.net"
     model.write_text(
@@ -347,6 +350,25 @@ def test_cli_model_mistake_exits_2(tmp_path, capsys, definition, behaviour, erro
         f"{definition}\n"
         f"atom PA = alphabet {{| a, b |}} behaviour {behaviour}\n"
         "instance P = PA\n"
+    )
+    assert main(["check", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("alphabet, error", [
+    ("{ c }", "event c needs all fields in exact form"),
+    ("{ d.0 }", "undeclared channel 'd'"),
+    ("{| d |}", "undeclared channel 'd'"),
+    ("{| c.0.1 |}", "channel 'c' has 1 fields, got 2"),
+], ids=["exact-missing-field", "exact-undeclared-channel", "extend-undeclared-channel",
+        "extend-too-many-fields"])
+def test_cli_alphabet_mistake_exits_2(tmp_path, capsys, alphabet, error):
+    model = tmp_path / "mistake.net"
+    model.write_text(
+        "version 1\nchannel c : {0..1}\nP = c.0 -> P\n"
+        f"atom PA = alphabet {alphabet} behaviour P\ninstance P = PA\n"
     )
     assert main(["check", str(model)]) == 2
     captured = capsys.readouterr()
