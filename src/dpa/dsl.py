@@ -21,11 +21,11 @@ Process-expression operators, loosest binding first: ``|~|``, ``[]``,
 renaming ``[[a <- b, ...]]`` are postfix; ``STOP``, ``SKIP``, ``DIV``,
 calls, ``(...)`` and the indexed choices ``[] x : {set} @ P`` /
 ``|~| x : {set} @ P`` are primary.  Channel transfers use ``ch!expr``
-(output a value) and ``ch?x`` (input).  ``ch?x -> P`` means the replicated
-choice ``[] x : dom @ ch.x -> P`` over the field's declared domain, so
-``x`` is in scope for the later fields of the event and for ``P``; an
-input may not rebind a variable an earlier field uses.  Comments run from
-``--`` to end of line.
+(output a value) and ``ch?x`` (input).  The parser reads ``ch?x -> P`` as
+the replicated choice ``[] x : dom @ ch.x -> P`` over the field's declared
+domain, which is looked up when the choice is bound, so ``x`` is in scope
+for the later fields of the event and for ``P``; an input may not rebind a
+variable an earlier field uses.  Comments run from ``--`` to end of line.
 
 Pattern descriptors are JSON documents whose ``pattern`` field picks a
 descriptor class of ``dpa.patterns``; ``parse_descriptor`` checks the
@@ -217,6 +217,7 @@ class NetworkDecl:
     process_defs: list = field(default_factory=list)  # Definition
     atoms: list = field(default_factory=list)
     instances: list = field(default_factory=list)
+    inputs: list = field(default_factory=list)  # (channel, field position) per ``?x``
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +252,7 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.diagnostics = []
+        self.inputs = []
 
     # -- machinery --
 
@@ -300,7 +302,7 @@ class Parser:
     # -- declarations --
 
     def parse_network(self) -> NetworkDecl:
-        decl = NetworkDecl()
+        decl = NetworkDecl(inputs=self.inputs)
         while not self.at("eof"):
             try:
                 self.declaration(decl)
@@ -445,7 +447,8 @@ class Parser:
     def event_template(self, binders=False):
         """Dotted event ``head.f1.f2``.  With ``binders``, a field may also
         be an output ``!e`` or an input ``?x``, and the result is the
-        template plus one ``(x, field position)`` pair per input."""
+        template plus one ``(x, field position)`` pair per input; each
+        input's channel and position are also recorded on ``self.inputs``."""
         head = self.ident()
         fields, inputs = [], []
         while True:
@@ -462,6 +465,7 @@ class Parser:
                         f"input variable '{var}' is already used in an earlier field",
                     ))
                 inputs.append((var, len(fields)))
+                self.inputs.append((head, len(fields)))
                 fields.append(Var(var))
             else:
                 break
@@ -502,7 +506,7 @@ class Parser:
             elif stop == "->" and self.peek().kind == "ident":
                 ev, inputs = self.event_template(binders=True)
                 self.expect("op", "->")
-                heads.append(partial(_InputPrefix, ev, inputs) if inputs else partial(Prefix, ev))
+                heads.append(partial(input_choice, ev, inputs))
             else:
                 break
         term = self.p_postfix()
@@ -582,13 +586,14 @@ class _Bail(Exception):
         super().__init__(str(diagnostic))
 
 
-class _InputPrefix(Term):
-    """``event -> cont`` where some fields are inputs ``?x``; the fields'
-    domains are known only at elaboration, which desugars it.  ``event`` is
-    an EventTemplate whose input fields are the variables they bind;
-    ``inputs`` holds (variable, field position) pairs, in order."""
-
-    __slots__ = ("event", "inputs", "cont")
+def input_choice(ev: EventTemplate, inputs, cont) -> Term:
+    """``ev -> cont`` where the fields of ``inputs``, (variable, field
+    position) pairs, are inputs ``?x``: one replicated choice per input over
+    the field's declared domain, first field outermost."""
+    term = Prefix(ev, cont)
+    for var, pos in reversed(inputs):
+        term = IndexedChoice("[]", var, (("field", ev.head, pos),), term)
+    return term
 
 
 def parse_network(text: str) -> NetworkDecl:
@@ -649,55 +654,13 @@ class _Channels:
             prefixes = [f"{p}.{v}" for p in prefixes for v in values]
         return [event(e) for e in prefixes]
 
-    def field_domain(self, head, position):
+    def check_input(self, head, position):
+        """Reject an input ``?x`` at a field that channel ``head`` lacks."""
         domains = self.domains.get(head)
         if domains is None:
             raise UnknownChannel(f"undeclared channel '{head}'")
         if position >= len(domains):
             raise RangeOverflow(f"channel '{head}' has no field {position}")
-        return domains[position]
-
-
-def _expand_sugar(term, channels: _Channels):
-    """Desugar each input prefix ``ch?x -> P`` into the replicated choice
-    ``[] x : dom @ ch.x -> P`` over the field's declared domain, nesting one
-    indexed choice per input field, first field outermost."""
-    t = type(term)
-    if t is _InputPrefix:
-        body = Prefix(term.event, _expand_sugar(term.cont, channels))
-        for var, pos in reversed(term.inputs):
-            domain = channels.field_domain(term.event.head, pos)
-            body = IndexedChoice("[]", var, tuple(("value", Lit(v)) for v in domain), body)
-        return body
-    if t is IndexedChoice:
-        return IndexedChoice(term.op, term.var, term.items, _expand_sugar(term.body, channels))
-    if t is Prefix:
-        # walked down and folded back up, as in terms.bind
-        events = []
-        while type(term) is Prefix:
-            events.append(term.event)
-            term = term.cont
-        body = _expand_sugar(term, channels)
-        for ev in reversed(events):
-            body = Prefix(ev, body)
-        return body
-    if t is ExtChoice:
-        return ExtChoice(tuple(_expand_sugar(i, channels) for i in term.items))
-    if t is IntChoice:
-        return IntChoice(tuple(_expand_sugar(i, channels) for i in term.items))
-    if t is Guard:
-        return Guard(term.cond, _expand_sugar(term.body, channels))
-    if t is Seq:
-        return Seq(_expand_sugar(term.first, channels), _expand_sugar(term.second, channels))
-    if t is Hide:
-        return Hide(_expand_sugar(term.body, channels), term.events)
-    if t is Rename:
-        return Rename(_expand_sugar(term.body, channels), term.pairs)
-    if t is Interrupt:
-        return Interrupt(
-            _expand_sugar(term.body, channels), _expand_sugar(term.handler, channels)
-        )
-    return term
 
 
 def _evaluated(what, evaluate, *args):
@@ -710,9 +673,9 @@ def _evaluated(what, evaluate, *args):
 
 
 def elaborate(decl: NetworkDecl) -> Network:
-    """Evaluate constants, expand channels and sugar, and instantiate atoms
-    into concrete components: each instance binds ``id`` to its value in
-    the atom's alphabet and behaviour."""
+    """Evaluate constants and channels, check every input against its
+    channel, and instantiate atoms into concrete components: each instance
+    binds ``id`` to its value in the atom's alphabet and behaviour."""
     env = DefEnv()
     for name, expr in decl.constants:
         env.constants[name] = _evaluated(f"constant '{name}'", eval_expr, expr, {}, env)
@@ -721,8 +684,11 @@ def elaborate(decl: NetworkDecl) -> Network:
     channels = _Channels()
     for ch in decl.channels:
         _evaluated(f"channel '{ch.name}'", channels.declare, ch, env)
+    for head, position in decl.inputs:
+        channels.check_input(head, position)
+    env.channels = channels.domains
     for d in decl.process_defs:
-        env.define(Definition(d.name, d.params, _expand_sugar(d.body, channels)))
+        env.define(d)
     atoms = {a.name: a for a in decl.atoms}
     components = []
     warnings = []
@@ -740,7 +706,6 @@ def elaborate(decl: NetworkDecl) -> Network:
         if not ids:
             warnings.append(f"instance '{inst.name}' has an empty id set")
             continue
-        behaviour = _expand_sugar(atom.behaviour, channels)
         for value, name in zip(ids, names):
             if name in seen:
                 raise DuplicateComponentName(name)
@@ -754,17 +719,14 @@ def elaborate(decl: NetworkDecl) -> Network:
                     raise NonGroundAlphabet(
                         f"alphabet of '{name}': {exc}"
                     ) from exc
-                if mode == "extend":
-                    alphabet.update(channels.completions(template.head, fields))
-                else:
-                    if template.head not in channels.domains:
-                        raise UnknownChannel(f"undeclared channel '{template.head}'")
-                    if len(fields) != len(channels.domains[template.head]):
-                        raise NonGroundAlphabet(
-                            f"event {template.head} needs all fields in exact form"
-                        )
-                    alphabet.add(event(".".join([template.head] + [str(v) for v in fields])))
-            term = _evaluated(f"behaviour of '{name}'", bind, behaviour, bindings, env)
+                # an undeclared channel is reported by completions
+                declared = channels.domains.get(template.head, fields)
+                if mode == "exact" and len(fields) != len(declared):
+                    raise NonGroundAlphabet(
+                        f"event {template.head} needs all fields in exact form"
+                    )
+                alphabet.update(channels.completions(template.head, fields))
+            term = _evaluated(f"behaviour of '{name}'", bind, atom.behaviour, bindings, env)
             components.append(Component(name, frozenset(alphabet), term, env))
     net = Network(components, sigma=channels)
     net.warnings = tuple(warnings)

@@ -22,7 +22,8 @@ object and the compiler's memo compares by identity.
 
 Guards and indexed choices disappear during binding: a true guard yields
 its body, a false one yields STOP, and an indexed choice becomes the plain
-choice of its body bound to each value.
+choice of its body bound to each value.  An indexed choice ranges over
+integer ranges, single values and channel field domains (an input ``ch?x``).
 
 Binding is memoised.  :func:`free_vars` gives the variables a source term
 reads, and the ground form of an indexed choice (and of a definition body,
@@ -279,8 +280,9 @@ class Call(Term):
 
 class IndexedChoice(Term):
     """Replicated choice ``op var : {items} @ body`` over a finite integer
-    set.  ``items`` holds ``("range", lo, hi)`` and ``("value", e)`` entries
-    whose expressions may mention variables; :func:`bind` expands it."""
+    set, whose ``items`` are read by :func:`set_values`; :func:`bind`
+    expands it.  An input ``ch?x -> P`` is the choice over the one item
+    ``("field", "ch", position)``."""
 
     __slots__ = ("op", "var", "items", "body")  # op: "[]" or "|~|"
 
@@ -303,7 +305,8 @@ class Definition:
 
 
 class DefEnv:
-    """Named process definitions plus integer constants and helper functions.
+    """Named process definitions plus integer constants, helper functions
+    and channel field domains.
 
     Definitions are keyed by (name, arity); recursion and mutual recursion
     are expressed through :class:`Call` nodes.  Constants and functions are
@@ -315,6 +318,7 @@ class DefEnv:
         self.definitions: dict[tuple, Definition] = {}
         self.constants: dict[str, int] = dict(constants or {})
         self.functions: dict[str, tuple] = dict(functions or {})
+        self.channels: dict[str, list] = {}  # name -> per field, its declared values
         for d in definitions:
             self.define(d)
         # (source term, values of its free variables, None when unbound)
@@ -383,15 +387,19 @@ def rename_of(body: Term, pairs: tuple) -> Term:
 
 
 def set_values(items, bindings, env) -> list:
-    """The integers of a ``("range", lo, hi)`` / ``("value", e)`` set, in
-    order and with repeats."""
+    """The integers of a set, in order and with repeats.  Its items are
+    ``("range", lo, hi)`` and ``("value", e)``, over expressions that may
+    read variables, and ``("field", channel, position)``, the declared
+    values of a channel's field in ``env.channels``."""
     values = []
     for item in items:
         if item[0] == "range":
             lo = eval_expr(item[1], bindings, env)
             values.extend(range(lo, eval_expr(item[2], bindings, env) + 1))
-        else:
+        elif item[0] == "value":
             values.append(eval_expr(item[1], bindings, env))
+        else:
+            values.extend(env.channels[item[1]][item[2]])
     return values
 
 
@@ -426,8 +434,9 @@ def _term_vars(term: Term) -> set:
         return set().union(*map(free_vars, term.items))
     if t is IndexedChoice:
         out = set(free_vars(term.body)) - {term.var}
-        for item in term.items:
-            out.update(*map(expr_vars, item[1:]))
+        for kind, *exprs in term.items:
+            if kind != "field":
+                out.update(*map(expr_vars, exprs))
         return out
     if t is Guard:
         return expr_vars(term.cond) | set(free_vars(term.body))
@@ -570,11 +579,13 @@ def _bind_choice(term: IndexedChoice, bindings: dict, env: DefEnv) -> Term:
 # pretty printing (diagnostics and state names)
 
 
-def _fmt_event(ev) -> str:
+def _fmt_event(ev, inputs=frozenset()) -> str:
+    """An event; a field whose position is in ``inputs`` prints as ``?x``."""
     if isinstance(ev, int):
         return EVENTS.name(ev)
-    parts = [ev.head] + [fmt_expr(f) for f in ev.fields]
-    return ".".join(parts)
+    return ev.head + "".join(
+        ("?" if i in inputs else ".") + fmt_expr(f) for i, f in enumerate(ev.fields)
+    )
 
 
 def fmt_expr(expr) -> str:
@@ -636,6 +647,13 @@ def pretty(term: Term) -> str:
         if not term.args:
             return term.name
         return f"{term.name}({', '.join(fmt_expr(a) for a in term.args)})"
+    if t is IndexedChoice and term.items[0][0] == "field":
+        # an input choice, printed as the ``ch?x -> P`` it was parsed from
+        inputs = set()
+        while type(term) is IndexedChoice:
+            inputs.add(term.items[0][2])
+            term = term.body
+        return f"{_fmt_event(term.event, inputs)} -> {_paren(term.cont, Prefix)}"
     if t is IndexedChoice:
         items = ", ".join(
             f"{fmt_expr(i[1])}..{fmt_expr(i[2])}" if i[0] == "range" else fmt_expr(i[1])
@@ -650,8 +668,7 @@ _ATOMIC = (Stop, Skip, Div, Omega, Call)
 
 def _paren(term, parent):
     s = pretty(term)
-    if isinstance(term, _ATOMIC) or type(term) is parent is Prefix:
-        return s
-    if isinstance(term, Prefix) and parent in (Prefix, Guard):
+    prefix = type(term) is Prefix or type(term) is IndexedChoice and term.items[0][0] == "field"
+    if isinstance(term, _ATOMIC) or prefix and parent in (Prefix, Guard):
         return s
     return f"({s})"

@@ -20,7 +20,7 @@ from dpa.dsl import (
     ParseError,
     Token,
     _Bail,
-    _InputPrefix,
+    input_choice,
     tokenize,
 )
 from dpa.terms import (
@@ -36,7 +36,6 @@ from dpa.terms import (
     IntChoice,
     Interrupt,
     Lit,
-    Prefix,
     Rename,
     Seq,
     SKIP,
@@ -54,6 +53,7 @@ class ReferenceParser:
         self.tokens = tokens
         self.pos = 0
         self.diagnostics = []
+        self.inputs = []
 
     # -- machinery --
 
@@ -95,7 +95,7 @@ class ReferenceParser:
     # -- declarations --
 
     def parse_network(self) -> NetworkDecl:
-        decl = NetworkDecl()
+        decl = NetworkDecl(inputs=self.inputs)
         while not self.at("eof"):
             try:
                 self.declaration(decl)
@@ -293,6 +293,7 @@ class ReferenceParser:
                         f"input variable '{var}' is already used in an earlier field",
                     ))
                 inputs.append((var, len(fields)))
+                self.inputs.append((head, len(fields)))
                 fields.append(Var(var))
             else:
                 break
@@ -349,7 +350,7 @@ class ReferenceParser:
             ev, inputs = self.event_template(binders=True)
             self.expect("op", "->")
             cont = self.p_guarded()
-            return _InputPrefix(ev, inputs, cont) if inputs else Prefix(ev, cont)
+            return input_choice(ev, inputs, cont)
         return self.p_postfix()
 
     def _looks_like_prefix(self) -> bool:

@@ -341,8 +341,11 @@ def test_cli_conflict_rejects_out_of_range_index(model_dir, capsys, index):
     # inputs are checked against the channels even where no instance reaches
     ("Q = d?x -> Q", "b -> STOP", "undeclared channel 'd'"),
     ("Q = a.0?x -> Q", "Q", "channel 'a' has no field 1"),
+    ("atom QA = alphabet {| a |} behaviour d?x -> STOP", "b -> STOP",
+     "undeclared channel 'd'"),
 ], ids=["unbound-variable", "undefined-process", "unbound-in-atom", "unbound-in-one-branch",
-        "outside-alphabet", "input-on-undeclared-channel", "input-past-the-last-field"])
+        "outside-alphabet", "input-on-undeclared-channel", "input-past-the-last-field",
+        "input-in-an-atom-no-instance-uses"])
 def test_cli_model_mistake_exits_2(tmp_path, capsys, definition, behaviour, error):
     model = tmp_path / "mistake.net"
     model.write_text(

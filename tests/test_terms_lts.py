@@ -6,7 +6,7 @@ import pytest
 from conftest import generate_spec
 from denotational import diff_behaviours, lts_behaviours
 from dpa import models
-from dpa.dsl import _InputPrefix, elaborate, parse_descriptor, parse_network
+from dpa.dsl import elaborate, input_choice, parse_descriptor, parse_network
 from dpa.events import EVENTS, TAU, event
 from dpa.lts import (
     AlphabetViolation,
@@ -465,8 +465,4 @@ def test_terms_are_immutable_and_copy_and_print_as_themselves():
     assert term.cont is ExtChoice((Call("P", (1,)), SKIP))
     assert copy.copy(term) is copy.deepcopy(term) is pickle.loads(pickle.dumps(term)) is term
     assert repr(Prefix(A, STOP)) == f"Prefix(event={A}, cont=Stop())"
-    sugar = _InputPrefix(EventTemplate("c", (Var("x"),)), (("x", 0),), STOP)
-    assert str(sugar) == repr(sugar) == (
-        "_InputPrefix(event=EventTemplate(head='c', fields=(Var(name='x'),)), "
-        "inputs=(('x', 0),), cont=Stop())"
-    )
+    assert str(input_choice(EventTemplate("c", (Var("x"),)), (("x", 0),), STOP)) == "c?x -> STOP"
