@@ -144,6 +144,11 @@ KEYWORDS = {
 }
 
 
+# The parser spends a few stack frames per parenthesis, so nesting is bounded
+# well inside Python's default recursion limit.
+MAX_NESTING = 150
+
+
 @dataclass
 class Token:
     kind: str  # 'num' | 'ident' | 'op' | 'kw' | 'eof'
@@ -156,6 +161,7 @@ def tokenize(text: str):
     tokens = []
     line, col = 1, 1
     pos = 0
+    depth = 0
     diagnostics = []
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -176,6 +182,10 @@ def tokenize(text: str):
             if kind == "ident" and tok in KEYWORDS:
                 k = "kw"
             tokens.append(Token(k, tok, line, col))
+            depth = max(0, depth + (tok == "(") - (tok == ")"))
+            if depth == MAX_NESTING + 1 and tok == "(":
+                diagnostics.append(Diagnostic(
+                    line, col, f"parentheses nested deeper than {MAX_NESTING}"))
             col += len(tok)
         pos = m.end()
     tokens.append(Token("eof", "", line, col))

@@ -438,8 +438,6 @@ def _term_vars(term: Term) -> set:
             if kind != "field":
                 out.update(*map(expr_vars, exprs))
         return out
-    if t is Guard:
-        return expr_vars(term.cond) | set(free_vars(term.body))
     if t is Seq:
         return set(free_vars(term.first) + free_vars(term.second))
     if t is Hide:
@@ -469,19 +467,19 @@ def free_vars(term: Term) -> tuple:
     templates.  An indexed choice's own variable is not free in it.  A
     ground term reads none.
 
-    A prefix chain is walked down to its first term not a prefix, then
-    folded back up, so its length costs no stack."""
+    A run of prefixes and guards is walked down to its first other term,
+    then folded back up, so its length costs no stack."""
     names = _FREE_VARS.get(term)
     chain = []
-    while names is None and type(term) is Prefix:
+    while names is None and type(term) in (Prefix, Guard):
         chain.append(term)
-        term = term.cont
+        term = term.cont if type(term) is Prefix else term.body
         names = _FREE_VARS.get(term)
     if names is None:
         names = _FREE_VARS[term] = tuple(sorted(_term_vars(term)))
-    for prefix in reversed(chain):
-        names = _FREE_VARS[prefix] = tuple(
-            sorted(_event_vars(prefix.event).union(names)))
+    for node in reversed(chain):
+        own = _event_vars(node.event) if type(node) is Prefix else expr_vars(node.cond)
+        names = _FREE_VARS[node] = tuple(sorted(own.union(names)))
     return names
 
 
@@ -499,13 +497,17 @@ def bind(term: Term, bindings: dict, env: DefEnv) -> Term:
     t = type(term)
     if t in (Stop, Skip, Div, Omega):
         return term
-    if t is Prefix:
-        # walked down and folded back up, so a chain's length costs no stack
+    if t is Prefix or t is Guard:
+        # a run of prefixes and guards is walked down and folded back up, so
+        # its length costs no stack; a false guard ends the run in STOP
         events = []
-        while type(term) is Prefix:
-            ev = term.event
-            events.append(ev if isinstance(ev, int) else ev.resolve(bindings, env))
-            term = term.cont
+        while type(term) in (Prefix, Guard):
+            if type(term) is Guard:
+                term = term.body if eval_expr(term.cond, bindings, env) else STOP
+            else:
+                ev = term.event
+                events.append(ev if isinstance(ev, int) else ev.resolve(bindings, env))
+                term = term.cont
         bound = bind(term, bindings, env)
         for ev in reversed(events):
             bound = Prefix(ev, bound)
@@ -520,10 +522,6 @@ def bind(term: Term, bindings: dict, env: DefEnv) -> Term:
         return IntChoice(tuple(bind(i, bindings, env) for i in term.items))
     if t is IndexedChoice:
         return _memoised(_bind_choice, term, bindings, env)
-    if t is Guard:
-        if eval_expr(term.cond, bindings, env):
-            return bind(term.body, bindings, env)
-        return STOP
     if t is Seq:
         return Seq(bind(term.first, bindings, env), bind(term.second, bindings, env))
     if t is Hide:

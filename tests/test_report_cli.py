@@ -424,6 +424,34 @@ def test_cli_proves_a_chain_of_2000_prefixes(tmp_path, capsys):
     assert captured.err == ""
 
 
+def nested_choices(depth):
+    """``(a -> P [] (a -> P [] ... a -> P))``, ``depth`` parentheses deep."""
+    return "(a -> P [] " * depth + "a -> P" + ")" * depth
+
+
+@pytest.mark.parametrize("body", ["1 == 1 & a -> " * 1000 + "P", nested_choices(150)],
+                         ids=["1000-guarded-prefixes", "150-nested-parentheses"])
+def test_cli_proves_a_guard_run_and_the_deepest_nesting(tmp_path, capsys, body):
+    # binding walks a run of guards in the prefix loop; 150 parentheses is
+    # the deepest nesting the parser takes
+    model = tmp_path / "deep.net"
+    model.write_text(f"version 1\nchannel a\nP = {body}\n"
+                     "atom PA = alphabet { a } behaviour P\ninstance X = PA\n")
+    assert main(["check", str(model)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("overall: PROVEN\n")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("depth", [151, 1000])
+def test_cli_rejects_parentheses_nested_deeper_than_150(tmp_path, capsys, depth):
+    model = tmp_path / "deep.net"
+    model.write_text(f"version 1\nchannel a\nP = {nested_choices(depth)}\n")
+    assert main(["check", str(model)]) == 2
+    column = len("P = ") + len("(a -> P [] ") * 150 + 1
+    assert capsys.readouterr().err == f"error: 3:{column}: parentheses nested deeper than 150\n"
+
+
 def test_cli_conflict_prints_the_counterexample(tmp_path, capsys):
     model = tmp_path / "crossed.net"
     model.write_text(CROSSED_MODEL)
