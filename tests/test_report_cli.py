@@ -572,6 +572,51 @@ def test_cli_input_errors_keep_their_lines(model_dir, capsys, argv, error):
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+RA_CONNECTION = {"user": "Phil.0", "resource": "Fork.0",
+                 "acquire": "pickup.0.0", "release": "putdown.0.0"}
+AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
+                 "send": ["snd.0.1.0"], "receive": ["rcv.0.1.0"],
+                 "on": "on.0.1", "off": "off.0.1", "timeout": "to.0.1"}
+
+
+@pytest.mark.parametrize("model, doc, error", [
+    ("philosophers", {"connections": [RA_CONNECTION]},
+     "no acquisition order for user 'Phil.0'"),
+    ("philosophers", {"connections": [RA_CONNECTION], "order": {"Phil.0": ["Fork.1"]}},
+     "order of 'Phil.0' mentions unconnected 'Fork.1'"),
+    ("philosophers", {"connections": [RA_CONNECTION], "order": {"Phil.0": []}},
+     "order of 'Phil.0' must cover exactly its connected resources"),
+    ("philosophers", {"connections": [RA_CONNECTION], "order": {"Phil.0": ["Fork.0"]}},
+     "resource order does not rank 'Fork.0'"),
+    ("client_server", {"pattern": "client-server",
+                       "connections": [{"client": "C1", "server": "C0", "requests": []}]},
+     "connection C1->C0 declares no request events"),
+    ("leadership", {"pattern": "async-dynamic", "connections": [
+        AD_CONNECTION, {**AD_CONNECTION, "from": "Node.1", "to": "Node.0"}]},
+     "transport 'Bus.0.1' linked to both ('Node.0', 'Node.1') and ('Node.1', 'Node.0')"),
+    ("leadership", {"pattern": "async-dynamic", "connections": [
+        {**AD_CONNECTION, "send": ["snd.0.1.0", "snd.0.1.1"]}]},
+     "send/receive lists of Node.0->Node.1 must pair up (same length)"),
+    ("leadership", {"pattern": "async-dynamic", "connections": [
+        {**AD_CONNECTION, "send": [], "receive": []}]},
+     "connection Node.0->Node.1 declares no data events"),
+    ("leadership", {"pattern": "async-dynamic", "connections": [AD_CONNECTION],
+                    "schedule": {"Node.1": ["Node.0"]}},
+     "no schedule for participant 'Node.0'"),
+    ("philosophers", {"schema": 2}, "unsupported descriptor schema 2"),
+    ("philosophers", {"pattern": "ring"}, "unknown pattern 'ring'"),
+], ids=["no-order", "order-names-unconnected", "order-misses-a-resource", "unranked-resource",
+        "no-requests", "transport-linked-twice", "send-receive-unpaired", "no-data-events",
+        "no-schedule", "unsupported-schema", "unknown-pattern"])
+def test_cli_pattern_rejects_a_malformed_descriptor(model_dir, capsys, model, doc, error):
+    descriptor = model_dir / "malformed.pattern.json"
+    descriptor.write_text(json.dumps({"pattern": "resource-allocation", **doc}))
+    assert main(["pattern", str(model_dir / f"{model}.net"), str(descriptor)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_cli_internal_value_error_is_not_an_input_error(model_dir, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal")
