@@ -123,7 +123,6 @@ def first_tick_trace(lts: Lts):
 
 @dataclass
 class NormalState:
-    members: frozenset
     min_acceptances: tuple  # antichain of minimal acceptances (may hold TICK)
     acceptances: tuple  # full family from non-terminating stable members
     deadlock_allowed: bool
@@ -202,7 +201,6 @@ def normalize(spec: Lts, universe=None) -> NormalSpec:
         )
         states.append(
             NormalState(
-                members=members,
                 min_acceptances=_min_antichain(fail_accs),
                 acceptances=tuple(rev_accs),
                 deadlock_allowed=any(acc == frozenset() for acc in stable_accs),

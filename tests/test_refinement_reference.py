@@ -69,7 +69,6 @@ def _reference_normalize(spec, universe=None):
         )
         states.append(
             NormalState(
-                members=members,
                 min_acceptances=_min_antichain(fail_accs),
                 acceptances=tuple(rev_accs),
                 deadlock_allowed=any(acc == frozenset() for acc in stable_accs),
