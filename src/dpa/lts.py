@@ -8,12 +8,13 @@ genuinely infinite-state terms.
 
 :func:`parallel_lts` is the alphabetised parallel product used both for the
 pairwise conflict contexts and for tests; the global n-way product lives in
-the oracle module.
+the oracle module.  Both number their states with one breadth-first loop,
+:func:`_reachable`; :func:`hide_lts` and :func:`rename_lts` are both the
+one row relabelling :func:`_relabel`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .events import TAU, TICK, EVENTS
@@ -174,29 +175,34 @@ def _step(term: Term, env: DefEnv, visiting=()):
     raise TypeError(f"cannot step {term!r}")
 
 
+def _reachable(start, moves, limit: int):
+    """The states reachable from ``start`` through ``moves(state)``, the
+    (label, target) pairs, numbered breadth-first as found, and each one's
+    row of (label, target id) pairs, sorted and without repeats."""
+    ids = {start: 0}
+    order = [start]
+    trans = []
+    for cur in order:  # grows while it is read: the breadth-first queue
+        row = []
+        for label, tgt in moves(cur):
+            sid = ids.get(tgt)
+            if sid is None:
+                sid = len(order)
+                if sid >= limit:
+                    raise StateLimitExceeded(limit)
+                ids[tgt] = sid
+                order.append(tgt)
+            row.append((label, sid))
+        row.sort()
+        trans.append(tuple(dict.fromkeys(row)))
+    return order, tuple(trans)
+
+
 def compile_term(env: DefEnv, term: Term, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
     """Compile a term (closed under ``env``) to its reachable LTS."""
     start = bind(term, {}, env)
-    ids: dict[Term, int] = {start: 0}
-    order: list[Term] = [start]
-    trans: list[tuple] = []
-    queue = deque([start])
     try:
-        while queue:
-            cur = queue.popleft()
-            row = []
-            for label, tgt in _step(cur, env):
-                sid = ids.get(tgt)
-                if sid is None:
-                    sid = len(order)
-                    if sid >= limit:
-                        raise StateLimitExceeded(limit)
-                    ids[tgt] = sid
-                    order.append(tgt)
-                    queue.append(tgt)
-                row.append((label, sid))
-            row.sort()
-            trans.append(tuple(dict.fromkeys(row)))
+        order, trans = _reachable(start, lambda t: _step(t, env), limit)
     except RecursionError:
         # ever-growing canonical terms (recursion re-wrapped in sequence or
         # interrupt contexts) blow the interpreter stack before the count cap
@@ -204,20 +210,25 @@ def compile_term(env: DefEnv, term: Term, limit: int = DEFAULT_STATE_LIMIT) -> L
             limit, "canonical terms grow without bound; the process has no "
             "finite control structure"
         ) from None
-    return Lts(0, tuple(trans), tuple(order))
+    return Lts(0, trans, tuple(order))
+
+
+def _relabel(lts: Lts, image: dict) -> Lts:
+    """Each event in ``image``'s domain replaced by its tuple of labels."""
+    trans = []
+    for row in lts.trans:
+        new = []
+        for l, t in row:
+            for b in image.get(l, (l,)):
+                new.append((b, t))
+        new.sort()
+        trans.append(tuple(dict.fromkeys(new)))
+    return Lts(lts.initial, tuple(trans), lts.terms)
 
 
 def hide_lts(lts: Lts, hidden: frozenset) -> Lts:
     """Relabel the given visible events as internal transitions."""
-    trans = []
-    for row in lts.trans:
-        new = sorted(
-            dict.fromkeys(
-                (TAU if (l >= 0 and l in hidden) else l, t) for (l, t) in row
-            )
-        )
-        trans.append(tuple(new))
-    return Lts(lts.initial, tuple(trans), lts.terms)
+    return _relabel(lts, dict.fromkeys(hidden, (TAU,)))
 
 
 def bisim_quotient(lts: Lts) -> Lts:
@@ -256,17 +267,7 @@ def bisim_quotient(lts: Lts) -> Lts:
 def rename_lts(lts: Lts, relation: dict) -> Lts:
     """Apply a (possibly one-to-many) renaming relation: event id -> tuple of
     event ids.  Events outside the relation's domain are unchanged."""
-    trans = []
-    for row in lts.trans:
-        new = []
-        for l, t in row:
-            if l >= 0:
-                for b in relation.get(l, (l,)):
-                    new.append((b, t))
-            else:
-                new.append((l, t))
-        trans.append(tuple(dict.fromkeys(sorted(new))))
-    return Lts(lts.initial, tuple(trans), lts.terms)
+    return _relabel(lts, relation)
 
 
 def check_alphabet(lts: Lts, alphabet: frozenset):
@@ -294,44 +295,27 @@ def parallel_lts(
     check_alphabet(a, alpha_a)
     check_alphabet(b, alpha_b)
     shared = alpha_a & alpha_b
-    ids = {(a.initial, b.initial): 0}
-    order = [(a.initial, b.initial)]
-    trans = []
-    queue = deque(order)
 
-    def state_id(pair):
-        sid = ids.get(pair)
-        if sid is None:
-            sid = len(order)
-            if sid >= limit:
-                raise StateLimitExceeded(limit)
-            ids[pair] = sid
-            order.append(pair)
-            queue.append(pair)
-        return sid
-
-    while queue:
-        sa, sb = queue.popleft()
-        row = []
-        ticks_a = [t for (l, t) in a.trans[sa] if l == TICK]
-        ticks_b = [t for (l, t) in b.trans[sb] if l == TICK]
-        for ta in ticks_a:
-            for tb in ticks_b:
-                row.append((TICK, state_id((ta, tb))))
-        for l, t in a.trans[sa]:
-            if l == TAU:
-                row.append((TAU, state_id((t, sb))))
-            elif l >= 0 and l not in shared:
-                row.append((l, state_id((t, sb))))
-        for l, t in b.trans[sb]:
-            if l == TAU:
-                row.append((TAU, state_id((sa, t))))
-            elif l >= 0 and l not in shared:
-                row.append((l, state_id((sa, t))))
-        for l, t in a.trans[sa]:
+    def moves(pair):
+        # ticks (first in a row), A alone, B alone, the synchronisations
+        sa, sb = pair
+        row_a, row_b = a.trans[sa], b.trans[sb]
+        out = []
+        for l, t in row_a:
+            if l == TICK:
+                for l2, t2 in row_b:
+                    if l2 == TICK:
+                        out.append((TICK, (t, t2)))
+            elif l not in shared:
+                out.append((l, (t, sb)))
+        for l, t in row_b:
+            if l != TICK and l not in shared:
+                out.append((l, (sa, t)))
+        for l, t in row_a:
             if l in shared:
-                for l2, t2 in b.trans[sb]:
+                for l2, t2 in row_b:
                     if l2 == l:
-                        row.append((l, state_id((t, t2))))
-        trans.append(tuple(dict.fromkeys(sorted(row))))
-    return Lts(0, tuple(trans))
+                        out.append((l, (t, t2)))
+        return out
+
+    return Lts(0, _reachable((a.initial, b.initial), moves, limit)[1])
