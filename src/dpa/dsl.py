@@ -144,8 +144,9 @@ KEYWORDS = {
 }
 
 
-# The parser spends a few stack frames per parenthesis, so nesting is bounded
-# well inside Python's default recursion limit.
+# The parser spends a few stack frames per level of nesting (a parenthesis, a
+# function call, an indexed choice or a unary operator), so nesting is
+# bounded well inside Python's default recursion limit.
 MAX_NESTING = 150
 
 
@@ -161,7 +162,6 @@ def tokenize(text: str):
     tokens = []
     line, col = 1, 1
     pos = 0
-    depth = 0
     diagnostics = []
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -182,10 +182,6 @@ def tokenize(text: str):
             if kind == "ident" and tok in KEYWORDS:
                 k = "kw"
             tokens.append(Token(k, tok, line, col))
-            depth = max(0, depth + (tok == "(") - (tok == ")"))
-            if depth == MAX_NESTING + 1 and tok == "(":
-                diagnostics.append(Diagnostic(
-                    line, col, f"parentheses nested deeper than {MAX_NESTING}"))
             col += len(tok)
         pos = m.end()
     tokens.append(Token("eof", "", line, col))
@@ -261,6 +257,7 @@ class Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # levels of nesting open
         self.diagnostics = []
         self.inputs = []
 
@@ -292,6 +289,16 @@ class Parser:
         tok = self.tokens[self.pos]
         raise _Bail(Diagnostic(tok.line, tok.col, f"expected {what}, found {tok.text!r}"))
 
+    def deeper(self):
+        """Open one more level of nesting at the current token, which the
+        caller closes with ``self.depth -= 1``; level MAX_NESTING + 1 is
+        refused.  It returns before the nested parse, so it costs no frame
+        per level."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.tokens[self.pos]
+            raise _Bail(Diagnostic(tok.line, tok.col, f"nested deeper than {MAX_NESTING}"))
+
     def comma_list(self, item) -> list:
         """``item (, item)*``, each parsed by calling ``item()``."""
         items = [item()]
@@ -318,6 +325,7 @@ class Parser:
                 self.declaration(decl)
             except _Bail as bail:
                 self.diagnostics.append(bail.diagnostic)
+                self.depth = 0
                 self.recover()
         if self.diagnostics:
             raise ParseError(self.diagnostics)
@@ -416,11 +424,15 @@ class Parser:
         text = self.peek().text
         tightest = _MUL
         if text == "-":
+            self.deeper()
             self.pos += 1
             left = UnOp("-", self.int_expr(_UNARY))
+            self.depth -= 1
         elif text == "not" and level <= _NOT:
+            self.deeper()
             self.pos += 1
             left = UnOp("not", self.int_expr(_NOT))
+            self.depth -= 1
             tightest = _AND
         else:
             left = self.atom_expr("an expression")
@@ -443,12 +455,18 @@ class Parser:
             return Lit(int(tok.text))
         if tok.kind == "ident":
             name = self.next().text
-            if self.at("op", "("):
-                return FunCall(name, tuple(self.enclosed("(", self.int_expr, ")")))
-            return Var(name)
-        if self.accept("op", "("):
+            if not self.at("op", "("):
+                return Var(name)
+            self.deeper()
+            args = tuple(self.enclosed("(", self.int_expr, ")"))
+            self.depth -= 1
+            return FunCall(name, args)
+        if self.at("op", "("):
+            self.deeper()
+            self.pos += 1
             inner = self.int_expr()
             self.expect("op", ")")
+            self.depth -= 1
             return inner
         self.fail(what)
 
@@ -573,15 +591,21 @@ class Parser:
             return _CONSTANT_PROCESSES[tok.text]
         if self.at("op", "[]") or self.at("op", "|~|"):
             # indexed choice: [] x : {set} @ P
+            self.deeper()
             op = self.next().text
             var = self.ident()
             self.expect("op", ":")
             items = self.id_set()
             self.expect("op", "@")
-            return IndexedChoice(op, var, items, self.operand())
-        if self.accept("op", "("):
+            body = self.operand()
+            self.depth -= 1
+            return IndexedChoice(op, var, items, body)
+        if self.at("op", "("):
+            self.deeper()
+            self.pos += 1
             inner = self.process()
             self.expect("op", ")")
+            self.depth -= 1
             return inner
         if tok.kind == "ident":
             name = self.next().text
@@ -683,14 +707,15 @@ def _evaluated(what, evaluate, *args):
 
 
 def elaborate(decl: NetworkDecl) -> Network:
-    """Evaluate constants and channels, check every input against its
-    channel, and instantiate atoms into concrete components: each instance
-    binds ``id`` to its value in the atom's alphabet and behaviour."""
+    """Define the functions, so that constants may call them, evaluate
+    constants and channels, check every input against its channel, and
+    instantiate atoms into concrete components: each instance binds ``id``
+    to its value in the atom's alphabet and behaviour."""
     env = DefEnv()
-    for name, expr in decl.constants:
-        env.constants[name] = _evaluated(f"constant '{name}'", eval_expr, expr, {}, env)
     for name, params, body in decl.functions:
         env.def_fun(name, params, body)
+    for name, expr in decl.constants:
+        env.constants[name] = _evaluated(f"constant '{name}'", eval_expr, expr, {}, env)
     channels = _Channels()
     for ch in decl.channels:
         _evaluated(f"channel '{ch.name}'", channels.declare, ch, env)

@@ -62,6 +62,11 @@ class ZeroDivisor(DslValueError):
     pass
 
 
+# Function calls nest at most this deep in one evaluation, so a function that
+# calls itself for ever is an expression mistake, not a stack overflow.
+MAX_CALL_DEPTH = 100
+
+
 # ---------------------------------------------------------------------------
 # integer / boolean expressions
 
@@ -149,7 +154,14 @@ def eval_expr(expr, bindings, env):
         if len(params) != len(expr.args):
             raise UnboundCall(f"function '{expr.name}' expects {len(params)} arguments")
         inner = dict(zip(params, (eval_expr(a, bindings, env) for a in expr.args)))
-        return eval_expr(body, inner, env)
+        if env.call_depth >= MAX_CALL_DEPTH:
+            raise DslValueError(
+                f"function '{expr.name}': calls nested deeper than {MAX_CALL_DEPTH}")
+        env.call_depth += 1
+        try:
+            return eval_expr(body, inner, env)
+        finally:
+            env.call_depth -= 1
     else:
         raise DslValueError(f"cannot evaluate {expr!r}")
     try:
@@ -319,6 +331,7 @@ class DefEnv:
         self.constants: dict[str, int] = dict(constants or {})
         self.functions: dict[str, tuple] = dict(functions or {})
         self.channels: dict[str, list] = {}  # name -> per field, its declared values
+        self.call_depth = 0  # function calls being evaluated
         for d in definitions:
             self.define(d)
         # (source term, values of its free variables, None when unbound)

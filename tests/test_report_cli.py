@@ -399,8 +399,14 @@ instance P = PA {0..0}
     ("behaviour P", "behaviour a.(2 % 0) -> P",
      "behaviour of 'P.0': division by zero: 2 % 0"),
     ("{| a |}", "{| a.(1 / 0) |}", "alphabet of 'P.0': division by zero: 1 / 0"),
+    # functions are defined before constants, which are evaluated in order
+    ("const X = 1", "fun f(x) = x + K\nconst X = f(1)\nconst K = 2",
+     "constant 'X': unbound variable 'K'"),
+    ("const X = 1", "fun f(x) = f(x)\nconst X = f(1)",
+     "constant 'X': function 'f': calls nested deeper than 100"),
 ], ids=["unbound-constant", "zero-in-constant", "zero-in-channel-range", "zero-in-id-set",
-        "zero-in-definition", "zero-in-atom-behaviour", "zero-in-alphabet"])
+        "zero-in-definition", "zero-in-atom-behaviour", "zero-in-alphabet",
+        "later-constant-in-function", "function-calling-itself"])
 def test_cli_expression_mistake_exits_2(tmp_path, capsys, old, new, error):
     # each mistake is reported with the declaration that holds it
     assert EXPRESSION_MODEL.count(old) == 1
@@ -410,6 +416,17 @@ def test_cli_expression_mistake_exits_2(tmp_path, capsys, old, new, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+def test_cli_a_constant_may_call_a_function(tmp_path, capsys):
+    text = EXPRESSION_MODEL.replace("const X = 1", "fun dbl(x) = 2 * x\nconst X = dbl(2)")
+    assert elaborate(parse_network(text))[0].env.constants["X"] == 4
+    model = tmp_path / "function.net"
+    model.write_text(text)
+    assert main(["check", str(model)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("overall: PROVEN\n")
+    assert captured.err == ""
 
 
 def test_cli_proves_a_chain_of_2000_prefixes(tmp_path, capsys):
@@ -429,11 +446,21 @@ def nested_choices(depth):
     return "(a -> P [] " * depth + "a -> P" + ")" * depth
 
 
-@pytest.mark.parametrize("body", ["1 == 1 & a -> " * 1000 + "P", nested_choices(150)],
-                         ids=["1000-guarded-prefixes", "150-nested-parentheses"])
+def nested_indexed_choices(depth, parenthesised=False):
+    """``[] x : {0..0} @ ... a -> P``, ``depth`` choices deep, each one in
+    parentheses when ``parenthesised``."""
+    if parenthesised:
+        return "([] x : {0..0} @ " * depth + "a -> P" + ")" * depth
+    return "[] x : {0..0} @ " * depth + "a -> P"
+
+
+@pytest.mark.parametrize("body", ["1 == 1 & a -> " * 1000 + "P", nested_choices(150),
+                                  nested_indexed_choices(150)],
+                         ids=["1000-guarded-prefixes", "150-nested-parentheses",
+                              "150-nested-indexed-choices"])
 def test_cli_proves_a_guard_run_and_the_deepest_nesting(tmp_path, capsys, body):
-    # binding walks a run of guards in the prefix loop; 150 parentheses is
-    # the deepest nesting the parser takes
+    # binding walks a run of guards in the prefix loop; 150 levels is the
+    # deepest nesting the parser takes
     model = tmp_path / "deep.net"
     model.write_text(f"version 1\nchannel a\nP = {body}\n"
                      "atom PA = alphabet { a } behaviour P\ninstance X = PA\n")
@@ -449,7 +476,47 @@ def test_cli_rejects_parentheses_nested_deeper_than_150(tmp_path, capsys, depth)
     model.write_text(f"version 1\nchannel a\nP = {nested_choices(depth)}\n")
     assert main(["check", str(model)]) == 2
     column = len("P = ") + len("(a -> P [] ") * 150 + 1
-    assert capsys.readouterr().err == f"error: 3:{column}: parentheses nested deeper than 150\n"
+    assert capsys.readouterr().err == f"error: 3:{column}: nested deeper than 150\n"
+
+
+@pytest.mark.parametrize("body, column", [
+    (nested_indexed_choices(1000), len("P = ") + len("[] x : {0..0} @ ") * 150 + 1),
+    # a parenthesis and an indexed choice each open a level
+    (nested_indexed_choices(150, parenthesised=True),
+     len("P = ") + len("([] x : {0..0} @ ") * 75 + 1),
+], ids=["1000-indexed-choices", "150-parentheses-around-150-indexed-choices"])
+def test_cli_rejects_indexed_choices_nested_deeper_than_150(tmp_path, capsys, body, column):
+    model = tmp_path / "deep.net"
+    model.write_text(f"version 1\nchannel a\nP = {body}\n")
+    assert main(["check", str(model)]) == 2
+    assert capsys.readouterr().err == f"error: 3:{column}: nested deeper than 150\n"
+
+
+UNARY_MODEL = """version 1
+const M = {}
+channel a
+P = a -> P
+atom PA = alphabet {{ a }} behaviour P
+instance X = PA
+"""
+
+
+def test_cli_proves_a_constant_of_150_unary_minus_signs(tmp_path, capsys):
+    model = tmp_path / "unary.net"
+    model.write_text(UNARY_MODEL.format("- " * 150 + "1"))
+    assert main(["check", str(model)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("overall: PROVEN\n")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("op", ["- ", "not "], ids=["minus", "not"])
+def test_cli_rejects_1000_unary_operators_in_a_constant(tmp_path, capsys, op):
+    model = tmp_path / "unary.net"
+    model.write_text(UNARY_MODEL.format(op * 1000 + "1"))
+    assert main(["check", str(model)]) == 2
+    column = len("const M = ") + len(op) * 150 + 1
+    assert capsys.readouterr().err == f"error: 2:{column}: nested deeper than 150\n"
 
 
 def test_cli_conflict_prints_the_counterexample(tmp_path, capsys):
