@@ -297,7 +297,7 @@ def parallel_lts(
     shared = alpha_a & alpha_b
 
     def moves(pair):
-        # ticks (first in a row), A alone, B alone, the synchronisations
+        # this order fixes the state ids: ticks (first in a row), A, B, syncs
         sa, sb = pair
         row_a, row_b = a.trans[sa], b.trans[sb]
         out = []
