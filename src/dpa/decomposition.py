@@ -7,7 +7,9 @@ revivals refinement: the pair is abstracted, each shared-event offer is
 doubled with a fresh ``req`` offer, the two sides are composed in parallel,
 and the result must refine a specification that permits every behaviour
 except "offers req while refusing every shared event" before the first
-req, and never deadlocks before it either.
+req, and never deadlocks before it either.  That specification is built
+directly in normal form, with two states: the one before the first req,
+and CHAOS after it, where refinement stops exploring.
 
 A failed refinement does not demonstrate a real conflict (abstraction can
 introduce spurious ones), hence the verdict name ``possible-conflict``.
@@ -19,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from .events import EVENTS
-from .lts import DEFAULT_STATE_LIMIT, Lts, compile_term, parallel_lts, rename_lts
+from .lts import DEFAULT_STATE_LIMIT, Lts, parallel_lts, rename_lts
 from .network import (
     OTHER,
     TREE,
@@ -33,17 +35,7 @@ from .network import (
     communication_graph,
     dfs_labeled_edges,
 )
-from .semantics import Counterexample, NormalSpec, REVIVALS, normalize, refines
-from .terms import (
-    Call,
-    DefEnv,
-    Definition,
-    ExtChoice,
-    IntChoice,
-    Prefix,
-    SKIP,
-    STOP,
-)
+from .semantics import Counterexample, NormalSpec, NormalState, REVIVALS, refines
 
 CONFLICT_FREE = "conflict-free"
 POSSIBLE_CONFLICT = "possible-conflict"
@@ -118,41 +110,25 @@ def build_context(
     )
 
 
-def conflict_free_spec_term(union_events, shared_events, req: int):
-    """The characteristic process: recurring offers over the union alphabet,
-    with req available exactly alongside a (nondeterministically chosen)
-    shared event, and unconstrained chaos once a req has been taken."""
-    env = DefEnv()
-    chaos_events = sorted(union_events | {req})
-    env.define(
-        Definition(
-            "CHAOS",
-            (),
-            IntChoice(
-                (SKIP, STOP)
-                + tuple(Prefix(e, Call("CHAOS")) for e in chaos_events)
-            ),
-        )
-    )
-    shared_branch = IntChoice(
-        tuple(Prefix(e, Call("CF")) for e in sorted(shared_events))
-    )
-    guarded = ExtChoice((shared_branch, Prefix(req, Call("CHAOS"))))
-    any_branch = IntChoice(tuple(Prefix(e, Call("CF")) for e in sorted(union_events)))
-    env.define(Definition("CF", (), IntChoice((guarded, any_branch))))
-    return env, Call("CF")
-
-
 def build_conflict_free_spec(
     net: Network, i: int, j: int, req: int | None = None
 ) -> NormalSpec:
+    """The normal form of the characteristic process.  State 0, before any
+    req, accepts one event of the union alphabet, or req together with one
+    shared event, and never deadlocks or ticks; req leads to state 1,
+    CHAOS over the union alphabet and req."""
     if req is None:
         req = fresh_req(net)
     union = net[i].alphabet | net[j].alphabet
     shared = net[i].alphabet & net[j].alphabet
-    env, term = conflict_free_spec_term(union, shared, req)
-    lts = compile_term(env, term)
-    return normalize(lts, universe=union | {req})
+    universe = union | {req}
+    singles = sorted((frozenset({e}) for e in union), key=sorted)
+    offers = singles + [frozenset({e, req}) for e in shared]
+    before = NormalState(tuple(singles), tuple(sorted(offers, key=sorted)), False, False)
+    anything = [frozenset()] + [frozenset({e}) for e in universe]
+    chaos = NormalState((frozenset(),), tuple(sorted(anything, key=sorted)), True, True)
+    rows = [dict.fromkeys(union, 0) | {req: 1}, dict.fromkeys(universe, 1)]
+    return NormalSpec(universe, [before, chaos], rows, chaos=1)
 
 
 @dataclass

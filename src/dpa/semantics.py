@@ -22,6 +22,10 @@ the first violation found has a shortest, deterministic witness trace.
 Whether a pair witnesses a violation depends only on the spec state and
 the set of labels the implementation state offers, so each such
 combination is judged once per check; counterexamples are unchanged.
+Pairs at a spec's CHAOS state (``NormalSpec.chaos``) are never explored:
+CHAOS allows every behaviour over the spec's universe, so no pair there
+or beyond it can witness a violation, provided the implementation's
+visible events lie in that universe.
 """
 
 from __future__ import annotations
@@ -136,12 +140,17 @@ class NormalSpec:
     ``universe`` is the visible-event universe the spec constrains; refusal
     sets in counterexamples are reported relative to it.  It may be given
     as a function returning it, called only when a refusal set is reported.
+    ``chaos`` names a state that allows every behaviour over the universe
+    (it loops on every event, may tick and may refuse anything), or is
+    None.  Refinement does not explore past it, which is sound only for
+    implementations whose visible events all lie in the universe.
     """
 
     given_universe: object  # frozenset, or a function returning one
     states: list
     trans: list  # per state: dict visible label -> state id
     initial: int = 0
+    chaos: int | None = None
 
     @property
     def universe(self) -> frozenset:
@@ -293,7 +302,10 @@ def refines(spec: NormalSpec, impl: Lts, model: str) -> Counterexample | None:
 
     Violations are detected in breadth-first order with transitions taken
     in ascending interned-label order, so the returned counterexample is a
-    shortest one and identical across runs.
+    shortest one and identical across runs.  No pair at ``spec.chaos`` is
+    enqueued: those pairs lead only to each other and none is a violation
+    when ``impl``'s visible events lie in ``spec.universe``, so the order
+    and parent links of every other pair, and the result, are unchanged.
     """
     if model not in (FAILURES, REVIVALS):
         raise ValueError(f"unknown model {model!r}")
@@ -301,6 +313,7 @@ def refines(spec: NormalSpec, impl: Lts, model: str) -> Counterexample | None:
     visited = {start: None}
     queue = deque([start])
     judged = {}  # (spec state, offered labels) -> violation fields or None
+    chaos = spec.chaos
     while queue:
         pair = queue.popleft()
         ns, is_ = pair
@@ -318,8 +331,10 @@ def refines(spec: NormalSpec, impl: Lts, model: str) -> Counterexample | None:
                 nxt = (ns, t)
             elif l == TICK:
                 continue  # nothing is observable beyond termination
+            elif (target := spec_row[l]) == chaos:
+                continue  # no violation lies at or beyond CHAOS
             else:
-                nxt = (spec_row[l], t)
+                nxt = (target, t)
             if nxt not in visited:
                 visited[nxt] = (pair, l)
                 queue.append(nxt)

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from conftest import CROSSED_MODEL, replay
-from dpa import models
+from dpa import models, semantics
 from dpa.decomposition import (
     CONFLICT_FREE,
     POSSIBLE_CONFLICT,
@@ -17,7 +18,7 @@ from dpa.decomposition import (
 from dpa.dsl import elaborate, parse_network
 from dpa.events import EVENTS, event
 from dpa.network import CommGraph, Component, InputError, Network, NotLive, communication_graph
-from dpa.semantics import REVIVAL_VIOLATION
+from dpa.semantics import REVIVAL_VIOLATION, REVIVALS, refines
 from dpa.terms import Call, DefEnv, Definition, Prefix, STOP
 
 
@@ -170,6 +171,32 @@ def test_possible_conflict_with_witness():
     assert {event("cx.a"), event("cx.b")} <= set(ce.refusal)
     ctx = build_context(net, 0, 1, req=ce.event)
     assert replay(ctx, ce)
+
+
+@pytest.mark.parametrize("make, reaches_chaos", [
+    (lambda: elaborate(parse_network(models.ring_buffer_source(3))), True),
+    (crossed_pair, False),  # the conflict lies at the root
+], ids=["ringbuffer", "crossed"])
+def test_refinement_judges_no_pair_at_chaos(monkeypatch, make, reaches_chaos):
+    net = make()
+    judged = []  # (spec state, the spec's CHAOS state) of each judged pair
+    judge = semantics._judge
+
+    def spy(spec, ns, row, model):
+        judged.append((ns, spec.chaos))
+        return judge(spec, ns, row, model)
+
+    monkeypatch.setattr(semantics, "_judge", spy)
+    edges = sorted(communication_graph(net).edges)
+    for i, j in edges:
+        check_conflict_free(net, i, j)
+    assert judged and all(ns != chaos for ns, chaos in judged)
+    # without the stop, the same checks do judge pairs at CHAOS
+    judged.clear()
+    for i, j in edges:
+        spec = build_conflict_free_spec(net, i, j)
+        refines(dataclasses.replace(spec, chaos=None), build_context(net, i, j), REVIVALS)
+    assert any(ns == 1 for ns, _ in judged) == reaches_chaos
 
 
 def _edge_verdicts(net):
