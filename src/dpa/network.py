@@ -28,11 +28,7 @@ from .lts import (
     hide_lts,
 )
 from .lts import AlphabetViolation
-from .semantics import (
-    component_deadlocks,
-    first_tick_trace,
-    stable_behaviours,
-)
+from .semantics import component_deadlocks, first_tick_trace
 from .terms import DefEnv, EMPTY_ENV, Term
 
 
@@ -222,13 +218,14 @@ def abs_lts(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
 
 
 def abs_divergent(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> bool:
-    """True when hiding private events introduced divergence, which makes
-    stable checks on this abstraction vacuous; judged once per component
-    and cached on the network."""
+    """True when hiding private events introduced divergence (a tau cycle),
+    which makes stable checks on this abstraction vacuous; judged once per
+    component and cached on the network."""
     lts = abs_lts(net, i, limit)
     divergent = net.divergence.get(i)
     if divergent is None:
-        divergent = net.divergence[i] = any(stable_behaviours(lts).divergent)
+        taus = [lts.taus(s) for s in range(lts.n_states)]
+        divergent = net.divergence[i] = find_cycle(taus) is not None
     return divergent
 
 
@@ -278,6 +275,21 @@ def dfs_labeled_edges(adj, roots):
             else:
                 stack.pop()
                 yield parent, v, DONE
+
+
+def find_cycle(adj):
+    """Some directed cycle of ``adj`` (per vertex from 0, its successors),
+    from the first back edge a depth-first search walks, or None."""
+    path, on_path = [], {}  # the vertices being walked, and their positions
+    for u, v, kind in dfs_labeled_edges(adj, range(len(adj))):
+        if kind == TREE:
+            on_path[v] = len(path)
+            path.append(v)
+        elif kind == DONE:
+            del on_path[path.pop()]
+        elif v in on_path:
+            return tuple(path[on_path[v]:])
+    return None
 
 
 def communication_graph(net: Network) -> CommGraph:

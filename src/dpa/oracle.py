@@ -4,12 +4,9 @@ This is the complete-but-exponential method the local analysis is measured
 against: a breadth-first search over the per-component LTS states,
 synchronising shared events, with shortest-witness deadlock detection.
 
-A global state is one mixed-radix integer, and every local move is a
-precomputed delta, so a successor is the state plus one delta per owner of
-its event.  One pass over the components decodes each local state once and
-finds both the tau moves and the enabled events, the latter from what the
-components offer rather than by scanning the alphabet.  Only a witness
-decodes its state back into a tuple of local states.
+A global state is one mixed-radix integer and every local move a
+precomputed delta (see :class:`_Product`); only a witness decodes its state
+back into a tuple of local states.
 
 A witness arrives explained: it holds the snapshot graph of ungranted requests
 at the deadlocked state and a cycle in it.  On any deadlocked state of a
@@ -19,13 +16,12 @@ sanity check on both the oracle and the theory.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .events import EVENTS, TAU
 from .lts import DEFAULT_STATE_LIMIT
-from .network import DONE, TREE, Network, dfs_labeled_edges
-from .semantics import _pair_trace
+from .network import Network, find_cycle
+from .semantics import shortest_trace
 
 
 class UnstableState(Exception):
@@ -194,27 +190,16 @@ def explore_global(net: Network, state_limit: int = DEFAULT_STATE_LIMIT):
     trace.  A deadlock is a state with no move at all (so stable, with no
     enabled visible event) that cannot terminate either."""
     prod = _Product(net, state_limit)
-    start = prod.initial
-    parents = {start: None}
-    queue = deque([start])
-    explored = 0
-    while queue:
-        code = queue.popleft()
-        explored += 1
-        moves = prod.moves(code)
-        if not moves and not prod.all_tick(code):
-            trace = _pair_trace(parents, code)
-            gs = GlobalState(prod.locals(code), True, trace)
-            snap = snapshot_graph(net, gs)
-            cycle = find_ungranted_cycle(snap) or ()
-            return DeadlockWitness(trace, gs, snap, cycle, explored)
-        for e, nxt in moves:
-            if nxt not in parents:
-                if len(parents) >= state_limit:
-                    return LimitReached(explored, len(queue))
-                parents[nxt] = (code, e)
-                queue.append(nxt)
-    return DeadlockFree(explored)
+    end = shortest_trace(prod.initial, prod.moves,
+                         lambda c, moves: not moves and not prod.all_tick(c), state_limit)
+    if end.frontier is not None:
+        return LimitReached(end.explored, end.frontier)
+    if end.trace is None:
+        return DeadlockFree(end.explored)
+    gs = GlobalState(prod.locals(end.state), True, end.trace)
+    snap = snapshot_graph(net, gs)
+    cycle = find_ungranted_cycle(snap) or ()
+    return DeadlockWitness(end.trace, gs, snap, cycle, end.explored)
 
 
 @dataclass
@@ -250,16 +235,7 @@ def snapshot_graph(net: Network, state: GlobalState) -> SnapshotGraph:
 
 def find_ungranted_cycle(g: SnapshotGraph):
     """Some directed cycle of the snapshot graph (DFS back edge), or None."""
-    adj = {i: [] for i in range(g.n)}
+    adj = [[] for _ in range(g.n)]
     for (i, j) in sorted(g.arcs):
         adj[i].append(j)
-    path, on_path = [], {}  # the vertices being walked, and their positions
-    for u, v, kind in dfs_labeled_edges(adj, range(g.n)):
-        if kind == TREE:
-            on_path[v] = len(path)
-            path.append(v)
-        elif kind == DONE:
-            del on_path[path.pop()]
-        elif v in on_path:
-            return tuple(path[on_path[v]:])
-    return None
+    return find_cycle(adj)

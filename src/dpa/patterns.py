@@ -11,8 +11,8 @@ obligation below can be built from; ``DESCRIPTORS`` maps each class's
 * behavioural compliance: a generated characteristic process per component,
   refined against the component's abstraction in the model the pattern
   calls for (revivals for the all-server-requests-offered condition,
-  failures everywhere else), plus the order side conditions (acquisition
-  sequences descending under the resource order, duplicate-free schedules).
+  failures everywhere else), plus the side condition that each user's
+  acquisition sequence descends under the resource order.
 
 A verdict of adherent, together with liveness, discharges deadlock freedom
 for the subnetwork the descriptor covers.
@@ -782,21 +782,7 @@ class AdDescriptor:
         ]
 
     def side_conditions(self):
-        """No participant's schedule repeats a peer."""
-        out = []
-        for p in self.participants:
-            sched = self.schedule.get(p, ())
-            dup = len(sched) != len(set(sched))
-            out.append(
-                BehaviouralResult(
-                    p,
-                    "schedule",
-                    "structural",
-                    not dup,
-                    note="" if not dup else f"schedule {list(sched)} repeats a peer",
-                )
-            )
-        return out
+        return []  # from_json already rejects a schedule that repeats a peer
 
     def echo_lines(self):
         lines = []

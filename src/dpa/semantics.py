@@ -13,25 +13,19 @@ representation used throughout:
   event it offers, *unless* it can terminate, in which case it contributes
   neither revivals nor a deadlock (only its traces matter).
 
-Both models are divergence-blind: internal-transition cycles are reported
-via :class:`StableInfo` divergence flags, never as violations.
+Both models are divergence-blind: internal-transition cycles are never
+violations; :func:`normalize` rejects a specification that has one.
 
-Refinement runs breadth-first over pairs of (normalised spec state,
-implementation state), expanding transitions in ascending label order, so
-the first violation found has a shortest, deterministic witness trace.
-Whether a pair witnesses a violation depends only on the spec state and
-the set of labels the implementation state offers, so each such
-combination is judged once per check; counterexamples are unchanged.
-Pairs at a spec's CHAOS state (``NormalSpec.chaos``) are never explored:
-CHAOS allows every behaviour over the spec's universe, so no pair there
-or beyond it can witness a violation, provided the implementation's
-visible events lie in that universe.
+Refinement and the witness searches (:func:`shortest_trace`) run
+breadth-first in ascending label order, so every witness trace found is a
+shortest one and the same across runs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .events import TAU, TICK, EVENTS, fmt_events, fmt_trace
 from .lts import Lts
@@ -61,12 +55,8 @@ class StableInfo:
 
 
 def stable_behaviours(lts: Lts) -> StableInfo:
-    """Tau-closures, stable acceptances and divergence flags, per state.
-
-    Quadratic in the worst case; intended for component-sized systems
-    (specifications, individual components, snapshot states), not for raw
-    product spaces.
-    """
+    """Tau-closures, stable acceptances and divergence flags, per state;
+    quadratic in the worst case, so meant for specifications."""
     n = lts.n_states
     tau_succ = [lts.taus(s) for s in range(n)]
     stable = [not tau_succ[s] for s in range(n)]
@@ -96,29 +86,16 @@ def stable_behaviours(lts: Lts) -> StableInfo:
     return StableInfo(closures, stable, acceptance, divergent)
 
 
-def _shortest_trace(lts: Lts, found):
-    """Shortest visible trace to a state where ``found(state)``, or None."""
-    queue = deque([lts.initial])
-    parents = {lts.initial: None}
-    while queue:
-        s = queue.popleft()
-        if found(s):
-            return _pair_trace(parents, s)
-        for l, t in lts.trans[s]:
-            if t not in parents:
-                parents[t] = (s, l)
-                queue.append(t)
-    return None
-
-
 def component_deadlocks(lts: Lts):
     """Shortest trace to a state that offers nothing at all, or None."""
-    return _shortest_trace(lts, lambda s: not lts.trans[s])
+    return shortest_trace(lts.initial, lts.trans.__getitem__,
+                          lambda s, row: not row).trace
 
 
 def first_tick_trace(lts: Lts):
     """Shortest visible trace leading to an enabled termination, or None."""
-    return _shortest_trace(lts, lts.has_tick)
+    return shortest_trace(lts.initial, lts.trans.__getitem__,
+                          lambda s, row: lts.has_tick(s)).trace
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +277,12 @@ def _fmt_acc(acc):
 def refines(spec: NormalSpec, impl: Lts, model: str) -> Counterexample | None:
     """Check ``spec [F= impl`` or ``spec [V= impl``; None means it holds.
 
-    Violations are detected in breadth-first order with transitions taken
-    in ascending interned-label order, so the returned counterexample is a
-    shortest one and identical across runs.  No pair at ``spec.chaos`` is
-    enqueued: those pairs lead only to each other and none is a violation
-    when ``impl``'s visible events lie in ``spec.universe``, so the order
-    and parent links of every other pair, and the result, are unchanged.
+    Whether a pair witnesses a violation depends only on the spec state
+    and the labels the implementation state offers, so each such
+    combination is judged once.  No pair at ``spec.chaos`` is enqueued:
+    those pairs lead only to each other and none is a violation when
+    ``impl``'s visible events lie in ``spec.universe``, so the result is
+    unchanged.
     """
     if model not in (FAILURES, REVIVALS):
         raise ValueError(f"unknown model {model!r}")
@@ -314,6 +291,9 @@ def refines(spec: NormalSpec, impl: Lts, model: str) -> Counterexample | None:
     queue = deque([start])
     judged = {}  # (spec state, offered labels) -> violation fields or None
     chaos = spec.chaos
+    # not a shortest_trace call: the judgement memo and the CHAOS stop sit
+    # in this inner loop, and as callbacks they slowed the ringbuffer
+    # benchmark by about 6% (2-core VM)
     while queue:
         pair = queue.popleft()
         ns, is_ = pair
@@ -383,6 +363,38 @@ def _judge(spec: NormalSpec, ns: int, row, model: str):
                 if a not in covered:
                     return (REVIVAL_VIOLATION, a, initials, spec.universe - initials)
     return None
+
+
+class SearchEnd(NamedTuple):
+    """``trace`` leads to the found ``state`` (None if none was found);
+    ``frontier`` counts the states queued when ``limit`` stopped the search."""
+
+    explored: int
+    state: object = None
+    trace: tuple | None = None
+    frontier: int | None = None
+
+
+def shortest_trace(start, moves, found, limit=None) -> SearchEnd:
+    """Breadth-first from ``start`` over ``moves(state)``, a list of ``(label,
+    successor)`` pairs, to the first state where ``found(state, its moves)``;
+    stops instead of adding a state past ``limit``."""
+    parents = {start: None}
+    queue = deque([start])
+    explored = 0
+    while queue:
+        s = queue.popleft()
+        explored += 1
+        out = moves(s)
+        if found(s, out):
+            return SearchEnd(explored, s, _pair_trace(parents, s))
+        for l, t in out:
+            if t not in parents:
+                if limit is not None and len(parents) >= limit:
+                    return SearchEnd(explored, frontier=len(queue))
+                parents[t] = (s, l)
+                queue.append(t)
+    return SearchEnd(explored)
 
 
 def _pair_trace(visited, pair):

@@ -350,8 +350,6 @@ BEHAVIOURAL_ORDER = {
         ("Bus.1.0", "TransportSpec", "failures", True),
         ("Node.0", "ParticipantSpec", "failures", True),
         ("Node.1", "ParticipantSpec", "failures", True),
-        ("Node.0", "schedule", "structural", True),
-        ("Node.1", "schedule", "structural", True),
     ],
 }
 

@@ -994,8 +994,6 @@ behavioural Bus.0.1 TransportSpec [failures]: ok
 behavioural Bus.1.0 TransportSpec [failures]: ok
 behavioural Node.0 ParticipantSpec [failures]: ok
 behavioural Node.1 ParticipantSpec [failures]: ok
-behavioural Node.0 schedule [structural]: ok
-behavioural Node.1 schedule [structural]: ok
 adherent: True
 """),
 }
