@@ -92,6 +92,8 @@ def parse_bench_spec(spec: str):
     every oracle size must be among them."""
     parts = spec.split(":")
     family = parts[0]
+    if len(parts) > 3:
+        raise InputError(f"bench spec has an extra part {':'.join(parts[3:])!r}")
     try:
         sizes = [int(s) for s in parts[1].split(",") if s] if len(parts) > 1 else []
         oracle_sizes = []

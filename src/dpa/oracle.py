@@ -17,6 +17,7 @@ sanity check on both the oracle and the theory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .events import EVENTS, TAU
 from .lts import DEFAULT_STATE_LIMIT
@@ -104,9 +105,11 @@ class _Product:
     product of the sizes of components ``0..i-1``.  A local move from ``s``
     to ``t`` is then the delta ``(t - s) * stride_i``, and a synchronised
     move adds one delta per owner.  Per component and local state the
-    tables hold the tau deltas, the visible offers (event -> deltas) and
-    the events the component leads (it is their least owner), each with
-    its other owners.
+    tables hold the tau moves as ``(TAU, delta)``, the visible offers
+    (event -> deltas) and the events the component leads (it is their
+    least owner) split three ways: ``solo`` ``(event, delta)`` pairs (it
+    owns them alone), ``duo`` ``(event, delta, other owner)`` triples (two
+    owners, one target here) and ``rest``, with deltas and other owners.
 
     The exploration limit bounds the product space only; components are
     compiled under the default cap."""
@@ -122,15 +125,22 @@ class _Product:
         for i, lts in enumerate(ltss):
             rows = []
             for s, row in enumerate(lts.trans):
-                taus = tuple((t - s) * stride for (l, t) in row if l == TAU)
+                taus = tuple((TAU, (t - s) * stride) for (l, t) in row if l == TAU)
                 offers = {}
                 for l, t in row:
                     if l >= 0:
                         offers.setdefault(l, []).append((t - s) * stride)
                 offers = {l: tuple(ds) for l, ds in offers.items()}
-                leads = tuple((e, ds, owners[e][1:]) for e, ds in offers.items()
-                              if owners[e][0] == i)
-                rows.append((taus, offers, leads))
+                solo, duo, rest = [], [], []
+                for e, ds in offers.items():
+                    own = owners[e]
+                    if own == (i,):
+                        solo += [(e, d) for d in ds]
+                    elif own[0] == i and len(own) == 2 and len(ds) == 1:
+                        duo.append((e, ds[0], own[1]))
+                    elif own[0] == i:
+                        rest.append((e, ds, own[1:]))
+                rows.append((taus, offers, tuple(solo), tuple(duo), tuple(rest)))
             tables.append((i, stride, rows))
             self.strides.append((stride, lts.n_states))
             self.tick.append([lts.has_tick(s) for s in range(lts.n_states)])
@@ -152,34 +162,41 @@ class _Product:
         an event is checked at its least owner, when the offers of all its
         other owners (higher indices) are known.  Each component's offers
         lie inside its alphabet (``check_alphabet``), so this finds every
-        enabled event once, without scanning the alphabet."""
+        enabled event once, without scanning the alphabet.  Each event's
+        ``(event, delta)`` pairs come from one source, in order, so one
+        stable sort by event orders them all."""
         offers = [None] * self.n
         taus = []
-        enabled = []
+        pairs = []
         rem = code
         for i, stride, rows in self.descending:
             s, rem = divmod(rem, stride)
-            tau, offers[i], leads = rows[s]
+            tau, offers[i], solo, duo, rest = rows[s]
             if tau:
                 taus.append(tau)
-            for e, ds, others in leads:
-                for j in others:
+            if solo:  # most rows lack some part; a test is cheaper than an empty loop
+                pairs += solo
+            if duo:
+                for e, d, j in duo:
                     more = offers[j].get(e)
-                    if more is None:
-                        break
-                    if len(ds) == 1 == len(more):  # the common case: no list built
-                        ds = (ds[0] + more[0],)
-                    else:
+                    if more is not None:
+                        if len(more) == 1:
+                            pairs.append((e, d + more[0]))
+                        else:
+                            pairs += [(e, d + m) for m in more]
+            if rest:
+                for e, ds, others in rest:
+                    for j in others:
+                        more = offers[j].get(e)
+                        if more is None:
+                            break
                         ds = [d + m for d in ds for m in more]
-                else:
-                    enabled.append((e, ds))
-        out = []
-        for tau in reversed(taus):
-            out += [(TAU, code + d) for d in tau]
-        enabled.sort()
-        for e, ds in enabled:
-            out += [(e, code + d) for d in ds]
-        return out
+                    else:
+                        pairs += [(e, d) for d in ds]
+        pairs.sort(key=itemgetter(0))
+        if taus:
+            pairs[:0] = [move for tau in reversed(taus) for move in tau]
+        return [(e, code + d) for e, d in pairs]
 
     def all_tick(self, code):
         return all(tick[s] for tick, s in zip(self.tick, self.locals(code)))

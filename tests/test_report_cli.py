@@ -813,8 +813,9 @@ def test_cli_bench_subcommand(capsys, monkeypatch):
     ("leadership:1", "leadership needs sizes of at least 2, got 1"),
     ("philosophers:2:oracle=5", "oracle sizes [5] are not among the sizes [2]"),
     ("ringbuffer:", "bench spec needs sizes, e.g. philosophers:3,5,10"),
+    ("ringbuffer:2:oracle=2:junk", "bench spec has an extra part 'junk'"),
 ], ids=["ringbuffer-0", "ringbuffer-negative", "philosophers-0", "philosophers-1-of-two",
-        "leadership-1", "oracle-size-not-listed", "empty-size-list"])
+        "leadership-1", "oracle-size-not-listed", "empty-size-list", "extra-part"])
 def test_cli_bench_rejects_sizes_that_build_no_family_network(capsys, spec, error):
     assert main(["bench", spec]) == 2
     captured = capsys.readouterr()
