@@ -85,6 +85,19 @@ def run_bench(
     return {"family": family, "rows": rows}
 
 
+def _sizes(spec: str, what: str, text: str) -> list:
+    """The integers of a comma-separated list in ``spec``."""
+    sizes = []
+    for s in text.split(","):
+        if s:
+            try:
+                sizes.append(int(s))
+            except ValueError:
+                raise InputError(
+                    f"bench spec {spec!r}: {what} {s!r} is not an integer") from None
+    return sizes
+
+
 def parse_bench_spec(spec: str):
     """'family:3,5,10[:oracle=3,4]' -> (family, sizes, oracle_sizes).
 
@@ -94,16 +107,12 @@ def parse_bench_spec(spec: str):
     family = parts[0]
     if len(parts) > 3:
         raise InputError(f"bench spec has an extra part {':'.join(parts[3:])!r}")
-    try:
-        sizes = [int(s) for s in parts[1].split(",") if s] if len(parts) > 1 else []
-        oracle_sizes = []
-        if len(parts) > 2:
-            tail = parts[2]
-            if tail.startswith("oracle="):
-                tail = tail[len("oracle="):]
-            oracle_sizes = [int(s) for s in tail.split(",") if s]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    sizes = _sizes(spec, "size", parts[1]) if len(parts) > 1 else []
+    oracle_sizes = []
+    if len(parts) > 2:
+        if not parts[2].startswith("oracle="):
+            raise InputError(f"bench spec part {parts[2]!r} must start with 'oracle='")
+        oracle_sizes = _sizes(spec, "oracle size", parts[2][len("oracle="):])
     if not sizes:
         raise InputError("bench spec needs sizes, e.g. philosophers:3,5,10")
     _source, _descriptor, least = _family(family)

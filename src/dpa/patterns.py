@@ -26,7 +26,16 @@ from functools import cached_property
 from .events import EVENTS, event
 from .lts import DEFAULT_STATE_LIMIT, compile_term
 from .network import InputError, Network, abs_lts, abs_divergent
-from .semantics import Counterexample, FAILURES, REVIVALS, normalize, refines
+from .semantics import (
+    Counterexample,
+    FAILURES,
+    NormalSpec,
+    NormalState,
+    REVIVALS,
+    SpecDivergence,
+    normalize,
+    refines,
+)
 from .terms import (
     BinOp,
     Call,
@@ -842,21 +851,95 @@ class PatternVerdict:
         }
 
 
-def _refine_against(net, name, spec_env, spec_term, model, limit, spec_name):
-    idx = net.index_of(name)
-    spec_lts = compile_term(spec_env, spec_term, limit)
-    nspec = normalize(spec_lts, universe=lambda: net.sigma)
-    impl = abs_lts(net, idx, limit)
-    ce = refines(nspec, impl, model)
-    return BehaviouralResult(name, spec_name, model, ce is None, ce)
+def _canonical(env: DefEnv, term: Term):
+    """The shape of a spec: ``(key, events)``.  ``key`` is ``(definitions,
+    term)``, each definition a ``(name, params, body)`` triple, with every
+    ground event replaced by its position in ``events``: the distinct events
+    in the order the walk meets them, the definitions in definition order
+    first, then ``term``.  Two specs with one key differ only in their
+    events, so they compile to the same LTS up to the labels.
+
+    Terms are hash-consed, so the canonical term is its own key, and each
+    distinct subterm is walked once.  A run of prefixes is walked in a
+    loop, so its length costs no stack."""
+    position = {}  # real event -> its position in ``events``
+    memo = {}  # real term -> canonical term
+
+    def walk(term):
+        run = []
+        while type(term) is Prefix and term not in memo:
+            run.append(term)
+            position.setdefault(term.event, len(position))
+            term = term.cont
+        out = memo.get(term)
+        if out is None:
+            out = memo[term] = shape(term)
+        for node in reversed(run):
+            out = memo[node] = Prefix(position[node.event], out)
+        return out
+
+    def shape(term):
+        t = type(term)
+        if t in (ExtChoice, IntChoice):
+            return t(tuple(walk(i) for i in term.items))
+        if t is Guard:
+            return Guard(term.cond, walk(term.body))
+        if t is Seq:
+            return Seq(walk(term.first), walk(term.second))
+        if t is Interrupt:
+            return Interrupt(walk(term.body), walk(term.handler))
+        if t is Call or term is SKIP or term is STOP:
+            return term
+        raise TypeError(f"no canonical form for spec term {term!r}")
+
+    definitions = tuple(
+        (d.name, d.params, walk(d.body)) for d in env.definitions.values()
+    )
+    return (definitions, walk(term)), tuple(position)
+
+
+def _normal_shape(key, events, limit) -> NormalSpec:
+    """The normal form of the canonical spec ``key``, over its positions; a
+    divergence is reported on the real ``events``."""
+    definitions, term = key
+    env = DefEnv(Definition(*d) for d in definitions)
+    try:
+        # the universe is never read: each obligation gets its own
+        return normalize(compile_term(env, term, limit), universe=frozenset())
+    except SpecDivergence as exc:
+        raise SpecDivergence(tuple(events[l] for l in exc.trace)) from None
+
+
+def _with_events(shape: NormalSpec, events, universe) -> NormalSpec:
+    """``shape`` with each position ``l`` read as ``events[l]``; TICK stays."""
+
+    def real(acc):
+        return frozenset([e if e < 0 else events[e] for e in acc])
+
+    states = [
+        NormalState(
+            tuple(map(real, s.min_acceptances)),
+            tuple(map(real, s.acceptances)),
+            s.deadlock_allowed,
+            s.tick_allowed,
+        )
+        for s in shape.states
+    ]
+    trans = [{events[l]: t for l, t in row.items()} for row in shape.trans]
+    return NormalSpec(universe, states, trans)
 
 
 def check_behavioural(desc, net: Network, scope, limit=DEFAULT_STATE_LIMIT) -> list:
     """Run every behavioural obligation of the pattern over the scope: the
     refinements in the descriptor's order, then the roles whose process
     degenerates (each a failed obligation carrying its note), then the
-    side conditions."""
+    side conditions.
+
+    The specs of one role differ only in their events, so each canonical
+    spec (:func:`_canonical`) is compiled and normalised once per call, and
+    each obligation refines against it with its own events put back."""
     refined, degenerate = [], []
+    shapes = {}  # canonical spec -> its normal form over positions
     for role, name in desc.obligations(frozenset(scope)):
         spec_name, model, build = desc.roles[role]
         try:
@@ -865,10 +948,14 @@ def check_behavioural(desc, net: Network, scope, limit=DEFAULT_STATE_LIMIT) -> l
             degenerate.append(
                 BehaviouralResult(name, spec_name, model, False, note=str(exc))
             )
-        else:
-            refined.append(
-                _refine_against(net, name, env, term, model, limit, spec_name)
-            )
+            continue
+        key, events = _canonical(env, term)
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = _normal_shape(key, events, limit)
+        nspec = _with_events(shape, events, lambda: net.sigma)
+        ce = refines(nspec, abs_lts(net, net.index_of(name), limit), model)
+        refined.append(BehaviouralResult(name, spec_name, model, ce is None, ce))
     return refined + degenerate + desc.side_conditions()
 
 

@@ -233,6 +233,11 @@ def test_bundled_models_match_reference(tally):
         if desc_name in models.BUNDLED:
             descriptors = [parse_descriptor(models.BUNDLED[desc_name](), net)]
         run_dpa(net, descriptors)
+    # each spec shape is normalised once per pattern check, so the larger
+    # leadership networks add the specs the bundled models share
+    for n in range(2, 8):
+        net = _net(models.leadership_source(n))
+        run_dpa(net, [parse_descriptor(models.leadership_descriptor(n), net)])
     assert tally.specs > 20
     assert tally.checks > 40
 

@@ -564,7 +564,7 @@ def test_cli_rejects_state_limit_below_one(model_dir, capsys, command, extra, li
 
 @pytest.mark.parametrize("argv, error", [
     (["bench", "philosophers"], "bench spec needs sizes, e.g. philosophers:3,5,10"),
-    (["bench", "philosophers:a"], "invalid literal for int() with base 10: 'a'"),
+    (["bench", "philosophers:a"], "bench spec 'philosophers:a': size 'a' is not an integer"),
     (["bench", "nofam:3"],
      "unknown family 'nofam'; pick one of ('philosophers', 'ringbuffer', 'leadership')"),
     (["conflict", "philosophers.net", "0", "2"],
@@ -814,8 +814,15 @@ def test_cli_bench_subcommand(capsys, monkeypatch):
     ("philosophers:2:oracle=5", "oracle sizes [5] are not among the sizes [2]"),
     ("ringbuffer:", "bench spec needs sizes, e.g. philosophers:3,5,10"),
     ("ringbuffer:2:oracle=2:junk", "bench spec has an extra part 'junk'"),
+    ("ringbuffer:x", "bench spec 'ringbuffer:x': size 'x' is not an integer"),
+    ("ringbuffer:2:oracle=2,junk",
+     "bench spec 'ringbuffer:2:oracle=2,junk': oracle size 'junk' is not an integer"),
+    ("ringbuffer:2:junk", "bench spec part 'junk' must start with 'oracle='"),
+    ("ringbuffer:2:2", "bench spec part '2' must start with 'oracle='"),
 ], ids=["ringbuffer-0", "ringbuffer-negative", "philosophers-0", "philosophers-1-of-two",
-        "leadership-1", "oracle-size-not-listed", "empty-size-list", "extra-part"])
+        "leadership-1", "oracle-size-not-listed", "empty-size-list", "extra-part",
+        "size-not-an-integer", "oracle-size-not-an-integer", "part-without-oracle-prefix",
+        "oracle-sizes-without-prefix"])
 def test_cli_bench_rejects_sizes_that_build_no_family_network(capsys, spec, error):
     assert main(["bench", spec]) == 2
     captured = capsys.readouterr()
