@@ -420,7 +420,8 @@ class Parser:
 
     def int_expr(self, level=_OR):
         """Precedence climbing over ``_EXPR_OPS``: an expression whose binary
-        operators all bind at ``level`` or tighter."""
+        operators all bind at ``level`` or tighter.  Each folded operator
+        opens one level, as every walker of the tree spends a frame on it."""
         text = self.peek().text
         tightest = _MUL
         if text == "-":
@@ -436,11 +437,15 @@ class Parser:
             tightest = _AND
         else:
             left = self.atom_expr("an expression")
+        folded = 0
         while True:
             op = self.peek().text
             p = _EXPR_OPS.get(op)
             if p is None or not level <= p <= tightest:
+                self.depth -= folded
                 return left
+            self.deeper()
+            folded += 1
             self.pos += 1
             left = BinOp(op, left, self.int_expr(p + 1))
             # the operand took all tighter operators but a second comparison
@@ -750,7 +755,7 @@ def elaborate(decl: NetworkDecl) -> Network:
             for mode, template in atom.alphabet:
                 try:
                     fields = [eval_expr(f, bindings, env) for f in template.fields]
-                except Exception as exc:
+                except DslValueError as exc:
                     raise NonGroundAlphabet(
                         f"alphabet of '{name}': {exc}"
                     ) from exc

@@ -617,7 +617,7 @@ class AdDescriptor:
     def from_json(cls, doc, net):
         """Each transport entity carries one connection, whose send and
         receive lists pair up and are not empty; every participant has a
-        schedule that repeats no peer."""
+        schedule that repeats no peer and names a peer it is connected to."""
         connections = []
         link, send, receive, on, off, timeout = {}, {}, {}, {}, {}, {}
         seen_links = {}
@@ -654,6 +654,9 @@ class AdDescriptor:
         for p in desc.participants:
             if p not in schedule:
                 raise NonTotalMap(f"no schedule for participant '{p}'")
+            # with no connected peer the send/receive loop is SR = SR
+            if not any((p, q) in link or (q, p) in link for q in schedule[p]):
+                raise NonTotalMap(f"schedule of '{p}' names no peer it is connected to")
         return desc
 
     @cached_property
@@ -905,7 +908,7 @@ def _normal_shape(key, events, limit) -> NormalSpec:
     env = DefEnv(Definition(*d) for d in definitions)
     try:
         # the universe is never read: each obligation gets its own
-        return normalize(compile_term(env, term, limit), universe=frozenset())
+        return normalize(compile_term(env, term, limit), frozenset(), limit)
     except SpecDivergence as exc:
         raise SpecDivergence(tuple(events[l] for l in exc.trace)) from None
 

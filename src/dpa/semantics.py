@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .events import TAU, TICK, EVENTS, fmt_events, fmt_trace
-from .lts import Lts
+from .lts import DEFAULT_STATE_LIMIT, Lts, _reachable
 
 FAILURES = "failures"
 REVIVALS = "revivals"
@@ -147,14 +147,17 @@ def _min_antichain(sets):
     return tuple(out)
 
 
-def normalize(spec: Lts, universe=None) -> NormalSpec:
-    """Subset-construct the deterministic automaton of a specification.
+def normalize(spec: Lts, universe=None, limit: int = DEFAULT_STATE_LIMIT) -> NormalSpec:
+    """Subset-construct the deterministic automaton of a specification,
+    numbering its tau-closed subsets breadth-first in label order; past
+    ``limit`` subsets it raises :class:`StateLimitExceeded`.
 
     Divergence anywhere in the explored subsets is an error: a divergent
     specification would make the stable checks vacuous, which is never what
     a specification author means.
     """
     info = stable_behaviours(spec)
+    closure = info.tau_closure
     # per spec state: label -> targets, in transition order
     succ = []
     for row in spec.trans:
@@ -164,17 +167,27 @@ def normalize(spec: Lts, universe=None) -> NormalSpec:
         succ.append(by_label)
     if universe is None:
         universe = spec.visible_events()
-    initial = info.tau_closure[spec.initial]
-    ids = {initial: 0}
-    order = [initial]
+
+    def moves(members):
+        out = []
+        for l in sorted({l for m in members for l in succ[m] if l >= 0}):
+            targets = set()
+            for m in members:
+                for t in succ[m].get(l, ()):
+                    targets |= closure[t]
+            out.append((l, frozenset(targets)))
+        return out
+
+    order, rows = _reachable(closure[spec.initial], moves, limit)
+    if any(info.divergent):
+        end = shortest_trace(
+            0, rows.__getitem__,
+            lambda s, row: any(info.divergent[m] for m in order[s]),
+        )
+        if end.trace is not None:
+            raise SpecDivergence(end.trace)
     states: list[NormalState] = []
-    trans: list[dict] = []
-    queue = deque([(initial, ())])
-    while queue:
-        members, trace = queue.popleft()
-        for m in members:
-            if info.divergent[m]:
-                raise SpecDivergence(trace)
+    for members in order:
         stable_accs = [info.acceptance[m] for m in members if info.stable[m]]
         tick_allowed = any(TICK in succ[m] for m in members)
         # termination is urgent: a tick-enabled member (stable or not) lets
@@ -193,23 +206,7 @@ def normalize(spec: Lts, universe=None) -> NormalSpec:
                 tick_allowed=tick_allowed,
             )
         )
-        row = {}
-        labels = sorted({l for m in members for l in succ[m] if l >= 0})
-        for l in labels:
-            targets = set()
-            for m in members:
-                for t in succ[m].get(l, ()):
-                    targets |= info.tau_closure[t]
-            tgt = frozenset(targets)
-            sid = ids.get(tgt)
-            if sid is None:
-                sid = len(order)
-                ids[tgt] = sid
-                order.append(tgt)
-                queue.append((tgt, trace + (l,)))
-            row[l] = sid
-        trans.append(row)
-    return NormalSpec(universe, states, trans)
+    return NormalSpec(universe, states, [dict(row) for row in rows])
 
 
 # ---------------------------------------------------------------------------

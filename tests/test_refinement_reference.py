@@ -17,7 +17,7 @@ from dpa import decomposition, models, patterns
 from dpa.decomposition import check_conflict_free
 from dpa.dsl import elaborate, parse_descriptor, parse_network
 from dpa.events import TAU, TICK, event
-from dpa.lts import compile_term
+from dpa.lts import DEFAULT_STATE_LIMIT, compile_term
 from dpa.network import abs_lts, communication_graph
 from dpa.report import run_dpa
 from dpa.semantics import (
@@ -177,9 +177,9 @@ class _Tally:
         self.counterexamples = 0
         self.kinds = set()
 
-    def normalize(self, spec_lts, universe=None):
+    def normalize(self, spec_lts, universe=None, limit=DEFAULT_STATE_LIMIT):
         try:
-            got = normalize(spec_lts, universe)
+            got = normalize(spec_lts, universe, limit)
         except SpecDivergence as exc:
             with pytest.raises(SpecDivergence) as ref:
                 _reference_normalize(spec_lts, universe)

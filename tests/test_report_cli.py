@@ -519,6 +519,47 @@ def test_cli_rejects_1000_unary_operators_in_a_constant(tmp_path, capsys, op):
     assert capsys.readouterr().err == f"error: 2:{column}: nested deeper than 150\n"
 
 
+def plus_chain(terms):
+    return "+".join(["1"] * terms)
+
+
+@pytest.mark.parametrize("terms", [150, 151])
+def test_cli_proves_a_constant_of_up_to_150_additions(tmp_path, capsys, terms):
+    # each folded binary operator opens one level, like a unary one
+    model = tmp_path / "sum.net"
+    model.write_text(UNARY_MODEL.format(plus_chain(terms)))
+    assert main(["check", str(model)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("overall: PROVEN\n")
+    assert captured.err == ""
+
+
+SUM_MODEL = """version 1
+const M = {}
+channel a : {{0..1}}
+P = a.0 -> P
+atom PA = alphabet {{| a.({}) |}} behaviour P
+instance X = PA
+"""
+
+
+@pytest.mark.parametrize("constant, field, line, levels_before", [
+    (plus_chain(3000), "0", 2, 0),
+    # the parenthesis around the field opens the first level
+    ("1", plus_chain(3000), 5, 1),
+], ids=["constant", "alphabet"])
+def test_cli_rejects_a_sum_of_3000_terms(tmp_path, capsys, constant, field, line,
+                                         levels_before):
+    model = tmp_path / "sum.net"
+    text = SUM_MODEL.format(constant, field)
+    model.write_text(text)
+    assert main(["check", str(model)]) == 2
+    # the error points at the operator that opens level 151
+    source_line = text.splitlines()[line - 1]
+    column = source_line.index("1+") + len("1+") * (150 - levels_before) + 2
+    assert capsys.readouterr().err == f"error: {line}:{column}: nested deeper than 150\n"
+
+
 def test_cli_conflict_prints_the_counterexample(tmp_path, capsys):
     model = tmp_path / "crossed.net"
     model.write_text(CROSSED_MODEL)
@@ -670,11 +711,14 @@ AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
     ("leadership", {"pattern": "async-dynamic", "connections": [AD_CONNECTION],
                     "schedule": {"Node.1": ["Node.0"]}},
      "no schedule for participant 'Node.0'"),
+    ("leadership", {"pattern": "async-dynamic", "connections": [AD_CONNECTION],
+                    "schedule": {"Node.0": [], "Node.1": ["Node.0"]}},
+     "schedule of 'Node.0' names no peer it is connected to"),
     ("philosophers", {"schema": 2}, "unsupported descriptor schema 2"),
     ("philosophers", {"pattern": "ring"}, "unknown pattern 'ring'"),
 ], ids=["no-order", "order-names-unconnected", "order-misses-a-resource", "unranked-resource",
         "no-requests", "transport-linked-twice", "send-receive-unpaired", "no-data-events",
-        "no-schedule", "unsupported-schema", "unknown-pattern"])
+        "no-schedule", "unconnected-schedule", "unsupported-schema", "unknown-pattern"])
 def test_cli_pattern_rejects_a_malformed_descriptor(model_dir, capsys, model, doc, error):
     descriptor = model_dir / "malformed.pattern.json"
     descriptor.write_text(json.dumps({"pattern": "resource-allocation", **doc}))

@@ -1,8 +1,9 @@
 import pytest
 
 from conftest import replay
+from test_refinement_reference import _reference_normalize
 from dpa.events import event
-from dpa.lts import compile_term
+from dpa.lts import StateLimitExceeded, compile_term
 from dpa.semantics import (
     DEADLOCK_VIOLATION,
     FAILURES,
@@ -75,8 +76,39 @@ def test_normalize_internal_choice_by_hand():
 
 def test_normalize_rejects_divergent_spec():
     env = DefEnv([Definition("P", (), Prefix(A, Call("P")))])
+    div = Hide(Call("P"), frozenset({A}))
     with pytest.raises(SpecDivergence):
-        normalize(compile_term(env, Hide(Call("P"), frozenset({A}))))
+        normalize(compile_term(env, div))
+    # the divergence is reachable after <b, a, c> and after <a, c>; the
+    # shortest trace is the reference one
+    lts = compile_term(env, ExtChoice((
+        Prefix(B, Prefix(A, Prefix(C, div))),
+        Prefix(A, Prefix(C, div)),
+        Prefix(C, STOP),
+    )))
+    with pytest.raises(SpecDivergence) as got:
+        normalize(lts)
+    with pytest.raises(SpecDivergence) as ref:
+        _reference_normalize(lts)
+    assert got.value.trace == ref.value.trace == (A, C)
+
+
+def test_subset_construction_respects_the_state_limit():
+    # P = a -> P [] b -> P [] a -> Q1, and Qi reads a or b up to Q12 = STOP:
+    # after any trace the subset holds P and each Qi whose a lies i events
+    # back, so 13 spec states give 2^12 normal states
+    defs = [Definition("P", (), ExtChoice((
+        Prefix(A, Call("P")), Prefix(B, Call("P")), Prefix(A, Call("Q1")),
+    )))]
+    for i in range(1, 12):
+        nxt = Call(f"Q{i + 1}")
+        defs.append(Definition(f"Q{i}", (), ExtChoice((Prefix(A, nxt), Prefix(B, nxt)))))
+    defs.append(Definition("Q12", (), STOP))
+    lts = compile_term(DefEnv(defs), Call("P"))
+    assert lts.n_states == 13
+    assert normalize(lts).n_states == 4096
+    with pytest.raises(StateLimitExceeded):
+        normalize(lts, limit=1000)
 
 
 def test_refines_reflexive_on_samples():
