@@ -11,7 +11,7 @@ from dpa.dsl import (
     parse_network,
 )
 from dpa.events import EVENTS, event
-from dpa.patterns import DuplicateInSchedule, UnknownComponent, UnknownEvent
+from dpa.patterns import DuplicateName, UnknownComponent, UnknownEvent
 from dpa.terms import Call, Prefix, fmt_expr, pretty
 
 
@@ -372,5 +372,5 @@ def test_descriptor_duplicate_schedule():
     net = net_of(models.leadership_source(2))
     doc = models.leadership_descriptor(2)
     doc["schedule"]["Node.0"] = ["Node.1", "Node.1"]
-    with pytest.raises(DuplicateInSchedule):
+    with pytest.raises(DuplicateName):
         parse_descriptor(doc, net)

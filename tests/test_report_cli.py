@@ -682,6 +682,7 @@ def test_cli_input_errors_keep_their_lines(model_dir, capsys, argv, error):
 
 RA_CONNECTION = {"user": "Phil.0", "resource": "Fork.0",
                  "acquire": "pickup.0.0", "release": "putdown.0.0"}
+CS_CONNECTION = {"client": "C1", "server": "C0", "requests": ["req10"]}
 AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
                  "send": ["snd.0.1.0"], "receive": ["rcv.0.1.0"],
                  "on": "on.0.1", "off": "off.0.1", "timeout": "to.0.1"}
@@ -696,9 +697,24 @@ AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
      "order of 'Phil.0' must cover exactly its connected resources"),
     ("philosophers", {"connections": [RA_CONNECTION], "order": {"Phil.0": ["Fork.0"]}},
      "resource order does not rank 'Fork.0'"),
+    ("philosophers", {"connections": [RA_CONNECTION], "order": {"Phil.0": ["Fork.0", "Fork.0"]},
+                      "resource_order": ["Fork.0"]},
+     "order of 'Phil.0' repeats a resource"),
+    ("philosophers", {"connections": [RA_CONNECTION], "order": {"Phil.0": ["Fork.0"]},
+                      "resource_order": ["Fork.0", "Fork.0"]},
+     "resource order repeats a resource"),
+    ("philosophers", {"connections": [RA_CONNECTION], "order": {"Phil.0": ["Fork.0"]},
+                      "resource_order": ["Ghost", "Fork.0"]},
+     "resource order mentions unconnected 'Ghost'"),
     ("client_server", {"pattern": "client-server",
                        "connections": [{"client": "C1", "server": "C0", "requests": []}]},
      "connection C1->C0 declares no request events"),
+    ("client_server", {"pattern": "client-server", "connections": [CS_CONNECTION],
+                       "component_order": ["C1", "C0", "C1"]},
+     "component order repeats a component"),
+    ("client_server", {"pattern": "client-server", "connections": [CS_CONNECTION],
+                       "component_order": ["Ghost", "C1", "C0"]},
+     "component order mentions unconnected 'Ghost'"),
     ("leadership", {"pattern": "async-dynamic", "connections": [
         AD_CONNECTION, {**AD_CONNECTION, "from": "Node.1", "to": "Node.0"}]},
      "transport 'Bus.0.1' linked to both ('Node.0', 'Node.1') and ('Node.1', 'Node.0')"),
@@ -714,11 +730,17 @@ AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
     ("leadership", {"pattern": "async-dynamic", "connections": [AD_CONNECTION],
                     "schedule": {"Node.0": [], "Node.1": ["Node.0"]}},
      "schedule of 'Node.0' names no peer it is connected to"),
+    ("leadership", {"pattern": "async-dynamic", "connections": [AD_CONNECTION],
+                    "schedule": {"Node.0": ["Node.1", "Node.1"], "Node.1": ["Node.0"]}},
+     "schedule of 'Node.0' repeats a peer"),
     ("philosophers", {"schema": 2}, "unsupported descriptor schema 2"),
     ("philosophers", {"pattern": "ring"}, "unknown pattern 'ring'"),
 ], ids=["no-order", "order-names-unconnected", "order-misses-a-resource", "unranked-resource",
-        "no-requests", "transport-linked-twice", "send-receive-unpaired", "no-data-events",
-        "no-schedule", "unconnected-schedule", "unsupported-schema", "unknown-pattern"])
+        "order-repeats-a-resource", "resource-order-repeats", "resource-order-names-unconnected",
+        "no-requests", "component-order-repeats", "component-order-names-unconnected",
+        "transport-linked-twice", "send-receive-unpaired", "no-data-events",
+        "no-schedule", "unconnected-schedule", "schedule-repeats-a-peer",
+        "unsupported-schema", "unknown-pattern"])
 def test_cli_pattern_rejects_a_malformed_descriptor(model_dir, capsys, model, doc, error):
     descriptor = model_dir / "malformed.pattern.json"
     descriptor.write_text(json.dumps({"pattern": "resource-allocation", **doc}))

@@ -14,7 +14,7 @@ from dpa import models, patterns
 from dpa.bench import build_family
 from dpa.dsl import elaborate, parse_descriptor, parse_network
 from dpa.events import TICK, event
-from dpa.lts import compile_term
+from dpa.lts import Lts, compile_term
 from dpa.semantics import SpecDivergence, normalize
 from dpa.terms import DIV, Call, DefEnv, Definition, Prefix, STOP
 
@@ -132,6 +132,66 @@ def test_each_spec_shape_is_normalised_once(monkeypatch, family, size):
     assert len(calls) == 2
 
 
+def _refines_calls(monkeypatch):
+    """The arguments of every ``refines`` call ``check_behavioural`` makes."""
+    calls = []
+    refines = patterns.refines
+
+    def counted(*args):
+        calls.append(args)
+        return refines(*args)
+
+    monkeypatch.setattr(patterns, "refines", counted)
+    return calls
+
+
+@pytest.mark.parametrize("source, doc, refined", [
+    (models.philosophers_source(300), models.philosophers_descriptor(300), 2),
+    (models.philosophers_source(300, True), models.philosophers_descriptor(300, True), 2),
+    (models.leadership_source(5), models.leadership_descriptor(5), 6),
+], ids=["philosophers-300", "philosophers-300-symmetric", "leadership-5"])
+def test_each_passing_verdict_shape_is_refined_once(monkeypatch, source, doc, refined):
+    calls = _refines_calls(monkeypatch)
+    net = elaborate(parse_network(source))
+    desc = parse_descriptor(doc, net)
+    got = patterns.check_behavioural(desc, net, desc.components())
+    assert len(calls) == refined
+    assert got == check_behavioural_reference(desc, net, desc.components())
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_failing_verdicts_are_never_shared(monkeypatch, n):
+    """With acquire and release swapped on every connection each refinement
+    fails, so each runs and names only its own component's events."""
+    doc = copy.deepcopy(models.philosophers_descriptor(n))
+    for conn in doc["connections"]:
+        conn["acquire"], conn["release"] = conn["release"], conn["acquire"]
+    calls = _refines_calls(monkeypatch)
+    net = elaborate(parse_network(models.philosophers_source(n)))
+    desc = parse_descriptor(doc, net)
+    got = patterns.check_behavioural(desc, net, desc.components())
+    refined = [r for r in got if r.model != "structural"]
+    assert len(calls) == len(refined) == 2 * n
+    assert got == check_behavioural_reference(desc, net, desc.components())
+    for r in refined:
+        ce = r.counterexample
+        assert not r.ok and ce.kind == "trace"
+        named = set(ce.trace) | {ce.event} | (ce.acceptance or set())
+        assert named <= net[net.index_of(r.component)].alphabet
+
+
+def test_impl_shape_ignores_how_events_and_states_are_numbered():
+    a, b, c = event("shape.impl.a"), event("shape.impl.b"), event("shape.impl.c")
+    # 0 -a-> 1 -a-> 0 and 0 -b-> 2 -c-> 2, then the same with a and b
+    # exchanged and states 1 and 2 exchanged, each row sorted by label
+    one = Lts(0, (((a, 1), (b, 2)), ((a, 0),), ((c, 2),)))
+    other = Lts(0, (((a, 1), (b, 2)), ((c, 1),), ((b, 0),)))
+    shape = patterns._impl_shape(one, (a, b))
+    assert shape == (((0, 1), (1, 2)), ((0, 0),), ((2, 2),))
+    assert patterns._impl_shape(other, (b, a)) == shape
+    assert patterns._impl_shape(other, (a, b)) != shape
+
+
 def test_mapped_specs_name_only_network_events(monkeypatch):
     seen = []
 
@@ -141,8 +201,11 @@ def test_mapped_specs_name_only_network_events(monkeypatch):
 
     refines = patterns.refines
     monkeypatch.setattr(patterns, "refines", recorded)
-    for source, doc in BASES:
-        net = elaborate(parse_network(source))
+    nets = {}
+    for source, doc in _corpus():
+        if source not in nets:
+            nets[source] = elaborate(parse_network(source))
+        net = nets[source]
         desc = parse_descriptor(doc, net)
         patterns.check_behavioural(desc, net, desc.components())
     assert len(seen) > 100
