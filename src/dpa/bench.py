@@ -8,7 +8,9 @@ assertions in the test-suite key on.  With ``repeat`` above one, each size
 runs that many times, each on a freshly built network (compiled LTSs are
 cached on components), and the row reports the median and the minimum; so
 does the oracle, whose times include compiling the components, as a
-``dpa oracle`` run does.
+``dpa oracle`` run does.  Building each network (parsing, elaborating and
+reading the descriptor) is timed apart from the run, into
+``build_seconds`` and ``build_seconds_min``.
 """
 
 from __future__ import annotations
@@ -46,16 +48,23 @@ def build_family(family: str, size: int):
     return net, descs
 
 
+def _spread(times):
+    return round(statistics.median(times), 4), round(min(times), 4)
+
+
 def _timed(family: str, size: int, repeat: int, run):
     """``run(net, descs)`` on ``repeat`` freshly built networks: the last
-    network and result, and the median and minimum of the wall times."""
-    times = []
+    network and result, and the (median, minimum) of the run's wall times
+    and of the builds'."""
+    runs, builds = [], []
     for _ in range(repeat):
-        net, descs = build_family(family, size)
         t0 = time.perf_counter()
+        net, descs = build_family(family, size)
+        t1 = time.perf_counter()
         result = run(net, descs)
-        times.append(time.perf_counter() - t0)
-    return net, result, round(statistics.median(times), 4), round(min(times), 4)
+        runs.append(time.perf_counter() - t1)
+        builds.append(t1 - t0)
+    return net, result, _spread(runs), _spread(builds)
 
 
 def run_bench(
@@ -63,7 +72,7 @@ def run_bench(
 ) -> dict:
     rows = []
     for size in sizes:
-        net, report, median, least = _timed(
+        net, report, (median, least), (build, build_least) = _timed(
             family, size, repeat, lambda net, descs: run_dpa(net, descs, state_limit))
         checks = report.decomposition.checks if report.decomposition else ()
         row = {
@@ -71,11 +80,13 @@ def run_bench(
             "components": len(net),
             "dpa_seconds": median,
             "dpa_seconds_min": least,
+            "build_seconds": build,
+            "build_seconds_min": build_least,
             "proven": report.overall == PROVEN,
             "context_states": sum(c.context_states for c in checks),
         }
         if size in oracle_sizes:
-            _net, result, median, least = _timed(
+            _net, result, (median, least), _build = _timed(
                 family, size, repeat, lambda net, _descs: explore_global(net, state_limit))
             row["oracle_seconds"] = median
             row["oracle_seconds_min"] = least

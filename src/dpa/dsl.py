@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -114,35 +115,28 @@ class NonGroundAlphabet(ElaborationError):
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>--[^\n]*)
-  | (?P<nl>\n)
-  | (?P<num>\d+)
-  | (?P<op>\[\[|\]\]|\{\||\|\}|\|~\||\[\]|->|<-|/\\|\.\.|==|!=|<=|>=|[()\{\}=<>+\-*/%,:@;.&!?\\|])
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    """,
-    re.VERBOSE,
+KEYWORDS = frozenset(
+    "version const channel fun atom instance alphabet behaviour STOP SKIP DIV and or not".split()
 )
-
-KEYWORDS = {
-    "version",
-    "const",
-    "channel",
-    "fun",
-    "atom",
-    "instance",
-    "alphabet",
-    "behaviour",
-    "STOP",
-    "SKIP",
-    "DIV",
-    "and",
-    "or",
-    "not",
-}
-
+# longer operators first, so that each match is the longest
+_OPERATORS = (
+    r"[[ ]] {| |} |~| [] -> <- /\ .. == != <= >= "
+    r"( ) { } = < > + - * / % , : @ ; . & ! ? \ |"
+).split()
+_SEPARATORS = r"(?:[ \t\r\n]+|--[^\n]*)*"  # blanks, newlines and comments
+_SEPARATORS_RE = re.compile(_SEPARATORS)
+# One token and the separators after it.  A token is a number, an operator,
+# a name, or else one stray character.
+_TOKEN_RE = re.compile(
+    r"(\d+|" + "|".join(re.escape(op) for op in _OPERATORS if len(op) > 1)
+    + "|[" + re.escape("".join(op for op in _OPERATORS if len(op) == 1))
+    + r"]|[A-Za-z_][A-Za-z0-9_']*|.)" + _SEPARATORS
+)
+# An operator or keyword is its own tag; other tokens are tagged by their
+# first character.
+_TAGS = {text: text for text in (*_OPERATORS, *KEYWORDS)}
+_KINDS = dict.fromkeys("0123456789", "num") | dict.fromkeys(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", "ident")
 
 # The parser spends a few stack frames per level of nesting (a parenthesis, a
 # function call, an indexed choice or a unary operator), so nesting is
@@ -150,44 +144,41 @@ KEYWORDS = {
 MAX_NESTING = 150
 
 
-@dataclass
-class Token:
-    kind: str  # 'num' | 'ident' | 'op' | 'kw' | 'eof'
-    text: str
-    line: int
-    col: int
+class _Positions:
+    """Token index -> (line, col), for diagnostics: the first call scans
+    the text again for the tokens' offsets."""
+
+    def __init__(self, text, start):
+        self.text, self.start, self.offsets = text, start, None
+
+    def __call__(self, i):
+        if self.offsets is None:
+            self.offsets = [m.start() for m in _TOKEN_RE.finditer(self.text, self.start)]
+            self.offsets.append(len(self.text))
+            self.newlines = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect_left(self.newlines, self.offsets[i])
+        return line + 1, self.offsets[i] - (self.newlines[line - 1] if line else -1)
 
 
 def tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    diagnostics = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            diagnostics.append(Diagnostic(line, col, f"stray character {text[pos]!r}"))
-            pos += 1
-            col += 1
-            continue
-        kind = m.lastgroup
-        tok = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(tok)
-        else:
-            k = kind
-            if kind == "ident" and tok in KEYWORDS:
-                k = "kw"
-            tokens.append(Token(k, tok, line, col))
-            col += len(tok)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    if diagnostics:
-        raise ParseError(diagnostics)
-    return tokens
+    """``(tags, texts, position)``: each token's tag and text, the last an
+    ``eof`` of text ``""``, and (line, col) by token index.  Every stray
+    character is reported at once."""
+    start = _SEPARATORS_RE.match(text).end()
+    texts = _TOKEN_RE.findall(text, start)
+    tags = [  # \d matches the digits of every script
+        _TAGS.get(t) or _KINDS.get(t[0]) or ("num" if t.isdecimal() else "stray")
+        for t in texts
+    ]
+    texts.append("")
+    tags.append("eof")
+    position = _Positions(text, start)
+    if "stray" in tags:
+        raise ParseError(
+            Diagnostic(*position(i), f"stray character {t!r}")
+            for i, t in enumerate(texts) if tags[i] == "stray"
+        )
+    return tags, texts, position
 
 
 # ---------------------------------------------------------------------------
@@ -254,40 +245,42 @@ _DECLARATION_KEYWORDS = ("version", "const", "channel", "fun", "atom", "instance
 
 
 class Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the tokens' tags: an operator's or keyword's
+    text, or else the kind ``num``, ``ident`` or ``eof``."""
+
+    def __init__(self, tags, texts, position):
+        self.tags, self.texts, self.position = tags, texts, position
         self.pos = 0
         self.depth = 0  # levels of nesting open
         self.diagnostics = []
         self.inputs = []
+        self.leaves = {}  # text -> its Lit or Var, immutable, so built once
 
-    # -- machinery --
+    # -- machinery: nothing consumes the final ``eof`` --
 
-    def peek(self, ahead=0) -> Token:
-        """Unchecked: callers stay between the first token and ``eof``."""
-        return self.tokens[self.pos + ahead]
+    def at(self, tag) -> bool:
+        return self.tags[self.pos] == tag
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def accept(self, tag) -> bool:
+        if self.tags[self.pos] == tag:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def at(self, kind, text=None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == kind and (text is None or tok.text == text)
+    def expect(self, tag) -> str:
+        """The current token's text; its tag must be ``tag``."""
+        pos = self.pos
+        if self.tags[pos] != tag:
+            self.fail(repr(tag))
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def accept(self, kind, text=None):
-        return self.next() if self.at(kind, text) else None
-
-    def expect(self, kind, text=None) -> Token:
-        if self.at(kind, text):
-            return self.next()
-        self.fail(repr(text or kind))
+    def bail(self, message, pos=None):
+        """A diagnostic at token ``pos``, by default the current one."""
+        return _Bail(Diagnostic(*self.position(self.pos if pos is None else pos), message))
 
     def fail(self, what):
-        tok = self.tokens[self.pos]
-        raise _Bail(Diagnostic(tok.line, tok.col, f"expected {what}, found {tok.text!r}"))
+        raise self.bail(f"expected {what}, found {self.texts[self.pos]!r}")
 
     def deeper(self):
         """Open one more level of nesting at the current token, which the
@@ -296,31 +289,30 @@ class Parser:
         per level."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            tok = self.tokens[self.pos]
-            raise _Bail(Diagnostic(tok.line, tok.col, f"nested deeper than {MAX_NESTING}"))
+            raise self.bail(f"nested deeper than {MAX_NESTING}")
 
     def comma_list(self, item) -> list:
         """``item (, item)*``, each parsed by calling ``item()``."""
         items = [item()]
-        while self.accept("op", ","):
+        while self.accept(","):
             items.append(item())
         return items
 
     def enclosed(self, opening, item, closing) -> list:
         """``opening item (, item)* closing``."""
-        self.expect("op", opening)
+        self.expect(opening)
         items = self.comma_list(item)
-        self.expect("op", closing)
+        self.expect(closing)
         return items
 
     def ident(self) -> str:
-        return self.expect("ident").text
+        return self.expect("ident")
 
     # -- declarations --
 
     def parse_network(self) -> NetworkDecl:
         decl = NetworkDecl(inputs=self.inputs)
-        while not self.at("eof"):
+        while self.tags[self.pos] != "eof":
             try:
                 self.declaration(decl)
             except _Bail as bail:
@@ -335,84 +327,86 @@ class Parser:
         """Skip to the next plausible declaration start: a declaration
         keyword, or a name that opens a line and is followed by ``(`` or
         ``=`` (further along a line, ``Q(0)`` is a call)."""
-        while not self.at("eof"):
-            tok = self.peek()
-            if tok.kind == "kw" and tok.text in _DECLARATION_KEYWORDS:
-                return
-            starts_line = self.pos == 0 or self.peek(-1).line < tok.line
-            if tok.kind == "ident" and starts_line and self.peek(1).text in ("(", "="):
-                return
-            self.next()
+        tags, position, pos = self.tags, self.position, self.pos
+        while tags[pos] != "eof" and tags[pos] not in _DECLARATION_KEYWORDS and not (
+            tags[pos] == "ident" and tags[pos + 1] in ("(", "=")
+            and (pos == 0 or position(pos - 1)[0] < position(pos)[0])
+        ):
+            pos += 1
+        self.pos = pos
 
     def declaration(self, decl: NetworkDecl):
-        tok = self.peek()
-        if self.accept("kw", "version"):
-            v = int(self.expect("num").text)
+        start = self.pos
+        tag = self.tags[start]
+        if tag in _DECLARATION_KEYWORDS:
+            self.pos += 1
+        if tag == "version":
+            v = int(self.expect("num"))
             if v != SCHEMA_VERSION:
-                raise _Bail(Diagnostic(tok.line, tok.col, f"unsupported version {v}"))
+                raise self.bail(f"unsupported version {v}", start)
             decl.version = v
-        elif self.accept("kw", "const"):
+        elif tag == "const":
             name = self.ident()
-            self.expect("op", "=")
+            self.expect("=")
             decl.constants.append((name, self.int_expr()))
-        elif self.accept("kw", "channel"):
+        elif tag == "channel":
             name = self.ident()
             fields = []
-            if self.accept("op", ":"):
+            if self.accept(":"):
                 fields.append(self.id_set())
-                while self.accept("op", "."):
+                while self.accept("."):
                     fields.append(self.id_set())
             decl.channels.append(ChannelDecl(name, fields))
-        elif self.accept("kw", "fun"):
+        elif tag == "fun":
             name = self.ident()
             params = self.enclosed("(", self.ident, ")")
-            self.expect("op", "=")
+            self.expect("=")
             decl.functions.append((name, params, self.int_expr()))
-        elif self.accept("kw", "atom"):
+        elif tag == "atom":
             name = self.ident()
-            self.expect("op", "=")
-            self.expect("kw", "alphabet")
+            self.expect("=")
+            self.expect("alphabet")
             alphabet = self.alphabet_expr()
-            self.expect("kw", "behaviour")
+            self.expect("behaviour")
             behaviour = self.process()
             decl.atoms.append(AtomDecl(name, alphabet, behaviour))
-        elif self.accept("kw", "instance"):
+        elif tag == "instance":
             name = self.instance_name()
-            self.expect("op", "=")
+            self.expect("=")
             atom = self.ident()
-            ids = self.id_set() if self.at("op", "{") else None
+            ids = self.id_set() if self.at("{") else None
             decl.instances.append(InstanceDecl(name, atom, ids))
-        elif tok.kind == "ident":
-            name = self.next().text
-            params = self.enclosed("(", self.ident, ")") if self.at("op", "(") else []
-            self.expect("op", "=")
+        elif tag == "ident":
+            self.pos += 1
+            params = self.enclosed("(", self.ident, ")") if self.at("(") else []
+            self.expect("=")
             body = self.process()
-            decl.process_defs.append(Definition(name, tuple(params), body))
+            decl.process_defs.append(Definition(self.texts[start], tuple(params), body))
         else:
             self.fail("a declaration")
 
     def instance_name(self) -> str:
         parts = [self.ident()]
-        while self.at("op", ".") and self.peek(1).kind in ("ident", "num"):
-            self.next()
-            parts.append(self.next().text)
+        while self.tags[self.pos] == "." and self.tags[self.pos + 1] in ("ident", "num"):
+            parts.append(self.texts[self.pos + 1])
+            self.pos += 2
         return ".".join(parts)
 
     def id_set(self) -> tuple:
         """A finite integer set ``{lo..hi}`` or ``{e1, e2, ...}``, as the
         ``("range", lo, hi)`` / ``("value", e)`` items of :func:`set_values`."""
-        self.expect("op", "{")
+        self.expect("{")
         values = self.comma_list(self.int_expr)
-        if len(values) == 1 and self.accept("op", ".."):
+        if len(values) == 1 and self.accept(".."):
             items = (("range", values[0], self.int_expr()),)
         else:
             items = tuple(("value", v) for v in values)
-        self.expect("op", "}")
+        self.expect("}")
         return items
 
     def alphabet_expr(self):
         """A {| e1, e2 |} extension list or a { e1, e2 } exact event list."""
-        if self.at("op", "{|"):
+        if self.at("{|"):
             return [("extend", t) for t in self.enclosed("{|", self.event_template, "|}")]
         return [("exact", t) for t in self.enclosed("{", self.event_template, "}")]
 
@@ -422,14 +416,15 @@ class Parser:
         """Precedence climbing over ``_EXPR_OPS``: an expression whose binary
         operators all bind at ``level`` or tighter.  Each folded operator
         opens one level, as every walker of the tree spends a frame on it."""
-        text = self.peek().text
+        tags = self.tags
+        tag = tags[self.pos]
         tightest = _MUL
-        if text == "-":
+        if tag == "-":
             self.deeper()
             self.pos += 1
             left = UnOp("-", self.int_expr(_UNARY))
             self.depth -= 1
-        elif text == "not" and level <= _NOT:
+        elif tag == "not" and level <= _NOT:
             self.deeper()
             self.pos += 1
             left = UnOp("not", self.int_expr(_NOT))
@@ -439,7 +434,7 @@ class Parser:
             left = self.atom_expr("an expression")
         folded = 0
         while True:
-            op = self.peek().text
+            op = tags[self.pos]
             p = _EXPR_OPS.get(op)
             if p is None or not level <= p <= tightest:
                 self.depth -= folded
@@ -454,23 +449,26 @@ class Parser:
     def atom_expr(self, what):
         """A number, variable, ``f(args)`` or ``(expr)``; ``what`` names the
         expected thing in the diagnostic."""
-        tok = self.peek()
-        if tok.kind == "num":
-            self.next()
-            return Lit(int(tok.text))
-        if tok.kind == "ident":
-            name = self.next().text
-            if not self.at("op", "("):
-                return Var(name)
+        pos = self.pos
+        tag = self.tags[pos]
+        if tag == "num" or tag == "ident" and self.tags[pos + 1] != "(":
+            self.pos = pos + 1
+            text = self.texts[pos]
+            leaf = self.leaves.get(text)
+            if leaf is None:
+                leaf = self.leaves[text] = Lit(int(text)) if tag == "num" else Var(text)
+            return leaf
+        if tag == "ident":
+            self.pos = pos + 1
             self.deeper()
             args = tuple(self.enclosed("(", self.int_expr, ")"))
             self.depth -= 1
-            return FunCall(name, args)
-        if self.at("op", "("):
+            return FunCall(self.texts[pos], args)
+        if tag == "(":
             self.deeper()
-            self.pos += 1
+            self.pos = pos + 1
             inner = self.int_expr()
-            self.expect("op", ")")
+            self.expect(")")
             self.depth -= 1
             return inner
         self.fail(what)
@@ -482,28 +480,27 @@ class Parser:
         be an output ``!e`` or an input ``?x``, and the result is the
         template plus one ``(x, field position)`` pair per input; each
         input's channel and position are also recorded on ``self.inputs``."""
+        tags = self.tags
         head = self.ident()
         fields, inputs = [], []
         while True:
-            if self.accept("op", "."):
-                fields.append(self.atom_expr("an event field"))
-            elif binders and self.accept("op", "!"):
-                fields.append(self.atom_expr("a value"))
-            elif binders and self.accept("op", "?"):
-                tok = self.peek()
+            tag = tags[self.pos]
+            if tag == "." or binders and tag == "!":
+                self.pos += 1
+                fields.append(self.atom_expr("an event field" if tag == "." else "a value"))
+            elif binders and tag == "?":
+                at = self.pos = self.pos + 1
                 var = self.ident()
                 if any(var in expr_vars(f) for f in fields):
-                    raise _Bail(Diagnostic(
-                        tok.line, tok.col,
-                        f"input variable '{var}' is already used in an earlier field",
-                    ))
+                    raise self.bail(
+                        f"input variable '{var}' is already used in an earlier field", at
+                    )
                 inputs.append((var, len(fields)))
                 self.inputs.append((head, len(fields)))
                 fields.append(Var(var))
             else:
-                break
-        template = EventTemplate(head, tuple(fields))
-        return (template, tuple(inputs)) if binders else template
+                template = EventTemplate(head, tuple(fields))
+                return (template, tuple(inputs)) if binders else template
 
     # -- processes --
 
@@ -511,15 +508,17 @@ class Parser:
         """Precedence climbing over ``_PROCESS_OPS``: operands joined by
         operators that bind at ``level`` or tighter."""
         left = self.operand()
+        tags = self.tags
         while True:
-            entry = _PROCESS_OPS.get(self.peek().text)
+            op = tags[self.pos]
+            entry = _PROCESS_OPS.get(op)
             if entry is None or entry[0] < level:
                 return left
             p, node, nary = entry
-            op = self.next().text
+            self.pos += 1
             if nary:
                 items = [left, self.process(p + 1)]
-                while self.accept("op", op):
+                while self.accept(op):
                     items.append(self.process(p + 1))
                 left = node(tuple(items))
             else:
@@ -534,11 +533,11 @@ class Parser:
             stop = self.operand_stop()
             if stop == "&":
                 cond = self.int_expr()
-                self.expect("op", "&")
+                self.expect("&")
                 heads.append(partial(Guard, cond))
-            elif stop == "->" and self.peek().kind == "ident":
+            elif stop == "->" and self.tags[self.pos] == "ident":
                 ev, inputs = self.event_template(binders=True)
-                self.expect("op", "->")
+                self.expect("->")
                 heads.append(partial(input_choice, ev, inputs))
             else:
                 break
@@ -554,68 +553,69 @@ class Parser:
         open, or where an operand follows another.  A ``&`` there makes a
         guard, a ``->`` after a leading name a prefix, and anything else, or
         a ``(`` left open (returned as None), a postfix process."""
-        toks, i, depth, after_operand = self.tokens, self.pos, 0, False
+        tags, i, depth, after_operand = self.tags, self.pos, 0, False
         while True:
-            tok = toks[i]
-            if tok.kind in ("num", "ident") or tok.text == "(":
+            tag = tags[i]
+            if tag == "ident" or tag == "num" or tag == "(":
                 # a name's '(' opens its arguments, not a second operand
-                if after_operand and not (tok.text == "(" and toks[i - 1].kind == "ident"):
+                if after_operand and not (tag == "(" and tags[i - 1] == "ident"):
                     break
-                depth += tok.text == "("
-                after_operand = tok.text != "("
-            elif tok.text == ")" and depth:
+                depth += tag == "("
+                after_operand = tag != "("
+            elif tag == ")" and depth:
                 depth -= 1
                 after_operand = True
-            elif tok.text in _OPERAND_OPS or (tok.text == "," and depth):
+            elif tag in _OPERAND_OPS or (tag == "," and depth):
                 after_operand = False
             else:
                 break
             i += 1
-        return toks[i].text if depth == 0 else None
+        return tags[i] if depth == 0 else None
 
     def p_postfix(self):
         term = self.p_primary()
         while True:
-            if self.accept("op", "\\"):
+            if self.accept("\\"):
                 term = Hide(term, tuple(self.enclosed("{", self.event_template, "}")))
-            elif self.at("op", "[["):
+            elif self.at("[["):
                 term = Rename(term, tuple(self.enclosed("[[", self.rename_pair, "]]")))
             else:
                 return term
 
     def rename_pair(self):
         a = self.event_template()
-        self.expect("op", "<-")
+        self.expect("<-")
         b = self.event_template()
         return (a, b)
 
     def p_primary(self):
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text in _CONSTANT_PROCESSES:
-            self.next()
-            return _CONSTANT_PROCESSES[tok.text]
-        if self.at("op", "[]") or self.at("op", "|~|"):
+        pos = self.pos
+        tag = self.tags[pos]
+        if tag in _CONSTANT_PROCESSES:
+            self.pos = pos + 1
+            return _CONSTANT_PROCESSES[tag]
+        if tag == "[]" or tag == "|~|":
             # indexed choice: [] x : {set} @ P
             self.deeper()
-            op = self.next().text
+            self.pos = pos + 1
             var = self.ident()
-            self.expect("op", ":")
+            self.expect(":")
             items = self.id_set()
-            self.expect("op", "@")
+            self.expect("@")
             body = self.operand()
             self.depth -= 1
-            return IndexedChoice(op, var, items, body)
-        if self.at("op", "("):
+            return IndexedChoice(tag, var, items, body)
+        if tag == "(":
             self.deeper()
-            self.pos += 1
+            self.pos = pos + 1
             inner = self.process()
-            self.expect("op", ")")
+            self.expect(")")
             self.depth -= 1
             return inner
-        if tok.kind == "ident":
-            name = self.next().text
-            args = self.enclosed("(", self.int_expr, ")") if self.at("op", "(") else ()
-            return Call(name, tuple(args))
+        if tag == "ident":
+            self.pos = pos + 1
+            args = self.enclosed("(", self.int_expr, ")") if self.at("(") else ()
+            return Call(self.texts[pos], tuple(args))
         self.fail("a process")
 
 
@@ -637,7 +637,7 @@ def input_choice(ev: EventTemplate, inputs, cont) -> Term:
 
 def parse_network(text: str) -> NetworkDecl:
     """Full parse or a non-empty diagnostic list, never both."""
-    return Parser(tokenize(text)).parse_network()
+    return Parser(*tokenize(text)).parse_network()
 
 
 # ---------------------------------------------------------------------------

@@ -296,9 +296,10 @@ class RaDescriptor:
 
     @classmethod
     def from_json(cls, doc, net):
-        """Every user has an acquisition order over exactly its connected
-        resources, and the resource order ranks every resource; no order
-        repeats a resource or names one the connections lack."""
+        """Every user, and no other component, has an acquisition order
+        over exactly its connected resources, and the resource order ranks
+        every resource; no order repeats a resource or names one the
+        connections lack."""
         connections = []
         acquire = {}
         release = {}
@@ -328,6 +329,10 @@ class RaDescriptor:
                 raise NonTotalMap(
                     f"order of '{u}' must cover exactly its connected resources"
                 )
+        users = set(desc.users)
+        for u in order:
+            if u not in users:
+                raise NonTotalMap(f"order names '{u}', which is no user")
         _connected(desc.ra_order, desc.resources, "resource order")
         for r in desc.resources:
             if r not in desc.ra_order:

@@ -1,14 +1,21 @@
-"""The one-pass process parser's reference: the parser it replaced.
+"""The one-pass process parser's reference: the parser it replaced, and
+the tokenizer that matched one token, blank or comment at a time.
 
 This parser tries each process operand as a guard condition first and
 rewinds when no ``&`` follows, then scans ahead for ``->`` to tell a prefix
 from a postfix process, and spends one method per precedence level.  It
 builds the same AST classes as ``dpa.dsl.Parser`` from the same tokens, and
 terms are hash-consed, so the two parsers' results compare with ``==``.
-``tests/test_parser_reference.py`` diffs them.
+``tests/test_parser_reference.py`` diffs them.  The tokenizer builds a
+``Token`` with its line and column for each token; ``dpa.dsl.tokenize``
+scans the text in one ``findall`` and finds positions only for
+diagnostics, and the same test file diffs the two tokenizers.
 """
 
 from __future__ import annotations
+
+import re
+from dataclasses import dataclass
 
 from dpa.dsl import (
     SCHEMA_VERSION,
@@ -18,10 +25,8 @@ from dpa.dsl import (
     InstanceDecl,
     NetworkDecl,
     ParseError,
-    Token,
     _Bail,
     input_choice,
-    tokenize,
 )
 from dpa.terms import (
     BinOp,
@@ -46,6 +51,75 @@ from dpa.terms import (
     Var,
     expr_vars,
 )
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<comment>--[^\n]*)
+  | (?P<nl>\n)
+  | (?P<num>\d+)
+  | (?P<op>\[\[|\]\]|\{\||\|\}|\|~\||\[\]|->|<-|/\\|\.\.|==|!=|<=|>=|[()\{\}=<>+\-*/%,:@;.&!?\\|])
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+    """,
+    re.VERBOSE,
+)
+
+KEYWORDS = {
+    "version",
+    "const",
+    "channel",
+    "fun",
+    "atom",
+    "instance",
+    "alphabet",
+    "behaviour",
+    "STOP",
+    "SKIP",
+    "DIV",
+    "and",
+    "or",
+    "not",
+}
+
+
+@dataclass
+class Token:
+    kind: str  # 'num' | 'ident' | 'op' | 'kw' | 'eof'
+    text: str
+    line: int
+    col: int
+
+
+def tokenize(text: str):
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    diagnostics = []
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            diagnostics.append(Diagnostic(line, col, f"stray character {text[pos]!r}"))
+            pos += 1
+            col += 1
+            continue
+        kind = m.lastgroup
+        tok = m.group()
+        if kind == "nl":
+            line += 1
+            col = 1
+        elif kind in ("ws", "comment"):
+            col += len(tok)
+        else:
+            k = kind
+            if kind == "ident" and tok in KEYWORDS:
+                k = "kw"
+            tokens.append(Token(k, tok, line, col))
+            col += len(tok)
+        pos = m.end()
+    tokens.append(Token("eof", "", line, col))
+    if diagnostics:
+        raise ParseError(diagnostics)
+    return tokens
 
 
 class ReferenceParser:

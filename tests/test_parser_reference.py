@@ -1,4 +1,5 @@
-"""The one-pass parser against the parser it replaced.
+"""The one-pass parser against the parser it replaced, and the one-scan
+tokenizer against the tokenizer it replaced.
 
 `dsl.Parser` decides each process operand with one forward scan and
 climbs one precedence table per level family.  `parser_reference` keeps
@@ -9,6 +10,12 @@ grammar, both must accept or reject alike and build equal ASTs.  On the
 texts the tests hold they must also report the same first diagnostic,
 except where the reference reported a guard's body error, or an output
 with no value, at the wrong token.
+
+Texts reach `dsl.Parser` through `dsl.parse_network`, and token lists
+(the reference tokenizer's, or mutants of them) through `stream`.  The
+two tokenizers must give the same tokens, kinds and positions, or the
+same `ParseError` text, on the corpus, on seeded single-character
+mutants of the bundled models and on the edge cases below.
 """
 
 import ast
@@ -18,8 +25,9 @@ from pathlib import Path
 import pytest
 
 from dpa import models
-from dpa.dsl import ParseError, Parser, Token, parse_network, tokenize
-from parser_reference import ReferenceParser
+from dpa.dsl import KEYWORDS, ParseError, Parser, parse_network, tokenize
+from parser_reference import ReferenceParser, Token
+from parser_reference import tokenize as reference_tokenize
 
 HERE = Path(__file__).resolve().parent
 
@@ -30,18 +38,31 @@ FIRST_DIAGNOSTIC_CHANGED = {
 }
 
 
-def outcome(parser_class, tokens):
+def stream(tokens):
+    """A reference token list as `dsl.Parser` takes it: each token's tag
+    (its text for an operator or keyword, else its kind), its text, and
+    its position by index."""
+    tags = [t.text if t.kind in ("op", "kw") else t.kind for t in tokens]
+    return tags, [t.text for t in tokens], lambda i: (tokens[i].line, tokens[i].col)
+
+
+def outcome(parse):
     """("ok", declaration) or ("error", diagnostics as strings)."""
     try:
-        return "ok", parser_class(tokens).parse_network()
+        return "ok", parse()
     except ParseError as err:
         return "error", [str(d) for d in err.diagnostics]
 
 
-def parse_both(tokens):
+def parse_both(tokens, text=None):
     """Both parsers' outcomes, once they are seen to accept or reject alike
-    and, where they accept, to build equal ASTs."""
-    got, want = outcome(Parser, tokens), outcome(ReferenceParser, tokens)
+    and, where they accept, to build equal ASTs.  Given the ``text`` the
+    tokens were read from, `dsl.Parser` reads it through
+    `dsl.parse_network`."""
+    got = outcome(
+        (lambda: parse_network(text)) if text is not None
+        else (lambda: Parser(*stream(tokens)).parse_network()))
+    want = outcome(ReferenceParser(tokens).parse_network)
     assert got[0] == want[0], " ".join(t.text for t in tokens)
     assert got[0] == "error" or got[1] == want[1], " ".join(t.text for t in tokens)
     return got, want
@@ -82,10 +103,10 @@ def test_corpus_parses_alike():
     accepted = 0
     for text in texts:
         try:
-            tokens = tokenize(text)
+            tokens = reference_tokenize(text)
         except ParseError:
             continue
-        got, want = parse_both(tokens)
+        got, want = parse_both(tokens, text)
         if got[0] == "ok":
             accepted += 1
         elif text not in FIRST_DIAGNOSTIC_CHANGED:
@@ -99,7 +120,7 @@ def mutants(rng, count):
     """Token lists, each one token off a bundled model: deleted, inserted
     or replaced, with a token drawn from the models themselves."""
     models_tokens = [
-        tokenize(build()) for name, build in sorted(models.BUNDLED.items())
+        reference_tokenize(build()) for name, build in sorted(models.BUNDLED.items())
         if name.endswith(".net")
     ]
     pool = sorted({(t.kind, t.text) for toks in models_tokens for t in toks[:-1]})
@@ -191,10 +212,10 @@ def test_generated_processes_parse_alike():
             cut = rng.randrange(len(text))
             text = text[:cut] + text[cut + 1:]
         try:
-            tokens = tokenize(text)
+            tokens = reference_tokenize(text)
         except ParseError:
             continue
-        got, _ = parse_both(tokens)
+        got, _ = parse_both(tokens, text)
         accepted += got[0] == "ok"
         rejected += got[0] == "error"
     assert accepted > 500 and rejected > 500
@@ -213,7 +234,7 @@ def test_diagnostics(text, diagnostics):
     with pytest.raises(ParseError) as err:
         parse_network(text)
     assert [str(d) for d in err.value.diagnostics] == diagnostics
-    assert outcome(ReferenceParser, tokenize(text))[1] != diagnostics
+    assert outcome(ReferenceParser(reference_tokenize(text)).parse_network)[1] != diagnostics
 
 
 @pytest.mark.parametrize("text", [
@@ -221,5 +242,96 @@ def test_diagnostics(text, diagnostics):
     "version 1\nchannel a\nP = " + "a -> " * 450 + "P\n",
 ], ids=["parentheses-100", "prefixes-450"])
 def test_deep_nesting_parses(text):
-    got, _ = parse_both(tokenize(text))
+    got, _ = parse_both(reference_tokenize(text), text)
     assert got[0] == "ok"
+
+
+def kind(tag):
+    """The reference kind of a `dsl.tokenize` tag."""
+    if tag in KEYWORDS:
+        return "kw"
+    return tag if tag in ("num", "ident", "eof") else "op"
+
+
+def scanned(text):
+    """`dsl.tokenize`'s tokens as (kind, text, line, col), or its
+    `ParseError` text."""
+    try:
+        tags, texts, position = tokenize(text)
+    except ParseError as err:
+        return str(err)
+    return [(kind(tag), t, *position(i)) for i, (tag, t) in enumerate(zip(tags, texts))]
+
+
+def reference_scanned(text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in reference_tokenize(text)]
+    except ParseError as err:
+        return str(err)
+
+
+def assert_scanned_alike(text):
+    got = scanned(text)
+    assert got == reference_scanned(text), repr(text)
+    return got
+
+
+def test_corpus_tokenizes_alike():
+    assert sum(isinstance(assert_scanned_alike(text), list) for text in corpus()) >= 60
+
+
+# what a single-character mutant writes: the models' own characters, and
+# characters that blank, break a line, end a comment or are stray
+MUTANT_CHARACTERS = "\t\r\n -->[]{|}~'$é٣_0aZ"
+
+
+def character_mutants(rng, count):
+    """Texts, each one character off a bundled model: deleted, inserted or
+    replaced."""
+    texts = [build() for name, build in sorted(models.BUNDLED.items()) if name.endswith(".net")]
+    pool = sorted(set("".join(texts)) | set(MUTANT_CHARACTERS))
+    for _ in range(count):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text) + 1)
+        mutation = rng.choice(("delete", "insert", "replace"))
+        if mutation == "insert":
+            yield text[:i] + rng.choice(pool) + text[i:]
+        else:
+            yield text[:i] + ("" if mutation == "delete" else rng.choice(pool)) + text[i + 1:]
+
+
+def test_character_mutants_tokenize_and_parse_alike():
+    """The tokens, and the diagnostics `dsl.Parser` reports at their
+    positions, are the same however the tokens were read."""
+    stray = failed = 0
+    for text in character_mutants(random.Random(24), 1500):
+        got = assert_scanned_alike(text)
+        if isinstance(got, str):
+            stray += 1
+            continue
+        want = outcome(lambda: Parser(*stream(reference_tokenize(text))).parse_network())
+        assert outcome(lambda: parse_network(text)) == want, repr(text)
+        failed += want[0] == "error"
+    assert stray > 50 and failed > 300
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "   \n\t \r\n",
+    "version 1\r\nchannel a\r\n\tP = a -> P\t\r\n",
+    "version 1\nchannel a -->\nP = a --> P\n",
+    "version 1\nchannel a\n-- ends without a newline",
+    "version 1\nchannel a\nP = a -> P   ",
+    "const N = ٣",
+    "const N = 1٣2\nP = a ->\u00a0P",
+    "P = a -> $P -- trailing\nQ = café -> Q\n",
+    "é",
+    "x [ y ] z ~ 'w",
+    "a->-b<--c|~|d/\\e..f",
+], ids=[
+    "empty", "blanks", "tabs-and-cr", "arrow-comment", "comment-at-eof",
+    "trailing-blanks", "unicode-digit", "unicode-digits-and-nbsp", "stray-characters",
+    "only-stray", "lone-brackets", "run-together",
+])
+def test_edge_cases_tokenize_alike(text):
+    assert_scanned_alike(text)

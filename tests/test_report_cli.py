@@ -706,6 +706,9 @@ AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
     ("philosophers", {"connections": [RA_CONNECTION], "order": {"Phil.0": ["Fork.0"]},
                       "resource_order": ["Ghost", "Fork.0"]},
      "resource order mentions unconnected 'Ghost'"),
+    ("philosophers", {"connections": [RA_CONNECTION], "resource_order": ["Fork.0"],
+                      "order": {"Phil.0": ["Fork.0"], "Fork.0": ["Fork.0"]}},
+     "order names 'Fork.0', which is no user"),
     ("client_server", {"pattern": "client-server",
                        "connections": [{"client": "C1", "server": "C0", "requests": []}]},
      "connection C1->C0 declares no request events"),
@@ -737,6 +740,7 @@ AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
     ("philosophers", {"pattern": "ring"}, "unknown pattern 'ring'"),
 ], ids=["no-order", "order-names-unconnected", "order-misses-a-resource", "unranked-resource",
         "order-repeats-a-resource", "resource-order-repeats", "resource-order-names-unconnected",
+        "order-keyed-by-a-non-user",
         "no-requests", "component-order-repeats", "component-order-names-unconnected",
         "transport-linked-twice", "send-receive-unpaired", "no-data-events",
         "no-schedule", "unconnected-schedule", "schedule-repeats-a-peer",
@@ -856,6 +860,7 @@ def test_cli_bench_subcommand(capsys, monkeypatch):
     assert [r["size"] for r in rows] == [2, 3]
     for row in rows:
         assert 0 < row["dpa_seconds_min"] <= row["dpa_seconds"]
+        assert 0 < row["build_seconds_min"] <= row["build_seconds"]
         assert row["proven"] and row["context_states"] > 0
     # so does each oracle repeat, after the repeats of run_dpa
     built.clear()
