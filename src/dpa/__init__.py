@@ -29,10 +29,11 @@ from .patterns import (
     CsDescriptor,
     RaDescriptor,
     check_pattern,
+    parse_descriptor,
     respects_order,
 )
 from .oracle import explore_global, find_ungranted_cycle, snapshot_graph
-from .dsl import elaborate, load_descriptor, load_network, parse_descriptor, parse_network
+from .dsl import elaborate, load_descriptor, load_network, parse_network
 from .report import run_dpa, emit_dot
 
 __version__ = "0.1.0"

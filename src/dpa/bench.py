@@ -19,9 +19,10 @@ import statistics
 import time
 
 from . import models
-from .dsl import elaborate, parse_descriptor, parse_network
+from .dsl import elaborate, parse_network
 from .network import InputError
 from .oracle import explore_global
+from .patterns import parse_descriptor
 from .report import PROVEN, run_dpa
 
 # family -> (model source, descriptor source or None, least size that

@@ -14,12 +14,12 @@ import sys
 
 from .bench import parse_bench_spec, run_bench
 from .decomposition import CONFLICT_FREE, check_conflict_free, decompose
-from .dsl import descriptor_echo, load_descriptor, load_network
+from .dsl import load_descriptor, load_network
 from .events import fmt_trace
 from .lts import DEFAULT_STATE_LIMIT, StateLimitExceeded
 from .network import CompileFailure, InputError, NotLive, check_live, communication_graph
 from .oracle import DeadlockFree, DeadlockWitness, explore_global
-from .patterns import check_pattern
+from .patterns import check_pattern, descriptor_echo
 from .report import PROVEN, emit_dot, emit_report_json, run_dpa
 from .terms import DslValueError
 
@@ -263,8 +263,6 @@ def _dispatch(args) -> int:
         if args.dot_dir:
             _dot_out(args.dot_dir, "communication.dot", emit_dot(communication_graph(net)))
         return code
-
-    raise InputError(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -27,14 +27,12 @@ domain, which is looked up when the choice is bound, so ``x`` is in scope
 for the later fields of the event and for ``P``; an input may not rebind a
 variable an earlier field uses.  Comments run from ``--`` to end of line.
 
-Pattern descriptors are JSON documents whose ``pattern`` field picks a
-descriptor class of ``dpa.patterns``; ``parse_descriptor`` checks the
-document's envelope here and the class reads and validates its body.
+``load_descriptor`` reads a pattern descriptor file with
+``dpa.patterns.parse_descriptor``.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -42,7 +40,7 @@ from functools import partial
 
 from .events import EVENTS, event
 from .network import Component, InputError, Network
-from .patterns import DESCRIPTORS, DescriptorError, _typed
+from .patterns import parse_descriptor
 from .terms import (
     BinOp,
     Call,
@@ -778,39 +776,6 @@ def load_network(path) -> Network:
         return elaborate(parse_network(fh.read()))
 
 
-# ---------------------------------------------------------------------------
-# descriptor files
-
-
-def parse_descriptor(doc, net: Network):
-    """Resolve a JSON descriptor document against an elaborated network.
-    Text that is not JSON, not an object, of another schema or pattern, or
-    naming no component is a descriptor error; the pattern's class reads
-    the rest."""
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise DescriptorError(str(exc)) from exc
-    _typed(doc, dict, "the descriptor")
-    schema = doc.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise DescriptorError(f"unsupported descriptor schema {schema}")
-    pattern = doc.get("pattern")
-    cls = DESCRIPTORS.get(pattern) if isinstance(pattern, str) else None
-    if cls is None:
-        raise DescriptorError(f"unknown pattern {pattern!r}")
-    desc = cls.from_json(doc, net)
-    if not desc.components():
-        raise DescriptorError("the descriptor names no component")
-    return desc
-
-
 def load_descriptor(path, net: Network):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_descriptor(fh.read(), net)
-
-
-def descriptor_echo(desc) -> str:
-    """Readable role listing for review, in the style of a worked example."""
-    return "\n".join([f"pattern: {desc.pattern}"] + desc.echo_lines())

@@ -1,14 +1,14 @@
-"""Builders for the bundled example models and their pattern descriptors.
+"""Builders for the parametrised model families and their pattern
+descriptors, which ``dpa bench`` sweeps over.
 
-Each builder returns model text in the ``.net`` format (so the same files
-drive the CLI, the test-suite and the benchmark harness) together with the
-matching descriptor documents where a pattern applies.  The static files
-under ``models/`` are generated from these builders at their default sizes.
+Each builder returns model text in the ``.net`` format, or the matching
+descriptor document where a pattern applies.  The families' files under
+``models/`` are these builders at their default sizes; the fixed models
+(``two_ring.net``, ``client_server.net`` and its descriptor) exist only as
+their files.
 """
 
 from __future__ import annotations
-
-import json
 
 
 def ring_buffer_source(ncells: int = 3) -> str:
@@ -130,90 +130,6 @@ def philosophers_descriptor(n: int = 3, symmetric: bool = False) -> dict:
     }
 
 
-def two_ring_source() -> str:
-    """Two token-passing triangles joined by a single shared event: one
-    disconnecting edge, conflict free by construction."""
-    return """\
-version 1
--- two deadlock-free rings connected through a single bridge event
-channel e01
-channel e12
-channel e20
-channel e34
-channel e45
-channel e53
-channel x
-
-C0 = e01 -> x -> e20 -> C0
-C1 = e01 -> e12 -> C1
-C2 = e12 -> e20 -> C2
-C3 = x -> e34 -> C3Rest
-C3Rest = e53 -> C3
-C4 = e34 -> e45 -> C4
-C5 = e45 -> e53 -> C5
-
-atom C0A = alphabet { e01, e20, x } behaviour C0
-atom C1A = alphabet { e01, e12 } behaviour C1
-atom C2A = alphabet { e12, e20 } behaviour C2
-atom C3A = alphabet { x, e34, e53 } behaviour C3
-atom C4A = alphabet { e34, e45 } behaviour C4
-atom C5A = alphabet { e45, e53 } behaviour C5
-
-instance C0 = C0A
-instance C1 = C1A
-instance C2 = C2A
-instance C3 = C3A
-instance C4 = C4A
-instance C5 = C5A
-"""
-
-
-def client_server_source() -> str:
-    """Three components on a triangle: the top requests from both lower
-    components, the middle requests from the bottom; every edge carries a
-    request/response pair, so nothing is disconnecting."""
-    return """\
-version 1
--- layered client/server triangle
-channel req21
-channel res21
-channel req10
-channel res10
-channel req20
-channel res20
-
-Top = req21 -> res21 -> req20 -> res20 -> Top
-Mid = req21 -> res21 -> req10 -> res10 -> Mid
-Bot = req10 -> res10 -> Bot [] req20 -> res20 -> Bot
-
-atom TopA = alphabet { req21, res21, req20, res20 } behaviour Top
-atom MidA = alphabet { req21, res21, req10, res10 } behaviour Mid
-atom BotA = alphabet { req10, res10, req20, res20 } behaviour Bot
-
-instance C2 = TopA
-instance C1 = MidA
-instance C0 = BotA
-"""
-
-
-def client_server_descriptor() -> dict:
-    return {
-        "schema": 1,
-        "pattern": "client-server",
-        "connections": [
-            {"client": "C2", "server": "C1", "requests": ["req21"]},
-            {"client": "C2", "server": "C0", "requests": ["req20"]},
-            {"client": "C1", "server": "C0", "requests": ["req10"]},
-        ],
-        "responses": {
-            "req21": ["res21"],
-            "req20": ["res20"],
-            "req10": ["res10"],
-        },
-        "component_order": ["C2", "C1", "C0"],
-    }
-
-
 def leadership_source(participants: int = 2) -> str:
     """Transport layer of a leader-election protocol: nodes broadcast their
     priority through one-place overwriting buses, detect peers timing out,
@@ -305,35 +221,3 @@ def leadership_descriptor(participants: int = 2) -> dict:
         "connections": connections,
         "schedule": schedule,
     }
-
-
-BUNDLED = {
-    "ringbuffer.net": lambda: ring_buffer_source(3),
-    "philosophers.net": lambda: philosophers_source(3),
-    "philosophers_symmetric.net": lambda: philosophers_source(3, symmetric=True),
-    "two_ring.net": two_ring_source,
-    "client_server.net": client_server_source,
-    "leadership.net": lambda: leadership_source(2),
-    "philosophers.pattern.json": lambda: json.dumps(
-        philosophers_descriptor(3), indent=2
-    ),
-    "philosophers_symmetric.pattern.json": lambda: json.dumps(
-        philosophers_descriptor(3, symmetric=True), indent=2
-    ),
-    "client_server.pattern.json": lambda: json.dumps(
-        client_server_descriptor(), indent=2
-    ),
-    "leadership.pattern.json": lambda: json.dumps(
-        leadership_descriptor(2), indent=2
-    ),
-}
-
-
-def write_bundled(directory):
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    for name, builder in BUNDLED.items():
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            content = builder()
-            fh.write(content if content.endswith("\n") else content + "\n")

@@ -4,7 +4,9 @@ Each pattern is one descriptor class: who plays which role, over which
 events.  ``from_json`` reads the class's JSON body against an elaborated
 network and validates it in full, so a descriptor that reads is one every
 obligation below can be built from; ``DESCRIPTORS`` maps each class's
-``pattern`` name to it.  A descriptor carries two kinds of obligations:
+``pattern`` name to it, and ``parse_descriptor`` checks a document's
+envelope and hands its body to that class.  A descriptor carries two kinds
+of obligations:
 
 * structural predicates: pure alphabet arithmetic against the network's
   vocabulary, no behaviour involved;
@@ -20,6 +22,7 @@ for the subnetwork the descriptor covers.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -470,9 +473,9 @@ class CsDescriptor:
 
     @classmethod
     def from_json(cls, doc, net):
-        """Every connection declares a request event; every request has a
-        (possibly empty) response set; the component order repeats no
-        component and names only connected ones."""
+        """Every connection declares a request event; every request, and
+        no other event, has a (possibly empty) response set; the component
+        order repeats no component and names only connected ones."""
         connections = []
         requests = {}
         for conn in _section(doc, "connections", _LIST):
@@ -482,13 +485,13 @@ class CsDescriptor:
             requests[(c, s)] = frozenset(_need(net, conn, "requests", _resolve_events))
             if not requests[(c, s)]:
                 raise NonTotalMap(f"connection {c}->{s} declares no request events")
-        responses = {}
+        all_requests = frozenset().union(*requests.values())
+        responses = dict.fromkeys(all_requests, frozenset())
         for ev_name, resp in _section(doc, "responses", dict).items():
-            responses[_resolve_event(net, ev_name, "responses")] = frozenset(
-                _resolve_events(net, resp, "responses")
-            )
-        for e in frozenset().union(*requests.values()):
-            responses.setdefault(e, frozenset())
+            e = _resolve_event(net, ev_name, "responses")
+            if e not in all_requests:
+                raise NonTotalMap(f"responses names '{ev_name}', which is no request")
+            responses[e] = frozenset(_resolve_events(net, resp, "responses"))
         desc = cls(
             tuple(connections),
             requests,
@@ -643,8 +646,9 @@ class AdDescriptor:
     @classmethod
     def from_json(cls, doc, net):
         """Each transport entity carries one connection, whose send and
-        receive lists pair up and are not empty; every participant has a
-        schedule that repeats no peer and names a peer it is connected to."""
+        receive lists pair up and are not empty; every participant, and no
+        other component, has a schedule that repeats no peer and names
+        only, and at least one, peers it is connected to."""
         connections = []
         link, send, receive, on, off, timeout = {}, {}, {}, {}, {}, {}
         seen_links = {}
@@ -679,9 +683,15 @@ class AdDescriptor:
         for p in desc.participants:
             if p not in schedule:
                 raise NonTotalMap(f"no schedule for participant '{p}'")
-            # with no connected peer the send/receive loop is SR = SR
-            if not any((p, q) in link or (q, p) in link for q in schedule[p]):
+            peers = {j if i == p else i for (i, j) in connections if p in (i, j)}
+            _connected(schedule[p], peers, f"schedule of '{p}'")
+            # with no peer the send/receive loop is SR = SR
+            if not schedule[p]:
                 raise NonTotalMap(f"schedule of '{p}' names no peer it is connected to")
+        participants = set(desc.participants)
+        for p in schedule:
+            if p not in participants:
+                raise NonTotalMap(f"schedule names '{p}', which is no participant")
         return desc
 
     @cached_property
@@ -835,6 +845,36 @@ class AdDescriptor:
 
 
 DESCRIPTORS = {cls.pattern: cls for cls in (RaDescriptor, CsDescriptor, AdDescriptor)}
+DESCRIPTOR_SCHEMA = 1  # the "schema" a descriptor document declares
+
+
+def parse_descriptor(doc, net: Network):
+    """Resolve a JSON descriptor document (text or parsed) against an
+    elaborated network.  Text that is not JSON, not an object, of another
+    schema or pattern, or naming no component is a descriptor error; the
+    pattern's class reads the rest."""
+    if isinstance(doc, str):
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise DescriptorError(str(exc)) from exc
+    _typed(doc, dict, "the descriptor")
+    schema = doc.get("schema", DESCRIPTOR_SCHEMA)
+    if schema != DESCRIPTOR_SCHEMA:
+        raise DescriptorError(f"unsupported descriptor schema {schema}")
+    pattern = doc.get("pattern")
+    cls = DESCRIPTORS.get(pattern) if isinstance(pattern, str) else None
+    if cls is None:
+        raise DescriptorError(f"unknown pattern {pattern!r}")
+    desc = cls.from_json(doc, net)
+    if not desc.components():
+        raise DescriptorError("the descriptor names no component")
+    return desc
+
+
+def descriptor_echo(desc) -> str:
+    """Readable role listing for review, in the style of a worked example."""
+    return "\n".join([f"pattern: {desc.pattern}"] + desc.echo_lines())
 
 
 # ---------------------------------------------------------------------------
@@ -959,17 +999,21 @@ def _with_events(shape: NormalSpec, events, universe) -> NormalSpec:
 
 def _impl_shape(impl: Lts, events):
     """``impl`` read over the spec's positions: each visible event is its
-    position in ``events``, or numbered after them in order of first
-    appearance (TAU and TICK stay), and the states are renumbered
-    breadth-first in that label order, so that the shape does not depend
-    on how the real events happen to be numbered."""
+    position in ``events``, and every event the spec does not name is the
+    one label ``len(events)`` (TAU and TICK stay); the states are
+    renumbered breadth-first in that label order, so that the shape does
+    not depend on how the real events happen to be numbered.
+
+    Merging the unnamed events loses nothing: every state of an
+    abstraction is reachable and these specs have no CHAOS state, so an
+    abstraction that can perform such an event fails its refinement, and
+    its shape never enters the set of shapes that passed."""
     position = dict(zip(events, range(len(events))))
     position[TAU], position[TICK] = TAU, TICK
+    other = len(events)
 
     def moves(s):
-        return sorted(
-            [(position.setdefault(l, len(position) - 2), t) for l, t in impl.trans[s]]
-        )
+        return sorted([(position.get(l, other), t) for l, t in impl.trans[s]])
 
     return _reachable(impl.initial, moves, impl.n_states)[1]
 

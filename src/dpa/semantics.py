@@ -125,8 +125,7 @@ class NormalSpec:
 
     given_universe: object  # frozenset, or a function returning one
     states: list
-    trans: list  # per state: dict visible label -> state id
-    initial: int = 0
+    trans: list  # per state: dict visible label -> state id; 0 is initial
     chaos: int | None = None
 
     @property
@@ -283,7 +282,7 @@ def refines(spec: NormalSpec, impl: Lts, model: str) -> Counterexample | None:
     """
     if model not in (FAILURES, REVIVALS):
         raise ValueError(f"unknown model {model!r}")
-    start = (spec.initial, impl.initial)
+    start = (0, impl.initial)
     visited = {start: None}
     queue = deque([start])
     judged = {}  # (spec state, offered labels) -> violation fields or None

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+import bundled
 import dpa.network
 from conftest import random_live_network, replay
 from dpa import models
@@ -86,12 +87,12 @@ def _net(src):
 
 
 def test_bundled_models_match_uncompressed(diff):
-    for name, build in models.BUNDLED.items():
+    for name, build in bundled.BUNDLED.items():
         if not name.endswith(".net"):
             continue
         desc_name = name[: -len(".net")] + ".pattern.json"
-        if desc_name in models.BUNDLED:
-            diff.obligations_of(_net(build()), models.BUNDLED[desc_name]())
+        if desc_name in bundled.BUNDLED:
+            diff.obligations_of(_net(build()), bundled.BUNDLED[desc_name]())
         else:
             diff.network(_net(build()))
     assert diff.shrunk > 0

@@ -5,6 +5,7 @@ import random
 import time
 from contextlib import contextmanager
 
+import bundled
 from conftest import (
     ev3,
     random_env,
@@ -124,7 +125,7 @@ def test_criterion_3_symmetric_philosophers_diagnosis():
 
 def test_criterion_4_two_ring_decomposition():
     with criterion(4, "two-ring network splits across its single bridge"):
-        net = net_of(models.two_ring_source())
+        net = net_of(bundled.read("two_ring.net"))
         report = run_dpa(net)
         dec = report.decomposition
         assert dec.removed_edges == {(0, 3)}

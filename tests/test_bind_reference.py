@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import bundled
 import dpa
 import dpa.terms
 from dpa import models
@@ -184,7 +185,7 @@ def dsl_test_sources():
 
 
 def corpus():
-    out = [(name, build()) for name, build in models.BUNDLED.items() if name.endswith(".net")]
+    out = [(name, build()) for name, build in bundled.BUNDLED.items() if name.endswith(".net")]
     out += [(f"leadership({n})", models.leadership_source(n)) for n in range(2, 6)]
     for n in range(2, 6):
         out.append((f"philosophers({n})", models.philosophers_source(n)))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import bundled
 from conftest import CROSSED_MODEL, replay
 from dpa import models, semantics
 from dpa.decomposition import (
@@ -245,7 +246,7 @@ def test_decompose_philosophers_single_subnetwork():
 
 
 def test_decompose_two_ring_exact_split():
-    net = elaborate(parse_network(models.two_ring_source()))
+    net = elaborate(parse_network(bundled.read("two_ring.net")))
     result = decompose(net)
     assert result.removed_edges == {(0, 3)}
     assert result.subnetwork_names(net) == [["C0", "C1", "C2"], ["C3", "C4", "C5"]]

@@ -14,6 +14,7 @@ size of the reference path (reference spec, `refines` over
 import dataclasses
 import random
 
+import bundled
 import decomposition_reference as ref
 from conftest import random_live_network
 from dpa import models
@@ -39,7 +40,7 @@ def random_networks():
 
 
 def networks():
-    out = [_net(build()) for name, build in sorted(models.BUNDLED.items())
+    out = [_net(build()) for name, build in sorted(bundled.BUNDLED.items())
            if name.endswith(".net")]
     out += [_net(models.ring_buffer_source(n)) for n in range(2, 9)]
     for n in (3, 4):
@@ -53,7 +54,6 @@ def spec_fields(spec):
     as a set, since `normalize` orders them by member-set iteration."""
     return (
         spec.universe,
-        spec.initial,
         spec.trans,
         [(set(s.min_acceptances), s.acceptances, s.deadlock_allowed, s.tick_allowed)
          for s in spec.states],

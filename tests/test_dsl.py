@@ -1,17 +1,17 @@
 import pytest
 
+import bundled
 from denotational import diff_behaviours, lts_behaviours
 from dpa import models
 from dpa.dsl import (
     SCHEMA_VERSION,
     ParseError,
-    descriptor_echo,
     elaborate,
     parse_descriptor,
     parse_network,
 )
 from dpa.events import EVENTS, event
-from dpa.patterns import DuplicateName, UnknownComponent, UnknownEvent
+from dpa.patterns import DuplicateName, UnknownComponent, UnknownEvent, descriptor_echo
 from dpa.terms import Call, Prefix, fmt_expr, pretty
 
 
@@ -307,8 +307,8 @@ def test_round_trip_through_emission():
     for src in (
         models.ring_buffer_source(3),
         models.philosophers_source(3),
-        models.two_ring_source(),
-        models.client_server_source(),
+        bundled.read("two_ring.net"),
+        bundled.read("client_server.net"),
         models.leadership_source(2),
     ):
         net = net_of(src)
@@ -327,19 +327,20 @@ def test_round_trip_through_emission():
         } == {k: pretty(d.body) for k, d in env2.definitions.items()}
 
 
+def test_bundled_table_names_every_bundled_file():
+    # a corpus that walks the table then sees every bundled model
+    assert sorted(bundled.BUNDLED) == sorted(p.name for p in bundled.MODELS.iterdir())
+    assert len(bundled.BUNDLED) == 10
+
+
 def test_bundled_files_match_their_builders(tmp_path):
     import filecmp
-    import os
-    import dpa
 
-    bundled_dir = os.path.join(os.path.dirname(dpa.__file__), "models")
-    models.write_bundled(tmp_path)
-    for name in os.listdir(tmp_path):
+    bundled.write_bundled(tmp_path)
+    for name in bundled.BUNDLED:
         assert filecmp.cmp(
-            os.path.join(tmp_path, name),
-            os.path.join(bundled_dir, name),
-            shallow=False,
-        ), f"{name} is stale; regenerate with dpa.models.write_bundled"
+            tmp_path / name, bundled.MODELS / name, shallow=False
+        ), f"{name} is stale; regenerate with bundled.write_bundled"
 
 
 def test_descriptor_resolution_and_echo():

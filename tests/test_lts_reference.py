@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+import bundled
 import lts_reference as ref
 from conftest import random_env, random_live_network, random_term, ev3
 from dpa import models
@@ -31,7 +32,7 @@ def _net(src):
 
 
 def networks():
-    out = [_net(build()) for name, build in sorted(models.BUNDLED.items())
+    out = [_net(build()) for name, build in sorted(bundled.BUNDLED.items())
            if name.endswith(".net")]
     out += [_net(models.ring_buffer_source(n)) for n in range(2, 13)]
     for n in range(3, 9):

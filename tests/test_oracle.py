@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+import bundled
 from conftest import ReferenceProduct, random_live_network, reference_reachable
 from dpa import models
 from dpa.dsl import elaborate, parse_network
@@ -210,7 +211,7 @@ def _reference_explore(net, state_limit=DEFAULT_STATE_LIMIT):
 
 def _corpus(group):
     if group == "bundled":
-        return [net_of(build()) for name, build in sorted(models.BUNDLED.items())
+        return [net_of(build()) for name, build in sorted(bundled.BUNDLED.items())
                 if name.endswith(".net")]
     if group == "philosophers":
         return [net_of(models.philosophers_source(n, symmetric=sym))

@@ -10,6 +10,8 @@ import random
 from itertools import combinations
 
 import pytest
+
+import bundled
 from conftest import random_live_network
 
 from dpa import models
@@ -87,7 +89,7 @@ def _three_share_one():
 
 
 def _sources():
-    for name, build in models.BUNDLED.items():
+    for name, build in bundled.BUNDLED.items():
         if name.endswith(".net"):
             yield name, build()
     for n in range(2, 7):
@@ -130,7 +132,7 @@ CRAFTED = ["pickup.01.1", "pickup.0", "pickup.0.1.2", "pickup.0.7", "nosuchhead.
 
 
 def test_declares_matches_materialised_sigma():
-    for name, build in models.BUNDLED.items():
+    for name, build in bundled.BUNDLED.items():
         if not name.endswith(".net"):
             continue
         net = elaborate(parse_network(build()))

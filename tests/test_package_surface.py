@@ -10,10 +10,6 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dpa"
 
-# kept on purpose, though no line of the package reads it: it regenerates
-# the bundled model files (a test's failure message names it)
-KEPT = {"models.write_bundled"}
-
 
 def _definitions_and_uses(package):
     defined, used = {}, set()
@@ -44,4 +40,4 @@ def test_every_package_definition_is_used_by_the_package():
     defined, used = _definitions_and_uses(PACKAGE)
     assert len(defined) > 100  # the scan found the modules
     unused = {label for label, name in defined.items() if name not in used}
-    assert unused == KEPT
+    assert unused == set()

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import bundled
 from dpa import models
 from dpa.dsl import KEYWORDS, ParseError, Parser, parse_network, tokenize
 from parser_reference import ReferenceParser, Token
@@ -89,12 +90,12 @@ def literals_of_tests():
 
 
 def corpus():
-    out = [build() for name, build in models.BUNDLED.items() if name.endswith(".net")]
+    out = [build() for name, build in bundled.BUNDLED.items() if name.endswith(".net")]
     out += [models.ring_buffer_source(n) for n in range(1, 8)]
     for n in range(2, 12):
         out += [models.philosophers_source(n), models.philosophers_source(n, True)]
     out += [models.leadership_source(n) for n in range(2, 8)]
-    out.append(models.client_server_source())
+    out.append(bundled.read("client_server.net"))
     return out + literals_of_tests()
 
 
@@ -120,7 +121,7 @@ def mutants(rng, count):
     """Token lists, each one token off a bundled model: deleted, inserted
     or replaced, with a token drawn from the models themselves."""
     models_tokens = [
-        reference_tokenize(build()) for name, build in sorted(models.BUNDLED.items())
+        reference_tokenize(build()) for name, build in sorted(bundled.BUNDLED.items())
         if name.endswith(".net")
     ]
     pool = sorted({(t.kind, t.text) for toks in models_tokens for t in toks[:-1]})
@@ -288,7 +289,7 @@ MUTANT_CHARACTERS = "\t\r\n -->[]{|}~'$é٣_0aZ"
 def character_mutants(rng, count):
     """Texts, each one character off a bundled model: deleted, inserted or
     replaced."""
-    texts = [build() for name, build in sorted(models.BUNDLED.items()) if name.endswith(".net")]
+    texts = [build() for name, build in sorted(bundled.BUNDLED.items()) if name.endswith(".net")]
     pool = sorted(set("".join(texts)) | set(MUTANT_CHARACTERS))
     for _ in range(count):
         text = rng.choice(texts)

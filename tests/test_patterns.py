@@ -1,5 +1,6 @@
 import pytest
 
+import bundled
 from conftest import generate_spec, successors
 from dpa import models
 from dpa.dsl import elaborate, parse_descriptor, parse_network
@@ -163,8 +164,8 @@ def test_transport_spec_three_modes():
 
 
 def test_requests_responses_spec_rejects_unconnected_component():
-    net = elaborate(parse_network(models.client_server_source()))
-    desc = parse_descriptor(models.client_server_descriptor(), net)
+    net = elaborate(parse_network(bundled.read("client_server.net")))
+    desc = parse_descriptor(bundled.client_server_descriptor(), net)
     stripped = type(desc)(
         tuple((c, s) for (c, s) in desc.connections if "C1" not in (c, s)),
         {k: v for k, v in desc.requests.items() if "C1" not in k},
@@ -176,8 +177,8 @@ def test_requests_responses_spec_rejects_unconnected_component():
 
 
 def test_server_requests_spec_offers_all_server_events():
-    net = elaborate(parse_network(models.client_server_source()))
-    desc = parse_descriptor(models.client_server_descriptor(), net)
+    net = elaborate(parse_network(bundled.read("client_server.net")))
+    desc = parse_descriptor(bundled.client_server_descriptor(), net)
     env, term = desc.server_requests_spec(net, "C0")
     lts = compile_term(env, term)
     spec = normalize(lts, universe=net.sigma)
@@ -240,8 +241,8 @@ def test_leadership_pattern_adherent():
 
 
 def test_client_server_pattern_adherent():
-    net = elaborate(parse_network(models.client_server_source()))
-    desc = parse_descriptor(models.client_server_descriptor(), net)
+    net = elaborate(parse_network(bundled.read("client_server.net")))
+    desc = parse_descriptor(bundled.client_server_descriptor(), net)
     verdict = check_pattern(desc, net, net.names())
     assert verdict.adherent
     models_used = {(b.spec_name, b.model) for b in verdict.behavioural}
@@ -360,7 +361,7 @@ def test_behavioural_obligations_keep_their_order(name):
         "philosophers": (models.philosophers_source(3), models.philosophers_descriptor(3)),
         "philosophers_symmetric": (models.philosophers_source(3, symmetric=True),
                                    models.philosophers_descriptor(3, symmetric=True)),
-        "client_server": (models.client_server_source(), models.client_server_descriptor()),
+        "client_server": (bundled.read("client_server.net"), bundled.client_server_descriptor()),
         "leadership": (models.leadership_source(2), models.leadership_descriptor(2)),
     }[name]
     net = elaborate(parse_network(source))
@@ -373,8 +374,8 @@ def test_behavioural_obligations_keep_their_order(name):
 def test_degenerate_role_fails_after_the_refinements():
     # with C1's connections removed its request-response process is STOP:
     # a failed obligation carrying the note, after every refinement
-    net = elaborate(parse_network(models.client_server_source()))
-    desc = parse_descriptor(models.client_server_descriptor(), net)
+    net = elaborate(parse_network(bundled.read("client_server.net")))
+    desc = parse_descriptor(bundled.client_server_descriptor(), net)
     stripped = type(desc)(
         tuple((c, s) for (c, s) in desc.connections if "C1" not in (c, s)),
         {k: v for k, v in desc.requests.items() if "C1" not in k},

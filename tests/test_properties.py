@@ -3,6 +3,7 @@ are oracle-deadlock-free, generated specifications stay small."""
 
 import pytest
 
+import bundled
 from conftest import generate_spec, random_plain_term, replay
 
 from dpa import models
@@ -77,8 +78,8 @@ def test_adherent_philosophers_are_deadlock_free_up_to_six():
 
 
 def test_adherent_client_server_chain_is_deadlock_free():
-    net = net_of(models.client_server_source())
-    desc = parse_descriptor(models.client_server_descriptor(), net)
+    net = net_of(bundled.read("client_server.net"))
+    desc = parse_descriptor(bundled.client_server_descriptor(), net)
     assert check_pattern(desc, net, net.names()).adherent
     assert isinstance(explore_global(net), DeadlockFree)
 
@@ -115,8 +116,8 @@ def test_generated_specs_are_deterministic_and_small():
         lts = compile_term(env, term)
         assert lts.n_states <= 10 * max(fan_out, len(ad.participants) * 3)
 
-    cs = net_of(models.client_server_source())
-    csd = parse_descriptor(models.client_server_descriptor(), cs)
+    cs = net_of(bundled.read("client_server.net"))
+    csd = parse_descriptor(bundled.client_server_descriptor(), cs)
     env, term = csd.server_requests_spec(cs, "C0")
     assert compile_term(env, term).n_states <= 10 * 4
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import bundled
 import dpa
 from conftest import CROSSED_MODEL
 from dpa import models
@@ -33,7 +34,7 @@ def net_of(src):
 
 @pytest.fixture
 def model_dir(tmp_path):
-    models.write_bundled(tmp_path)
+    bundled.write_bundled(tmp_path)
     return tmp_path
 
 
@@ -736,6 +737,16 @@ AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
     ("leadership", {"pattern": "async-dynamic", "connections": [AD_CONNECTION],
                     "schedule": {"Node.0": ["Node.1", "Node.1"], "Node.1": ["Node.0"]}},
      "schedule of 'Node.0' repeats a peer"),
+    ("leadership", {"pattern": "async-dynamic", "connections": [AD_CONNECTION],
+                    "schedule": {"Node.0": ["Node.1"], "Node.1": ["Node.0"],
+                                 "Bus.0.1": ["Node.0"]}},
+     "schedule names 'Bus.0.1', which is no participant"),
+    ("leadership", {"pattern": "async-dynamic", "connections": [AD_CONNECTION],
+                    "schedule": {"Node.0": ["Node.1", "Bus.0.1"], "Node.1": ["Node.0"]}},
+     "schedule of 'Node.0' mentions unconnected 'Bus.0.1'"),
+    ("client_server", {"pattern": "client-server", "connections": [CS_CONNECTION],
+                       "responses": {"req10": ["res10"], "res10": []}},
+     "responses names 'res10', which is no request"),
     ("philosophers", {"schema": 2}, "unsupported descriptor schema 2"),
     ("philosophers", {"pattern": "ring"}, "unknown pattern 'ring'"),
 ], ids=["no-order", "order-names-unconnected", "order-misses-a-resource", "unranked-resource",
@@ -744,6 +755,8 @@ AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
         "no-requests", "component-order-repeats", "component-order-names-unconnected",
         "transport-linked-twice", "send-receive-unpaired", "no-data-events",
         "no-schedule", "unconnected-schedule", "schedule-repeats-a-peer",
+        "schedule-keyed-by-a-non-participant", "schedule-names-unconnected",
+        "responses-keyed-by-a-non-request",
         "unsupported-schema", "unknown-pattern"])
 def test_cli_pattern_rejects_a_malformed_descriptor(model_dir, capsys, model, doc, error):
     descriptor = model_dir / "malformed.pattern.json"

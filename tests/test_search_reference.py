@@ -11,6 +11,7 @@ from itertools import count
 
 import pytest
 
+import bundled
 from conftest import random_env, random_live_network, random_term
 from search_reference import (
     abs_divergent_reference,
@@ -83,7 +84,7 @@ def diff():
 
 
 def test_bundled_models_match_reference(diff):
-    for name, build in sorted(models.BUNDLED.items()):
+    for name, build in sorted(bundled.BUNDLED.items()):
         if name.endswith(".net"):
             diff.network(_net(build()))
     assert diff.results["DeadlockWitness"] >= 2

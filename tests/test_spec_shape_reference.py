@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import bundled
 from patterns_reference import check_behavioural_reference
 from dpa import models, patterns
 from dpa.bench import build_family
@@ -23,7 +24,7 @@ BASES = (
      for n in range(2, 7) for sym in (False, True)]
     + [(models.leadership_source(n), models.leadership_descriptor(n))
        for n in range(2, 6)]
-    + [(models.client_server_source(), models.client_server_descriptor())]
+    + [(bundled.read("client_server.net"), bundled.client_server_descriptor())]
 )
 
 
