@@ -36,6 +36,10 @@ class EventTable:
             self._ids[name] = eid
         return eid
 
+    def lookup(self, name: str) -> int | None:
+        """The id of an interned name, or None; interns nothing."""
+        return self._ids.get(name)
+
     def name(self, eid: int) -> str:
         if eid < 0:
             return _RESERVED[eid]

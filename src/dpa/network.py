@@ -10,13 +10,20 @@ abstracted once per network: the hidden LTS is quotiented by strong
 bisimulation, which is finer than the failures and revivals models and
 keeps divergence, and the result is cached on the network, and so is
 whether it diverges.
+
+Most components of a parametrised model are one definition called at
+different values that only name events.  Such components form a
+:class:`_Family`: the first one compiled, the representative, compiles as
+usual and every other one gets its LTS, liveness verdicts and abstractions
+from the representative's by renaming events.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 from .events import EVENTS, fmt_trace
 from .lts import (
@@ -26,10 +33,30 @@ from .lts import (
     check_alphabet,
     compile_term,
     hide_lts,
+    rename_lts,
 )
 from .lts import AlphabetViolation
 from .semantics import component_deadlocks, first_tick_trace
-from .terms import DefEnv, EMPTY_ENV, Term
+from .terms import (
+    Call,
+    DefEnv,
+    Div,
+    EMPTY_ENV,
+    ExtChoice,
+    Guard,
+    IndexedChoice,
+    IntChoice,
+    Interrupt,
+    Prefix,
+    Seq,
+    Skip,
+    Stop,
+    Term,
+    Var,
+    eval_expr,
+    expr_vars,
+    set_values,
+)
 
 
 class InputError(Exception):
@@ -63,10 +90,22 @@ class Component:
     env: DefEnv = field(default_factory=lambda: EMPTY_ENV)
     lts: Lts | None = None  # precompiled behaviour (tests, abstractions)
     _compiled: Lts | None = field(default=None, repr=False)
+    # the family the network put it in, and, once compiled from or as its
+    # representative, (family, φ): the representative's event -> its own,
+    # or None for the representative itself
+    family: _Family | None = field(init=False, repr=False, compare=False)
+    _share: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # set in every instance, so that all components share one key table
+        self.family = self._share = None
 
     def compiled(self, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
-        """The behaviour's LTS, compiled once; it is cached only after it
-        has been checked against the alphabet."""
+        """The behaviour's LTS, compiled once, or renamed from its family's
+        representative; it is cached only after it has been checked
+        against the alphabet."""
+        if self._compiled is None and self.family is not None:
+            self._compiled = self.family.instance(self, limit)
         if self._compiled is None:
             lts = self.lts
             if lts is None:
@@ -74,12 +113,187 @@ class Component:
                     lts = compile_term(self.env, self.term, limit)
                 except Exception as exc:
                     raise CompileFailure(self.name, exc) from exc
+                if self.family is not None:
+                    self.family.adopt(self, lts)
             try:
                 check_alphabet(lts, self.alphabet)
             except AlphabetViolation as exc:
                 raise InputError(f"component '{self.name}' has {exc}") from exc
             self._compiled = lts
         return self._compiled
+
+
+class _Family:
+    """The components whose behaviour is a call to one definition ``P``
+    whose parameters are event-only: each occurs only in prefix event
+    fields, in the sets of indexed choices (whose own variables occur only
+    in event fields) and as the unchanged argument of ``P``'s calls, which
+    are all to itself.  Bound at two such values, ``P``'s body gives two
+    terms that differ only in their events (a renaming of names, as
+    scalarsets are; Ip and Dill, FMSD 1996), so their LTSs are one LTS up
+    to the event map φ that the body's event templates resolve to at the
+    two values: the same states, numbered alike, with each label mapped.
+
+    The first member compiled, the representative, compiles on its own.
+    Every other member is its LTS renamed by φ, once φ is a one-to-one map
+    onto interned events inside the member's alphabet, every choice set
+    repeats its values where the representative's does, and the limit
+    admits the representative's states; on any other outcome the member
+    compiles on its own."""
+
+    def __init__(self, env, definition, sites, choices):
+        self.env = env
+        self.params = definition.params
+        self.choices = choices  # the body's indexed choices
+        # the body's event templates, grouped by the choices they are under:
+        # (choice indices, their variables, the distinct fields, each a
+        # variable's name or an expression, and one format per template
+        # over the fields' positions)
+        groups = {}
+        for template, scope in sites:
+            fields, formats = groups.setdefault(scope, ({}, []))
+            formats.append(template.head + "".join(
+                ".{%d}" % fields.setdefault(f, len(fields)) for f in template.fields))
+        self.groups = []
+        for scope, (fields, formats) in groups.items():
+            names = tuple(choices[k].var for k in scope)
+            bound = set(self.params).union(names)
+            fields = [f.name if type(f) is Var and f.name in bound else f for f in fields]
+            self.groups.append((scope, names, fields, formats))
+        self.lts = None  # the representative's LTS
+        self.events = None  # its events, as _resolve gives them
+        self.patterns = None  # its choice sets' equality patterns
+        self.visible = None  # its LTS's visible labels
+        self.live = None  # its (deadlock trace, tick trace)
+
+    def _resolve(self, args):
+        """The body's events at ``args``, each template at each value of the
+        choices it is under (None where the event is not interned), and
+        each choice set's equality pattern: each value numbered by its
+        first position."""
+        env = self.env
+        bindings = dict(zip(self.params, args))
+        patterns, values = [], []
+        for choice in self.choices:
+            first = {}
+            patterns.append(tuple(first.setdefault(v, len(first))
+                                  for v in set_values(choice.items, bindings, env)))
+            values.append(first)
+        events = []
+        for scope, names, fields, formats in self.groups:
+            for combo in product(*(values[k] for k in scope)):
+                b = {**bindings, **dict(zip(names, combo))} if scope else bindings
+                vals = [b[f] if type(f) is str else eval_expr(f, b, env) for f in fields]
+                events.extend(EVENTS.lookup(form.format(*vals)) for form in formats)
+        return events, patterns
+
+    def adopt(self, comp: Component, lts: Lts):
+        """Make ``comp``, compiled on its own, the representative if there
+        is none yet and every event of its body is interned."""
+        if self.lts is None:
+            try:
+                events, patterns = self._resolve(comp.term.args)
+            except Exception:
+                return
+            if None not in events:
+                self.lts, self.visible = lts, lts.visible_events()
+                self.events, self.patterns = events, patterns
+                comp._share = (self, None)
+
+    def instance(self, comp: Component, limit: int) -> Lts | None:
+        """``comp``'s LTS renamed from the representative's, or None when
+        ``comp`` must compile on its own."""
+        if self.lts is None or self.lts.n_states > limit:
+            return None
+        try:
+            events, patterns = self._resolve(comp.term.args)
+        except Exception:
+            return None
+        if patterns != self.patterns or None in events:
+            return None
+        phi = dict(zip(self.events, events))
+        if (
+            list(map(phi.__getitem__, self.events)) != events  # a function
+            or len(set(phi.values())) != len(phi)  # one-to-one
+            or not comp.alphabet.issuperset(map(phi.__getitem__, self.visible))
+        ):
+            return None
+        comp._share = (self, phi)
+        return _renamed(self.lts, phi, _OwnTerms(comp, self.lts.n_states))
+
+
+def _renamed(lts: Lts, phi: dict, terms) -> Lts:
+    """``lts`` with each label mapped by ``phi`` and with the given terms."""
+    renamed = rename_lts(lts, {a: (b,) for a, b in phi.items()})
+    return Lts(renamed.initial, renamed.trans, terms)
+
+
+def _family(env: DefEnv, name: str, arity: int) -> _Family | None:
+    """The family of calls to ``name`` with ``arity`` arguments under
+    ``env``, or None when a parameter of that definition is not
+    event-only (or it has none)."""
+    d = env.definitions.get((name, arity))
+    if d is None or not d.params:
+        return None
+    own = frozenset(d.params)
+    self_call = tuple(Var(p) for p in d.params)
+    sites, choices = [], []
+    stack = [(d.body, ())]
+    while stack:
+        term, scope = stack.pop()
+        t = type(term)
+        bound = own.union(choices[k].var for k in scope)
+        if t is Prefix:
+            if type(term.event) is int:  # a ground event in a source term
+                return None
+            sites.append((term.event, scope))
+            stack.append((term.cont, scope))
+        elif t is IndexedChoice:
+            outer = bound - own
+            if term.var in bound or any(
+                expr_vars(e) & outer
+                for kind, *exprs in term.items if kind != "field" for e in exprs
+            ):
+                return None
+            choices.append(term)
+            stack.append((term.body, scope + (len(choices) - 1,)))
+        elif t is Guard:
+            if expr_vars(term.cond) & bound:
+                return None
+            stack.append((term.body, scope))
+        elif t is ExtChoice or t is IntChoice:
+            stack.extend((item, scope) for item in term.items)
+        elif t is Seq:
+            stack.extend(((term.first, scope), (term.second, scope)))
+        elif t is Interrupt:
+            stack.extend(((term.body, scope), (term.handler, scope)))
+        elif t is Call:
+            if term.name != name or term.args != self_call:
+                return None
+        elif t not in (Stop, Skip, Div):
+            return None
+    return _Family(env, d, sites, choices)
+
+
+class _OwnTerms(Sequence):
+    """A renamed member's state terms: those of the member compiled on its
+    own, which numbers its states as the renaming does; compiled only when
+    a state is first named.  It holds the member's term, not the member,
+    so that a network's components are freed without the cycle collector."""
+
+    __slots__ = ("_env", "_term", "_len", "_terms")
+
+    def __init__(self, comp: Component, n_states: int):
+        self._env, self._term, self._len = comp.env, comp.term, n_states
+        self._terms = None
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, s):
+        if self._terms is None:
+            self._terms = compile_term(self._env, self._term).terms
+        return self._terms[s]
 
 
 class Network:
@@ -107,6 +321,18 @@ class Network:
         self.warnings: tuple = ()
         self.abstractions: dict = {}  # component index -> abs_lts result
         self.divergence: dict = {}  # component index -> abs_divergent result
+        # (family, the representative's labels hidden) -> [its abstraction,
+        # whether that diverges, None until asked]
+        self.shared: dict = {}
+        calls = {}
+        for c in self.components:
+            if c.lts is None and c.family is None and type(c.term) is Call and c.term.args:
+                calls.setdefault((c.env, c.term.name, len(c.term.args)), []).append(c)
+        for (env, name, arity), members in calls.items():
+            if len(members) > 1:
+                family = _family(env, name, arity)
+                for c in members:
+                    c.family = family
 
     @cached_property
     def sigma(self) -> frozenset:
@@ -188,10 +414,8 @@ def check_live(net: Network, limit: int = DEFAULT_STATE_LIMIT) -> LivenessReport
     busy = []
     non_term = []
     for comp in net.components:
-        lts = comp.compiled(limit)
-        dtrace = component_deadlocks(lts)
+        dtrace, ttrace = _live_traces(comp, comp.compiled(limit))
         busy.append(SectionResult(comp.name, dtrace is None, dtrace))
-        ttrace = first_tick_trace(lts)
         non_term.append(SectionResult(comp.name, ttrace is None, ttrace))
     td = SectionResult("triple-disjoint", True)
     for e, idx in sorted(net.owners.items()):
@@ -206,26 +430,83 @@ def check_live(net: Network, limit: int = DEFAULT_STATE_LIMIT) -> LivenessReport
     return LivenessReport(busy, non_term, td)
 
 
+def _live_traces(comp: Component, lts: Lts):
+    """The busy and non-terminating witnesses of a compiled component, or
+    None for each that holds.  A renaming keeps both verdicts but not
+    which trace comes first, so a family member takes the representative's
+    verdicts and reruns only a failing one on its own LTS."""
+    if comp._share is None:
+        return component_deadlocks(lts), first_tick_trace(lts)
+    family, phi = comp._share
+    if family.live is None:
+        family.live = (component_deadlocks(family.lts), first_tick_trace(family.lts))
+    dtrace, ttrace = family.live
+    if phi is None:
+        return dtrace, ttrace
+    return (
+        None if dtrace is None else component_deadlocks(lts),
+        None if ttrace is None else first_tick_trace(lts),
+    )
+
+
+def _shared_abstraction(net: Network, comp: Component):
+    """For a family member, its family's entry in ``net.shared``: the
+    representative's abstraction with the labels hidden whose images the
+    member hides; renamed, it is the member's abstraction.  None for any
+    other component."""
+    if comp._share is None:
+        return None
+    family, phi = comp._share
+    hidden = comp.alphabet - net.voc
+    key = (family, frozenset(
+        e for e in family.visible if (e if phi is None else phi[e]) in hidden))
+    entry = net.shared.get(key)
+    if entry is None:
+        entry = net.shared[key] = [bisim_quotient(hide_lts(family.lts, key[1])), None]
+    return entry
+
+
 def abs_lts(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
     """Component behaviour with every non-vocabulary event hidden, quotiented
     by strong bisimulation; built on the first request and cached on the
-    network."""
+    network.  A family member renames its family's."""
     lts = net.abstractions.get(i)
     if lts is None:
-        hidden = hide_lts(net[i].compiled(limit), net[i].alphabet - net.voc)
-        lts = net.abstractions[i] = bisim_quotient(hidden)
+        comp = net[i]
+        compiled = comp.compiled(limit)
+        entry = _shared_abstraction(net, comp)
+        if entry is None:
+            lts = bisim_quotient(hide_lts(compiled, comp.alphabet - net.voc))
+        elif comp._share[1] is None:
+            lts = entry[0]
+        else:
+            # a quotient that merged no state is the hidden LTS, terms and all
+            terms = None if entry[0].terms is None else compiled.terms
+            lts = _renamed(entry[0], comp._share[1], terms)
+        net.abstractions[i] = lts
     return lts
+
+
+def _divergent(lts: Lts) -> bool:
+    return find_cycle([lts.taus(s) for s in range(lts.n_states)]) is not None
 
 
 def abs_divergent(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> bool:
     """True when hiding private events introduced divergence (a tau cycle),
     which makes stable checks on this abstraction vacuous; judged once per
-    component and cached on the network."""
+    component, or per family and hidden labels, and cached on the
+    network."""
     lts = abs_lts(net, i, limit)
     divergent = net.divergence.get(i)
     if divergent is None:
-        taus = [lts.taus(s) for s in range(lts.n_states)]
-        divergent = net.divergence[i] = find_cycle(taus) is not None
+        entry = _shared_abstraction(net, net[i])
+        if entry is None:
+            divergent = _divergent(lts)
+        else:
+            if entry[1] is None:
+                entry[1] = _divergent(entry[0])
+            divergent = entry[1]
+        net.divergence[i] = divergent
     return divergent
 
 

@@ -246,6 +246,13 @@ def _connected(names, known, whose):
             raise NonTotalMap(f"{whose} mentions unconnected '{x}'")
 
 
+def _new_pair(pair, seen):
+    """Reject a connection whose pair an earlier connection has."""
+    if pair in seen:
+        raise DuplicateName(f"connection {pair[0]}->{pair[1]} appears twice")
+    return pair
+
+
 def _resolve_component(net: Network, name, key):
     try:
         net.index_of(_name(name, key))
@@ -299,17 +306,17 @@ class RaDescriptor:
 
     @classmethod
     def from_json(cls, doc, net):
-        """Every user, and no other component, has an acquisition order
-        over exactly its connected resources, and the resource order ranks
-        every resource; no order repeats a resource or names one the
-        connections lack."""
+        """No user and resource are connected twice; every user, and no
+        other component, has an acquisition order over exactly its
+        connected resources, and the resource order ranks every resource;
+        no order repeats a resource or names one the connections lack."""
         connections = []
         acquire = {}
         release = {}
         for conn in _section(doc, "connections", _LIST):
             u = _need(net, conn, "user", _resolve_component)
             r = _need(net, conn, "resource", _resolve_component)
-            connections.append((u, r))
+            connections.append(_new_pair((u, r), acquire))
             acquire[(u, r)] = _need(net, conn, "acquire", _resolve_event)
             release[(u, r)] = _need(net, conn, "release", _resolve_event)
         order = {}
@@ -473,15 +480,16 @@ class CsDescriptor:
 
     @classmethod
     def from_json(cls, doc, net):
-        """Every connection declares a request event; every request, and
-        no other event, has a (possibly empty) response set; the component
-        order repeats no component and names only connected ones."""
+        """No client and server are connected twice, and every connection
+        declares a request event; every request, and no other event, has a
+        (possibly empty) response set; the component order repeats no
+        component and names only connected ones."""
         connections = []
         requests = {}
         for conn in _section(doc, "connections", _LIST):
             c = _need(net, conn, "client", _resolve_component)
             s = _need(net, conn, "server", _resolve_component)
-            connections.append((c, s))
+            connections.append(_new_pair((c, s), requests))
             requests[(c, s)] = frozenset(_need(net, conn, "requests", _resolve_events))
             if not requests[(c, s)]:
                 raise NonTotalMap(f"connection {c}->{s} declares no request events")
@@ -645,17 +653,18 @@ class AdDescriptor:
 
     @classmethod
     def from_json(cls, doc, net):
-        """Each transport entity carries one connection, whose send and
-        receive lists pair up and are not empty; every participant, and no
-        other component, has a schedule that repeats no peer and names
-        only, and at least one, peers it is connected to."""
+        """No two connections join the same sender and receiver; each
+        transport entity carries one connection, whose send and receive
+        lists pair up and are not empty; every participant, and no other
+        component, has a schedule that repeats no peer and names only, and
+        at least one, peers it is connected to."""
         connections = []
         link, send, receive, on, off, timeout = {}, {}, {}, {}, {}, {}
         seen_links = {}
         for conn in _section(doc, "connections", _LIST):
             i = _need(net, conn, "from", _resolve_component)
             j = _need(net, conn, "to", _resolve_component)
-            connections.append((i, j))
+            connections.append(_new_pair((i, j), link))
             k = _need(net, conn, "transport", _resolve_component)
             if k in seen_links:
                 raise DescriptorError(

@@ -24,6 +24,7 @@ import dpa
 import dpa.terms
 from dpa import models
 from dpa.dsl import elaborate, parse_network
+from dpa.lts import compile_term
 from dpa.terms import (
     STOP,
     Call,
@@ -199,8 +200,10 @@ CORPUS = corpus()
 
 
 def compiled(source):
+    """Each component compiled on its own; ``Component.compiled`` would
+    rename family members from their representative without binding."""
     net = elaborate(parse_network(source))
-    return [(c.name, c.compiled()) for c in net.components]
+    return [(c.name, compile_term(c.env, c.term)) for c in net.components]
 
 
 # ---------------------------------------------------------------------------

@@ -749,6 +749,14 @@ AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
      "responses names 'res10', which is no request"),
     ("philosophers", {"schema": 2}, "unsupported descriptor schema 2"),
     ("philosophers", {"pattern": "ring"}, "unknown pattern 'ring'"),
+    ("philosophers", {"connections": [RA_CONNECTION, {**RA_CONNECTION, "acquire": "pickup.0.1"}]},
+     "connection Phil.0->Fork.0 appears twice"),
+    ("client_server", {"pattern": "client-server", "connections": [
+        CS_CONNECTION, {**CS_CONNECTION, "requests": ["req20"]}]},
+     "connection C1->C0 appears twice"),
+    ("leadership", {"pattern": "async-dynamic", "connections": [
+        AD_CONNECTION, {**AD_CONNECTION, "transport": "Bus.1.0"}]},
+     "connection Node.0->Node.1 appears twice"),
 ], ids=["no-order", "order-names-unconnected", "order-misses-a-resource", "unranked-resource",
         "order-repeats-a-resource", "resource-order-repeats", "resource-order-names-unconnected",
         "order-keyed-by-a-non-user",
@@ -757,7 +765,9 @@ AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
         "no-schedule", "unconnected-schedule", "schedule-repeats-a-peer",
         "schedule-keyed-by-a-non-participant", "schedule-names-unconnected",
         "responses-keyed-by-a-non-request",
-        "unsupported-schema", "unknown-pattern"])
+        "unsupported-schema", "unknown-pattern",
+        "repeated-user-resource-pair", "repeated-client-server-pair",
+        "repeated-sender-receiver-pair"])
 def test_cli_pattern_rejects_a_malformed_descriptor(model_dir, capsys, model, doc, error):
     descriptor = model_dir / "malformed.pattern.json"
     descriptor.write_text(json.dumps({"pattern": "resource-allocation", **doc}))
