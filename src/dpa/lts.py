@@ -10,7 +10,8 @@ genuinely infinite-state terms.
 pairwise conflict contexts and for tests; the global n-way product lives in
 the oracle module.  Both number their states with one breadth-first loop,
 :func:`_reachable`; :func:`hide_lts` and :func:`rename_lts` are both the
-one row relabelling :func:`_relabel`.
+one row relabelling :func:`_relabel`; :func:`rename_on_read` defers it
+until the rows are first read.
 """
 
 from __future__ import annotations
@@ -71,6 +72,16 @@ class Lts:
     initial: int
     trans: tuple
     terms: tuple | None = None
+
+    def __getattr__(self, name):
+        # only a missing attribute comes here: the rows of an LTS from
+        # rename_on_read, built on their first read, which releases the
+        # LTS and the map they are built from
+        if name != "trans" or "_pending" not in self.__dict__:
+            raise AttributeError(f"'Lts' object has no attribute '{name}'")
+        lts, phi = self.__dict__.pop("_pending")
+        self.trans = rename_lts(lts, {a: (b,) for a, b in phi.items()}).trans
+        return self.trans
 
     @property
     def n_states(self) -> int:
@@ -268,6 +279,16 @@ def rename_lts(lts: Lts, relation: dict) -> Lts:
     """Apply a (possibly one-to-many) renaming relation: event id -> tuple of
     event ids.  Events outside the relation's domain are unchanged."""
     return _relabel(lts, relation)
+
+
+def rename_on_read(lts: Lts, phi: dict, terms=None) -> Lts:
+    """``lts`` with each label in ``phi``'s domain mapped by the one-to-one
+    ``phi`` and with the given terms; the rows are renamed, by
+    :func:`rename_lts`, only when they are first read (the state numbers,
+    and so ``initial``, are the same either way)."""
+    out = Lts.__new__(Lts)
+    out.initial, out.terms, out._pending = lts.initial, terms, (lts, phi)
+    return out
 
 
 def check_alphabet(lts: Lts, alphabet: frozenset):

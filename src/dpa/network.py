@@ -15,7 +15,8 @@ Most components of a parametrised model are one definition called at
 different values that only name events.  Such components form a
 :class:`_Family`: the first one compiled, the representative, compiles as
 usual and every other one gets its LTS, liveness verdicts and abstractions
-from the representative's by renaming events.
+from the representative's by renaming events, each LTS's rows only when
+they are first read.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .lts import (
     check_alphabet,
     compile_term,
     hide_lts,
-    rename_lts,
+    rename_on_read,
 )
 from .lts import AlphabetViolation
 from .semantics import component_deadlocks, first_tick_trace
@@ -219,13 +220,7 @@ class _Family:
         ):
             return None
         comp._share = (self, phi)
-        return _renamed(self.lts, phi, _OwnTerms(comp, self.lts.n_states))
-
-
-def _renamed(lts: Lts, phi: dict, terms) -> Lts:
-    """``lts`` with each label mapped by ``phi`` and with the given terms."""
-    renamed = rename_lts(lts, {a: (b,) for a, b in phi.items()})
-    return Lts(renamed.initial, renamed.trans, terms)
+        return rename_on_read(self.lts, phi, _OwnTerms(comp, self.lts.n_states))
 
 
 def _family(env: DefEnv, name: str, arity: int) -> _Family | None:
@@ -324,6 +319,7 @@ class Network:
         # (family, the representative's labels hidden) -> [its abstraction,
         # whether that diverges, None until asked]
         self.shared: dict = {}
+        self.entries: dict = {}  # family member's index -> its entry in shared
         calls = {}
         for c in self.components:
             if c.lts is None and c.family is None and type(c.term) is Call and c.term.args:
@@ -449,11 +445,16 @@ def _live_traces(comp: Component, lts: Lts):
     )
 
 
-def _shared_abstraction(net: Network, comp: Component):
+def _shared_abstraction(net: Network, i: int):
     """For a family member, its family's entry in ``net.shared``: the
     representative's abstraction with the labels hidden whose images the
     member hides; renamed, it is the member's abstraction.  None for any
-    other component."""
+    other component.  Looked up once per member and kept in
+    ``net.entries``."""
+    entry = net.entries.get(i)
+    if entry is not None:
+        return entry
+    comp = net[i]
     if comp._share is None:
         return None
     family, phi = comp._share
@@ -463,18 +464,20 @@ def _shared_abstraction(net: Network, comp: Component):
     entry = net.shared.get(key)
     if entry is None:
         entry = net.shared[key] = [bisim_quotient(hide_lts(family.lts, key[1])), None]
+    net.entries[i] = entry
     return entry
 
 
 def abs_lts(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
     """Component behaviour with every non-vocabulary event hidden, quotiented
     by strong bisimulation; built on the first request and cached on the
-    network.  A family member renames its family's."""
+    network.  A family member renames its family's, when its rows are
+    first read."""
     lts = net.abstractions.get(i)
     if lts is None:
         comp = net[i]
         compiled = comp.compiled(limit)
-        entry = _shared_abstraction(net, comp)
+        entry = _shared_abstraction(net, i)
         if entry is None:
             lts = bisim_quotient(hide_lts(compiled, comp.alphabet - net.voc))
         elif comp._share[1] is None:
@@ -482,7 +485,7 @@ def abs_lts(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
         else:
             # a quotient that merged no state is the hidden LTS, terms and all
             terms = None if entry[0].terms is None else compiled.terms
-            lts = _renamed(entry[0], comp._share[1], terms)
+            lts = rename_on_read(entry[0], comp._share[1], terms)
         net.abstractions[i] = lts
     return lts
 
@@ -495,11 +498,19 @@ def abs_divergent(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> boo
     """True when hiding private events introduced divergence (a tau cycle),
     which makes stable checks on this abstraction vacuous; judged once per
     component, or per family and hidden labels, and cached on the
-    network."""
+    network.  A family member's verdict is its family's, so the rows of
+    its own abstraction are not built.
+
+    Divergence only warns.  In a network deadlock no component can do a
+    private event or an internal move, so each component's state there is
+    stable in its abstraction, and the checks, which judge stable
+    failures, see it: the setting of Brookes and Roscoe's ungranted-request
+    theorem (Distributed Computing 4, 1991).  What a tau cycle hides is
+    behaviour no deadlock can rest in."""
     lts = abs_lts(net, i, limit)
     divergent = net.divergence.get(i)
     if divergent is None:
-        entry = _shared_abstraction(net, net[i])
+        entry = _shared_abstraction(net, i)
         if entry is None:
             divergent = _divergent(lts)
         else:

@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .events import EVENTS, TAU, TICK, event
 from .lts import DEFAULT_STATE_LIMIT, Lts, _reachable, compile_term
-from .network import InputError, Network, abs_lts, abs_divergent
+from .network import InputError, Network, _shared_abstraction, abs_lts, abs_divergent
 from .semantics import (
     Counterexample,
     FAILURES,
@@ -1006,25 +1006,51 @@ def _with_events(shape: NormalSpec, events, universe) -> NormalSpec:
     return NormalSpec(universe, states, trans)
 
 
-def _impl_shape(impl: Lts, events):
+def _impl_shape(impl: Lts, events, phi=None):
     """``impl`` read over the spec's positions: each visible event is its
     position in ``events``, and every event the spec does not name is the
     one label ``len(events)`` (TAU and TICK stay); the states are
     renumbered breadth-first in that label order, so that the shape does
-    not depend on how the real events happen to be numbered.
+    not depend on how the real events happen to be numbered.  With ``phi``
+    it is the shape of ``impl`` renamed by ``phi``: each label in ``phi``'s
+    domain is read as the position of its image, which gives the same
+    rows, since a renaming keeps the state numbers and every row is sorted
+    here anyway.
 
     Merging the unnamed events loses nothing: every state of an
     abstraction is reachable and these specs have no CHAOS state, so an
     abstraction that can perform such an event fails its refinement, and
     its shape never enters the set of shapes that passed."""
-    position = dict(zip(events, range(len(events))))
-    position[TAU], position[TICK] = TAU, TICK
     other = len(events)
+    position = dict(zip(events, range(other)))
+    if phi is not None:
+        position.update({a: position.get(b, other) for a, b in phi.items()})
+    position[TAU], position[TICK] = TAU, TICK
 
     def moves(s):
         return sorted([(position.get(l, other), t) for l, t in impl.trans[s]])
 
     return _reachable(impl.initial, moves, impl.n_states)[1]
+
+
+def _abstraction_shape(net: Network, i, impl: Lts, events, memo):
+    """``_impl_shape(impl, events)`` for ``impl = abs_lts(net, i)``.  A
+    family member's abstraction is its family's shared one renamed by φ,
+    so its shape is read off the shared one through φ, once per shared
+    abstraction and positions of the images of the family's events
+    (``memo``); the member's own rows are not built."""
+    entry = _shared_abstraction(net, i)
+    if entry is None:
+        return _impl_shape(impl, events)
+    family, phi = net[i]._share
+    other = len(events)
+    position = dict(zip(events, range(other)))
+    images = family.events if phi is None else map(phi.__getitem__, family.events)
+    probe = (id(entry), tuple([position.get(e, other) for e in images]))
+    shape = memo.get(probe)
+    if shape is None:
+        shape = memo[probe] = _impl_shape(entry[0], events, phi)
+    return shape
 
 
 def check_behavioural(desc, net: Network, scope, limit=DEFAULT_STATE_LIMIT) -> list:
@@ -1042,11 +1068,14 @@ def check_behavioural(desc, net: Network, scope, limit=DEFAULT_STATE_LIMIT) -> l
     (:func:`_impl_shape`) equal those of one that passed is its image under
     a renaming of events and states.  Whether a refinement holds does not
     depend on those names (the universe only enters counterexamples, and
-    these specs have no CHAOS state), so it passes without a refinement.
-    Any other obligation, failing ones included, runs ``refines`` on its
-    real events, so every counterexample is its own."""
+    these specs have no CHAOS state), so it passes without a refinement,
+    and a family member's abstraction is never relabelled for it
+    (:func:`_abstraction_shape`).  Any other obligation, failing ones
+    included, runs ``refines`` on its real events, so every counterexample
+    is its own."""
     refined, degenerate = [], []
     shapes = {}  # canonical spec -> its normal form over positions
+    impl_shapes = {}  # memo of _abstraction_shape
     passed = set()  # (canonical spec, model, abstraction shape) that passed
     for role, name in desc.obligations(frozenset(scope)):
         spec_name, model, build = desc.roles[role]
@@ -1061,8 +1090,9 @@ def check_behavioural(desc, net: Network, scope, limit=DEFAULT_STATE_LIMIT) -> l
         shape = shapes.get(key)
         if shape is None:
             shape = shapes[key] = _normal_shape(key, events, limit)
-        impl = abs_lts(net, net.index_of(name), limit)
-        verdict = (key, model, _impl_shape(impl, events))
+        i = net.index_of(name)
+        impl = abs_lts(net, i, limit)
+        verdict = (key, model, _abstraction_shape(net, i, impl, events, impl_shapes))
         if verdict in passed:
             refined.append(BehaviouralResult(name, spec_name, model, True))
             continue

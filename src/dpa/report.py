@@ -91,6 +91,13 @@ class DpaReport:
             for c in d.checks:
                 note = ""
                 if c.divergent_abstractions:
+                    # A note, not a weaker verdict: in a network deadlock no
+                    # component can do a private event or an internal move,
+                    # so each one's state is stable in its abstraction and
+                    # the check, which judges stable failures, sees it.  Only
+                    # a tau cycle elsewhere goes unjudged.  This is the
+                    # setting of Brookes and Roscoe's ungranted-request
+                    # theorem (Distributed Computing 4, 1991).
                     note = f"  [divergent abstraction: {', '.join(c.divergent_abstractions)}]"
                 lines.append(
                     f"  edge {c.names[0]} -- {c.names[1]}: {c.verdict}{note}"

@@ -29,7 +29,7 @@ from conftest import random_live_network
 from dpa import models
 from dpa.dsl import elaborate, parse_network
 from dpa.events import event
-from dpa.lts import StateLimitExceeded, bisim_quotient, compile_term, hide_lts
+from dpa.lts import Lts, StateLimitExceeded, bisim_quotient, compile_term, hide_lts, rename_lts
 from dpa.network import (
     CompileFailure,
     Component,
@@ -40,6 +40,9 @@ from dpa.network import (
     check_live,
     find_cycle,
 )
+from dpa.oracle import explore_global
+from dpa.patterns import check_pattern, parse_descriptor
+from dpa.report import PROVEN, run_dpa
 from dpa.semantics import component_deadlocks, first_tick_trace
 from dpa.terms import Call, DefEnv, Definition, Prefix, Var
 
@@ -209,6 +212,141 @@ def test_philosophers_300_renames_all_but_one_member_per_family():
 def test_random_live_networks_take_the_plain_path(seed):
     net = random_live_network(random.Random(seed), max_components=5, max_states=6)
     assert diff_network(net) == []
+
+
+# ---------------------------------------------------------------------------
+# rows renamed on their first read
+
+
+def pending(lts):
+    """Whether ``lts`` is a renaming whose rows have not been built yet."""
+    return "_pending" in lts.__dict__
+
+
+def eager(lts, phi, terms):
+    """The renaming as it was made before rows were renamed on read: all
+    rows at once, with the given terms."""
+    renamed = rename_lts(lts, {a: (b,) for a, b in phi.items()})
+    return Lts(renamed.initial, renamed.trans, terms)
+
+
+def assert_same(got, want, name):
+    assert (got.initial, got.trans) == (want.initial, want.trans), name
+    assert names(got) == names(want), name
+
+
+@pytest.mark.parametrize("source", [s for _, s in CORPUS], ids=[n for n, _ in CORPUS])
+def test_lazy_members_equal_their_eager_renaming(source):
+    net = elaborate(parse_network(source))
+    check_live(net)
+    for i in range(len(net)):
+        abs_divergent(net, i)
+    members = [i for i, c in enumerate(net.components) if renamed(c)]
+    for i in members:
+        comp = net[i]
+        family, phi = comp._share
+        lts, abstraction = comp.compiled(), abs_lts(net, i)
+        # compiling, liveness that holds and divergence read no member's
+        # rows, nor does reading its terms
+        assert lts.terms is not None
+        assert pending(lts) == (family.live == (None, None)), comp.name
+        assert pending(abstraction), comp.name
+        shared = net.entries[i][0]
+        terms = None if shared.terms is None else lts.terms
+        want_abs = eager(shared, phi, terms)
+        want = eager(family.lts, phi, lts.terms)
+        assert_same(abstraction, want_abs, comp.name)
+        assert_same(lts, want, comp.name)
+        # the rows, once built, no longer hold what they were built from
+        assert not pending(lts) and not pending(abstraction), comp.name
+        assert lts == want and abstraction == want_abs, comp.name
+
+
+def test_equality_and_repr_read_the_rows():
+    net = elaborate(parse_network(models.philosophers_source(3)))
+    rep, member = net[0].compiled(), net[1].compiled()
+    assert pending(member)
+    want = eager(rep, net[1]._share[1], member.terms)
+    assert member == want
+    assert not pending(member)
+    other = elaborate(parse_network(models.philosophers_source(3)))
+    other[0].compiled()
+    lazy = other[1].compiled()
+    assert repr(lazy).startswith("Lts(initial=0, trans=((")
+    assert not pending(lazy)
+    with pytest.raises(AttributeError):
+        lazy.rows
+
+
+def test_a_proven_run_renames_no_rows(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rename_lts(*args)
+
+    for module in (dpa.lts, dpa.decomposition):
+        monkeypatch.setattr(module, "rename_lts", counted)
+    net = elaborate(parse_network(models.philosophers_source(50)))
+    desc = parse_descriptor(models.philosophers_descriptor(50), net)
+    assert run_dpa(net, [desc]).overall == PROVEN
+    # all but the representatives of Phil(id) and Fork(id), and APhil.49
+    assert sum(renamed(c) for c in net.components) == 97
+    assert calls == []
+    # the oracle reads the rows of every member: Phil.1-4 and Fork.1-5
+    free = explore_global(elaborate(parse_network(models.philosophers_source(6))))
+    assert free.states_explored == 40250
+    assert len(calls) == 9
+    net = elaborate(parse_network(models.philosophers_source(6, True)))
+    plain_net = Network(
+        [Component(c.name, c.alphabet, lts=compile_term(c.env, c.term)) for c in net.components],
+        sigma=net.sigma)
+    witness = explore_global(net)
+    assert witness.to_json(net) == explore_global(plain_net).to_json(plain_net)
+    assert [dpa.events.EVENTS.name(e) for e in witness.trace] == [
+        f"{e}.{i}" + f".{i}" * (e == "pickup") for i in range(6) for e in ("sit", "pickup")]
+
+
+DIVERGENT_MEMBERS = """\
+version 1
+channel priv : {0..2}
+channel acq : {0..2}
+channel rel : {0..2}
+P(id) = priv.id -> P(id) [] acq.id -> rel.id -> P(id)
+R(id) = acq.id -> rel.id -> R(id)
+atom PA = alphabet {| priv.id, acq.id, rel.id |} behaviour P(id)
+atom RA = alphabet {| acq.id, rel.id |} behaviour R(id)
+instance P = PA {0..2}
+instance R = RA {0..2}
+"""
+
+
+def test_divergent_members_warn_as_each_component_would():
+    """Each user hides its private ``priv.id``, a loop, so each member's
+    abstraction diverges; judged through the family, with the member's
+    own abstraction never built."""
+    net = elaborate(parse_network(DIVERGENT_MEMBERS))
+    doc = {
+        "schema": 1, "pattern": "resource-allocation",
+        "connections": [{"user": f"P.{i}", "resource": f"R.{i}", "acquire": f"acq.{i}",
+                         "release": f"rel.{i}"} for i in range(3)],
+        "order": {f"P.{i}": [f"R.{i}"] for i in range(3)},
+        "resource_order": [f"R.{i}" for i in range(3)],
+    }
+    desc = parse_descriptor(doc, net)
+    want = {}
+    for comp in net.components:
+        ref = bisim_quotient(hide_lts(own_lts(comp), comp.alphabet - net.voc))
+        want[comp.name] = find_cycle([ref.taus(s) for s in range(ref.n_states)]) is not None
+    assert want == {f"{p}.{i}": p == "P" for p in "PR" for i in range(3)}
+    got = {c.name: abs_divergent(net, i) for i, c in enumerate(net.components)}
+    assert got == want
+    members = [i for i, c in enumerate(net.components) if renamed(c)]
+    assert [net[i].name for i in members] == ["P.1", "P.2", "R.1", "R.2"]
+    assert all(pending(abs_lts(net, i)) for i in members)
+    warnings = [f"abstraction of {name} diverges; its stable checks are vacuous"
+                for name in sorted(desc.components()) if want[name]]
+    assert list(check_pattern(desc, net, desc.components()).warnings) == warnings
 
 
 # ---------------------------------------------------------------------------

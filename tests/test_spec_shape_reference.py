@@ -5,6 +5,7 @@ included, on the bundled families and on seeded descriptor mutants; floors
 on what was compared keep the corpus from passing by comparing nothing."""
 
 import copy
+import json
 import random
 
 import pytest
@@ -16,6 +17,8 @@ from dpa.bench import build_family
 from dpa.dsl import elaborate, parse_descriptor, parse_network
 from dpa.events import TICK, event
 from dpa.lts import Lts, compile_term
+from dpa.network import abs_lts
+from dpa.patterns import EmptyRoleSet
 from dpa.semantics import SpecDivergence, normalize
 from dpa.terms import DIV, Call, DefEnv, Definition, Prefix, STOP
 
@@ -179,6 +182,45 @@ def test_failing_verdicts_are_never_shared(monkeypatch, n):
         assert not r.ok and ce.kind == "trace"
         named = set(ce.trace) | {ce.event} | (ce.acceptance or set())
         assert named <= net[net.index_of(r.component)].alphabet
+
+
+def _bundled_pairs():
+    """(source, descriptor JSON) of each bundled model with a descriptor."""
+    for name in bundled.BUNDLED:
+        if name.endswith(".pattern.json"):
+            model = name.replace(".pattern.json", ".net")
+            yield bundled.BUNDLED[model](), json.loads(bundled.BUNDLED[name]())
+
+
+def test_member_shapes_read_through_phi_match_their_abstractions():
+    """A family member's abstraction shape is read off its family's shared
+    abstraction through φ, without building the member's rows; it must
+    equal the shape of the member's abstraction itself, on every
+    obligation of the corpus."""
+    compared = members = 0
+    for source, doc in [*_corpus(), *_bundled_pairs()]:
+        net = elaborate(parse_network(source))
+        desc = parse_descriptor(doc, net)
+        memo, got = {}, []
+        for role, name in desc.obligations(frozenset(desc.components())):
+            try:
+                env, term = desc.roles[role][2](desc, net, name)
+            except EmptyRoleSet:
+                continue
+            events = patterns._canonical(env, term)[1]
+            i = net.index_of(name)
+            impl = abs_lts(net, i)
+            got.append((i, events, patterns._abstraction_shape(net, i, impl, events, memo)))
+        renamed = {i for i, c in enumerate(net.components)
+                   if c._share is not None and c._share[1] is not None}
+        for i in renamed:
+            assert "_pending" in abs_lts(net, i).__dict__, net[i].name
+        for i, events, shape in got:
+            assert shape == patterns._impl_shape(abs_lts(net, i), events), net[i].name
+        compared += len(got)
+        members += sum(i in renamed for i, _, _ in got)
+    assert compared > 700
+    assert members > 200
 
 
 def test_impl_shape_ignores_how_events_and_states_are_numbered():
