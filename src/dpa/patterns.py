@@ -201,7 +201,7 @@ def _choice_prefixes(choice, events, cont) -> Term | None:
 
 # ---------------------------------------------------------------------------
 # reading a descriptor's JSON body: a value of the wrong JSON shape, a name
-# the network lacks or a missing connection field is a DescriptorError (or
+# the network lacks, a missing or unknown field is a DescriptorError (or
 # UnknownComponent) naming the field
 
 
@@ -239,18 +239,15 @@ def _order(value, key, whose, noun):
     return names
 
 
-def _connected(names, known, whose):
-    """Reject an order that names what the descriptor does not connect."""
-    for x in names:
-        if x not in known:
-            raise NonTotalMap(f"{whose} mentions unconnected '{x}'")
-
-
-def _new_pair(pair, seen):
-    """Reject a connection whose pair an earlier connection has."""
-    if pair in seen:
-        raise DuplicateName(f"connection {pair[0]}->{pair[1]} appears twice")
-    return pair
+def _total(keys, domain, missing="", extra=""):
+    """Reject ``keys`` (a map's keys or a list of names) unless they name
+    every member of ``domain`` and nothing else: first the first key
+    outside the domain, by ``extra``, then the first member of the domain
+    the keys lack, by ``missing``; each message is formatted with that
+    name, and an empty one leaves its side unchecked."""
+    for names, within, message in ((keys, set(domain), extra), (domain, set(keys), missing)):
+        if message and not within.issuperset(names):
+            raise NonTotalMap(message.format(next(x for x in names if x not in within)))
 
 
 def _resolve_component(net: Network, name, key):
@@ -272,18 +269,32 @@ def _resolve_events(net: Network, names, key):
     return tuple(_resolve_event(net, e, key) for e in _names(names, key))
 
 
-def _need(net: Network, conn, key, resolve):
-    """A field a descriptor connection must have, resolved by ``resolve``."""
-    try:
-        value = _typed(conn, dict, "each connection")[key]
-    except KeyError:
-        raise DescriptorError(str(KeyError(key))) from None
-    return resolve(net, value, key)
+def _table(doc, net: Network, ends, fields, check=None):
+    """The ``connections`` section, read in order: the tuple of each
+    connection's pair of ``ends`` (component names), then per key of
+    ``fields`` a map from pair to the connection's value of that field
+    through its resolver.  Each connection is an object with exactly these
+    keys, and no earlier one has its pair; ``check(pair, row)`` sees its
+    resolved fields."""
+    keys = ends + tuple(fields)
+    (a, b), rows = ends, {}
+    for conn in _section(doc, "connections", _LIST):
+        if _typed(conn, dict, "each connection").keys() != set(keys):
+            _total(conn, keys, "each connection needs a field '{}'",
+                   "unknown connection field '{}'")
+        pair = _resolve_component(net, conn[a], a), _resolve_component(net, conn[b], b)
+        if pair in rows:
+            raise DuplicateName(f"connection {pair[0]}->{pair[1]} appears twice")
+        rows[pair] = row = {key: f(net, conn[key], key) for key, f in fields.items()}
+        if check:
+            check(pair, row)
+    return (tuple(rows), *({p: row[key] for p, row in rows.items()} for key in fields))
 
 
 # ---------------------------------------------------------------------------
 # descriptors: one class per pattern holds all that varies by pattern.
-# ``from_json(doc, net)`` reads and validates the body; ``roles`` maps a
+# ``from_json(doc, net)`` reads and validates the body, whose top-level
+# fields besides ``schema`` and ``pattern`` are ``sections``; ``roles`` maps a
 # role to (spec name, model, builder); a builder maps ``(net, name)`` to
 # ``(env, term)``, or raises EmptyRoleSet when the role's process
 # degenerates.  ``obligations(scope)`` lists (role, component) pairs in
@@ -303,6 +314,7 @@ class RaDescriptor:
     ra_order: tuple  # resource names, greatest first
 
     pattern = "resource-allocation"
+    sections = ("connections", "order", "resource_order")
 
     @classmethod
     def from_json(cls, doc, net):
@@ -310,43 +322,24 @@ class RaDescriptor:
         other component, has an acquisition order over exactly its
         connected resources, and the resource order ranks every resource;
         no order repeats a resource or names one the connections lack."""
-        connections = []
-        acquire = {}
-        release = {}
-        for conn in _section(doc, "connections", _LIST):
-            u = _need(net, conn, "user", _resolve_component)
-            r = _need(net, conn, "resource", _resolve_component)
-            connections.append(_new_pair((u, r), acquire))
-            acquire[(u, r)] = _need(net, conn, "acquire", _resolve_event)
-            release[(u, r)] = _need(net, conn, "release", _resolve_event)
-        order = {}
-        for u, seq in _section(doc, "order", dict).items():
-            u = _resolve_component(net, u, "order")
-            order[u] = _order(seq, "order", f"order of '{u}'", "resource")
-        desc = cls(
-            tuple(connections),
-            acquire,
-            release,
-            order,
-            _order(doc.get("resource_order", ()), "resource_order",
-                   "resource order", "resource"),
+        connections, acquire, release = _table(
+            doc, net, ("user", "resource"), {"acquire": _resolve_event, "release": _resolve_event}
         )
+        order = {
+            _resolve_component(net, u, "order"): _order(seq, "order", f"order of '{u}'", "resource")
+            for u, seq in _section(doc, "order", dict).items()
+        }
+        ra_order = _order(doc.get("resource_order", ()), "resource_order",
+                          "resource order", "resource")
+        desc = cls(connections, acquire, release, order, ra_order)
+        _total(order, desc.users, "no acquisition order for user '{}'",
+               "order names '{}', which is no user")
         for u in desc.users:
-            if u not in order:
-                raise NonTotalMap(f"no acquisition order for user '{u}'")
-            _connected(order[u], desc.resources_of(u), f"order of '{u}'")
-            if set(order[u]) != set(desc.resources_of(u)):
-                raise NonTotalMap(
-                    f"order of '{u}' must cover exactly its connected resources"
-                )
-        users = set(desc.users)
-        for u in order:
-            if u not in users:
-                raise NonTotalMap(f"order names '{u}', which is no user")
-        _connected(desc.ra_order, desc.resources, "resource order")
-        for r in desc.resources:
-            if r not in desc.ra_order:
-                raise NonTotalMap(f"resource order does not rank '{r}'")
+            _total(order[u], desc.resources_of(u),
+                   f"order of '{u}' must cover exactly its connected resources",
+                   f"order of '{u}' mentions unconnected '{{}}'")
+        _total(ra_order, desc.resources, "resource order does not rank '{}'",
+               "resource order mentions unconnected '{}'")
         return desc
 
     @cached_property
@@ -477,6 +470,7 @@ class CsDescriptor:
     cs_order: tuple  # component names, greatest first
 
     pattern = "client-server"
+    sections = ("connections", "responses", "component_order")
 
     @classmethod
     def from_json(cls, doc, net):
@@ -484,30 +478,28 @@ class CsDescriptor:
         declares a request event; every request, and no other event, has a
         (possibly empty) response set; the component order repeats no
         component and names only connected ones."""
-        connections = []
-        requests = {}
-        for conn in _section(doc, "connections", _LIST):
-            c = _need(net, conn, "client", _resolve_component)
-            s = _need(net, conn, "server", _resolve_component)
-            connections.append(_new_pair((c, s), requests))
-            requests[(c, s)] = frozenset(_need(net, conn, "requests", _resolve_events))
-            if not requests[(c, s)]:
-                raise NonTotalMap(f"connection {c}->{s} declares no request events")
+
+        def check(pair, row):
+            if not row["requests"]:
+                raise NonTotalMap(f"connection {pair[0]}->{pair[1]} declares no request events")
+
+        connections, requests = _table(doc, net, ("client", "server"), {
+            "requests": lambda net, names, key: frozenset(_resolve_events(net, names, key)),
+        }, check)
         all_requests = frozenset().union(*requests.values())
-        responses = dict.fromkeys(all_requests, frozenset())
-        for ev_name, resp in _section(doc, "responses", dict).items():
-            e = _resolve_event(net, ev_name, "responses")
-            if e not in all_requests:
-                raise NonTotalMap(f"responses names '{ev_name}', which is no request")
-            responses[e] = frozenset(_resolve_events(net, resp, "responses"))
-        desc = cls(
-            tuple(connections),
-            requests,
-            responses,
-            _order(doc.get("component_order", ()), "component_order",
-                   "component order", "component"),
-        )
-        _connected(desc.cs_order, desc.components(), "component order")
+        section = _section(doc, "responses", dict)
+        named = {
+            _resolve_event(net, e, "responses"): frozenset(_resolve_events(net, resp, "responses"))
+            for e, resp in section.items()
+        }
+        _total(section, [EVENTS.name(e) for e in all_requests],
+               extra="responses names '{}', which is no request")
+        responses = {**dict.fromkeys(all_requests, frozenset()), **named}
+        desc = cls(connections, requests, responses,
+                   _order(doc.get("component_order", ()), "component_order",
+                          "component order", "component"))
+        _total(desc.cs_order, desc.components(),
+               extra="component order mentions unconnected '{}'")
         return desc
 
     def client_requests(self, name):
@@ -650,6 +642,7 @@ class AdDescriptor:
     schedule: dict  # participant -> tuple of peer names
 
     pattern = "async-dynamic"
+    sections = ("connections", "schedule")
 
     @classmethod
     def from_json(cls, doc, net):
@@ -658,49 +651,39 @@ class AdDescriptor:
         lists pair up and are not empty; every participant, and no other
         component, has a schedule that repeats no peer and names only, and
         at least one, peers it is connected to."""
-        connections = []
-        link, send, receive, on, off, timeout = {}, {}, {}, {}, {}, {}
-        seen_links = {}
-        for conn in _section(doc, "connections", _LIST):
-            i = _need(net, conn, "from", _resolve_component)
-            j = _need(net, conn, "to", _resolve_component)
-            connections.append(_new_pair((i, j), link))
-            k = _need(net, conn, "transport", _resolve_component)
-            if k in seen_links:
-                raise DescriptorError(
-                    f"transport '{k}' linked to both {seen_links[k]} and {(i, j)}"
-                )
-            seen_links[k] = (i, j)
-            link[(i, j)] = k
-            send[(i, j)] = _need(net, conn, "send", _resolve_events)
-            receive[(i, j)] = _need(net, conn, "receive", _resolve_events)
-            if len(send[(i, j)]) != len(receive[(i, j)]):
-                raise NonTotalMap(
-                    f"send/receive lists of {i}->{j} must pair up (same length)"
-                )
-            if not send[(i, j)]:
+        linked = {}  # transport entity -> the connection it carries
+
+        def check(pair, row):
+            k, (i, j) = row["transport"], pair
+            if linked.setdefault(k, pair) != pair:
+                raise DescriptorError(f"transport '{k}' linked to both {linked[k]} and {pair}")
+            if len(row["send"]) != len(row["receive"]):
+                raise NonTotalMap(f"send/receive lists of {i}->{j} must pair up (same length)")
+            if not row["send"]:
                 raise NonTotalMap(f"connection {i}->{j} declares no data events")
-            on[(i, j)] = _need(net, conn, "on", _resolve_event)
-            off[(i, j)] = _need(net, conn, "off", _resolve_event)
-            timeout[(i, j)] = _need(net, conn, "timeout", _resolve_event)
-        schedule = {}
-        for p, seq in _section(doc, "schedule", dict).items():
-            p = _resolve_component(net, p, "schedule")
-            peers = _order(seq, "schedule", f"schedule of '{p}'", "peer")
-            schedule[p] = tuple(_resolve_component(net, q, "schedule") for q in peers)
-        desc = cls(tuple(connections), link, send, receive, on, off, timeout, schedule)
+
+        # the fields after ``connections``, in the order the class lists them
+        connections, *fields = _table(doc, net, ("from", "to"), {
+            "transport": _resolve_component, "send": _resolve_events,
+            "receive": _resolve_events, "on": _resolve_event, "off": _resolve_event,
+            "timeout": _resolve_event,
+        }, check)
+        schedule = {
+            _resolve_component(net, p, "schedule"): tuple(
+                _resolve_component(net, q, "schedule")
+                for q in _order(seq, "schedule", f"schedule of '{p}'", "peer")
+            )
+            for p, seq in _section(doc, "schedule", dict).items()
+        }
+        desc = cls(connections, *fields, schedule)
+        _total(schedule, desc.participants, "no schedule for participant '{}'",
+               "schedule names '{}', which is no participant")
         for p in desc.participants:
-            if p not in schedule:
-                raise NonTotalMap(f"no schedule for participant '{p}'")
             peers = {j if i == p else i for (i, j) in connections if p in (i, j)}
-            _connected(schedule[p], peers, f"schedule of '{p}'")
+            _total(schedule[p], peers, extra=f"schedule of '{p}' mentions unconnected '{{}}'")
             # with no peer the send/receive loop is SR = SR
             if not schedule[p]:
                 raise NonTotalMap(f"schedule of '{p}' names no peer it is connected to")
-        participants = set(desc.participants)
-        for p in schedule:
-            if p not in participants:
-                raise NonTotalMap(f"schedule names '{p}', which is no participant")
         return desc
 
     @cached_property
@@ -738,18 +721,14 @@ class AdDescriptor:
                 if inter:
                     clash = f"{fam[i]}/{fam[j]} overlap on {EVENTS.names(inter)}"
         out.append(PredicateResult("mutually_disjoint_events", not clash, witness=clash))
+        expected = {p: set() for p in self.participants}
+        for conn in self.connections:
+            i, j = conn
+            expected[i].update(self.send[conn], (self.on[conn], self.off[conn]))
+            expected[j].update(self.receive[conn], (self.timeout[conn],))
         for p in self.participants:
-            expected = set()
-            for (i, j) in self.connections:
-                if i == p:
-                    expected |= set(self.send[(i, j)])
-                    expected.add(self.on[(i, j)])
-                    expected.add(self.off[(i, j)])
-                if j == p:
-                    expected |= set(self.receive[(i, j)])
-                    expected.add(self.timeout[(i, j)])
             out.append(
-                _controlled(net, p, frozenset(expected), "controlled_alpha_participant")
+                _controlled(net, p, frozenset(expected[p]), "controlled_alpha_participant")
             )
         for conn, k in sorted(self.link.items()):
             expected = (
@@ -775,25 +754,15 @@ class AdDescriptor:
                 ExtChoice((Prefix(on, Call("On")), Prefix(timeout, Call("Off")))),
             )
         )
-        env.define(
-            Definition(
-                "On",
-                (),
-                ExtChoice(
-                    (Prefix(off, Call("Off")),)
-                    + tuple(Prefix(s, Call("Full", (k,))) for k, s in enumerate(sends))
-                ),
-            )
+        on_branches = (Prefix(off, Call("Off")),) + tuple(
+            Prefix(s, Call("Full", (k,))) for k, s in enumerate(sends)
         )
-        # the full buffer relays the datum it stores: the emit branch is gated
-        # on the slot value (false guards vanish, STOP in a choice is inert)
-        full_branches = (
-            (Prefix(off, Call("Off")),)
-            + tuple(Prefix(s, Call("Full", (k,))) for k, s in enumerate(sends))
-            + tuple(
-                Guard(BinOp("==", Var("d"), Lit(k)), Prefix(recvs[k], Call("On")))
-                for k in range(len(recvs))
-            )
+        env.define(Definition("On", (), ExtChoice(on_branches)))
+        # the full buffer also relays the datum it stores: the emit branch is
+        # gated on the slot value (false guards vanish, STOP in a choice is inert)
+        full_branches = on_branches + tuple(
+            Guard(BinOp("==", Var("d"), Lit(k)), Prefix(recvs[k], Call("On")))
+            for k in range(len(recvs))
         )
         env.define(Definition("Full", ("d",), ExtChoice(full_branches)))
         return env, Call("Off")
@@ -860,8 +829,8 @@ DESCRIPTOR_SCHEMA = 1  # the "schema" a descriptor document declares
 def parse_descriptor(doc, net: Network):
     """Resolve a JSON descriptor document (text or parsed) against an
     elaborated network.  Text that is not JSON, not an object, of another
-    schema or pattern, or naming no component is a descriptor error; the
-    pattern's class reads the rest."""
+    schema or pattern, with a top-level field the pattern lacks or naming no
+    component is a descriptor error; the pattern's class reads the rest."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
@@ -869,12 +838,13 @@ def parse_descriptor(doc, net: Network):
             raise DescriptorError(str(exc)) from exc
     _typed(doc, dict, "the descriptor")
     schema = doc.get("schema", DESCRIPTOR_SCHEMA)
-    if schema != DESCRIPTOR_SCHEMA:
+    if type(schema) is not int or schema != DESCRIPTOR_SCHEMA:
         raise DescriptorError(f"unsupported descriptor schema {schema}")
     pattern = doc.get("pattern")
     cls = DESCRIPTORS.get(pattern) if isinstance(pattern, str) else None
     if cls is None:
         raise DescriptorError(f"unknown pattern {pattern!r}")
+    _total(doc, ("schema", "pattern") + cls.sections, extra="unknown descriptor field '{}'")
     desc = cls.from_json(doc, net)
     if not desc.components():
         raise DescriptorError("the descriptor names no component")

@@ -614,7 +614,8 @@ def test_cli_rejects_state_limit_below_one(model_dir, capsys, command, extra, li
     (["conflict", "philosophers.net", "nosuch", "1"], "unknown component 'nosuch'"),
     (["pattern", "philosophers.net", "bad.pattern.json"],
      "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-    (["pattern", "philosophers.net", "missing.pattern.json"], "'user'"),
+    (["pattern", "philosophers.net", "missing.pattern.json"],
+     "each connection needs a field 'user'"),
     (["pattern", "philosophers.net", "philosophers.pattern.json", "--scope", "Fork.0"],
      "descriptor references 'APhil.2' outside the checked scope"),
     (["pattern", "philosophers.net", "philosophers.pattern.json",
@@ -689,6 +690,21 @@ AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
                  "on": "on.0.1", "off": "off.0.1", "timeout": "to.0.1"}
 
 
+def _renamed(doc, old, new):
+    """``doc`` with its top-level field ``old`` renamed ``new``."""
+    doc = dict(doc)
+    doc[new] = doc.pop(old)
+    return doc
+
+
+def _misspelt_acquire():
+    """The bundled philosophers descriptor with a misspelt extra field on
+    its first connection."""
+    doc = models.philosophers_descriptor(3)
+    doc["connections"][0]["aquire"] = doc["connections"][0]["acquire"]
+    return doc
+
+
 @pytest.mark.parametrize("model, doc, error", [
     ("philosophers", {"connections": [RA_CONNECTION]},
      "no acquisition order for user 'Phil.0'"),
@@ -757,6 +773,16 @@ AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
     ("leadership", {"pattern": "async-dynamic", "connections": [
         AD_CONNECTION, {**AD_CONNECTION, "transport": "Bus.1.0"}]},
      "connection Node.0->Node.1 appears twice"),
+    ("client_server", _renamed(bundled.client_server_descriptor(), "responses", "response"),
+     "unknown descriptor field 'response'"),
+    ("client_server",
+     _renamed(bundled.client_server_descriptor(), "component_order", "component-order"),
+     "unknown descriptor field 'component-order'"),
+    ("philosophers", _misspelt_acquire(), "unknown connection field 'aquire'"),
+    ("philosophers", {**models.philosophers_descriptor(3), "schema": True},
+     "unsupported descriptor schema True"),
+    ("philosophers", {**models.philosophers_descriptor(3), "schema": 1.0},
+     "unsupported descriptor schema 1.0"),
 ], ids=["no-order", "order-names-unconnected", "order-misses-a-resource", "unranked-resource",
         "order-repeats-a-resource", "resource-order-repeats", "resource-order-names-unconnected",
         "order-keyed-by-a-non-user",
@@ -767,7 +793,8 @@ AD_CONNECTION = {"from": "Node.0", "to": "Node.1", "transport": "Bus.0.1",
         "responses-keyed-by-a-non-request",
         "unsupported-schema", "unknown-pattern",
         "repeated-user-resource-pair", "repeated-client-server-pair",
-        "repeated-sender-receiver-pair"])
+        "repeated-sender-receiver-pair", "unknown-field", "misspelt-component-order",
+        "unknown-connection-field", "boolean-schema", "float-schema"])
 def test_cli_pattern_rejects_a_malformed_descriptor(model_dir, capsys, model, doc, error):
     descriptor = model_dir / "malformed.pattern.json"
     descriptor.write_text(json.dumps({"pattern": "resource-allocation", **doc}))
