@@ -86,7 +86,7 @@ def fresh_req(net: Network) -> int:
 
 
 def build_context(
-    net: Network, i: int, j: int, limit: int = DEFAULT_STATE_LIMIT, req: int | None = None
+    net: Network, i: int, j: int, req: int, limit: int = DEFAULT_STATE_LIMIT
 ) -> Lts:
     """Parallel composition of the two abstracted components, where every
     shared-event offer additionally offers the fresh request event."""
@@ -97,8 +97,6 @@ def build_context(
         raise InputError(
             f"components {net[i].name} and {net[j].name} share no event"
         )
-    if req is None:
-        req = fresh_req(net)
     ext_i = rename_lts(abs_lts(net, i, limit), {e: (e, req) for e in shared})
     ext_j = rename_lts(abs_lts(net, j, limit), {e: (e, req) for e in shared})
     return parallel_lts(
@@ -110,15 +108,11 @@ def build_context(
     )
 
 
-def build_conflict_free_spec(
-    net: Network, i: int, j: int, req: int | None = None
-) -> NormalSpec:
+def build_conflict_free_spec(net: Network, i: int, j: int, req: int) -> NormalSpec:
     """The normal form of the characteristic process.  State 0, before any
     req, accepts one event of the union alphabet, or req together with one
     shared event, and never deadlocks or ticks; req leads to state 1,
     CHAOS over the union alphabet and req."""
-    if req is None:
-        req = fresh_req(net)
     union = net[i].alphabet | net[j].alphabet
     shared = net[i].alphabet & net[j].alphabet
     universe = union | {req}
@@ -157,7 +151,7 @@ def check_conflict_free(
     net: Network, i: int, j: int, limit: int = DEFAULT_STATE_LIMIT
 ) -> ConflictCheck:
     req = fresh_req(net)
-    context = build_context(net, i, j, limit, req)
+    context = build_context(net, i, j, req, limit)
     spec = build_conflict_free_spec(net, i, j, req)
     ce = refines(spec, context, REVIVALS)
     warn = [net[k].name for k in (i, j) if abs_divergent(net, k, limit)]

@@ -662,10 +662,13 @@ class _Channels:
         self.domains[decl.name] = [_field_values(f, env) for f in decl.fields]
         self.spelled[decl.name] = [{str(v) for v in vs} for vs in self.domains[decl.name]]
 
-    def __contains__(self, eid):
-        if eid < 0:
-            return False
-        head, *fields = EVENTS.name(eid).split(".")
+    def __contains__(self, e):
+        """Whether the event ``e``, an id or a name, is declared."""
+        if type(e) is int:
+            if e < 0:
+                return False
+            e = EVENTS.name(e)
+        head, *fields = e.split(".")
         spelled = self.spelled.get(head)
         return (
             spelled is not None

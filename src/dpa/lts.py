@@ -291,13 +291,16 @@ def rename_on_read(lts: Lts, phi: dict, terms=None) -> Lts:
     return out
 
 
-def check_alphabet(lts: Lts, alphabet: frozenset):
-    extra = lts.visible_events() - alphabet
+def check_alphabet(lts: Lts, alphabet: frozenset) -> frozenset:
+    """``lts``'s visible events, once they lie inside ``alphabet``."""
+    visible = lts.visible_events()
+    extra = visible - alphabet
     if extra:
         raise AlphabetViolation(
             "transitions outside the declared alphabet: "
             + ", ".join(sorted(EVENTS.name(e) for e in extra))
         )
+    return visible
 
 
 def parallel_lts(

@@ -5,18 +5,14 @@ definition environment, or a precompiled LTS for synthetic inputs).  The
 network's vocabulary is the events with two or more owners: the events
 some other component must cooperate on.  Everything outside the
 vocabulary is a private action and gets hidden by :func:`abs_lts`, the
-abstraction all local behavioural checks run against.  Each component is
-abstracted once per network: the hidden LTS is quotiented by strong
-bisimulation, which is finer than the failures and revivals models and
-keeps divergence, and the result is cached on the network, and so is
-whether it diverges.
+abstraction all local behavioural checks run against: the hidden LTS
+quotiented by strong bisimulation, which is finer than the failures and
+revivals models and keeps divergence.
 
-Most components of a parametrised model are one definition called at
-different values that only name events.  Such components form a
-:class:`_Family`: the first one compiled, the representative, compiles as
-usual and every other one gets its LTS, liveness verdicts and abstractions
-from the representative's by renaming events, each LTS's rows only when
-they are first read.
+Each compiled component is its owner's LTS (:class:`_Owner`; not an
+event's owners) renamed by an event map φ, or is its own owner.  The members of a :class:`_Family`,
+calls to one definition at values that only name events, share owners.
+Liveness, abstraction and divergence are judged once per owner.
 """
 
 from __future__ import annotations
@@ -42,6 +38,7 @@ from .terms import (
     Call,
     DefEnv,
     Div,
+    DslValueError,
     EMPTY_ENV,
     ExtChoice,
     Guard,
@@ -91,9 +88,8 @@ class Component:
     env: DefEnv = field(default_factory=lambda: EMPTY_ENV)
     lts: Lts | None = None  # precompiled behaviour (tests, abstractions)
     _compiled: Lts | None = field(default=None, repr=False)
-    # the family the network put it in, and, once compiled from or as its
-    # representative, (family, φ): the representative's event -> its own,
-    # or None for the representative itself
+    # the family the network put it in, and, once compiled, (owner, φ): the
+    # owner's event -> its own, or None when it is its own owner
     family: _Family | None = field(init=False, repr=False, compare=False)
     _share: tuple | None = field(init=False, repr=False, compare=False)
 
@@ -102,8 +98,8 @@ class Component:
         self.family = self._share = None
 
     def compiled(self, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
-        """The behaviour's LTS, compiled once, or renamed from its family's
-        representative; it is cached only after it has been checked
+        """The behaviour's LTS, compiled once, or renamed from the owner of
+        its family signature; it is cached only after it has been checked
         against the alphabet."""
         if self._compiled is None and self.family is not None:
             self._compiled = self.family.instance(self, limit)
@@ -114,14 +110,30 @@ class Component:
                     lts = compile_term(self.env, self.term, limit)
                 except Exception as exc:
                     raise CompileFailure(self.name, exc) from exc
-                if self.family is not None:
-                    self.family.adopt(self, lts)
             try:
-                check_alphabet(lts, self.alphabet)
+                visible = check_alphabet(lts, self.alphabet)
             except AlphabetViolation as exc:
                 raise InputError(f"component '{self.name}' has {exc}") from exc
+            owner = _Owner(lts, visible)
+            if self.family is not None:
+                self.family.adopt(self, owner)
+            self._share = (owner, None)
             self._compiled = lts
         return self._compiled
+
+
+class _Owner:
+    """A compiled LTS and the components that are it renamed.  ``events``
+    are the labels φ maps, in the order φ is built from: the visible set
+    itself, or a family signature's events."""
+
+    __slots__ = ("lts", "visible", "events", "abstractions", "live")
+
+    def __init__(self, lts: Lts, visible: frozenset):
+        self.lts = lts
+        self.visible = self.events = visible
+        self.abstractions = {}  # labels hidden -> [abstraction, divergent or None]
+        self.live = None  # (deadlock trace, tick trace), once searched
 
 
 class _Family:
@@ -135,12 +147,11 @@ class _Family:
     to the event map φ that the body's event templates resolve to at the
     two values: the same states, numbered alike, with each label mapped.
 
-    The first member compiled, the representative, compiles on its own.
-    Every other member is its LTS renamed by φ, once φ is a one-to-one map
-    onto interned events inside the member's alphabet, every choice set
-    repeats its values where the representative's does, and the limit
-    admits the representative's states; on any other outcome the member
-    compiles on its own."""
+    Members are grouped by signature (:meth:`_resolve`).  The first member
+    of a signature compiled is its owner and compiles on its own.  Every
+    later one is the owner's LTS renamed by φ, once φ maps the owner's
+    visible events inside the member's alphabet and the limit admits the
+    owner's states; otherwise the member compiles on its own."""
 
     def __init__(self, env, definition, sites, choices):
         self.env = env
@@ -161,17 +172,13 @@ class _Family:
             bound = set(self.params).union(names)
             fields = [f.name if type(f) is Var and f.name in bound else f for f in fields]
             self.groups.append((scope, names, fields, formats))
-        self.lts = None  # the representative's LTS
-        self.events = None  # its events, as _resolve gives them
-        self.patterns = None  # its choice sets' equality patterns
-        self.visible = None  # its LTS's visible labels
-        self.live = None  # its (deadlock trace, tick trace)
+        self.owners = {}  # signature -> its _Owner
 
     def _resolve(self, args):
         """The body's events at ``args``, each template at each value of the
         choices it is under (None where the event is not interned), and
-        each choice set's equality pattern: each value numbered by its
-        first position."""
+        their signature (None then): the equality patterns of the choice
+        sets and of the events.  At one signature φ is one-to-one."""
         env = self.env
         bindings = dict(zip(self.params, args))
         patterns, values = [], []
@@ -186,41 +193,37 @@ class _Family:
                 b = {**bindings, **dict(zip(names, combo))} if scope else bindings
                 vals = [b[f] if type(f) is str else eval_expr(f, b, env) for f in fields]
                 events.extend(EVENTS.lookup(form.format(*vals)) for form in formats)
-        return events, patterns
+        if None in events:
+            return events, None
+        first = {}
+        pattern = tuple([first.setdefault(e, len(first)) for e in events])
+        return events, (tuple(patterns), pattern)
 
-    def adopt(self, comp: Component, lts: Lts):
-        """Make ``comp``, compiled on its own, the representative if there
-        is none yet and every event of its body is interned."""
-        if self.lts is None:
-            try:
-                events, patterns = self._resolve(comp.term.args)
-            except Exception:
-                return
-            if None not in events:
-                self.lts, self.visible = lts, lts.visible_events()
-                self.events, self.patterns = events, patterns
-                comp._share = (self, None)
+    def adopt(self, comp: Component, owner: _Owner):
+        """Make ``owner``, ``comp`` compiled on its own, the owner of
+        ``comp``'s signature if that has none yet."""
+        try:
+            events, signature = self._resolve(comp.term.args)
+        except DslValueError:
+            return
+        if signature is not None and signature not in self.owners:
+            owner.events, self.owners[signature] = events, owner
 
     def instance(self, comp: Component, limit: int) -> Lts | None:
-        """``comp``'s LTS renamed from the representative's, or None when
-        ``comp`` must compile on its own."""
-        if self.lts is None or self.lts.n_states > limit:
-            return None
+        """``comp``'s LTS renamed from the owner of its signature, or None
+        when ``comp`` must compile on its own."""
         try:
-            events, patterns = self._resolve(comp.term.args)
-        except Exception:
+            events, signature = self._resolve(comp.term.args)
+        except DslValueError:
             return None
-        if patterns != self.patterns or None in events:
+        owner = self.owners.get(signature)
+        if owner is None or owner.lts.n_states > limit:
             return None
-        phi = dict(zip(self.events, events))
-        if (
-            list(map(phi.__getitem__, self.events)) != events  # a function
-            or len(set(phi.values())) != len(phi)  # one-to-one
-            or not comp.alphabet.issuperset(map(phi.__getitem__, self.visible))
-        ):
+        phi = dict(zip(owner.events, events))
+        if not comp.alphabet.issuperset(map(phi.__getitem__, owner.visible)):
             return None
-        comp._share = (self, phi)
-        return rename_on_read(self.lts, phi, _OwnTerms(comp, self.lts.n_states))
+        comp._share = (owner, phi)
+        return rename_on_read(owner.lts, phi, _OwnTerms(comp, owner.lts.n_states))
 
 
 def _family(env: DefEnv, name: str, arity: int) -> _Family | None:
@@ -315,11 +318,8 @@ class Network:
         self.voc: frozenset = frozenset(e for e, ix in self.owners.items() if len(ix) > 1)
         self.warnings: tuple = ()
         self.abstractions: dict = {}  # component index -> abs_lts result
-        self.divergence: dict = {}  # component index -> abs_divergent result
-        # (family, the representative's labels hidden) -> [its abstraction,
-        # whether that diverges, None until asked]
-        self.shared: dict = {}
-        self.entries: dict = {}  # family member's index -> its entry in shared
+        # component index -> its entry in its owner's abstractions
+        self.entries: dict = {}
         calls = {}
         for c in self.components:
             if c.lts is None and c.family is None and type(c.term) is Call and c.term.args:
@@ -334,8 +334,9 @@ class Network:
     def sigma(self) -> frozenset:
         return frozenset(self._declared)
 
-    def declares(self, e: int) -> bool:
-        """``e in self.sigma``, without building sigma."""
+    def declares(self, e: int | str) -> bool:
+        """``e in self.sigma``, without building sigma; ``e`` may also be
+        the name of an event not interned yet."""
         return e in self.owners or e in self._declared
 
     def __len__(self):
@@ -428,78 +429,55 @@ def check_live(net: Network, limit: int = DEFAULT_STATE_LIMIT) -> LivenessReport
 
 def _live_traces(comp: Component, lts: Lts):
     """The busy and non-terminating witnesses of a compiled component, or
-    None for each that holds.  A renaming keeps both verdicts but not
-    which trace comes first, so a family member takes the representative's
-    verdicts and reruns only a failing one on its own LTS."""
-    if comp._share is None:
-        return component_deadlocks(lts), first_tick_trace(lts)
-    family, phi = comp._share
-    if family.live is None:
-        family.live = (component_deadlocks(family.lts), first_tick_trace(family.lts))
-    dtrace, ttrace = family.live
-    if phi is None:
-        return dtrace, ttrace
-    return (
-        None if dtrace is None else component_deadlocks(lts),
-        None if ttrace is None else first_tick_trace(lts),
-    )
+    None for each that holds, judged on its owner.  A renaming keeps both
+    verdicts but not which trace comes first, so a renamed member reruns
+    only a failing one on its own LTS."""
+    owner, phi = comp._share
+    if owner.live is None:
+        owner.live = component_deadlocks(owner.lts), first_tick_trace(owner.lts)
+    dtrace, ttrace = owner.live
+    if phi is not None:
+        dtrace = None if dtrace is None else component_deadlocks(lts)
+        ttrace = None if ttrace is None else first_tick_trace(lts)
+    return dtrace, ttrace
 
 
 def _shared_abstraction(net: Network, i: int):
-    """For a family member, its family's entry in ``net.shared``: the
-    representative's abstraction with the labels hidden whose images the
-    member hides; renamed, it is the member's abstraction.  None for any
-    other component.  Looked up once per member and kept in
-    ``net.entries``."""
-    entry = net.entries.get(i)
-    if entry is not None:
-        return entry
-    comp = net[i]
-    if comp._share is None:
-        return None
-    family, phi = comp._share
-    hidden = comp.alphabet - net.voc
-    key = (family, frozenset(
-        e for e in family.visible if (e if phi is None else phi[e]) in hidden))
-    entry = net.shared.get(key)
-    if entry is None:
-        entry = net.shared[key] = [bisim_quotient(hide_lts(family.lts, key[1])), None]
-    net.entries[i] = entry
-    return entry
+    """Component ``i``'s entry in its owner's abstractions: the owner's
+    abstraction with the labels hidden whose images ``i`` hides, and
+    whether that diverges; renamed by φ, it is ``i``'s abstraction.
+    Looked up once per component and kept in ``net.entries``."""
+    if i not in net.entries:
+        owner, phi = net[i]._share
+        hidden = net[i].alphabet - net.voc
+        key = frozenset([e for e in owner.visible if (phi[e] if phi else e) in hidden])
+        if key not in owner.abstractions:
+            owner.abstractions[key] = [bisim_quotient(hide_lts(owner.lts, key)), None]
+        net.entries[i] = owner.abstractions[key]
+    return net.entries[i]
 
 
 def abs_lts(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
     """Component behaviour with every non-vocabulary event hidden, quotiented
-    by strong bisimulation; built on the first request and cached on the
-    network.  A family member renames its family's, when its rows are
-    first read."""
+    by strong bisimulation: its owner's, renamed by φ when its rows are
+    first read; built on the first request and cached on the network."""
     lts = net.abstractions.get(i)
     if lts is None:
-        comp = net[i]
-        compiled = comp.compiled(limit)
-        entry = _shared_abstraction(net, i)
-        if entry is None:
-            lts = bisim_quotient(hide_lts(compiled, comp.alphabet - net.voc))
-        elif comp._share[1] is None:
-            lts = entry[0]
-        else:
+        compiled = net[i].compiled(limit)
+        lts = _shared_abstraction(net, i)[0]
+        phi = net[i]._share[1]
+        if phi is not None:
             # a quotient that merged no state is the hidden LTS, terms and all
-            terms = None if entry[0].terms is None else compiled.terms
-            lts = rename_on_read(entry[0], comp._share[1], terms)
+            lts = rename_on_read(lts, phi, None if lts.terms is None else compiled.terms)
         net.abstractions[i] = lts
     return lts
-
-
-def _divergent(lts: Lts) -> bool:
-    return find_cycle([lts.taus(s) for s in range(lts.n_states)]) is not None
 
 
 def abs_divergent(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> bool:
     """True when hiding private events introduced divergence (a tau cycle),
     which makes stable checks on this abstraction vacuous; judged once per
-    component, or per family and hidden labels, and cached on the
-    network.  A family member's verdict is its family's, so the rows of
-    its own abstraction are not built.
+    owner and hidden labels, on the owner's abstraction, so the rows of a
+    renamed member's own abstraction are not built.
 
     Divergence only warns.  In a network deadlock no component can do a
     private event or an internal move, so each component's state there is
@@ -507,18 +485,12 @@ def abs_divergent(net: Network, i: int, limit: int = DEFAULT_STATE_LIMIT) -> boo
     failures, see it: the setting of Brookes and Roscoe's ungranted-request
     theorem (Distributed Computing 4, 1991).  What a tau cycle hides is
     behaviour no deadlock can rest in."""
-    lts = abs_lts(net, i, limit)
-    divergent = net.divergence.get(i)
-    if divergent is None:
-        entry = _shared_abstraction(net, i)
-        if entry is None:
-            divergent = _divergent(lts)
-        else:
-            if entry[1] is None:
-                entry[1] = _divergent(entry[0])
-            divergent = entry[1]
-        net.divergence[i] = divergent
-    return divergent
+    abs_lts(net, i, limit)
+    entry = _shared_abstraction(net, i)
+    if entry[1] is None:
+        lts = entry[0]
+        entry[1] = find_cycle([lts.taus(s) for s in range(lts.n_states)]) is not None
+    return entry[1]
 
 
 @dataclass

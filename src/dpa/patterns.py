@@ -259,10 +259,12 @@ def _resolve_component(net: Network, name, key):
 
 
 def _resolve_event(net: Network, name, key):
-    eid = event(_name(name, key))
-    if not net.declares(eid):
+    """The id of a declared event; a name the network does not declare is
+    not interned, so that it shifts no later event's id."""
+    eid = EVENTS.lookup(_name(name, key))
+    if not net.declares(name if eid is None else eid):
         raise UnknownEvent(f"event '{name}' is not part of the network alphabet")
-    return eid
+    return event(name) if eid is None else eid
 
 
 def _resolve_events(net: Network, names, key):
@@ -1003,23 +1005,22 @@ def _impl_shape(impl: Lts, events, phi=None):
     return _reachable(impl.initial, moves, impl.n_states)[1]
 
 
-def _abstraction_shape(net: Network, i, impl: Lts, events, memo):
-    """``_impl_shape(impl, events)`` for ``impl = abs_lts(net, i)``.  A
-    family member's abstraction is its family's shared one renamed by φ,
-    so its shape is read off the shared one through φ, once per shared
-    abstraction and positions of the images of the family's events
-    (``memo``); the member's own rows are not built."""
+def _abstraction_shape(net: Network, i, events, memo):
+    """``_impl_shape(abs_lts(net, i), events)``, read off the owner's
+    abstraction through φ, once per owner's abstraction and positions of
+    the images of the owner's events (``memo``, which also maps each
+    distinct shape to itself, so that equal shapes are kept once); a
+    renamed member's own rows are not built."""
     entry = _shared_abstraction(net, i)
-    if entry is None:
-        return _impl_shape(impl, events)
-    family, phi = net[i]._share
+    owner, phi = net[i]._share
     other = len(events)
     position = dict(zip(events, range(other)))
-    images = family.events if phi is None else map(phi.__getitem__, family.events)
+    images = owner.events if phi is None else map(phi.__getitem__, owner.events)
     probe = (id(entry), tuple([position.get(e, other) for e in images]))
     shape = memo.get(probe)
     if shape is None:
-        shape = memo[probe] = _impl_shape(entry[0], events, phi)
+        shape = _impl_shape(entry[0], events, phi)
+        shape = memo[probe] = memo.setdefault(shape, shape)
     return shape
 
 
@@ -1062,7 +1063,7 @@ def check_behavioural(desc, net: Network, scope, limit=DEFAULT_STATE_LIMIT) -> l
             shape = shapes[key] = _normal_shape(key, events, limit)
         i = net.index_of(name)
         impl = abs_lts(net, i, limit)
-        verdict = (key, model, _abstraction_shape(net, i, impl, events, impl_shapes))
+        verdict = (key, model, _abstraction_shape(net, i, events, impl_shapes))
         if verdict in passed:
             refined.append(BehaviouralResult(name, spec_name, model, True))
             continue

@@ -19,7 +19,7 @@ import bundled
 import dpa.network
 from conftest import random_live_network, replay
 from dpa import models
-from dpa.decomposition import build_context, check_conflict_free
+from dpa.decomposition import build_context, check_conflict_free, fresh_req
 from dpa.dsl import elaborate, parse_descriptor, parse_network
 from dpa.events import TAU, TICK, event
 from dpa.lts import Lts, bisim_quotient, hide_lts
@@ -64,7 +64,7 @@ class _Diff:
             self.checks += 1
             if got.counterexample is not None:
                 self.counterexamples += 1
-                context = build_context(ref, i, j)
+                context = build_context(ref, i, j, fresh_req(ref))
                 assert replay(context, got.counterexample), got.names
         return ref
 

@@ -116,7 +116,7 @@ def test_context_requires_an_edge():
         Component("Q", frozenset({event("dy.b")}), Call("Q"), env),
     ])
     with pytest.raises(InputError):
-        build_context(net, 0, 1)
+        build_context(net, 0, 1, fresh_req(net))
 
 
 def test_conflict_free_spec_shape():
@@ -195,8 +195,9 @@ def test_refinement_judges_no_pair_at_chaos(monkeypatch, make, reaches_chaos):
     # without the stop, the same checks do judge pairs at CHAOS
     judged.clear()
     for i, j in edges:
-        spec = build_conflict_free_spec(net, i, j)
-        refines(dataclasses.replace(spec, chaos=None), build_context(net, i, j), REVIVALS)
+        req = fresh_req(net)
+        spec = build_conflict_free_spec(net, i, j, req)
+        refines(dataclasses.replace(spec, chaos=None), build_context(net, i, j, req), REVIVALS)
     assert any(ns == 1 for ns, _ in judged) == reaches_chaos
 
 

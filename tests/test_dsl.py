@@ -369,6 +369,31 @@ def test_descriptor_unknown_event():
         parse_descriptor(doc, net)
 
 
+def test_a_rejected_event_name_is_not_interned():
+    """Interning a name shifts the ids, and so the counterexample
+    tie-breaks, of every network built after it."""
+    net = net_of(models.philosophers_source(3))
+    doc = models.philosophers_descriptor(3)
+    doc["connections"][0]["acquire"] = "Ghost.never.declared"
+    assert EVENTS.lookup("Ghost.never.declared") is None
+    count = len(EVENTS._names)
+    with pytest.raises(UnknownEvent):
+        parse_descriptor(doc, net)
+    assert EVENTS.lookup("Ghost.never.declared") is None
+    assert len(EVENTS._names) == count
+
+
+def test_a_declared_event_no_alphabet_uses_is_accepted():
+    source = models.philosophers_source(3).replace(
+        "channel sit", "channel unused_idle : {0..N-1}\nchannel sit")
+    net = net_of(source)
+    doc = models.philosophers_descriptor(3)
+    doc["connections"][0]["acquire"] = "unused_idle.1"
+    assert EVENTS.lookup("unused_idle.1") is None
+    desc = parse_descriptor(doc, net)
+    assert desc.acquire[("Phil.0", "Fork.0")] == EVENTS.lookup("unused_idle.1")
+
+
 def test_descriptor_duplicate_schedule():
     net = net_of(models.leadership_source(2))
     doc = models.leadership_descriptor(2)

@@ -1,10 +1,11 @@
-"""Family members renamed from their representative, against each
+"""Family members renamed from their owner, against each
 component compiled and checked on its own.
 
 `network` groups the components that call one definition at event-only
-values into families: the first member compiled is compiled, every other
-one is the representative's LTS with its labels renamed, and liveness,
-abstraction and divergence are judged once per family.  The reference is
+values into families, and a family's members by signature: the first
+member of a signature compiled is compiled and owns it, every later one is
+the owner's LTS with its labels renamed, and liveness, abstraction and
+divergence are judged once per owner.  The reference is
 the per-instance path: `compile_term` on the component's own term, the
 liveness searches on that LTS, and the hide-and-quotient abstraction of
 it.  Every component of every corpus model must agree with it: the same
@@ -58,7 +59,7 @@ def names(lts):
 
 
 def renamed(comp):
-    """Whether ``comp`` took its LTS from its family's representative."""
+    """Whether ``comp`` took its LTS from another member, its owner."""
     return comp._share is not None and comp._share[1] is not None
 
 
@@ -184,7 +185,7 @@ CORPUS = corpus()
 def test_members_match_their_own_compilation(source):
     net = elaborate(parse_network(source))
     diff_network(net)
-    # a later representative: the last member of each family compiles first
+    # later owners: the last member of each family compiles first
     diff_network(elaborate(parse_network(source)), order=range(len(net) - 1, -1, -1))
 
 
@@ -193,12 +194,12 @@ def test_most_members_take_the_shared_path():
     for name, source in CORPUS:
         kind = name.split("[")[0].split("(")[0]
         shared[kind] = shared.get(kind, 0) + len(diff_network(elaborate(parse_network(source))))
-    # every philosophers member but the representatives: 105 over sizes 1..8
+    # every philosophers member but the owners: 105 over sizes 1..8
     assert shared["philosophers"] == 105
-    # 45 of the 94 random members are renamed; the others have choice sets
-    # or templates that coincide where the representative's do not, or the
-    # other way round (``{id, 0}`` at id 0, say)
-    assert shared["random_family"] >= 40
+    # 52 of the 139 random members are renamed; each of the others owns a
+    # signature, its choice sets or templates coinciding at ids where no
+    # earlier member's do (``{id, 0}`` at id 0, say)
+    assert shared["random_family"] >= 52
     assert sum(shared.values()) >= 160
 
 
@@ -244,17 +245,17 @@ def test_lazy_members_equal_their_eager_renaming(source):
     members = [i for i, c in enumerate(net.components) if renamed(c)]
     for i in members:
         comp = net[i]
-        family, phi = comp._share
+        owner, phi = comp._share
         lts, abstraction = comp.compiled(), abs_lts(net, i)
         # compiling, liveness that holds and divergence read no member's
         # rows, nor does reading its terms
         assert lts.terms is not None
-        assert pending(lts) == (family.live == (None, None)), comp.name
+        assert pending(lts) == (owner.live == (None, None)), comp.name
         assert pending(abstraction), comp.name
         shared = net.entries[i][0]
         terms = None if shared.terms is None else lts.terms
         want_abs = eager(shared, phi, terms)
-        want = eager(family.lts, phi, lts.terms)
+        want = eager(owner.lts, phi, lts.terms)
         assert_same(abstraction, want_abs, comp.name)
         assert_same(lts, want, comp.name)
         # the rows, once built, no longer hold what they were built from
@@ -290,7 +291,7 @@ def test_a_proven_run_renames_no_rows(monkeypatch):
     net = elaborate(parse_network(models.philosophers_source(50)))
     desc = parse_descriptor(models.philosophers_descriptor(50), net)
     assert run_dpa(net, [desc]).overall == PROVEN
-    # all but the representatives of Phil(id) and Fork(id), and APhil.49
+    # all but the owners of Phil(id) and Fork(id), and APhil.49
     assert sum(renamed(c) for c in net.components) == 97
     assert calls == []
     # the oracle reads the rows of every member: Phil.1-4 and Fork.1-5
@@ -393,11 +394,15 @@ def test_a_body_with_ground_events_forms_no_family():
     # a.id and a.1 coincide at id = 1, which would merge two states
     (adversarial("b.id -> a.id -> P(id) [] c.id -> a.1 -> P(id)", "{| a, b.id, c.id |}"),
      ["P.2"]),
-    # the representative P.1 maps a.1 at both templates: for P.0 and P.2
-    # no renaming gives both
+    # P.1 maps a.1 at both templates, a signature of its own: P.0 owns the
+    # other one, and P.2 is renamed from it
     (adversarial("b.id -> a.id -> P(id) [] c.id -> a.1 -> P(id)", "{| a, b.id, c.id |}",
-                 "{1, 0, 2}"), []),
-], ids=["choice-set-collapses", "templates-coincide", "representative-templates-coincide"])
+                 "{1, 0, 2}"), ["P.2"]),
+    # {id, id % 2} collapses at ids 0 and 1: two signatures of two members
+    (adversarial("[] i : {id, id % 2} @ a.i -> b.i -> P(id)", "{| a, b |}", "{0..3}"),
+     ["P.1", "P.3"]),
+], ids=["choice-set-collapses", "templates-coincide", "representative-templates-coincide",
+        "two-signatures"])
 def test_members_whose_renaming_fails_compile_on_their_own(source, shared):
     net = elaborate(parse_network(source))
     assert all(c.family is not None for c in net.components)
@@ -425,7 +430,7 @@ def test_a_limit_below_the_representative_raises_as_compiling_would():
     with pytest.raises(CompileFailure) as err:
         member.compiled(limit)
     assert isinstance(err.value.cause, StateLimitExceeded)
-    # exactly the representative's size is within the limit
+    # exactly the owner's size is within the limit
     assert member.compiled(rep.n_states).trans == own_lts(member).trans
     assert renamed(member)
 
@@ -442,6 +447,20 @@ def test_a_member_with_an_event_outside_its_alphabet_raises_as_compiling_would()
     assert got == (InputError, "component 'P.3' has transitions outside the declared "
                                "alphabet: b.0")
     assert member._share is None
+
+
+def test_an_internal_error_while_resolving_a_member_propagates(monkeypatch):
+    """Only a DSL value error makes a member compile on its own; any other
+    error in ``_resolve`` is a bug, and is not swallowed."""
+    net = elaborate(parse_network(models.philosophers_source(3)))
+    net[0].compiled()
+
+    def broken(self, args):
+        raise RuntimeError("bug in _resolve")
+
+    monkeypatch.setattr(type(net[1].family), "_resolve", broken)
+    with pytest.raises(RuntimeError, match="bug in _resolve"):
+        net[1].compiled()
 
 
 def test_member_terms_read_like_a_sequence():

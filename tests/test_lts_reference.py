@@ -95,9 +95,9 @@ def check_contexts(net):
     for (i, j) in communication_graph(net).edges:
         for (x, y) in ((i, j), (j, i)):
             assert_same_at_the_limit(
-                lambda limit: build_context(net, x, y, limit),
+                lambda limit: build_context(net, x, y, fresh_req(net), limit),
                 lambda limit: reference_context(net, x, y, limit),
-                n_states=build_context(net, x, y).n_states,
+                n_states=build_context(net, x, y, fresh_req(net)).n_states,
             )
             compared += 1
     return compared

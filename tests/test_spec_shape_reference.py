@@ -209,8 +209,8 @@ def test_member_shapes_read_through_phi_match_their_abstractions():
                 continue
             events = patterns._canonical(env, term)[1]
             i = net.index_of(name)
-            impl = abs_lts(net, i)
-            got.append((i, events, patterns._abstraction_shape(net, i, impl, events, memo)))
+            abs_lts(net, i)
+            got.append((i, events, patterns._abstraction_shape(net, i, events, memo)))
         renamed = {i for i, c in enumerate(net.components)
                    if c._share is not None and c._share[1] is not None}
         for i in renamed:
