@@ -69,6 +69,7 @@ from .terms import (
     eval_expr,
     expr_vars,
     set_values,
+    template_formats,
 )
 
 SCHEMA_VERSION = 1
@@ -660,7 +661,7 @@ class _Channels:
 
     def declare(self, decl: ChannelDecl, env):
         self.domains[decl.name] = [_field_values(f, env) for f in decl.fields]
-        self.spelled[decl.name] = [{str(v) for v in vs} for vs in self.domains[decl.name]]
+        self.spelled[decl.name] = [frozenset(map(str, vs)) for vs in self.domains[decl.name]]
 
     def __contains__(self, e):
         """Whether the event ``e``, an id or a name, is declared."""
@@ -677,22 +678,49 @@ class _Channels:
         )
 
     def __iter__(self):
-        for name in self.domains:
-            yield from self.completions(name, [])
+        for head, domains in self.domains.items():
+            yield from self.completions(head, domains)
 
-    def completions(self, head, given_fields):
-        """All events extending head with the given leading field values."""
-        if head not in self.domains:
-            raise UnknownChannel(f"undeclared channel '{head}'")
-        domains = self.domains[head]
-        if len(given_fields) > len(domains):
-            raise RangeOverflow(
-                f"channel '{head}' has {len(domains)} fields, got {len(given_fields)}"
-            )
-        prefixes = [".".join([head] + [str(v) for v in given_fields])]
-        for values in domains[len(given_fields):]:
-            prefixes = [f"{p}.{v}" for p in prefixes for v in values]
-        return [event(e) for e in prefixes]
+    @staticmethod
+    def completions(name, domains):
+        """The events extending the event name ``name`` with a value of each
+        of ``domains`` in turn."""
+        names = [name]
+        for values in domains:
+            names = [f"{n}.{v}" for n in names for v in values]
+        return [event(e) for e in names]
+
+    def alphabet_plan(self, alphabet):
+        """``(fields, steps, checks, fault)`` for an atom's ``(mode,
+        template)`` list: the templates' distinct fields by position; per
+        template its format and the domains of the fields it leaves to
+        complete; the distinct (position, spelled domain) pairs to check,
+        None if a literal is outside its domain; and the error of the first
+        template that names no declared event, to raise once its fields
+        evaluate."""
+        templates, fault = [], None
+        for mode, template in alphabet:
+            templates.append(template)
+            head, given = template.head, len(template.fields)
+            spelled = self.spelled.get(head)
+            if spelled is None:
+                fault = UnknownChannel(f"undeclared channel '{head}'")
+            elif mode == "exact" and given != len(spelled):
+                fault = NonGroundAlphabet(f"event {head} needs all fields in exact form")
+            elif given > len(spelled):
+                fault = RangeOverflow(f"channel '{head}' has {len(spelled)} fields, got {given}")
+            if fault is not None:
+                break
+        fields, formats = template_formats(templates)
+        steps, checks, inside = [], [], True
+        for template, form in zip(templates[:len(templates) - (fault is not None)], formats):
+            for f, domain in zip(template.fields, self.spelled[template.head]):
+                if type(f) is Lit:
+                    inside = inside and str(f.value) in domain
+                else:
+                    checks.append((fields[f], domain))
+            steps.append((form, self.domains[template.head][len(template.fields):]))
+        return fields, steps, list(dict.fromkeys(checks)) if inside else None, fault
 
     def check_input(self, head, position):
         """Reject an input ``?x`` at a field that channel ``head`` lacks."""
@@ -716,7 +744,9 @@ def elaborate(decl: NetworkDecl) -> Network:
     """Define the functions, so that constants may call them, evaluate
     constants and channels, check every input against its channel, and
     instantiate atoms into concrete components: each instance binds ``id``
-    to its value in the atom's alphabet and behaviour."""
+    to its value in the atom's alphabet, planned once per atom, and in its
+    behaviour.  An alphabet value outside its channel's field is reported
+    after every instance, as the other errors come first."""
     env = DefEnv()
     for name, params, body in decl.functions:
         env.def_fun(name, params, body)
@@ -731,9 +761,11 @@ def elaborate(decl: NetworkDecl) -> Network:
     for d in decl.process_defs:
         env.define(d)
     atoms = {a.name: a for a in decl.atoms}
+    plans = {}  # atom name -> its alphabet plan, made at its first instance
     components = []
     warnings = []
     seen = set()
+    outside = False  # whether an alphabet names an event its channel lacks
     for inst in decl.instances:
         atom = atoms.get(inst.atom)
         if atom is None:
@@ -747,28 +779,34 @@ def elaborate(decl: NetworkDecl) -> Network:
         if not ids:
             warnings.append(f"instance '{inst.name}' has an empty id set")
             continue
+        if atom.name not in plans:
+            plans[atom.name] = channels.alphabet_plan(atom.alphabet)
+        fields, steps, checks, fault = plans[atom.name]
         for value, name in zip(ids, names):
             if name in seen:
                 raise DuplicateComponentName(name)
             seen.add(name)
             bindings = {"id": value}
-            alphabet = set()
-            for mode, template in atom.alphabet:
-                try:
-                    fields = [eval_expr(f, bindings, env) for f in template.fields]
-                except DslValueError as exc:
-                    raise NonGroundAlphabet(
-                        f"alphabet of '{name}': {exc}"
-                    ) from exc
-                # an undeclared channel is reported by completions
-                declared = channels.domains.get(template.head, fields)
-                if mode == "exact" and len(fields) != len(declared):
-                    raise NonGroundAlphabet(
-                        f"event {template.head} needs all fields in exact form"
-                    )
-                alphabet.update(channels.completions(template.head, fields))
+            try:
+                values = [eval_expr(f, bindings, env) for f in fields]
+            except DslValueError as exc:
+                raise NonGroundAlphabet(f"alphabet of '{name}': {exc}") from exc
+            if fault is not None:
+                raise fault
+            spelled = [str(v) for v in values]
+            alphabet = []
+            if checks is not None and all(spelled[p] in domain for p, domain in checks):
+                for form, rest in steps:
+                    if rest:
+                        alphabet += channels.completions(form.format(*spelled), rest)
+                    else:
+                        alphabet.append(event(form.format(*spelled)))
+            else:
+                outside = True  # reported once every instance has elaborated
             term = _evaluated(f"behaviour of '{name}'", bind, atom.behaviour, bindings, env)
             components.append(Component(name, frozenset(alphabet), term, env))
+    if outside:
+        raise InputError("component alphabets must lie inside sigma")
     net = Network(components, sigma=channels)
     net.warnings = tuple(warnings)
     return net

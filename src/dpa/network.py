@@ -54,6 +54,7 @@ from .terms import (
     eval_expr,
     expr_vars,
     set_values,
+    template_formats,
 )
 
 
@@ -160,16 +161,15 @@ class _Family:
         # the body's event templates, grouped by the choices they are under:
         # (choice indices, their variables, the distinct fields, each a
         # variable's name or an expression, and one format per template
-        # over the fields' positions)
+        # over the fields' positions, see template_formats)
         groups = {}
         for template, scope in sites:
-            fields, formats = groups.setdefault(scope, ({}, []))
-            formats.append(template.head + "".join(
-                ".{%d}" % fields.setdefault(f, len(fields)) for f in template.fields))
+            groups.setdefault(scope, []).append(template)
         self.groups = []
-        for scope, (fields, formats) in groups.items():
+        for scope, templates in groups.items():
             names = tuple(choices[k].var for k in scope)
             bound = set(self.params).union(names)
+            fields, formats = template_formats(templates)
             fields = [f.name if type(f) is Var and f.name in bound else f for f in fields]
             self.groups.append((scope, names, fields, formats))
         self.owners = {}  # signature -> its _Owner
@@ -299,8 +299,9 @@ class Network:
 
     ``owners`` maps each alphabet event to the indices of the components
     owning it, ascending.  ``sigma`` may be any container of event ids
-    (the declared universe, all alphabet events by default); it is
-    iterated only when the ``sigma`` attribute is first read."""
+    (the declared universe, all alphabet events by default) that holds
+    every alphabet event; it is iterated only when the ``sigma`` attribute
+    is first read."""
 
     def __init__(self, components, sigma=None):
         self.components: tuple = tuple(components)
@@ -312,8 +313,6 @@ class Network:
             for e in c.alphabet:
                 owners.setdefault(e, []).append(i)
         self.owners: dict = {e: tuple(ix) for e, ix in owners.items()}
-        if sigma is not None and not all(e in sigma for e in self.owners):
-            raise InputError("component alphabets must lie inside sigma")
         self._declared = self.owners if sigma is None else sigma
         self.voc: frozenset = frozenset(e for e, ix in self.owners.items() if len(ix) > 1)
         self.warnings: tuple = ()

@@ -909,42 +909,43 @@ def _canonical(env: DefEnv, term: Term):
     events, so they compile to the same LTS up to the labels.
 
     Terms are hash-consed, so the canonical term is its own key, and each
-    distinct subterm is walked once.  A run of prefixes is walked in a
-    loop, so its length costs no stack."""
+    distinct subterm is walked once."""
     position = {}  # real event -> its position in ``events``
     memo = {}  # real term -> canonical term
+    definitions = tuple(
+        (d.name, d.params, _walk(d.body, position, memo)) for d in env.definitions.values()
+    )
+    return (definitions, _walk(term, position, memo)), tuple(position)
 
-    def walk(term):
-        run = []
-        while type(term) is Prefix and term not in memo:
-            run.append(term)
-            position.setdefault(term.event, len(position))
-            term = term.cont
-        out = memo.get(term)
-        if out is None:
-            out = memo[term] = shape(term)
-        for node in reversed(run):
-            out = memo[node] = Prefix(position[node.event], out)
-        return out
 
-    def shape(term):
+def _walk(term, position, memo):
+    """:func:`_canonical`'s walk of ``term``.  A run of prefixes is walked
+    in a loop, so its length costs no stack; the walk is no closure, so it
+    leaves no reference cycle."""
+    run = []
+    while type(term) is Prefix and term not in memo:
+        run.append(term)
+        position.setdefault(term.event, len(position))
+        term = term.cont
+    out = memo.get(term)
+    if out is None:
         t = type(term)
         if t in (ExtChoice, IntChoice):
-            return t(tuple(walk(i) for i in term.items))
-        if t is Guard:
-            return Guard(term.cond, walk(term.body))
-        if t is Seq:
-            return Seq(walk(term.first), walk(term.second))
-        if t is Interrupt:
-            return Interrupt(walk(term.body), walk(term.handler))
-        if t is Call or term is SKIP or term is STOP:
-            return term
-        raise TypeError(f"no canonical form for spec term {term!r}")
-
-    definitions = tuple(
-        (d.name, d.params, walk(d.body)) for d in env.definitions.values()
-    )
-    return (definitions, walk(term)), tuple(position)
+            out = t(tuple(_walk(i, position, memo) for i in term.items))
+        elif t is Guard:
+            out = Guard(term.cond, _walk(term.body, position, memo))
+        elif t is Seq:
+            out = Seq(_walk(term.first, position, memo), _walk(term.second, position, memo))
+        elif t is Interrupt:
+            out = Interrupt(_walk(term.body, position, memo), _walk(term.handler, position, memo))
+        elif t is Call or term is SKIP or term is STOP:
+            out = term
+        else:
+            raise TypeError(f"no canonical form for spec term {term!r}")
+        memo[term] = out
+    for node in reversed(run):
+        out = memo[node] = Prefix(position[node.event], out)
+    return out
 
 
 def _normal_shape(key, events, limit) -> NormalSpec:

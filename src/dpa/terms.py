@@ -190,6 +190,19 @@ class EventTemplate:
         return EVENTS.intern(".".join(parts))
 
 
+def template_formats(templates):
+    """Each distinct field of ``templates`` that is not a literal, mapped to
+    its position in the order they first occur, and one format per template
+    over those positions with its literals spelled in, such as
+    ``pickup.{0}.1``."""
+    fields, formats = {}, []
+    for t in templates:
+        formats.append(".".join([t.head] + [
+            str(f.value) if type(f) is Lit else "{%d}" % fields.setdefault(f, len(fields))
+            for f in t.fields]))
+    return fields, formats
+
+
 # ---------------------------------------------------------------------------
 # terms
 

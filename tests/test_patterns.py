@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 import bundled
@@ -11,6 +13,7 @@ from dpa.patterns import (
     EmptyRoleSet,
     RaDescriptor,
     UnknownElement,
+    _canonical,
     check_behavioural,
     check_pattern,
     check_structural,
@@ -144,6 +147,22 @@ def test_user_spec_acquires_then_releases_in_order():
         seen.append(EVENTS.name(label))
     assert seen == ["pickup.2.0", "pickup.2.2", "putdown.2.0", "putdown.2.2"]
     assert s == 0  # recurses
+
+
+@pytest.mark.parametrize("role, name", [("user", "APhil.2"), ("resource", "Fork.0")])
+def test_canonical_leaves_no_reference_cycle(role, name):
+    """Canonicalising a spec frees everything it built without the cycle
+    collector: with the collector off, one call leaves nothing for it."""
+    net = phil_net()
+    env, term = generate_spec(phil_desc(net), role, name)
+    _canonical(env, term)
+    gc.collect()
+    gc.disable()
+    try:
+        _canonical(env, term)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_transport_spec_three_modes():
