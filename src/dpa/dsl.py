@@ -784,7 +784,9 @@ def elaborate(decl: NetworkDecl) -> Network:
         fields, steps, checks, fault = plans[atom.name]
         for value, name in zip(ids, names):
             if name in seen:
-                raise DuplicateComponentName(name)
+                raise DuplicateComponentName(
+                    f"component name '{name}' is declared twice (by instance '{inst.name}')"
+                )
             seen.add(name)
             bindings = {"id": value}
             try:

@@ -305,9 +305,10 @@ class Network:
 
     def __init__(self, components, sigma=None):
         self.components: tuple = tuple(components)
-        self._index = {c.name: i for i, c in enumerate(self.components)}
-        if len(self._index) != len(self.components):
-            raise ValueError("duplicate component names")
+        self._index = {}
+        for i, c in enumerate(self.components):
+            if self._index.setdefault(c.name, i) != i:
+                raise InputError(f"component name '{c.name}' is declared twice")
         owners = {}
         for i, c in enumerate(self.components):
             for e in c.alphabet:

@@ -191,9 +191,9 @@ def _chain(events, tail: Term) -> Term:
     return term
 
 
-def _choice_prefixes(choice, events, cont) -> Term | None:
-    """``choice`` over ``e -> cont`` per event, in event order; None for none."""
-    items = tuple(Prefix(e, cont) for e in sorted(events))
+def _choice_prefixes(choice, events, cont, at) -> Term | None:
+    """``choice`` over ``at(e) -> cont`` per event, in event order; None for none."""
+    items = tuple(Prefix(at(e), cont) for e in sorted(events))
     if not items:
         return None
     return items[0] if len(items) == 1 else choice(items)
@@ -297,10 +297,12 @@ def _table(doc, net: Network, ends, fields, check=None):
 # descriptors: one class per pattern holds all that varies by pattern.
 # ``from_json(doc, net)`` reads and validates the body, whose top-level
 # fields besides ``schema`` and ``pattern`` are ``sections``; ``roles`` maps a
-# role to (spec name, model, builder); a builder maps ``(net, name)`` to
-# ``(env, term)``, or raises EmptyRoleSet when the role's process
-# degenerates.  ``obligations(scope)`` lists (role, component) pairs in
-# check order; ``side_conditions()`` and ``echo_lines()`` follow.
+# role to (spec name, model, builder); a builder maps ``(net, name, at)`` to
+# the spec ``(definitions, term)``, each definition a ``(name, params,
+# body)`` triple, with every event ``e`` written as ``at(e)``, or raises
+# EmptyRoleSet when the role's process degenerates.  ``obligations(scope)``
+# lists (role, component) pairs in check order; ``side_conditions()`` and
+# ``echo_lines()`` follow.
 
 
 @dataclass
@@ -402,26 +404,19 @@ class RaDescriptor:
             out.append(_controlled(net, r, expected, "controlled_alpha_resources"))
         return out
 
-    def user_spec(self, net, name):
+    def user_spec(self, net, name, at):
         seq = self.order[name]
-        acquires = [self.acquire[(name, r)] for r in seq]
-        releases = [self.release[(name, r)] for r in seq]
-        env = DefEnv()
-        env.define(Definition("User", (), _chain(acquires + releases, Call("User"))))
-        return env, Call("User")
+        events = [self.acquire[(name, r)] for r in seq] + [self.release[(name, r)] for r in seq]
+        return (("User", (), _chain([at(e) for e in events], Call("User"))),), Call("User")
 
-    def resource_spec(self, net, name):
+    def resource_spec(self, net, name, at):
         branches = tuple(
-            Prefix(
-                self.acquire[(u, name)],
-                Prefix(self.release[(u, name)], Call("Resource")),
-            )
+            Prefix(at(self.acquire[(u, name)]),
+                   Prefix(at(self.release[(u, name)]), Call("Resource")))
             for u in self.users_of(name)
         )
-        env = DefEnv()
         body = branches[0] if len(branches) == 1 else ExtChoice(branches)
-        env.define(Definition("Resource", (), body))
-        return env, Call("Resource")
+        return (("Resource", (), body),), Call("Resource")
 
     roles = {
         "user": ("UserSpec", FAILURES, user_spec),
@@ -545,45 +540,32 @@ class CsDescriptor:
         )
         return out
 
-    def server_requests_spec(self, net, name):
+    def server_requests_spec(self, net, name, at):
         # the choice of non-server events ranges over the component alphabet
         s_evts = self.server_requests(name)
         other = _alpha(net, name) - s_evts
-        env = DefEnv()
         if not other:
             if not s_evts:
                 raise EmptyRoleSet(f"'{name}' has neither server events nor others")
-            env.define(
-                Definition("Run", (), _choice_prefixes(ExtChoice, s_evts, Call("Run")))
-            )
-            return env, Call("Run")
-        branches = [_choice_prefixes(IntChoice, other, SKIP)]
-        # an empty replicated external choice offers nothing
-        branches.append(_choice_prefixes(ExtChoice, s_evts, SKIP) or STOP)
-        env.define(
-            Definition("Server", (), Seq(IntChoice(tuple(branches)), Call("Server")))
+            return (("Run", (), _choice_prefixes(ExtChoice, s_evts, Call("Run"), at)),), Call("Run")
+        branches = (
+            _choice_prefixes(IntChoice, other, SKIP, at),
+            # an empty replicated external choice offers nothing
+            _choice_prefixes(ExtChoice, s_evts, SKIP, at) or STOP,
         )
-        return env, Call("Server")
+        return (("Server", (), Seq(IntChoice(branches), Call("Server"))),), Call("Server")
 
-    def requests_responses_spec(self, net, name):
+    def requests_responses_spec(self, net, name, at):
         c_evts = self.client_requests(name)
         s_evts = self.server_requests(name)
-        env = DefEnv()
 
-        def round_term(events, external_responses):
-            branches = []
-            for e in sorted(events):
-                resp = self.responses.get(e, frozenset())
-                if not resp:
-                    cont = SKIP
-                elif external_responses:
-                    cont = _choice_prefixes(ExtChoice, resp, SKIP)
-                else:
-                    cont = _choice_prefixes(IntChoice, resp, SKIP)
-                branches.append(Prefix(e, cont))
-            if len(branches) == 1:
-                return branches[0]
-            return IntChoice(tuple(branches))
+        def round_term(events, responses_choice):
+            branches = [
+                Prefix(at(e), _choice_prefixes(
+                    responses_choice, self.responses.get(e, ()), SKIP, at) or SKIP)
+                for e in sorted(events)
+            ]
+            return branches[0] if len(branches) == 1 else IntChoice(tuple(branches))
 
         if not c_evts and not s_evts:
             # the stated definition degenerates to STOP, which can never be
@@ -592,14 +574,12 @@ class CsDescriptor:
                 f"'{name}' has no request events in either role; its "
                 "request-response process is STOP and violates busyness"
             )
-        rounds = []
-        if c_evts:
-            rounds.append(round_term(c_evts, external_responses=True))
-        if s_evts:
-            rounds.append(round_term(s_evts, external_responses=False))
+        # a client's responses are offered, a server's are its own to choose
+        rounds = [round_term(events, responses_choice)
+                  for events, responses_choice in ((c_evts, ExtChoice), (s_evts, IntChoice))
+                  if events]
         body = rounds[0] if len(rounds) == 1 else IntChoice(tuple(rounds))
-        env.define(Definition("CS", (), Seq(body, Call("CS"))))
-        return env, Call("CS")
+        return (("CS", (), Seq(body, Call("CS"))),), Call("CS")
 
     roles = {
         "serverRequests": ("ServerRequestsSpec", REVIVALS, server_requests_spec),
@@ -743,51 +723,40 @@ class AdDescriptor:
             )
         return out
 
-    def transport_spec(self, net, name):
+    def transport_spec(self, net, name, at):
         conn = self._connection_of[name]
-        sends = self.send[conn]
-        recvs = self.receive[conn]
-        on, off, timeout = self.on[conn], self.off[conn], self.timeout[conn]
-        env = DefEnv()
-        env.define(
-            Definition(
-                "Off",
-                (),
-                ExtChoice((Prefix(on, Call("On")), Prefix(timeout, Call("Off")))),
-            )
-        )
+        on, off, timeout = at(self.on[conn]), at(self.off[conn]), at(self.timeout[conn])
         on_branches = (Prefix(off, Call("Off")),) + tuple(
-            Prefix(s, Call("Full", (k,))) for k, s in enumerate(sends)
+            Prefix(at(s), Call("Full", (k,))) for k, s in enumerate(self.send[conn])
         )
-        env.define(Definition("On", (), ExtChoice(on_branches)))
         # the full buffer also relays the datum it stores: the emit branch is
         # gated on the slot value (false guards vanish, STOP in a choice is inert)
         full_branches = on_branches + tuple(
-            Guard(BinOp("==", Var("d"), Lit(k)), Prefix(recvs[k], Call("On")))
-            for k in range(len(recvs))
+            Guard(BinOp("==", Var("d"), Lit(k)), Prefix(at(r), Call("On")))
+            for k, r in enumerate(self.receive[conn])
         )
-        env.define(Definition("Full", ("d",), ExtChoice(full_branches)))
-        return env, Call("Off")
+        return (
+            ("Off", (), ExtChoice((Prefix(on, Call("On")), Prefix(timeout, Call("Off"))))),
+            ("On", (), ExtChoice(on_branches)),
+            ("Full", ("d",), ExtChoice(full_branches)),
+        ), Call("Off")
 
-    def participant_spec(self, net, name):
+    def participant_spec(self, net, name, at):
         sched = self.schedule[name]
         outgoing = [p for p in sched if (name, p) in self.link]
         incoming = [p for p in sched if (p, name) in self.link]
-        env = DefEnv()
         send_receive: Term = Call("SR")
         for p in reversed(incoming):
             conn = (p, name)
             offer = _choice_prefixes(
-                ExtChoice, tuple(self.receive[conn]) + (self.timeout[conn],), SKIP
+                ExtChoice, tuple(self.receive[conn]) + (self.timeout[conn],), SKIP, at
             )
             send_receive = Seq(offer, send_receive)
         for p in reversed(outgoing):
-            conn = (name, p)
-            pick = _choice_prefixes(IntChoice, self.send[conn], SKIP)
+            pick = _choice_prefixes(IntChoice, self.send[(name, p)], SKIP, at)
             send_receive = Seq(pick, send_receive)
-        env.define(Definition("SR", (), send_receive))
-        on_detect = _chain([self.on[(name, p)] for p in outgoing], SKIP)
-        off_detect = _chain([self.off[(name, p)] for p in outgoing], SKIP)
+        on_detect = _chain([at(self.on[(name, p)]) for p in outgoing], SKIP)
+        off_detect = _chain([at(self.off[(name, p)]) for p in outgoing], SKIP)
         body = Seq(
             on_detect,
             Seq(
@@ -795,8 +764,7 @@ class AdDescriptor:
                 Seq(off_detect, Call("Participant")),
             ),
         )
-        env.define(Definition("Participant", (), body))
-        return env, Call("Participant")
+        return (("SR", (), send_receive), ("Participant", (), body)), Call("Participant")
 
     roles = {
         "transport": ("TransportSpec", FAILURES, transport_spec),
@@ -816,8 +784,8 @@ class AdDescriptor:
         for (i, j) in self.connections:
             lines.append(
                 f"  {i} -> {j} via {self.link[(i, j)]}: "
-                f"send {EVENTS.names(self.send[(i, j)])}, "
-                f"receive {EVENTS.names(self.receive[(i, j)])}"
+                f"send {[EVENTS.name(e) for e in self.send[(i, j)]]}, "
+                f"receive {[EVENTS.name(e) for e in self.receive[(i, j)]]}"
             )
         for p, seq in sorted(self.schedule.items()):
             lines.append(f"  schedule({p}) = {list(seq)}")
@@ -900,57 +868,20 @@ class PatternVerdict:
         }
 
 
-def _canonical(env: DefEnv, term: Term):
-    """The shape of a spec: ``(key, events)``.  ``key`` is ``(definitions,
-    term)``, each definition a ``(name, params, body)`` triple, with every
-    ground event replaced by its position in ``events``: the distinct events
-    in the order the walk meets them, the definitions in definition order
-    first, then ``term``.  Two specs with one key differ only in their
-    events, so they compile to the same LTS up to the labels.
-
-    Terms are hash-consed, so the canonical term is its own key, and each
-    distinct subterm is walked once."""
+def _spec_shape(build, desc, net: Network, name):
+    """``(key, events)`` of one obligation's spec: ``build`` writes it over
+    positions, ``key`` being its ``(definitions, term)``, and numbers the
+    distinct events in the order it asks for them; ``events`` lists them by
+    position.  Two specs with one key differ only in their events, so they
+    compile to the same LTS up to the labels."""
     position = {}  # real event -> its position in ``events``
-    memo = {}  # real term -> canonical term
-    definitions = tuple(
-        (d.name, d.params, _walk(d.body, position, memo)) for d in env.definitions.values()
-    )
-    return (definitions, _walk(term, position, memo)), tuple(position)
-
-
-def _walk(term, position, memo):
-    """:func:`_canonical`'s walk of ``term``.  A run of prefixes is walked
-    in a loop, so its length costs no stack; the walk is no closure, so it
-    leaves no reference cycle."""
-    run = []
-    while type(term) is Prefix and term not in memo:
-        run.append(term)
-        position.setdefault(term.event, len(position))
-        term = term.cont
-    out = memo.get(term)
-    if out is None:
-        t = type(term)
-        if t in (ExtChoice, IntChoice):
-            out = t(tuple(_walk(i, position, memo) for i in term.items))
-        elif t is Guard:
-            out = Guard(term.cond, _walk(term.body, position, memo))
-        elif t is Seq:
-            out = Seq(_walk(term.first, position, memo), _walk(term.second, position, memo))
-        elif t is Interrupt:
-            out = Interrupt(_walk(term.body, position, memo), _walk(term.handler, position, memo))
-        elif t is Call or term is SKIP or term is STOP:
-            out = term
-        else:
-            raise TypeError(f"no canonical form for spec term {term!r}")
-        memo[term] = out
-    for node in reversed(run):
-        out = memo[node] = Prefix(position[node.event], out)
-    return out
+    key = build(desc, net, name, lambda e: position.setdefault(e, len(position)))
+    return key, tuple(position)
 
 
 def _normal_shape(key, events, limit) -> NormalSpec:
-    """The normal form of the canonical spec ``key``, over its positions; a
-    divergence is reported on the real ``events``."""
+    """The normal form of the spec ``key``, over its positions; a divergence
+    is reported on the real ``events``."""
     definitions, term = key
     env = DefEnv(Definition(*d) for d in definitions)
     try:
@@ -1031,12 +962,18 @@ def check_behavioural(desc, net: Network, scope, limit=DEFAULT_STATE_LIMIT) -> l
     degenerates (each a failed obligation carrying its note), then the
     side conditions.
 
-    The specs of one role differ only in their events, so each canonical
-    spec (:func:`_canonical`) is compiled and normalised once per call, and
-    each obligation refines against it with its own events put back.
+    Each role's builder writes its spec over event positions
+    (:func:`_spec_shape`), so the specs of one role that differ only in
+    their events have one key.  Each key is compiled and normalised once per
+    call, and each obligation refines against it with its own events put
+    back.  No counterexample depends on which position an event takes:
+    ``refines`` walks breadth-first in the order of the implementation's
+    rows, names events in that order, as sets or as the smallest real
+    event, and reads a spec state's number only to pair it with an
+    implementation state.
 
     Most components of a role differ only in their events too.  An
-    obligation whose canonical spec, model and abstraction shape
+    obligation whose spec key, model and abstraction shape
     (:func:`_impl_shape`) equal those of one that passed is its image under
     a renaming of events and states.  Whether a refinement holds does not
     depend on those names (the universe only enters counterexamples, and
@@ -1046,19 +983,18 @@ def check_behavioural(desc, net: Network, scope, limit=DEFAULT_STATE_LIMIT) -> l
     included, runs ``refines`` on its real events, so every counterexample
     is its own."""
     refined, degenerate = [], []
-    shapes = {}  # canonical spec -> its normal form over positions
+    shapes = {}  # spec key -> its normal form over positions
     impl_shapes = {}  # memo of _abstraction_shape
-    passed = set()  # (canonical spec, model, abstraction shape) that passed
+    passed = set()  # (spec key, model, abstraction shape) that passed
     for role, name in desc.obligations(frozenset(scope)):
         spec_name, model, build = desc.roles[role]
         try:
-            env, term = build(desc, net, name)
+            key, events = _spec_shape(build, desc, net, name)
         except EmptyRoleSet as exc:
             degenerate.append(
                 BehaviouralResult(name, spec_name, model, False, note=str(exc))
             )
             continue
-        key, events = _canonical(env, term)
         shape = shapes.get(key)
         if shape is None:
             shape = shapes[key] = _normal_shape(key, events, limit)

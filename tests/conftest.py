@@ -349,9 +349,10 @@ def reference_reachable(net, state_limit=DEFAULT_STATE_LIMIT):
 # characteristic processes
 
 
-def generate_spec(desc, role, name):
+def generate_spec(desc, role, name, net=None):
     """``(env, term)`` of one component's characteristic process in one of
-    the descriptor's roles; the roles that read the network are called on
-    the descriptor directly."""
+    the descriptor's roles, over its real events: the builder writes it with
+    each event at its own id.  Only the server-requests role reads ``net``."""
     _spec_name, _model, build = desc.roles[role]
-    return build(desc, None, name)
+    definitions, term = build(desc, net, name, lambda e: e)
+    return DefEnv(Definition(*d) for d in definitions), term

@@ -353,6 +353,18 @@ def test_descriptor_resolution_and_echo():
     assert "order(Phil.0) = ['Fork.0', 'Fork.1']" in echo
 
 
+def test_async_dynamic_echo_keeps_the_list_order():
+    """Send and receive lists pair up by index, so the echo prints them as
+    given: ``snd.0.1.10`` last, and a reversed receive list reversed."""
+    net = net_of(models.leadership_source(11))
+    doc = models.leadership_descriptor(11)
+    doc["connections"][0]["receive"].reverse()
+    line = descriptor_echo(parse_descriptor(doc, net)).splitlines()[1]
+    sends = [f"snd.0.1.{k}" for k in range(11)]
+    assert line == (f"  Node.0 -> Node.1 via Bus.0.1: send {sends}, "
+                    f"receive {[f'rcv.0.1.{k}' for k in reversed(range(11))]}")
+
+
 def test_descriptor_unknown_component():
     net = net_of(models.philosophers_source(3))
     doc = models.philosophers_descriptor(3)

@@ -47,6 +47,13 @@ def test_stop_component_fails_busyness():
     assert dead.trace == ()
 
 
+def test_a_repeated_component_name_is_an_input_error_naming_it():
+    z1 = event("z1")
+    comps = [Component(name, frozenset({z1}), STOP) for name in ("A", "B", "B", "A")]
+    with pytest.raises(InputError, match="^component name 'B' is declared twice$"):
+        Network(comps)
+
+
 def test_behaviour_outside_its_alphabet_is_an_input_error_on_every_call():
     z1, z2 = event("z1"), event("z2")
     env = DefEnv([Definition("L", (), Prefix(z1, Prefix(z2, Call("L"))))])

@@ -1,24 +1,28 @@
 import gc
+import graphlib
+import random
 
 import pytest
 
 import bundled
-from conftest import generate_spec, successors
+from conftest import generate_spec, replay, successors
 from dpa import models
 from dpa.dsl import elaborate, parse_descriptor, parse_network
 from dpa.events import EVENTS, event
 from dpa.lts import compile_term
 from dpa.network import Component, Network, abs_lts
+from dpa.oracle import DeadlockFree, DeadlockWitness
 from dpa.patterns import (
     EmptyRoleSet,
     RaDescriptor,
     UnknownElement,
-    _canonical,
+    _spec_shape,
     check_behavioural,
     check_pattern,
     check_structural,
     respects_order,
 )
+from dpa.report import INCONCLUSIVE, PROVEN, run_dpa
 from dpa.semantics import FAILURES, normalize, refines
 
 
@@ -151,15 +155,33 @@ def test_user_spec_acquires_then_releases_in_order():
 
 @pytest.mark.parametrize("role, name", [("user", "APhil.2"), ("resource", "Fork.0")])
 def test_canonical_leaves_no_reference_cycle(role, name):
-    """Canonicalising a spec frees everything it built without the cycle
-    collector: with the collector off, one call leaves nothing for it."""
+    """Writing a spec over event positions, the canonical key that obligations
+    share, frees everything it built without the cycle collector: with the
+    collector off, one call leaves nothing for it."""
     net = phil_net()
-    env, term = generate_spec(phil_desc(net), role, name)
-    _canonical(env, term)
+    desc = phil_desc(net)
+    build = desc.roles[role][2]
+    _spec_shape(build, desc, net, name)
     gc.collect()
     gc.disable()
     try:
-        _canonical(env, term)
+        _spec_shape(build, desc, net, name)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_check_behavioural_leaves_no_reference_cycle():
+    """Checking a descriptor's obligations, its specs written over positions
+    included, frees everything it built without the cycle collector: with
+    the collector off, one call leaves nothing for it."""
+    net = phil_net()
+    desc = phil_desc(net)
+    check_behavioural(desc, net, net.names())
+    gc.collect()
+    gc.disable()
+    try:
+        check_behavioural(desc, net, net.names())
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -198,7 +220,7 @@ def test_requests_responses_spec_rejects_unconnected_component():
 def test_server_requests_spec_offers_all_server_events():
     net = elaborate(parse_network(bundled.read("client_server.net")))
     desc = parse_descriptor(bundled.client_server_descriptor(), net)
-    env, term = desc.server_requests_spec(net, "C0")
+    env, term = generate_spec(desc, "serverRequests", "C0", net)
     lts = compile_term(env, term)
     spec = normalize(lts, universe=net.sigma)
     init = spec.states[0]
@@ -415,3 +437,68 @@ def test_degenerate_role_fails_after_the_refinements():
         "process is STOP and violates busyness"
     )
     assert results[-1].counterexample is None
+
+
+# ---------------------------------------------------------------------------
+# the resource-allocation step against the oracle, on generated rings
+
+
+def handed_ring(right):
+    """The philosophers ring whose philosopher ``i`` is right-handed
+    (``APhil.i``, next fork first) when ``right[i]``, with its descriptor:
+    each user acquires in its own hand's order, and the resource order is
+    a topological order of the acquisition graph, or any order when that
+    graph has a cycle."""
+    n = len(right)
+    ids = {kind: ", ".join(str(i) for i in range(n) if right[i] == (kind == "APhil"))
+           for kind in ("Phil", "APhil")}
+    instances = "".join(f"instance {kind} = {kind}C {{{ids[kind]}}}\n"
+                        for kind in ("Phil", "APhil") if ids[kind])
+    source = models.philosophers_source(n, symmetric=True).replace(
+        "instance Phil = PhilC {0..N-1}\n", instances)
+    connections, order, after = [], {}, {}
+    for i in range(n):
+        user, hand = ("APhil" if right[i] else "Phil") + f".{i}", [i, (i + 1) % n]
+        first, second = order[user] = [f"Fork.{j}" for j in (hand[::-1] if right[i] else hand)]
+        after.setdefault(second, set()).add(first)
+        connections += [{"user": user, "resource": f"Fork.{j}", "acquire": f"pickup.{i}.{j}",
+                         "release": f"putdown.{i}.{j}"} for j in sorted(hand)]
+    try:
+        resource_order = list(graphlib.TopologicalSorter(after).static_order())
+    except graphlib.CycleError:
+        resource_order = [f"Fork.{j}" for j in range(n)]
+    return source, {"pattern": "resource-allocation", "connections": connections,
+                    "order": order, "resource_order": resource_order}
+
+
+def test_resource_allocation_fuzz_against_the_oracle():
+    """On 40 seeded rings of 3 to 5 philosophers: a proven ring is deadlock
+    free; every ring of mixed handedness is proven, which is the method's
+    completeness floor; every uniform ring deadlocks and is inconclusive;
+    and with one user's acquisition order reversed the ring is inconclusive
+    by that user's spec, with a counterexample that replays."""
+    rng = random.Random(11)
+    mixed = uniform = 0
+    for _ in range(40):
+        right = [rng.random() < 0.5 for _ in range(rng.randint(3, 5))]
+        source, doc = handed_ring(right)
+        net = elaborate(parse_network(source))
+        report = run_dpa(net, [parse_descriptor(doc, net)], with_oracle=True)
+        if report.overall == PROVEN:
+            assert isinstance(report.oracle, DeadlockFree), right
+        if len(set(right)) == 2:
+            mixed += 1
+            assert report.overall == PROVEN, (right, report.reasons)
+        else:
+            uniform += 1
+            assert report.overall == INCONCLUSIVE, right
+            assert isinstance(report.oracle, DeadlockWitness), right
+        user = rng.choice(sorted(doc["order"]))
+        doc["order"][user].reverse()
+        report = run_dpa(net, [parse_descriptor(doc, net)])
+        assert report.overall == INCONCLUSIVE, right
+        assert any(f"{user} fails UserSpec" in r for r in report.reasons), report.reasons
+        failed, = [b for s in report.subnetworks for b in s.verdict.behavioural
+                   if b.component == user and b.spec_name == "UserSpec"]
+        assert replay(abs_lts(net, net.index_of(user)), failed.counterexample)
+    assert mixed >= 25 and uniform >= 3, (mixed, uniform)

@@ -118,7 +118,7 @@ def test_generated_specs_are_deterministic_and_small():
 
     cs = net_of(bundled.read("client_server.net"))
     csd = parse_descriptor(bundled.client_server_descriptor(), cs)
-    env, term = csd.server_requests_spec(cs, "C0")
+    env, term = generate_spec(csd, "serverRequests", "C0", cs)
     assert compile_term(env, term).n_states <= 10 * 4
 
 

@@ -645,13 +645,14 @@ def test_cli_rejects_state_limit_below_one(model_dir, capsys, command, extra, li
      "the descriptor names no component"),
     (["check", "client_server.net", "--pattern", "empty_cs.pattern.json"],
      "the descriptor names no component"),
+    (["check", "duplicate.net"], "component name 'X.0' is declared twice (by instance 'X')"),
 ], ids=["no-sizes", "bad-size", "bad-family", "no-shared-event", "unknown-name",
         "malformed-json", "missing-field", "outside-scope", "unknown-in-scope-ra",
         "unknown-in-scope-cs", "unknown-in-scope-ad", "extend-out-of-domain",
         "exact-out-of-domain", "descriptor-not-object", "connection-not-object",
         "order-not-object", "resource-order-not-list", "event-not-string",
         "empty-resource-allocation", "empty-client-server", "empty-async-dynamic",
-        "check-empty-client-server"])
+        "check-empty-client-server", "duplicate-component"])
 def test_cli_input_errors_keep_their_lines(model_dir, capsys, argv, error):
     (model_dir / "bad.pattern.json").write_text("{not json")
     (model_dir / "missing.pattern.json").write_text(json.dumps(
@@ -677,6 +678,11 @@ def test_cli_input_errors_keep_their_lines(model_dir, capsys, argv, error):
             "version 1\nchannel get : {0..1}\nU(id) = get.id -> U(id)\n"
             f"atom UA = alphabet {alphabet} behaviour U(id)\ninstance U = UA {{0..2}}\n"
         )
+    # the id set {0, 0} names X.0 twice
+    (model_dir / "duplicate.net").write_text(
+        "version 1\nchannel a\nP = a -> P\natom PA = alphabet { a } behaviour P\n"
+        "instance X = PA {0, 0}\n"
+    )
     argv = [str(model_dir / a) if a.endswith((".net", ".json")) else a for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {error}\n"

@@ -1,5 +1,6 @@
 """``patterns.check_behavioural``, which compiles and normalises each spec
-once per shape, against the copy that builds a spec per obligation
+once per shape, against the copy that builds a spec per obligation, and
+its spec keys against the canonical walk they replaced
 (``patterns_reference.py``).  Results must be equal, counterexamples
 included, on the bundled families and on seeded descriptor mutants; floors
 on what was compared keep the corpus from passing by comparing nothing."""
@@ -11,7 +12,8 @@ import random
 import pytest
 
 import bundled
-from patterns_reference import check_behavioural_reference
+from conftest import generate_spec
+from patterns_reference import canonical_reference, check_behavioural_reference
 from dpa import models, patterns
 from dpa.bench import build_family
 from dpa.dsl import elaborate, parse_descriptor, parse_network
@@ -20,7 +22,7 @@ from dpa.lts import Lts, compile_term
 from dpa.network import abs_lts
 from dpa.patterns import EmptyRoleSet
 from dpa.semantics import SpecDivergence, normalize
-from dpa.terms import DIV, Call, DefEnv, Definition, Prefix, STOP
+from dpa.terms import Call, DefEnv, Definition, Prefix
 
 BASES = (
     [(models.philosophers_source(n, sym), models.philosophers_descriptor(n, sym))
@@ -204,10 +206,9 @@ def test_member_shapes_read_through_phi_match_their_abstractions():
         memo, got = {}, []
         for role, name in desc.obligations(frozenset(desc.components())):
             try:
-                env, term = desc.roles[role][2](desc, net, name)
+                events = patterns._spec_shape(desc.roles[role][2], desc, net, name)[1]
             except EmptyRoleSet:
                 continue
-            events = patterns._canonical(env, term)[1]
             i = net.index_of(name)
             abs_lts(net, i)
             got.append((i, events, patterns._abstraction_shape(net, i, events, memo)))
@@ -261,37 +262,37 @@ def test_mapped_specs_name_only_network_events(monkeypatch):
             assert events <= sigma
 
 
-def test_canonical_numbers_events_in_walk_order():
-    a, b = event("shape.a"), event("shape.b")
-    env = DefEnv([Definition("P", (), Prefix(b, Call("Q")))])
-    key, events = patterns._canonical(env, Prefix(a, Prefix(b, Prefix(a, STOP))))
-    assert events == (b, a)
-    assert key == (
-        (("P", (), Prefix(0, Call("Q"))),),
-        Prefix(1, Prefix(0, Prefix(1, STOP))),
-    )
-
-
-def test_canonical_walks_a_long_prefix_run_without_stack():
-    events = [event(f"shape.run.{i}") for i in range(5000)]
-    env = DefEnv([Definition("P", (), patterns._chain(events, Call("P")))])
-    key, got = patterns._canonical(env, Call("P"))
-    assert got == tuple(events)
-    assert key == ((("P", (), patterns._chain(range(5000), Call("P"))),), Call("P"))
-
-
-def test_canonical_rejects_a_term_no_builder_emits():
-    with pytest.raises(TypeError, match="no canonical form"):
-        patterns._canonical(DefEnv(), Prefix(event("shape.a"), DIV))
+def test_spec_keys_group_obligations_as_the_canonical_walk_did():
+    """Each builder writes its spec over positions, numbered in the order it
+    asks for its events; the key it gives must group the obligations of the
+    corpus and the bundled descriptors exactly as the reference canonical
+    walk of the real spec groups them, over the same events."""
+    keys, canonical, compared = {}, {}, 0
+    for source, doc in [*_corpus(), *_bundled_pairs()]:
+        net = elaborate(parse_network(source))
+        desc = parse_descriptor(doc, net)
+        for role, name in desc.obligations(frozenset(desc.components())):
+            try:
+                key, events = patterns._spec_shape(desc.roles[role][2], desc, net, name)
+            except EmptyRoleSet:
+                continue
+            want, want_events = canonical_reference(*generate_spec(desc, role, name, net))
+            assert set(events) == set(want_events), (role, name)
+            keys.setdefault(key, set()).add(compared)
+            canonical.setdefault(want, set()).add(compared)
+            compared += 1
+    assert compared > 700
+    assert len(keys) > 10
+    assert sorted(map(sorted, keys.values())) == sorted(map(sorted, canonical.values()))
 
 
 def test_spec_divergence_names_real_events():
     a, b = event("shape.a"), event("shape.b")
     env = DefEnv([Definition("D", (), Call("D"))])
     term = Prefix(a, Prefix(b, Call("D")))
-    key, events = patterns._canonical(env, term)
+    key = ((("D", (), Call("D")),), Prefix(0, Prefix(1, Call("D"))))
     with pytest.raises(SpecDivergence) as got:
-        patterns._normal_shape(key, events, 100)
+        patterns._normal_shape(key, (a, b), 100)
     with pytest.raises(SpecDivergence) as ref:
         normalize(compile_term(env, term))
     assert got.value.trace == ref.value.trace == (a, b)
