@@ -99,28 +99,39 @@ class Component:
         self.family = self._share = None
 
     def compiled(self, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
-        """The behaviour's LTS, compiled once, or renamed from the owner of
-        its family signature; it is cached only after it has been checked
+        """The behaviour's LTS: renamed from the owner of its family
+        signature, or compiled once, when it owns that signature if no
+        member does yet; it is cached only after it has been checked
         against the alphabet."""
-        if self._compiled is None and self.family is not None:
-            self._compiled = self.family.instance(self, limit)
-        if self._compiled is None:
-            lts = self.lts
-            if lts is None:
-                try:
-                    lts = compile_term(self.env, self.term, limit)
-                except Exception as exc:
-                    raise CompileFailure(self.name, exc) from exc
+        if self._compiled is not None:
+            return self._compiled
+        events = signature = None
+        if self.family is not None:
+            events, signature = self.family.claim(self)
+            owner = self.family.owners.get(signature)
+            if owner is not None and owner.lts.n_states <= limit:
+                phi = dict(zip(owner.events, events))
+                if self.alphabet.issuperset(map(phi.__getitem__, owner.visible)):
+                    self._share = (owner, phi)
+                    self._compiled = rename_on_read(
+                        owner.lts, phi, _OwnTerms(self, owner.lts.n_states))
+                    return self._compiled
+        lts = self.lts
+        if lts is None:
             try:
-                visible = check_alphabet(lts, self.alphabet)
-            except AlphabetViolation as exc:
-                raise InputError(f"component '{self.name}' has {exc}") from exc
-            owner = _Owner(lts, visible)
-            if self.family is not None:
-                self.family.adopt(self, owner)
-            self._share = (owner, None)
-            self._compiled = lts
-        return self._compiled
+                lts = compile_term(self.env, self.term, limit)
+            except Exception as exc:
+                raise CompileFailure(self.name, exc) from exc
+        try:
+            visible = check_alphabet(lts, self.alphabet)
+        except AlphabetViolation as exc:
+            raise InputError(f"component '{self.name}' has {exc}") from exc
+        owner = _Owner(lts, visible)
+        if signature is not None and signature not in self.family.owners:
+            owner.events, self.family.owners[signature] = events, owner
+        self._share = (owner, None)
+        self._compiled = lts
+        return lts
 
 
 class _Owner:
@@ -199,31 +210,13 @@ class _Family:
         pattern = tuple([first.setdefault(e, len(first)) for e in events])
         return events, (tuple(patterns), pattern)
 
-    def adopt(self, comp: Component, owner: _Owner):
-        """Make ``owner``, ``comp`` compiled on its own, the owner of
-        ``comp``'s signature if that has none yet."""
+    def claim(self, comp: Component):
+        """``comp``'s events and signature (see :meth:`_resolve`), or
+        ``(None, None)`` when its arguments do not evaluate."""
         try:
-            events, signature = self._resolve(comp.term.args)
+            return self._resolve(comp.term.args)
         except DslValueError:
-            return
-        if signature is not None and signature not in self.owners:
-            owner.events, self.owners[signature] = events, owner
-
-    def instance(self, comp: Component, limit: int) -> Lts | None:
-        """``comp``'s LTS renamed from the owner of its signature, or None
-        when ``comp`` must compile on its own."""
-        try:
-            events, signature = self._resolve(comp.term.args)
-        except DslValueError:
-            return None
-        owner = self.owners.get(signature)
-        if owner is None or owner.lts.n_states > limit:
-            return None
-        phi = dict(zip(owner.events, events))
-        if not comp.alphabet.issuperset(map(phi.__getitem__, owner.visible)):
-            return None
-        comp._share = (owner, phi)
-        return rename_on_read(owner.lts, phi, _OwnTerms(comp, owner.lts.n_states))
+            return None, None
 
 
 def _family(env: DefEnv, name: str, arity: int) -> _Family | None:

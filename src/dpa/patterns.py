@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .events import EVENTS, TAU, TICK, event
 from .lts import DEFAULT_STATE_LIMIT, Lts, _reachable, compile_term
@@ -695,13 +696,10 @@ class AdDescriptor:
             "off": set(self.off.values()),
             "timeout": set(self.timeout.values()),
         }
-        clash = ""
-        fam = sorted(families)
-        for i in range(len(fam)):
-            for j in range(i + 1, len(fam)):
-                inter = families[fam[i]] & families[fam[j]]
-                if inter:
-                    clash = f"{fam[i]}/{fam[j]} overlap on {EVENTS.names(inter)}"
+        clash = "; ".join(
+            f"{a}/{b} overlap on {EVENTS.names(families[a] & families[b])}"
+            for a, b in combinations(sorted(families), 2) if families[a] & families[b]
+        )
         out.append(PredicateResult("mutually_disjoint_events", not clash, witness=clash))
         expected = {p: set() for p in self.participants}
         for conn in self.connections:

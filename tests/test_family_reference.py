@@ -463,6 +463,30 @@ def test_an_internal_error_while_resolving_a_member_propagates(monkeypatch):
         net[1].compiled()
 
 
+@pytest.mark.parametrize("source", [
+    models.philosophers_source(4),
+    # P.1 and P.3 fall back and compile on their own
+    adversarial("[] i : {id, id % 2} @ a.i -> b.i -> P(id)", "{| a, b |}", "{0..3}"),
+], ids=["philosophers", "two-signatures"])
+def test_each_member_compile_resolves_its_events_once(monkeypatch, source):
+    """Owners, renamed members and members that fall back alike."""
+    net = elaborate(parse_network(source))
+    members = [c for c in net.components if c.family is not None]
+    family, resolved = type(members[0].family), []
+    original = family._resolve
+
+    def counted(self, args):
+        resolved.append(args)
+        return original(self, args)
+
+    monkeypatch.setattr(family, "_resolve", counted)
+    for comp in net.components:
+        comp.compiled()
+        comp.compiled()
+    assert resolved == [c.term.args for c in members]
+    assert any(renamed(c) for c in members)
+
+
 def test_member_terms_read_like_a_sequence():
     net = elaborate(parse_network(models.philosophers_source(4)))
     net[0].compiled()

@@ -10,10 +10,12 @@ from dpa import models
 from dpa.dsl import elaborate, parse_descriptor, parse_network
 from dpa.events import EVENTS, event
 from dpa.lts import compile_term
-from dpa.network import Component, Network, abs_lts
-from dpa.oracle import DeadlockFree, DeadlockWitness
+from dpa.network import Component, InputError, Network, abs_lts
+from dpa.oracle import DeadlockFree, DeadlockWitness, explore_global
 from dpa.patterns import (
+    BehaviouralResult,
     EmptyRoleSet,
+    PredicateResult,
     RaDescriptor,
     UnknownElement,
     _spec_shape,
@@ -116,6 +118,21 @@ def test_acquire_equals_release_fails_disjointness():
     results = check_structural(desc, net, net.names())
     dis = [r for r in results if r.name == "mutually_disjoint_events"][0]
     assert not dis.ok and "pickup.0.0" in dis.witness
+
+
+@pytest.mark.parametrize("overlaps, witness", [
+    ({"receive": "send"}, "receive/send overlap on ['snd.0.1.0', 'snd.0.1.1']"),
+    ({"receive": "send", "off": "on"}, "off/on overlap on ['on.0.1']; "
+                                       "receive/send overlap on ['snd.0.1.0', 'snd.0.1.1']"),
+], ids=["one-pair", "two-pairs"])
+def test_async_dynamic_disjointness_names_every_overlapping_pair(overlaps, witness):
+    net = elaborate(parse_network(models.leadership_source(2)))
+    doc = models.leadership_descriptor(2)
+    for field, equal_to in overlaps.items():
+        doc["connections"][0][field] = doc["connections"][0][equal_to]
+    results = check_structural(parse_descriptor(doc, net), net, net.names())
+    dis, = [r for r in results if r.name == "mutually_disjoint_events"]
+    assert (dis.ok, dis.witness) == (False, witness)
 
 
 def test_structural_checks_do_not_compile_behaviour():
@@ -502,3 +519,69 @@ def test_resource_allocation_fuzz_against_the_oracle():
                    if b.component == user and b.spec_name == "UserSpec"]
         assert replay(abs_lts(net, net.index_of(user)), failed.counterexample)
     assert mixed >= 25 and uniform >= 3, (mixed, uniform)
+
+
+# ---------------------------------------------------------------------------
+# the async-dynamic step against the oracle, on mutated leadership networks
+
+
+def _drop_a_bus(rng, source, doc):
+    conn = rng.choice(doc["connections"])
+    doc["connections"].remove(conn)
+    bus = conn["transport"]
+    atom = "atom Bus" + bus[len("Bus."):].replace(".", "") + "A "
+    kept = [line for line in source.splitlines(True)
+            if not line.startswith((atom, f"instance {bus} "))]
+    return "".join(kept), doc
+
+
+def _mute_a_bus(rng, source, doc):
+    """The bus never relays: its full buffer has no ``rcv`` branch."""
+    i, j = rng.choice(doc["connections"])["transport"].split(".")[1:]
+    relay = f" [] rcv.{i}.{j}!d -> BusOn{i}{j}"
+    assert relay in source
+    return source.replace(relay, ""), doc
+
+
+def _shuffle_the_schedule(rng, source, doc):
+    for peers in doc["schedule"].values():
+        rng.shuffle(peers)
+    return source, doc
+
+
+def test_async_dynamic_fuzz_against_the_oracle():
+    """On seeded mutants of the leadership networks of 2 and 3 nodes, each
+    checked with its descriptor: a proven network is deadlock free, and an
+    inconclusive one fails a structural predicate or an obligation whose
+    counterexample replays; the unmutated networks are proven.  A network
+    the dropped bus splits into bridges is checked without its descriptor,
+    which then covers no essential subnetwork."""
+    rng = random.Random(3)
+    outcomes = set()
+    for n in (2, 3):
+        for mutate in (None, _drop_a_bus, _mute_a_bus, _shuffle_the_schedule):
+            for _ in range(1 if mutate is None else 2):
+                source, doc = models.leadership_source(n), models.leadership_descriptor(n)
+                if mutate is not None:
+                    source, doc = mutate(rng, source, doc)
+                net = elaborate(parse_network(source))
+                try:
+                    report = run_dpa(net, [parse_descriptor(doc, net)])
+                except InputError as err:
+                    assert mutate is _drop_a_bus and "no essential subnetwork" in str(err)
+                    report = run_dpa(net)
+                outcomes.add((mutate, report.overall))
+                if report.overall == PROVEN:
+                    assert isinstance(explore_global(net), DeadlockFree), (n, mutate, doc)
+                    continue
+                assert mutate is not None, n
+                failures = [f for s in report.subnetworks if s.verdict is not None
+                            for f in s.verdict.failures()]
+                for f in failures:
+                    if isinstance(f, BehaviouralResult) and f.counterexample is not None:
+                        impl = abs_lts(net, net.index_of(f.component))
+                        assert replay(impl, f.counterexample), (n, mutate, f)
+                assert any(isinstance(f, PredicateResult) or f.counterexample is not None
+                           for f in failures), (n, mutate, report.reasons)
+    assert outcomes >= {(None, PROVEN), (_drop_a_bus, PROVEN), (_mute_a_bus, INCONCLUSIVE),
+                        (_shuffle_the_schedule, INCONCLUSIVE)}, outcomes

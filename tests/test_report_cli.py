@@ -344,9 +344,10 @@ def test_cli_conflict_rejects_out_of_range_index(model_dir, capsys, index):
     ("Q = a.0?x -> Q", "Q", "channel 'a' has no field 1"),
     ("atom QA = alphabet {| a |} behaviour d?x -> STOP", "b -> STOP",
      "undeclared channel 'd'"),
+    ("Q = a.0 -> $Q -- trailing", "Q", "4:12: stray character '$'"),
 ], ids=["unbound-variable", "undefined-process", "unbound-in-atom", "unbound-in-one-branch",
         "outside-alphabet", "input-on-undeclared-channel", "input-past-the-last-field",
-        "input-in-an-atom-no-instance-uses"])
+        "input-in-an-atom-no-instance-uses", "stray-character"])
 def test_cli_model_mistake_exits_2(tmp_path, capsys, definition, behaviour, error):
     model = tmp_path / "mistake.net"
     model.write_text(
@@ -456,15 +457,16 @@ def nested_indexed_choices(depth, parenthesised=False):
 
 
 @pytest.mark.parametrize("body", ["1 == 1 & a -> " * 1000 + "P", nested_choices(150),
-                                  nested_indexed_choices(150)],
+                                  nested_indexed_choices(150),
+                                  "a -> P -- no newline after this comment"],
                          ids=["1000-guarded-prefixes", "150-nested-parentheses",
-                              "150-nested-indexed-choices"])
+                              "150-nested-indexed-choices", "comment-on-the-last-line"])
 def test_cli_proves_a_guard_run_and_the_deepest_nesting(tmp_path, capsys, body):
     # binding walks a run of guards in the prefix loop; 150 levels is the
-    # deepest nesting the parser takes
+    # deepest nesting the parser takes; no newline follows the last line
     model = tmp_path / "deep.net"
-    model.write_text(f"version 1\nchannel a\nP = {body}\n"
-                     "atom PA = alphabet { a } behaviour P\ninstance X = PA\n")
+    model.write_text("version 1\nchannel a\natom PA = alphabet { a } behaviour P\n"
+                     f"instance X = PA\nP = {body}")
     assert main(["check", str(model)]) == 0
     captured = capsys.readouterr()
     assert captured.out.endswith("overall: PROVEN\n")
@@ -837,6 +839,10 @@ def test_cli_oracle_state_limit_bounds_only_the_product(model_dir, capsys):
         "state limit of 50 states reached (29 expanded, 21 on the frontier)\n"
     )
     assert captured.err == ""
+    assert main(["oracle", str(model_dir / "philosophers.net"), "--state-limit", "50"]) == 1
+    assert capsys.readouterr().out == (
+        "state limit of 50 states reached (34 expanded, 16 on the frontier)\n"
+    )
     assert main(["check", model, "--oracle", "--state-limit", "200"]) == 0
     assert (
         "oracle: state limit of 200 states reached (160 expanded, 40 on the frontier)\n"
@@ -918,6 +924,12 @@ def test_cli_bench_subcommand(capsys, monkeypatch):
         assert 0 < row["dpa_seconds_min"] <= row["dpa_seconds"]
         assert 0 < row["build_seconds_min"] <= row["build_seconds"]
         assert row["proven"] and row["context_states"] > 0
+    # a family of 200 components, whose alphabets are planned once per atom
+    built.clear()
+    assert main(["bench", "philosophers:100", "--repeat", "2"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert built == [("philosophers", 100)] * 2
+    assert row["proven"] and row["size"] == 100
     # so does each oracle repeat, after the repeats of run_dpa
     built.clear()
     assert main(["bench", "philosophers:3:oracle=3", "--repeat", "3"]) == 0
@@ -985,6 +997,18 @@ def test_oracle_witness_json_names_local_states(model_dir, tmp_path):
         "Phil.2": "pickup.2.0 -> eat.2 -> putdown.2.2 -> putdown.2.0 "
                   "-> getup.2 -> Phil(2)",
     }
+    # {id, id % 2} collapses at ids 0 and 1: two signatures, whose owners are
+    # P.0 and P.2; P.3 is renamed from P.2 and names its state by its own term
+    two = tmp_path / "two_signatures.net"
+    two.write_text(
+        "version 1\nchannel a : {0..3}.{0..3}\nchannel b : {0..3}\n"
+        "P(id) = [] i : {id, id % 2} @ a.id.i -> b.id -> P(id)\n"
+        "atom PA = alphabet {| a.id, b.id |} behaviour P(id)\n"
+        "atom GA = alphabet {| b |} behaviour STOP\ninstance P = PA {0..3}\ninstance Gate = GA\n"
+    )
+    assert main(["oracle", str(two), "--json", str(out_json)]) == 1
+    assert json.loads(out_json.read_text())["witness"]["locals"] == {
+        **{f"P.{i}": f"b.{i} -> P({i})" for i in range(4)}, "Gate": "STOP"}
 
 
 def test_state_names_are_rendered_only_for_witnesses(monkeypatch):
@@ -1023,7 +1047,7 @@ def test_cli_check_json_report(model_dir, tmp_path):
     assert data["reasons"]
 
 
-# exit code and full `dpa pattern` output for each bundled descriptor
+# exit code and full `dpa pattern` output for each bundled descriptor and two mutants
 PATTERN_OUTPUT = {
     "philosophers": (0, """\
 pattern: resource-allocation
@@ -1131,14 +1155,87 @@ behavioural Node.0 ParticipantSpec [failures]: ok
 behavioural Node.1 ParticipantSpec [failures]: ok
 adherent: True
 """),
+    # each refinement fails on its own events
+    "philosophers-swapped": (1, """\
+pattern: resource-allocation
+  users     = ['APhil.2', 'Phil.0', 'Phil.1']
+  resources = ['Fork.0', 'Fork.1', 'Fork.2']
+  acquire(Phil.0,Fork.0) = putdown.0.0, release(Phil.0,Fork.0) = pickup.0.0
+  acquire(Phil.0,Fork.1) = putdown.0.1, release(Phil.0,Fork.1) = pickup.0.1
+  acquire(Phil.1,Fork.1) = putdown.1.1, release(Phil.1,Fork.1) = pickup.1.1
+  acquire(Phil.1,Fork.2) = putdown.1.2, release(Phil.1,Fork.2) = pickup.1.2
+  acquire(APhil.2,Fork.0) = putdown.2.0, release(APhil.2,Fork.0) = pickup.2.0
+  acquire(APhil.2,Fork.2) = putdown.2.2, release(APhil.2,Fork.2) = pickup.2.2
+  order(APhil.2) = ['Fork.0', 'Fork.2']
+  order(Phil.0) = ['Fork.0', 'Fork.1']
+  order(Phil.1) = ['Fork.1', 'Fork.2']
+  resource order (greatest first) = ['Fork.0', 'Fork.1', 'Fork.2']
+structural partitioned: ok
+structural mutually_disjoint_events: ok
+structural controlled_alpha_users: ok
+structural controlled_alpha_users: ok
+structural controlled_alpha_users: ok
+structural controlled_alpha_resources: ok
+structural controlled_alpha_resources: ok
+structural controlled_alpha_resources: ok
+behavioural APhil.2 UserSpec [failures]: FAIL  trace violation: after <> the implementation performs pickup.2.0
+behavioural Phil.0 UserSpec [failures]: FAIL  trace violation: after <> the implementation performs pickup.0.0
+behavioural Phil.1 UserSpec [failures]: FAIL  trace violation: after <> the implementation performs pickup.1.1
+behavioural Fork.0 ResourceSpec [failures]: FAIL  trace violation: after <> the implementation performs pickup.0.0
+behavioural Fork.1 ResourceSpec [failures]: FAIL  trace violation: after <> the implementation performs pickup.0.1
+behavioural Fork.2 ResourceSpec [failures]: FAIL  trace violation: after <> the implementation performs pickup.1.2
+behavioural APhil.2 acquisition-order [structural]: ok
+behavioural Phil.0 acquisition-order [structural]: ok
+behavioural Phil.1 acquisition-order [structural]: ok
+adherent: False
+"""),
+    # each datum is paired with another's receive; the echo keeps the given order
+    "leadership-reversed": (1, """\
+pattern: async-dynamic
+  Node.0 -> Node.1 via Bus.0.1: send ['snd.0.1.0', 'snd.0.1.1'], receive ['rcv.0.1.1', 'rcv.0.1.0']
+  Node.1 -> Node.0 via Bus.1.0: send ['snd.1.0.0', 'snd.1.0.1'], receive ['rcv.1.0.0', 'rcv.1.0.1']
+  schedule(Node.0) = ['Node.1']
+  schedule(Node.1) = ['Node.0']
+structural partitioned: ok
+structural mutually_disjoint_events: ok
+structural controlled_alpha_participant: ok
+structural controlled_alpha_participant: ok
+structural controlled_alpha_transport_entity: ok
+structural controlled_alpha_transport_entity: ok
+behavioural Bus.0.1 TransportSpec [failures]: FAIL  trace violation: after <on.0.1, snd.0.1.0> the implementation performs rcv.0.1.0
+behavioural Bus.1.0 TransportSpec [failures]: ok
+behavioural Node.0 ParticipantSpec [failures]: ok
+behavioural Node.1 ParticipantSpec [failures]: ok
+adherent: False
+"""),
 }
+
+
+def _swap_acquire_release(doc):
+    for conn in doc["connections"]:
+        conn["acquire"], conn["release"] = conn["release"], conn["acquire"]
+
+
+def _reverse_the_first_receive_list(doc):
+    doc["connections"][0]["receive"].reverse()
+
+
+# a `model-mutant` entry of PATTERN_OUTPUT runs model's bundled descriptor
+# changed in place by its mutant
+DESCRIPTOR_MUTANTS = {"swapped": _swap_acquire_release, "reversed": _reverse_the_first_receive_list}
 
 
 @pytest.mark.parametrize("name", sorted(PATTERN_OUTPUT))
 def test_cli_pattern_output_is_pinned(model_dir, capsys, name):
     code, expected = PATTERN_OUTPUT[name]
-    model = str(model_dir / f"{name}.net")
-    assert main(["pattern", model, str(model_dir / f"{name}.pattern.json")]) == code
+    model, _, mutant = name.partition("-")
+    descriptor = model_dir / f"{model}.pattern.json"
+    if mutant:
+        doc = json.loads(descriptor.read_text())
+        DESCRIPTOR_MUTANTS[mutant](doc)
+        descriptor = model_dir / f"{name}.pattern.json"
+        descriptor.write_text(json.dumps(doc))
+    assert main(["pattern", str(model_dir / f"{model}.net"), str(descriptor)]) == code
     captured = capsys.readouterr()
     assert captured.out == expected
     assert captured.err == ""
