@@ -4,7 +4,9 @@ Runs the local method through ``run_dpa`` (and optionally the global
 oracle) across a size sweep of one family and reports wall-clock times
 together with deterministic work measures (the states of every bridge
 check's conflict context, oracle states explored), which is what the trend
-assertions in the test-suite key on.  With ``repeat`` above one, each size
+assertions in the test-suite key on, and ``owners``, the components
+compiled on their own rather than renamed from an owner (see
+``dpa.network``).  With ``repeat`` above one, each size
 runs that many times, each on a freshly built network (compiled LTSs are
 cached on components), and the row reports the median and the minimum; so
 does the oracle, whose times include compiling the components, as a
@@ -79,6 +81,8 @@ def run_bench(
         row = {
             "size": size,
             "components": len(net),
+            "owners": sum(c._share is not None and c._share[1] is None
+                          for c in net.components),
             "dpa_seconds": median,
             "dpa_seconds_min": least,
             "build_seconds": build,

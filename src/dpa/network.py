@@ -10,8 +10,11 @@ quotiented by strong bisimulation, which is finer than the failures and
 revivals models and keeps divergence.
 
 Each compiled component is its owner's LTS (:class:`_Owner`; not an
-event's owners) renamed by an event map φ, or is its own owner.  The members of a :class:`_Family`,
-calls to one definition at values that only name events, share owners.
+event's owners) renamed by an event map φ, or is its own owner.  Owners
+are shared by the members of a :class:`_Family`, calls to one definition
+at values that only name events, and by the calls without arguments of
+one source shape (:class:`_Sources`), definitions written once per
+instance that are equal up to their event and definition names.
 Liveness, abstraction and divergence are judged once per owner.
 """
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .events import EVENTS, fmt_trace
 from .lts import (
@@ -45,6 +48,7 @@ from .terms import (
     IndexedChoice,
     IntChoice,
     Interrupt,
+    Lit,
     Prefix,
     Seq,
     Skip,
@@ -89,9 +93,10 @@ class Component:
     env: DefEnv = field(default_factory=lambda: EMPTY_ENV)
     lts: Lts | None = None  # precompiled behaviour (tests, abstractions)
     _compiled: Lts | None = field(default=None, repr=False)
-    # the family the network put it in, and, once compiled, (owner, φ): the
-    # owner's event -> its own, or None when it is its own owner
-    family: _Family | None = field(init=False, repr=False, compare=False)
+    # the _Family or _Sources the network put it in, and, once compiled,
+    # (owner, φ): the owner's event -> its own, or None when it is its own
+    # owner
+    family: _Family | _Sources | None = field(init=False, repr=False, compare=False)
     _share: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,10 +104,10 @@ class Component:
         self.family = self._share = None
 
     def compiled(self, limit: int = DEFAULT_STATE_LIMIT) -> Lts:
-        """The behaviour's LTS: renamed from the owner of its family
-        signature, or compiled once, when it owns that signature if no
-        member does yet; it is cached only after it has been checked
-        against the alphabet."""
+        """The behaviour's LTS: renamed from the owner of its signature,
+        or compiled once, when it owns that signature if no member does yet
+        and its events name every label it has; it is cached only after it
+        has been checked against the alphabet."""
         if self._compiled is not None:
             return self._compiled
         events = signature = None
@@ -127,7 +132,8 @@ class Component:
         except AlphabetViolation as exc:
             raise InputError(f"component '{self.name}' has {exc}") from exc
         owner = _Owner(lts, visible)
-        if signature is not None and signature not in self.family.owners:
+        if (signature is not None and signature not in self.family.owners
+                and visible.issubset(events)):
             owner.events, self.family.owners[signature] = events, owner
         self._share = (owner, None)
         self._compiled = lts
@@ -137,7 +143,7 @@ class Component:
 class _Owner:
     """A compiled LTS and the components that are it renamed.  ``events``
     are the labels φ maps, in the order φ is built from: the visible set
-    itself, or a family signature's events."""
+    itself, or a signature's events."""
 
     __slots__ = ("lts", "visible", "events", "abstractions", "live")
 
@@ -266,6 +272,124 @@ def _family(env: DefEnv, name: str, arity: int) -> _Family | None:
     return _Family(env, d, sites, choices)
 
 
+class _Sources:
+    """The components whose behaviour is a call without arguments, to
+    definitions written once per instance (``BusOff01``, ``BusOff10``).
+    Two calls of one source shape (:func:`_source_shape`) bind to ground
+    terms that differ only in their definition names and events, so their
+    LTSs are one LTS up to the event map φ that pairs their events
+    position by position, as a family's members are.  A member's events
+    are its fully literal events, then each head's completions over its
+    channel's remaining fields, looked up without interning; its signature
+    is its shape and their equality pattern, so φ is one-to-one.  A renamed
+    member binds nothing, so a value outside its channel's domain, which
+    only a branch that never fires can name, is interned only once the
+    member's states are named; no label is such an event."""
+
+    def __init__(self, env):
+        self.env = env
+        self.owners = {}  # signature -> its _Owner
+
+    def claim(self, comp: Component):
+        """``comp``'s events and signature, or ``(None, None)`` when it has
+        no source shape or one of its events is not interned."""
+        shape = _source_shape(self.env, comp.term.name)
+        if shape is None:
+            return None, None
+        key, ground, heads = shape
+        completions = (".".join([head, *map(str, values)])
+                       for head, domains in heads for values in product(*domains))
+        events = []
+        for name in chain(ground, completions):
+            e = EVENTS.lookup(name)
+            if e is None:
+                return None, None
+            events.append(e)
+        first = {}
+        return events, (key, tuple([first.setdefault(e, len(first)) for e in events]))
+
+
+def _source_shape(env: DefEnv, name: str):
+    """``(key, ground, heads)`` for a call to ``name`` without arguments,
+    from one preorder walk over the source definitions it reaches, each
+    looked up by (name, arity) when first reached; None where the walk
+    meets a call to no definition, a template whose field count is not its
+    channel's, or a term it does not know, Hide and Rename among them.
+
+    The key has one token per term.  A definition name is the position
+    where it is first reached.  A fully literal event (``on.0.1``) is its
+    position in ``ground``, the names in first-occurrence order.  A
+    template with a literal head (``snd.0.1?d``: its channel and leading
+    literal fields) is its head's position in ``heads``, each head with
+    its channel's remaining domains, and its channel, literal count and
+    remaining fields.  Parameters, guards, call arguments and
+    indexed-choice items are kept verbatim.  A term met again is the index
+    of its first token, so shared terms are walked once."""
+    positions = {(name, 0): 0}  # (name, arity) -> position, as first reached
+    order = [(name, 0)]
+    ground, heads = {}, {}  # name -> position; head -> (position, domains)
+    seen = {}  # term -> index of its token
+    key = []
+    for ref in order:  # grows while it is read
+        d = env.definitions.get(ref)
+        if d is None:
+            return None
+        key.append(d.params)
+        stack = [d.body]
+        while stack:
+            term = stack.pop()
+            if term in seen:
+                key.append(seen[term])
+                continue
+            seen[term] = len(key)
+            t = type(term)
+            if t is Prefix:
+                ev = term.event
+                if type(ev) is int:  # a ground event in a source term
+                    key.append((t, ground.setdefault(EVENTS.name(ev), len(ground))))
+                else:
+                    fields = ev.fields
+                    k = 0
+                    while k < len(fields) and type(fields[k]) is Lit:
+                        k += 1
+                    head = ".".join([ev.head, *(str(f.value) for f in fields[:k])])
+                    if k == len(fields):
+                        key.append((t, ground.setdefault(head, len(ground))))
+                    else:
+                        domains = env.channels.get(ev.head)
+                        if domains is None or len(domains) != len(fields):
+                            return None
+                        at = heads.setdefault(head, (len(heads), domains[k:]))[0]
+                        key.append((t, at, ev.head, k, fields[k:]))
+                stack.append(term.cont)
+            elif t is ExtChoice or t is IntChoice:
+                key.append((t, len(term.items)))
+                stack.extend(reversed(term.items))
+            elif t is Seq:
+                key.append(t)
+                stack.extend((term.second, term.first))
+            elif t is Interrupt:
+                key.append(t)
+                stack.extend((term.handler, term.body))
+            elif t is Guard:
+                key.append((t, term.cond))
+                stack.append(term.body)
+            elif t is IndexedChoice:
+                key.append((t, term.op, term.var, term.items))
+                stack.append(term.body)
+            elif t is Call:
+                ref = (term.name, len(term.args))
+                if ref not in positions:
+                    positions[ref] = len(order)
+                    order.append(ref)
+                key.append((t, positions[ref], term.args))
+            elif t is Stop or t is Skip or t is Div:
+                key.append(t)
+            else:
+                return None
+    return tuple(key), list(ground), [(h, domains) for h, (_, domains) in heads.items()]
+
+
 class _OwnTerms(Sequence):
     """A renamed member's state terms: those of the member compiled on its
     own, which numbers its states as the renaming does; compiled only when
@@ -313,13 +437,16 @@ class Network:
         self.abstractions: dict = {}  # component index -> abs_lts result
         # component index -> its entry in its owner's abstractions
         self.entries: dict = {}
+        # calls with arguments group by the definition they call, calls
+        # without by their environment, and then by source shape
         calls = {}
         for c in self.components:
-            if c.lts is None and c.family is None and type(c.term) is Call and c.term.args:
-                calls.setdefault((c.env, c.term.name, len(c.term.args)), []).append(c)
+            if c.lts is None and c.family is None and type(c.term) is Call:
+                arity = len(c.term.args)
+                calls.setdefault((c.env, c.term.name if arity else None, arity), []).append(c)
         for (env, name, arity), members in calls.items():
             if len(members) > 1:
-                family = _family(env, name, arity)
+                family = _family(env, name, arity) if arity else _Sources(env)
                 for c in members:
                     c.family = family
 

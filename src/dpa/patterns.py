@@ -633,7 +633,8 @@ class AdDescriptor:
         transport entity carries one connection, whose send and receive
         lists pair up and are not empty; every participant, and no other
         component, has a schedule that repeats no peer and names only, and
-        at least one, peers it is connected to."""
+        at least one, peers it is connected to; and every participant sends
+        on some connection."""
         linked = {}  # transport entity -> the connection it carries
 
         def check(pair, row):
@@ -667,6 +668,10 @@ class AdDescriptor:
             # with no peer the send/receive loop is SR = SR
             if not schedule[p]:
                 raise NonTotalMap(f"schedule of '{p}' names no peer it is connected to")
+            # with no outgoing connection both detect chains are SKIP, and
+            # the participant spec loops through SR /\ (SKIP |~| STOP) silently
+            if not any(i == p for (i, _j) in connections):
+                raise NonTotalMap(f"participant '{p}' has no outgoing connection")
         return desc
 
     @cached_property

@@ -59,6 +59,7 @@ class DpaReport:
     reasons: list
     timings: dict
     oracle: object | None = None
+    warnings: tuple = ()
 
     def to_json(self, net: Network):
         data = {
@@ -74,8 +75,8 @@ class DpaReport:
         data["subnetworks"] = [s.to_json() for s in self.subnetworks]
         if self.oracle is not None:
             data["oracle"] = self.oracle.to_json(net)
-        if net.warnings:
-            data["warnings"] = list(net.warnings)
+        if net.warnings or self.warnings:
+            data["warnings"] = [*net.warnings, *self.warnings]
         return data
 
     def summary(self) -> str:
@@ -102,6 +103,8 @@ class DpaReport:
                 lines.append(
                     f"  edge {c.names[0]} -- {c.names[1]}: {c.verdict}{note}"
                 )
+        for warn in self.warnings:
+            lines.append(f"warning: {warn}")
         for sub in self.subnetworks:
             if len(sub.components) == 1:
                 continue
@@ -137,7 +140,9 @@ class DpaReport:
 
 
 def _bind_descriptors(net: Network, subnetworks, descriptors):
-    """Match descriptors to subnetworks by component-name-set equality."""
+    """Match descriptors to subnetworks by component-name-set equality;
+    with a warning for each descriptor whose set decomposition has split
+    into two or more essential subnetworks, which leaves it unused."""
     outcome = {}
     for desc in descriptors:
         key = frozenset(desc.components())
@@ -147,18 +152,22 @@ def _bind_descriptors(net: Network, subnetworks, descriptors):
             )
         outcome[key] = desc
     bound = {}
-    used = set()
+    warnings = []
+    part = {}  # component name -> the names of its subnetwork
     for sub in subnetworks:
         names = frozenset(net[i].name for i in sub)
+        part.update(dict.fromkeys(names, names))
         if names in outcome:
-            bound[tuple(sorted(sub))] = outcome[names]
-            used.add(names)
+            bound[tuple(sorted(sub))] = outcome.pop(names)
     for key in outcome:
-        if key not in used:
+        parts = {part.get(name) for name in key}
+        if None in parts or frozenset().union(*parts) != key:
             raise InputError(
                 f"descriptor over {sorted(key)} matches no essential subnetwork"
             )
-    return bound
+        warnings.append(f"descriptor over {sorted(key)} is unused: decomposition "
+                        f"splits it into {len(parts)} essential subnetworks")
+    return bound, tuple(warnings)
 
 
 def run_dpa(
@@ -179,13 +188,14 @@ def run_dpa(
     timings["liveness"] = time.perf_counter() - t0
     decomposition = None
     subnetworks = []
+    warnings = ()
     if not liveness.live:
         reasons.append("network is not live; nothing can be concluded")
         overall = INCONCLUSIVE
         timings.update(bridges=0.0, conflicts=0.0, patterns=0.0)
     else:
         decomposition = decompose(net, state_limit, precheck_live=False, timings=timings)
-        binding = _bind_descriptors(net, decomposition.subnetworks, descriptors)
+        binding, warnings = _bind_descriptors(net, decomposition.subnetworks, descriptors)
         t0 = time.perf_counter()
         for sub in decomposition.subnetworks:
             names = [net[i].name for i in sub]
@@ -238,6 +248,7 @@ def run_dpa(
         reasons=reasons,
         timings=timings,
         oracle=oracle_result,
+        warnings=warnings,
     )
 
 

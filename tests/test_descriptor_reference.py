@@ -6,9 +6,10 @@ On the bundled and family descriptors, the 60 seeded descriptor mutants of
 `test_spec_shape_reference.py` and a seeded single-fault corpus, both must
 give equal descriptors, or the same exception class and message.  The
 documents whose reading deliberately changed are pinned instead: an
-unknown top-level or connection field and a `schema` that equals 1 without
-being the integer 1 are now rejected, and a missing connection field is
-named in a sentence.  Floors on what was compared keep the corpus from
+unknown top-level or connection field, a `schema` that equals 1 without
+being the integer 1 and an async-dynamic participant with no outgoing
+connection (whose spec would diverge) are now rejected, and a missing
+connection field is named in a sentence.  Floors on what was compared keep the corpus from
 passing by comparing nothing."""
 
 import copy
@@ -155,6 +156,11 @@ def _pinned(doc, reference):
     missing = reference[0] == "error" and re.fullmatch(r"'(\w+)'", reference[2])
     if missing:
         return "error", NonTotalMap, f"each connection needs a field {reference[2]}"
+    if reference[0] == "ok" and cls.pattern == "async-dynamic":
+        senders = {i for (i, _j) in reference[1].connections}
+        for p in reference[1].participants:
+            if p not in senders:
+                return "error", NonTotalMap, f"participant '{p}' has no outgoing connection"
     return None
 
 
@@ -193,5 +199,6 @@ def test_readers_match_reference():
     assert pinned[NonTotalMap, "unknown descriptor field _"] >= 100
     assert pinned[NonTotalMap, "unknown connection field _"] >= 100
     assert pinned[NonTotalMap, "each connection needs a field _"] >= 50
+    assert pinned[NonTotalMap, "participant _ has no outgoing connection"] >= 3
     assert pinned[DescriptorError, "unsupported descriptor schema 1.0"] >= 1
     assert pinned[DescriptorError, "unsupported descriptor schema True"] >= 1

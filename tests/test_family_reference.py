@@ -2,7 +2,8 @@
 component compiled and checked on its own.
 
 `network` groups the components that call one definition at event-only
-values into families, and a family's members by signature: the first
+values into families, and the calls without arguments by source shape,
+and either's members by signature: the first
 member of a signature compiled is compiled and owns it, every later one is
 the owner's LTS with its labels renamed, and liveness, abstraction and
 divergence are judged once per owner.  The reference is
@@ -45,7 +46,8 @@ from dpa.oracle import explore_global
 from dpa.patterns import check_pattern, parse_descriptor
 from dpa.report import PROVEN, run_dpa
 from dpa.semantics import component_deadlocks, first_tick_trace
-from dpa.terms import Call, DefEnv, Definition, Prefix, Var
+from dpa.terms import (
+    BinOp, Call, DefEnv, Definition, EventTemplate, IndexedChoice, Lit, Prefix, Var)
 
 HERE = Path(__file__).resolve().parent
 
@@ -207,6 +209,31 @@ def test_philosophers_300_renames_all_but_one_member_per_family():
     net = elaborate(parse_network(models.philosophers_source(300)))
     assert diff_network(net) == (
         [f"Phil.{i}" for i in range(1, 299)] + [f"Fork.{i}" for i in range(1, 300)])
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_leadership_renames_every_node_and_bus_from_the_first(n):
+    """Written once per instance, the nodes are one source shape and the
+    buses another."""
+    net = elaborate(parse_network(models.leadership_source(n)))
+    assert diff_network(net) == [c.name for c in net.components
+                                 if c.name not in ("Node.0", "Bus.0.1")]
+
+
+def test_a_leadership_run_compiles_two_owners_and_two_spec_shapes(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compile_term(*args)
+
+    for module in (dpa.network, dpa.patterns):
+        monkeypatch.setattr(module, "compile_term", counted)
+    net = elaborate(parse_network(models.leadership_source(7)))
+    desc = parse_descriptor(models.leadership_descriptor(7), net)
+    assert run_dpa(net, [desc]).overall == PROVEN
+    assert [args[1] for args in calls[:2]] == [Call("Node0"), Call("BusOff01")]
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -409,6 +436,102 @@ def test_members_whose_renaming_fails_compile_on_their_own(source, shared):
     assert diff_network(net) == shared
 
 
+GROUND_HEADER = """\
+version 1
+const N = 1
+channel a : {0..1}.{0..1}.{0..1}
+channel b : {0..1}.{0..2}
+channel c : {0..1}.{0..1}
+channel d : {0..1}.{1..3}
+channel e : {0..1}.{2, 1, 0}
+"""
+
+
+def grounded(definitions, alphabets):
+    """A model of the given definitions with one instance of each call in
+    ``alphabets``, which maps it to its alphabet."""
+    atoms = "".join(f"atom {p}A = alphabet {alpha} behaviour {p}\ninstance {p} = {p}A\n"
+                    for p, alpha in alphabets.items())
+    return GROUND_HEADER + definitions + atoms
+
+
+GROUND = {
+    # P's ground a.0.1.0 is also its head's a.0.1?d at d = 0, which Q's is
+    # not: a signature of its own; R overlaps as P does, and is renamed
+    "overlap": (grounded(
+        "P = a.0.1!0 -> P [] a.0.1?d -> c.0.d -> P\n"
+        "Q = a.1.0!1 -> Q [] a.0.0?d -> c.1.d -> Q\n"
+        "R = a.1.1!0 -> R [] a.1.1?d -> c.1.d -> R\n",
+        {"P": "{| a.0.1, c.0 |}", "Q": "{| a.1.0, a.0.0, c.1 |}", "R": "{| a.1.1, c.1 |}"}),
+        ["R"]),
+    # one literal each, over channels whose remaining fields have as many
+    # values, not the same ones: only P can take x == 0; R reads P's
+    # channel, and is renamed
+    "remaining-domains-differ": (grounded(
+        "P = b.0?x -> (x == 0 & P)\nQ = d.0?x -> (x == 0 & Q)\nR = b.1?x -> (x == 0 & R)\n",
+        {"P": "{| b.0 |}", "Q": "{| d.0 |}", "R": "{| b.1 |}"}), ["R"]),
+    # the same values in another order: the heads' completions pair b.0.0
+    # with e.0.2, which is not where y == 0 leads
+    "remaining-domains-reordered": (grounded(
+        "P = [] y : {0..2} @ b.0.y -> (y == 0 & P)\n"
+        "Q = [] y : {0..2} @ e.0.y -> (y == 0 & Q)\n"
+        "R = [] y : {0..2} @ b.1.y -> (y == 0 & R)\n",
+        {"P": "{| b.0 |}", "Q": "{| e.0 |}", "R": "{| b.1 |}"}), ["R"]),
+    "guards-differ": (grounded(
+        "P = N > 0 & a.0.0.0 -> P [] a.0.0.1 -> P\n"
+        "Q = N > 1 & a.1.0.0 -> Q [] a.1.0.1 -> Q\n",
+        {"P": "{| a.0.0 |}", "Q": "{| a.1.0 |}"}), []),
+    "call-arguments-differ": (grounded(
+        "P = a.0.0.0 -> PN(0)\nPN(x) = x == 0 & a.0.0.1 -> P [] x == 1 & a.0.1.1 -> P\n"
+        "Q = a.1.0.0 -> QN(1)\nQN(x) = x == 0 & a.1.0.1 -> Q [] x == 1 & a.1.1.1 -> Q\n",
+        {"P": "{| a.0 |}", "Q": "{| a.1 |}"}), []),
+    "hiding": (grounded(
+        "P = a.0.0.0 -> PH\nPH = (a.0.0.1 -> PH) \\ {a.0.0.1}\n"
+        "Q = a.1.0.0 -> QH\nQH = (a.1.0.1 -> QH) \\ {a.1.0.1}\n",
+        {"P": "{| a.0.0 |}", "Q": "{| a.1.0 |}"}), []),
+    "renaming": (grounded(
+        "P = a.0.0.0 -> PR\nPR = (a.0.0.1 -> PR) [[a.0.0.1 <- a.0.1.1]]\n"
+        "Q = a.1.0.0 -> QR\nQR = (a.1.0.1 -> QR) [[a.1.0.1 <- a.1.1.1]]\n",
+        {"P": "{| a.0 |}", "Q": "{| a.1 |}"}), []),
+}
+
+
+@pytest.mark.parametrize("source, shared", GROUND.values(), ids=GROUND.keys())
+def test_ground_definitions_share_only_a_source_shape(source, shared):
+    net = elaborate(parse_network(source))
+    assert all(c.family is not None for c in net.components)
+    assert diff_network(net) == shared
+    diff_network(elaborate(parse_network(source)), order=range(len(net) - 1, -1, -1))
+
+
+def test_a_ground_member_whose_image_leaves_its_alphabet_raises_as_compiling_would():
+    # S only interns a.1.0.0, in a shape of its own
+    source = grounded("P = a.0.0.0 -> P\nQ = a.1.0.0 -> Q\nS = a.1.0.0 -> a.1.0.0 -> S\n",
+                      {"P": "{ a.0.0.0 }", "Q": "{ a.0.0.0 }", "S": "{ a.1.0.0 }"})
+    net = elaborate(parse_network(source))
+    net[0].compiled()
+    member = net[1]
+    assert member.family.claim(member)[1] == net[0].family.claim(net[0])[1]
+    got = error_of(member.compiled)
+    assert got == error_of(plain(member).compiled)
+    assert got == (InputError, "component 'Q' has transitions outside the declared "
+                               "alphabet: a.1.0.0")
+    assert member._share is None
+
+
+def test_a_ground_owner_with_labels_outside_its_events_owns_no_signature():
+    """``a.(x + 1)`` over ``a``'s domain {0, 1} also makes ``a.2``, which no
+    completion of the head ``a`` names, so φ would not map it: each call
+    compiles on its own."""
+    env = DefEnv([Definition(p, (), IndexedChoice("[]", "x", (("field", "a", 0),), Prefix(
+        EventTemplate("a", (BinOp("+", Var("x"), Lit(1)),)), Call(p)))) for p in "PQ"])
+    env.channels = {"a": [[0, 1]]}
+    alphabet = frozenset(map(event, ["a.0", "a.1", "a.2"]))
+    net = Network([Component(p, alphabet, Call(p), env) for p in "PQ"])
+    assert net[0].family.claim(net[0])[1] == net[1].family.claim(net[1])[1] is not None
+    assert diff_network(net) == []
+
+
 def plain(comp):
     """The same component outside any family."""
     return Component(comp.name, comp.alphabet, comp.term, comp.env)
@@ -524,6 +647,9 @@ print(json.dumps([EVENTS.name(e) for e in range(len(EVENTS._names))]))
 INTERNING = [
     ("uninterned", adversarial("a.id -> c.id -> P(id)")),
     ("uninterned-late", adversarial("a.id -> c.fix(id + 1) -> P(id)", "{| a |}", "{0..3}")),
+    ("ground-uninterned", grounded("P = a.0.0.0 -> c.0.0 -> P\nQ = a.1.0.0 -> c.1.0 -> Q\n",
+                                   {"P": "{ a.0.0.0 }", "Q": "{ a.1.0.0 }"})),
+    *((name, source) for name, (source, _shared) in GROUND.items()),
 ]
 
 
@@ -539,4 +665,51 @@ def test_events_are_interned_in_the_same_order():
         )
         runs.append(json.loads(proc.stdout))
     assert len(runs[0]) > 100
+    assert runs[0] == runs[1]
+
+
+_RUN_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import bundled
+import dpa.network
+from dpa import models
+from dpa.dsl import elaborate, parse_network
+from dpa.events import EVENTS
+from dpa.patterns import parse_descriptor
+from dpa.report import run_dpa
+if sys.argv[2] == "alone":
+    dpa.network._source_shape = lambda env, name: None
+runs = []
+for name, build in bundled.BUNDLED.items():
+    pattern = name[:-len(".net")] + ".pattern.json"
+    if name.endswith(".net"):
+        doc = bundled.BUNDLED[pattern]() if pattern in bundled.BUNDLED else None
+        runs.append((build(), doc, True))
+runs += [(models.leadership_source(n), models.leadership_descriptor(n), False) for n in (3, 4)]
+summaries = []
+for source, doc, oracle in runs:
+    net = elaborate(parse_network(source))
+    descs = [] if doc is None else [parse_descriptor(doc, net)]
+    summaries.append(run_dpa(net, descs, with_oracle=oracle).summary())
+print(json.dumps([summaries, EVENTS._names]))
+"""
+
+
+def test_a_run_interns_events_as_compiling_each_ground_call_alone():
+    """Building and running each bundled model, with its descriptor and the
+    oracle, and leadership at 3 and 4 nodes gives the same summaries and
+    interns the same events in the same order whether or not calls without
+    arguments share owners by source shape."""
+    package_root = str(Path(dpa.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for mode in ("shared", "alone"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_SCRIPT, str(HERE), mode],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        runs.append(json.loads(proc.stdout))
+    assert len(runs[0][0]) == 8 and len(runs[0][1]) > 100
     assert runs[0] == runs[1]

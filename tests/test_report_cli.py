@@ -771,6 +771,10 @@ def _misspelt_acquire():
     ("client_server", {"pattern": "client-server", "connections": [CS_CONNECTION],
                        "responses": {"req10": ["res10"], "res10": []}},
      "responses names 'res10', which is no request"),
+    # its participant spec would loop through SR /\ (SKIP |~| STOP) silently
+    ("leadership", {"pattern": "async-dynamic", "connections": [AD_CONNECTION],
+                    "schedule": {"Node.0": ["Node.1"], "Node.1": ["Node.0"]}},
+     "participant 'Node.1' has no outgoing connection"),
     ("philosophers", {"schema": 2}, "unsupported descriptor schema 2"),
     ("philosophers", {"pattern": "ring"}, "unknown pattern 'ring'"),
     ("philosophers", {"connections": [RA_CONNECTION, {**RA_CONNECTION, "acquire": "pickup.0.1"}]},
@@ -798,7 +802,7 @@ def _misspelt_acquire():
         "transport-linked-twice", "send-receive-unpaired", "no-data-events",
         "no-schedule", "unconnected-schedule", "schedule-repeats-a-peer",
         "schedule-keyed-by-a-non-participant", "schedule-names-unconnected",
-        "responses-keyed-by-a-non-request",
+        "responses-keyed-by-a-non-request", "participant-without-outgoing-connection",
         "unsupported-schema", "unknown-pattern",
         "repeated-user-resource-pair", "repeated-client-server-pair",
         "repeated-sender-receiver-pair", "unknown-field", "misspelt-component-order",
@@ -975,6 +979,80 @@ def test_cli_bench_runs_each_family_at_its_least_size(capsys):
         (row,) = json.loads(capsys.readouterr().out)["rows"]
         assert row["proven"] is True
         assert row.get("oracle_result", "DeadlockFree") == "DeadlockFree"
+
+
+@pytest.mark.parametrize("spec, owners", [
+    ("leadership:7", 2), ("ringbuffer:12", 13), ("philosophers:2,50", 3)])
+def test_cli_bench_counts_the_components_compiled_on_their_own(capsys, spec, owners):
+    """Every leadership node and bus is renamed from one of two owners;
+    each ringbuffer cell compiles on its own; philosophers own Phil, APhil
+    and Fork."""
+    assert main(["bench", spec]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["owners"] for row in rows] == [owners] * len(rows)
+
+
+def _leadership_without_bus_01(model_dir):
+    """``leadership.net`` without ``Bus.0.1``: decomposition splits it at
+    two conflict-free bridges into three singleton subnetworks."""
+    text = "".join(line for line in (model_dir / "leadership.net").read_text()
+                   .splitlines(keepends=True) if "Bus01A" not in line)
+    (model_dir / "drop.net").write_text(text)
+    return str(model_dir / "drop.net")
+
+
+# a resource-allocation descriptor over the three components of drop.net
+OVER_DROP = {"schema": 1, "pattern": "resource-allocation", "connections": [
+    {"user": "Node.0", "resource": "Bus.1.0", "acquire": "rcv.1.0.0", "release": "to.1.0"},
+    {"user": "Node.1", "resource": "Bus.1.0", "acquire": "on.1.0", "release": "off.1.0"}],
+    "order": {"Node.0": ["Bus.1.0"], "Node.1": ["Bus.1.0"]}, "resource_order": ["Bus.1.0"]}
+
+
+def test_cli_check_reports_a_descriptor_decomposition_split_as_unused(model_dir, capsys):
+    model = _leadership_without_bus_01(model_dir)
+    descriptor = model_dir / "over_drop.json"
+    descriptor.write_text(json.dumps(OVER_DROP))
+    warning = ("descriptor over ['Bus.1.0', 'Node.0', 'Node.1'] is unused: "
+               "decomposition splits it into 3 essential subnetworks")
+    assert main(["check", model]) == 0
+    alone = capsys.readouterr().out
+    out_json = model_dir / "report.json"
+    assert main(["check", model, "--pattern", str(descriptor), "--json", str(out_json)]) == 0
+    out = capsys.readouterr().out
+    lines = alone.splitlines()
+    assert out.splitlines() == lines[:5] + [f"warning: {warning}"] + lines[5:]
+    assert lines[2:] == [
+        "decomposition: 2 bridge(s), 2 removed, 3 essential subnetwork(s)",
+        "  edge Node.0 -- Bus.1.0: conflict-free  [divergent abstraction: Node.0]",
+        "  edge Node.1 -- Bus.1.0: conflict-free",
+        "overall: PROVEN"]
+    data = json.loads(out_json.read_text())
+    assert data["overall"] == "proven" and data["warnings"] == [warning]
+    assert all("pattern" not in sub for sub in data["subnetworks"])
+    # the same set is no union of subnetworks of the whole network, which
+    # decomposition leaves as one
+    assert main(["check", str(model_dir / "leadership.net"), "--pattern", str(descriptor)]) == 2
+    assert capsys.readouterr().err == (
+        "error: descriptor over ['Bus.1.0', 'Node.0', 'Node.1'] matches no essential "
+        "subnetwork\n")
+
+
+def test_a_descriptor_over_part_of_a_subnetwork_keeps_its_input_error(model_dir):
+    """On drop.net, ``Node.1`` and ``Bus.1.0`` are two whole subnetworks,
+    so a descriptor over them is unused; one over part of the network that
+    decomposition leaves whole is an input error."""
+    net = net_of(Path(_leadership_without_bus_01(model_dir)).read_text())
+    doc = {**OVER_DROP, "connections": OVER_DROP["connections"][1:],
+           "order": {"Node.1": ["Bus.1.0"]}}
+    report = run_dpa(net, [parse_descriptor(doc, net)])
+    assert report.overall == PROVEN
+    assert report.warnings == ("descriptor over ['Bus.1.0', 'Node.1'] is unused: "
+                               "decomposition splits it into 2 essential subnetworks",)
+    whole = net_of(models.leadership_source(2))
+    with pytest.raises(InputError, match=r"^descriptor over \['Bus.1.0', 'Node.1'\] "
+                                         "matches no essential subnetwork$"):
+        run_dpa(whole, [parse_descriptor(doc, whole)])
+
 
 def test_oracle_witness_json_names_local_states(model_dir, tmp_path):
     sym = str(model_dir / "philosophers_symmetric.net")
