@@ -37,9 +37,11 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice, product
+from math import prod
 
 from .events import EVENTS, event
-from .network import Component, InputError, Network
+from .network import Component, InputError, Network, _family
 from .patterns import parse_descriptor
 from .terms import (
     BinOp,
@@ -690,14 +692,16 @@ class _Channels:
             names = [f"{n}.{v}" for n in names for v in values]
         return [event(e) for e in names]
 
-    def alphabet_plan(self, alphabet):
-        """``(fields, steps, checks, fault)`` for an atom's ``(mode,
-        template)`` list: the templates' distinct fields by position; per
-        template its format and the domains of the fields it leaves to
-        complete; the distinct (position, spelled domain) pairs to check,
-        None if a literal is outside its domain; and the error of the first
-        template that names no declared event, to raise once its fields
-        evaluate."""
+    def alphabet_plan(self, alphabet, body=None):
+        """``(fields, steps, checks, fault, member)`` for an atom's ``(mode,
+        template)`` list and, for a family member, its ``body``
+        (:func:`_member_body`), in one :func:`template_formats` pass: the
+        alphabet's distinct fields by position; per template its format and
+        the domains of the fields it leaves to complete; the distinct
+        (position, spelled domain) pairs to check, None if a literal is
+        outside its domain; the error of the first template that names no
+        declared event, to raise once its fields evaluate; and the member
+        plan :func:`_member_events` reads, None without a body."""
         templates, fault = [], None
         for mode, template in alphabet:
             templates.append(template)
@@ -711,16 +715,50 @@ class _Channels:
                 fault = RangeOverflow(f"channel '{head}' has {len(spelled)} fields, got {given}")
             if fault is not None:
                 break
-        fields, formats = template_formats(templates)
+        args, groups, sets = body or ((), (), ())
+        fields, formats = template_formats(templates + [t for _, ts in groups for t in ts])
+        own = len({f for t in templates for f in t.fields if type(f) is not Lit})
         steps, checks, inside = [], [], True
+        exact, size = {}, 0  # format of a template that completes no field -> its event's index
         for template, form in zip(templates[:len(templates) - (fault is not None)], formats):
             for f, domain in zip(template.fields, self.spelled[template.head]):
                 if type(f) is Lit:
                     inside = inside and str(f.value) in domain
                 else:
                     checks.append((fields[f], domain))
-            steps.append((form, self.domains[template.head][len(template.fields):]))
-        return fields, steps, list(dict.fromkeys(checks)) if inside else None, fault
+            rest = self.domains[template.head][len(template.fields):]
+            steps.append((form, rest))
+            if not rest:
+                exact.setdefault(form, size)
+            size += prod(map(len, rest))
+        plan = list(fields)[:own], steps, list(dict.fromkeys(checks)) if inside else None, fault
+        if body is None:
+            return *plan, None
+
+        def at(e):
+            return e if e is None else fields.setdefault(e, len(fields))
+
+        # a body field that is not the alphabet's is evaluated once per
+        # instance if a choice set or a template outside every choice reads
+        # it, and once per value of the choices it is under otherwise
+        sets = [[(kind, a, b) if kind == "field" else (kind, at(a), at(b)) for kind, a, b in items]
+                for items in sets]
+        once = {p for items in sets for kind, *ps in items if kind != "field" for p in ps}
+        once.update(fields[f] for scope, ts in groups if not scope for t in ts
+                    for f in t.fields if type(f) is not Lit)
+        once = sorted(p for p in once if p is not None and p >= own)
+        exprs, forms, member = list(fields), iter(formats[len(templates):]), []
+        for scope, ts in groups:
+            names = [Var(f"#{k}") for k in scope]
+            local = [p for p in dict.fromkeys(fields[f] for t in ts for f in t.fields
+                                              if type(f) is not Lit) if p >= own and p not in once]
+            member.append((scope, [v.name for v in names],
+                           [(p, names.index(exprs[p])) for p in local if exprs[p] in names],
+                           [(p, exprs[p]) for p in local if exprs[p] not in names],
+                           [(form, exact.get(form)) for form in islice(forms, len(ts))]))
+        args = [fields.get(a, own) for a in args]  # the call at alphabet fields, if it is one
+        return *plan, (None if max(args) >= own else args, [(p, exprs[p]) for p in once],
+                       sets, member, [None] * (len(exprs) - own))
 
     def check_input(self, head, position):
         """Reject an input ``?x`` at a field that channel ``head`` lacks."""
@@ -729,6 +767,85 @@ class _Channels:
             raise UnknownChannel(f"undeclared channel '{head}'")
         if position >= len(domains):
             raise RangeOverflow(f"channel '{head}' has no field {position}")
+
+
+def _substituted(expr, names):
+    """``expr`` with each variable in ``names`` replaced by its expression."""
+    t = type(expr)
+    if t is Var:
+        return names.get(expr.name, expr)
+    if t is BinOp:
+        return BinOp(expr.op, _substituted(expr.left, names), _substituted(expr.right, names))
+    if t is UnOp:
+        return UnOp(expr.op, _substituted(expr.operand, names))
+    if t is FunCall:
+        return FunCall(expr.name, tuple(_substituted(a, names) for a in expr.args))
+    return expr
+
+
+def _member_body(family, call: Call, env: DefEnv):
+    """``call``'s arguments, the body templates of ``family``'s definition
+    by the choices they are under, and its choice sets' items ``(kind, a,
+    b)``, with each parameter replaced by its argument and each choice
+    variable ``k`` by ``#k``, which no source spells, so that they read
+    what an alphabet reads: ``id`` (a free one reads the constant, or
+    nothing) and the constants.  A channel field item is its values."""
+    names = dict(zip(family.params, call.args))
+    if "id" not in names:
+        names["id"] = Lit(env.constants["id"]) if "id" in env.constants else Var("#id")
+    groups = []
+    for scope, templates in family.groups:
+        inner = {**names, **{family.choices[k].var: Var(f"#{k}") for k in scope}}
+        groups.append((scope, [EventTemplate(t.head, tuple(_substituted(f, inner) for f in t.fields))
+                               for t in templates]))
+
+    def item(kind, a, b=None):
+        if kind == "field":
+            return kind, env.channels[a][b], None
+        return kind, _substituted(a, names), b and _substituted(b, names)
+
+    return call.args, groups, [[item(*i) for i in choice.items] for choice in family.choices]
+
+
+def _member_events(plan, values, alphabet, bindings, env):
+    """A family member's body events at its instance, in group order, and
+    its choice sets' equality patterns, from its atom's member plan, its
+    alphabet field ``values`` (extended in place) and its ``alphabet``: a
+    template whose format is an exact alphabet template's is that event,
+    any other its name, to look up once every alphabet is interned.
+    ``(None, None)`` when a field does not evaluate."""
+    _args, once, sets, groups, pad = plan
+    vals = values
+    vals += pad
+    try:
+        for p, f in once:
+            vals[p] = eval_expr(f, bindings, env)
+        patterns, choices = [], []
+        for items in sets:
+            seq = []
+            for kind, a, b in items:
+                if kind == "value":
+                    seq.append(vals[a])
+                elif kind == "range":
+                    seq += range(vals[a], vals[b] + 1)
+                else:
+                    seq += a
+            first = {}
+            patterns.append(tuple([first.setdefault(v, len(first)) for v in seq]))
+            choices.append(first)
+        events = []
+        for scope, names, picks, local, forms in groups:
+            for combo in product(*[choices[k] for k in scope]):
+                for p, i in picks:
+                    vals[p] = combo[i]
+                if local:
+                    b = {**bindings, **dict(zip(names, combo))}
+                    for p, f in local:
+                        vals[p] = eval_expr(f, b, env)
+                events += [form.format(*vals) if at is None else alphabet[at] for form, at in forms]
+    except DslValueError:
+        return None, None
+    return events, tuple(patterns)
 
 
 def _evaluated(what, evaluate, *args):
@@ -762,6 +879,8 @@ def elaborate(decl: NetworkDecl) -> Network:
         env.define(d)
     atoms = {a.name: a for a in decl.atoms}
     plans = {}  # atom name -> its alphabet plan, made at its first instance
+    families = {}  # (name, arity) -> the family of calls to it, or None
+    members = {}  # family -> [(component, its body's events, its choices' patterns)]
     components = []
     warnings = []
     seen = set()
@@ -779,9 +898,17 @@ def elaborate(decl: NetworkDecl) -> Network:
         if not ids:
             warnings.append(f"instance '{inst.name}' has an empty id set")
             continue
+        call = atom.behaviour
         if atom.name not in plans:
-            plans[atom.name] = channels.alphabet_plan(atom.alphabet)
-        fields, steps, checks, fault = plans[atom.name]
+            family = None
+            if type(call) is Call and call.args:
+                ref = (call.name, len(call.args))
+                if ref not in families:
+                    families[ref] = _family(env, *ref)
+                family = families[ref]
+            body = None if family is None else _member_body(family, call, env)
+            plans[atom.name] = family, *channels.alphabet_plan(atom.alphabet, body)
+        family, fields, steps, checks, fault, member = plans[atom.name]
         for value, name in zip(ids, names):
             if name in seen:
                 raise DuplicateComponentName(
@@ -797,7 +924,8 @@ def elaborate(decl: NetworkDecl) -> Network:
                 raise fault
             spelled = [str(v) for v in values]
             alphabet = []
-            if checks is not None and all(spelled[p] in domain for p, domain in checks):
+            inside = checks is not None and all(spelled[p] in domain for p, domain in checks)
+            if inside:
                 for form, rest in steps:
                     if rest:
                         alphabet += channels.completions(form.format(*spelled), rest)
@@ -805,10 +933,22 @@ def elaborate(decl: NetworkDecl) -> Network:
                         alphabet.append(event(form.format(*spelled)))
             else:
                 outside = True  # reported once every instance has elaborated
-            term = _evaluated(f"behaviour of '{name}'", bind, atom.behaviour, bindings, env)
-            components.append(Component(name, frozenset(alphabet), term, env))
+            if member is not None and member[0] is not None:  # a call at alphabet fields
+                term = Call(call.name, tuple([values[p] for p in member[0]]))
+            else:
+                term = _evaluated(f"behaviour of '{name}'", bind, call, bindings, env)
+            comp = Component(name, frozenset(alphabet), term, env)
+            components.append(comp)
+            if member is not None and inside:
+                events, patterns = _member_events(member, values, alphabet, bindings, env)
+                members.setdefault(family, []).append((comp, events, patterns))
     if outside:
         raise InputError("component alphabets must lie inside sigma")
+    # a family of one is none; its members' events are looked up only now
+    for family, joined in members.items():
+        if len(joined) > 1:
+            for comp, events, patterns in joined:
+                family.join(comp, events, patterns)
     net = Network(components, sigma=channels)
     net.warnings = tuple(warnings)
     return net

@@ -12,9 +12,10 @@ revivals models and keeps divergence.
 Each compiled component is its owner's LTS (:class:`_Owner`; not an
 event's owners) renamed by an event map φ, or is its own owner.  Owners
 are shared by the members of a :class:`_Family`, calls to one definition
-at values that only name events, and by the calls without arguments of
-one source shape (:class:`_Sources`), definitions written once per
-instance that are equal up to their event and definition names.
+at values that only name events, which the elaborator forms, and by the
+calls without arguments of one source shape (:class:`_Sources`),
+definitions written once per instance that are equal up to their event
+and definition names.
 Liveness, abstraction and divergence are judged once per owner.
 """
 
@@ -41,7 +42,6 @@ from .terms import (
     Call,
     DefEnv,
     Div,
-    DslValueError,
     EMPTY_ENV,
     ExtChoice,
     Guard,
@@ -55,10 +55,7 @@ from .terms import (
     Stop,
     Term,
     Var,
-    eval_expr,
     expr_vars,
-    set_values,
-    template_formats,
 )
 
 
@@ -165,76 +162,53 @@ class _Family:
     to the event map φ that the body's event templates resolve to at the
     two values: the same states, numbered alike, with each label mapped.
 
-    Members are grouped by signature (:meth:`_resolve`).  The first member
-    of a signature compiled is its owner and compiles on its own.  Every
+    The elaborator forms a model's families and resolves each member's
+    events where it plans the member's alphabet (``dsl.elaborate``).
+    Members are grouped by signature (:meth:`join`).  The first member of
+    a signature compiled is its owner and compiles on its own.  Every
     later one is the owner's LTS renamed by φ, once φ maps the owner's
     visible events inside the member's alphabet and the limit admits the
     owner's states; otherwise the member compiles on its own."""
 
-    def __init__(self, env, definition, sites, choices):
-        self.env = env
-        self.params = definition.params
-        self.choices = choices  # the body's indexed choices
-        # the body's event templates, grouped by the choices they are under:
-        # (choice indices, their variables, the distinct fields, each a
-        # variable's name or an expression, and one format per template
-        # over the fields' positions, see template_formats)
-        groups = {}
-        for template, scope in sites:
-            groups.setdefault(scope, []).append(template)
-        self.groups = []
-        for scope, templates in groups.items():
-            names = tuple(choices[k].var for k in scope)
-            bound = set(self.params).union(names)
-            fields, formats = template_formats(templates)
-            fields = [f.name if type(f) is Var and f.name in bound else f for f in fields]
-            self.groups.append((scope, names, fields, formats))
+    def __init__(self, params, groups, choices):
+        self.params = params
+        # the body's event templates, grouped by the indices of the choices
+        # they are under, and the body's indexed choices
+        self.groups, self.choices = groups, choices
         self.owners = {}  # signature -> its _Owner
+        self.members = {}  # component name -> (events, signature)
 
-    def _resolve(self, args):
-        """The body's events at ``args``, each template at each value of the
-        choices it is under (None where the event is not interned), and
-        their signature (None then): the equality patterns of the choice
-        sets and of the events.  At one signature φ is one-to-one."""
-        env = self.env
-        bindings = dict(zip(self.params, args))
-        patterns, values = [], []
-        for choice in self.choices:
+    def join(self, comp: Component, events, patterns):
+        """Make ``comp`` a member whose body gives ``events`` at its
+        instance, each template at each value of the choices it is under
+        in group order, an id or a name looked up without interning (None
+        where it is not interned), and its choice sets the equality
+        ``patterns``; both are None where a field does not evaluate.  Its
+        signature is the patterns and the events' equality pattern (None
+        with a None event).  At one signature φ is one-to-one."""
+        comp.family = self
+        if events is not None:
+            events = [e if type(e) is int else EVENTS.lookup(e) for e in events]
             first = {}
-            patterns.append(tuple(first.setdefault(v, len(first))
-                                  for v in set_values(choice.items, bindings, env)))
-            values.append(first)
-        events = []
-        for scope, names, fields, formats in self.groups:
-            for combo in product(*(values[k] for k in scope)):
-                b = {**bindings, **dict(zip(names, combo))} if scope else bindings
-                vals = [b[f] if type(f) is str else eval_expr(f, b, env) for f in fields]
-                events.extend(EVENTS.lookup(form.format(*vals)) for form in formats)
-        if None in events:
-            return events, None
-        first = {}
-        pattern = tuple([first.setdefault(e, len(first)) for e in events])
-        return events, (tuple(patterns), pattern)
+            self.members[comp.name] = events, None if None in events else (
+                patterns, tuple([first.setdefault(e, len(first)) for e in events]))
 
     def claim(self, comp: Component):
-        """``comp``'s events and signature (see :meth:`_resolve`), or
-        ``(None, None)`` when its arguments do not evaluate."""
-        try:
-            return self._resolve(comp.term.args)
-        except DslValueError:
-            return None, None
+        """``comp``'s events and signature (see :meth:`join`), or ``(None,
+        None)`` when its body's fields do not evaluate at its instance."""
+        return self.members.get(comp.name, (None, None))
 
 
 def _family(env: DefEnv, name: str, arity: int) -> _Family | None:
     """The family of calls to ``name`` with ``arity`` arguments under
-    ``env``, or None when a parameter of that definition is not
-    event-only (or it has none)."""
+    ``env``, which its members then join, or None when a parameter of that
+    definition is not event-only (or it has none)."""
     d = env.definitions.get((name, arity))
     if d is None or not d.params:
         return None
     own = frozenset(d.params)
     self_call = tuple(Var(p) for p in d.params)
-    sites, choices = [], []
+    groups, choices = {}, []  # the event templates by the choices they are under
     stack = [(d.body, ())]
     while stack:
         term, scope = stack.pop()
@@ -243,7 +217,7 @@ def _family(env: DefEnv, name: str, arity: int) -> _Family | None:
         if t is Prefix:
             if type(term.event) is int:  # a ground event in a source term
                 return None
-            sites.append((term.event, scope))
+            groups.setdefault(scope, []).append(term.event)
             stack.append((term.cont, scope))
         elif t is IndexedChoice:
             outer = bound - own
@@ -269,7 +243,7 @@ def _family(env: DefEnv, name: str, arity: int) -> _Family | None:
                 return None
         elif t not in (Stop, Skip, Div):
             return None
-    return _Family(env, d, sites, choices)
+    return _Family(d.params, list(groups.items()), choices)
 
 
 class _Sources:
@@ -437,18 +411,17 @@ class Network:
         self.abstractions: dict = {}  # component index -> abs_lts result
         # component index -> its entry in its owner's abstractions
         self.entries: dict = {}
-        # calls with arguments group by the definition they call, calls
-        # without by their environment, and then by source shape
+        # calls without arguments group by their environment, and then by
+        # source shape; the elaborator forms the families of calls with them
         calls = {}
         for c in self.components:
-            if c.lts is None and c.family is None and type(c.term) is Call:
-                arity = len(c.term.args)
-                calls.setdefault((c.env, c.term.name if arity else None, arity), []).append(c)
-        for (env, name, arity), members in calls.items():
+            if c.lts is None and c.family is None and type(c.term) is Call and not c.term.args:
+                calls.setdefault(c.env, []).append(c)
+        for env, members in calls.items():
             if len(members) > 1:
-                family = _family(env, name, arity) if arity else _Sources(env)
+                sources = _Sources(env)
                 for c in members:
-                    c.family = family
+                    c.family = sources
 
     @cached_property
     def sigma(self) -> frozenset:

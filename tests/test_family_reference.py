@@ -27,10 +27,11 @@ import pytest
 
 import bundled
 import dpa
+import dpa.cli
 from conftest import random_live_network
 from dpa import models
 from dpa.dsl import elaborate, parse_network
-from dpa.events import event
+from dpa.events import EVENTS, event
 from dpa.lts import Lts, StateLimitExceeded, bisim_quotient, compile_term, hide_lts, rename_lts
 from dpa.network import (
     CompileFailure,
@@ -47,7 +48,7 @@ from dpa.patterns import check_pattern, parse_descriptor
 from dpa.report import PROVEN, run_dpa
 from dpa.semantics import component_deadlocks, first_tick_trace
 from dpa.terms import (
-    BinOp, Call, DefEnv, Definition, EventTemplate, IndexedChoice, Lit, Prefix, Var)
+    BinOp, Call, DefEnv, Definition, EventTemplate, FunCall, IndexedChoice, Lit, Prefix, Var)
 
 HERE = Path(__file__).resolve().parent
 
@@ -389,17 +390,20 @@ def adversarial(body, alphabet="{| a |}", ids="{0..2}", extra=""):
     )
 
 
-@pytest.mark.parametrize("source", [
-    adversarial("id == 0 & a.id -> P(id) [] a.id -> P(id)"),
-    adversarial("a.id -> P((id + 1) % 3)"),
-    adversarial("[] i : {id, 0} @ a.i -> P(i)"),
-    adversarial("([] id : {0, 1} @ a.id -> STOP) [] a.id -> P(id)"),
-    adversarial("[] i : {0..2} @ ([] j : {i} @ a.j -> P(id))"),
-    adversarial("(a.id -> P(id)) \\ {a.id}"),
-    adversarial("a.id -> Q(id)", extra="Q(id) = a.id -> P(id)\n"),
-], ids=["guard-reads-the-parameter", "self-call-changes-its-argument",
-        "call-passes-a-choice-variable", "choice-variable-shadows-the-parameter",
-        "choice-set-reads-a-choice-variable", "hiding", "call-to-another-definition"])
+NOT_EVENT_ONLY = {
+    "guard-reads-the-parameter": adversarial("id == 0 & a.id -> P(id) [] a.id -> P(id)"),
+    "self-call-changes-its-argument": adversarial("a.id -> P((id + 1) % 3)"),
+    "call-passes-a-choice-variable": adversarial("[] i : {id, 0} @ a.i -> P(i)"),
+    "choice-variable-shadows-the-parameter":
+        adversarial("([] id : {0, 1} @ a.id -> STOP) [] a.id -> P(id)"),
+    "choice-set-reads-a-choice-variable":
+        adversarial("[] i : {0..2} @ ([] j : {i} @ a.j -> P(id))"),
+    "hiding": adversarial("(a.id -> P(id)) \\ {a.id}"),
+    "call-to-another-definition": adversarial("a.id -> Q(id)", extra="Q(id) = a.id -> P(id)\n"),
+}
+
+
+@pytest.mark.parametrize("source", NOT_EVENT_ONLY.values(), ids=NOT_EVENT_ONLY.keys())
 def test_definitions_that_are_not_event_only_form_no_family(source):
     net = elaborate(parse_network(source))
     assert all(c.family is None for c in net.components)
@@ -415,25 +419,82 @@ def test_a_body_with_ground_events_forms_no_family():
     assert diff_network(net) == []
 
 
-@pytest.mark.parametrize("source, shared", [
+FALLING_BACK = {
     # {id, 1} collapses at id = 1
-    (adversarial("[] i : {id, 1} @ a.i -> b.i -> P(id)", "{| a, b |}"), ["P.2"]),
+    "choice-set-collapses":
+        (adversarial("[] i : {id, 1} @ a.i -> b.i -> P(id)", "{| a, b |}"), ["P.2"]),
     # a.id and a.1 coincide at id = 1, which would merge two states
-    (adversarial("b.id -> a.id -> P(id) [] c.id -> a.1 -> P(id)", "{| a, b.id, c.id |}"),
-     ["P.2"]),
+    "templates-coincide": (adversarial(
+        "b.id -> a.id -> P(id) [] c.id -> a.1 -> P(id)", "{| a, b.id, c.id |}"), ["P.2"]),
     # P.1 maps a.1 at both templates, a signature of its own: P.0 owns the
     # other one, and P.2 is renamed from it
-    (adversarial("b.id -> a.id -> P(id) [] c.id -> a.1 -> P(id)", "{| a, b.id, c.id |}",
-                 "{1, 0, 2}"), ["P.2"]),
+    "representative-templates-coincide": (adversarial(
+        "b.id -> a.id -> P(id) [] c.id -> a.1 -> P(id)", "{| a, b.id, c.id |}", "{1, 0, 2}"),
+        ["P.2"]),
     # {id, id % 2} collapses at ids 0 and 1: two signatures of two members
-    (adversarial("[] i : {id, id % 2} @ a.i -> b.i -> P(id)", "{| a, b |}", "{0..3}"),
-     ["P.1", "P.3"]),
-], ids=["choice-set-collapses", "templates-coincide", "representative-templates-coincide",
-        "two-signatures"])
+    "two-signatures": (adversarial(
+        "[] i : {id, id % 2} @ a.i -> b.i -> P(id)", "{| a, b |}", "{0..3}"), ["P.1", "P.3"]),
+}
+
+
+@pytest.mark.parametrize("source, shared", FALLING_BACK.values(), ids=FALLING_BACK.keys())
 def test_members_whose_renaming_fails_compile_on_their_own(source, shared):
     net = elaborate(parse_network(source))
     assert all(c.family is not None for c in net.components)
     assert diff_network(net) == shared
+
+
+EAGER_HEADER = """\
+version 1
+const N = 3
+channel a : {0..N-1}
+channel b : {0..10}
+channel dead : {0..3}
+"""
+B_READER = "Q = b?x -> Q\natom QA = alphabet {| b |} behaviour Q\ninstance Q = QA\n"
+
+# bodies whose fields the elaborator evaluates for every member, though
+# only a branch that never fires, or fires only where they evaluate, reads
+# them; and what ``dpa check`` makes of each: its exit code and output
+EAGER = {
+    # 10 / id fails at P.0 alone, which compiles on its own; P.2 is renamed
+    "zero-divisor-under-a-false-guard": (EAGER_HEADER + B_READER + (
+        "P(id) = a.id -> P(id) [] N > 5 & b.(10 / id) -> P(id)\n"
+        "atom PA = alphabet {| a.id |} behaviour P(id)\ninstance P = PA {0..N-1}\n"),
+        ["P.2"], 0, "liveness: ok\ndecomposition: 0 bridge(s), 0 removed, "
+        "4 essential subnetwork(s)\noverall: PROVEN\n"),
+    # the guard reads the parameter, so no family forms; the guard is false
+    # only at P.0, where the field fails, and P.1's b.10 leaves its alphabet
+    "zero-divisor-under-a-guard-on-id": (EAGER_HEADER + B_READER + (
+        "P(id) = a.id -> P(id) [] id > 0 & b.(10 / id) -> P(id)\n"
+        "atom PA = alphabet {| a.id |} behaviour P(id)\ninstance P = PA {0..N-1}\n"),
+        None, 2, "error: component 'P.1' has transitions outside the declared alphabet: "
+        "b.10\n"),
+    # dead.7 to dead.9 lie outside their channel, are never interned, and
+    # leave every member without a signature
+    "out-of-domain-event-in-a-dead-branch": (EAGER_HEADER + (
+        "P(id) = a.id -> P(id) [] N > 5 & dead.(id + 7) -> P(id)\n"
+        "atom PA = alphabet {| a.id |} behaviour P(id)\ninstance P = PA {0..N-1}\n"),
+        [], 0, "liveness: ok\ndecomposition: 0 bridge(s), 0 removed, "
+        "3 essential subnetwork(s)\noverall: PROVEN\n"),
+}
+
+
+@pytest.mark.parametrize("source, shared, code, output", EAGER.values(), ids=EAGER.keys())
+def test_planning_member_bodies_adds_no_error(tmp_path, capsys, source, shared, code, output):
+    net = elaborate(parse_network(source))
+    if shared is None:
+        assert all(c.family is None for c in net.components)
+    else:
+        assert all((c.family is not None) == (c.name != "Q") for c in net.components)
+        assert diff_network(net) == shared
+    assert all(EVENTS.lookup(f"dead.{v}") is None for v in range(7, 10))
+    path = tmp_path / "model.net"
+    path.write_text(source)
+    capsys.readouterr()
+    assert dpa.cli.main(["check", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err) == (f"model: {path}\n" if code == 0 else "") + output
 
 
 GROUND_HEADER = """\
@@ -572,42 +633,71 @@ def test_a_member_with_an_event_outside_its_alphabet_raises_as_compiling_would()
     assert member._share is None
 
 
-def test_an_internal_error_while_resolving_a_member_propagates(monkeypatch):
-    """Only a DSL value error makes a member compile on its own; any other
-    error in ``_resolve`` is a bug, and is not swallowed."""
-    net = elaborate(parse_network(models.philosophers_source(3)))
-    net[0].compiled()
+def test_an_internal_error_while_planning_a_member_propagates(monkeypatch):
+    """Only a DSL value error in a member's body fields makes it compile on
+    its own; any other error while the elaborator evaluates them is a bug,
+    and is not swallowed.  ``b.fix(id)`` is a field of the body alone."""
+    source = adversarial("a.id -> b.fix(id) -> P(id)", "{| a.id, b |}")
+    net = elaborate(parse_network(source))
+    assert net[1].family.claim(net[1])[1] is not None
+    original = dpa.dsl.eval_expr
 
-    def broken(self, args):
-        raise RuntimeError("bug in _resolve")
+    def broken(expr, bindings, env):
+        if type(expr) is FunCall and expr.name == "fix":
+            raise RuntimeError("bug in a member's fields")
+        return original(expr, bindings, env)
 
-    monkeypatch.setattr(type(net[1].family), "_resolve", broken)
-    with pytest.raises(RuntimeError, match="bug in _resolve"):
-        net[1].compiled()
+    monkeypatch.setattr(dpa.dsl, "eval_expr", broken)
+    with pytest.raises(RuntimeError, match="bug in a member's fields"):
+        elaborate(parse_network(source))
+
+
+def counted_evaluations(monkeypatch):
+    """The expressions ``terms.eval_expr`` evaluates from now on."""
+    calls = []
+    original = dpa.terms.eval_expr
+
+    def counted(expr, bindings, env):
+        calls.append(expr)
+        return original(expr, bindings, env)
+
+    monkeypatch.setattr(dpa.terms, "eval_expr", counted)
+    return calls
 
 
 @pytest.mark.parametrize("source", [
     models.philosophers_source(4),
     # P.1 and P.3 fall back and compile on their own
-    adversarial("[] i : {id, id % 2} @ a.i -> b.i -> P(id)", "{| a, b |}", "{0..3}"),
+    FALLING_BACK["two-signatures"][0],
 ], ids=["philosophers", "two-signatures"])
-def test_each_member_compile_resolves_its_events_once(monkeypatch, source):
-    """Owners, renamed members and members that fall back alike."""
+def test_a_renamed_member_compile_evaluates_nothing(monkeypatch, source):
+    """Owners and members that fall back bind their terms; a renamed member
+    reads the events the elaborator left it."""
     net = elaborate(parse_network(source))
     members = [c for c in net.components if c.family is not None]
-    family, resolved = type(members[0].family), []
-    original = family._resolve
+    claims = {c.name: c.family.claim(c) for c in members}
+    calls = counted_evaluations(monkeypatch)
+    for comp in net.components:
+        before = len(calls)
+        comp.compiled()
+        comp.compiled()
+        assert (len(calls) == before) == renamed(comp), comp.name
+    assert any(renamed(c) for c in members)
+    assert {c.name: c.family.claim(c) for c in members} == claims
 
-    def counted(self, args):
-        resolved.append(args)
-        return original(self, args)
 
-    monkeypatch.setattr(family, "_resolve", counted)
+def test_philosophers_300_members_compile_without_evaluating(monkeypatch):
+    net = elaborate(parse_network(models.philosophers_source(300)))
+    owners = [net[0], net[299], net[300]]  # Phil.0, APhil.299 and Fork.0
+    for comp in owners:
+        comp.compiled()
+    calls = counted_evaluations(monkeypatch)
+    net[1].compiled()
+    assert renamed(net[1]) and calls == []
     for comp in net.components:
         comp.compiled()
-        comp.compiled()
-    assert resolved == [c.term.args for c in members]
-    assert any(renamed(c) for c in members)
+    assert calls == []
+    assert [c for c in net.components if not renamed(c)] == owners
 
 
 def test_member_terms_read_like_a_sequence():
@@ -650,6 +740,7 @@ INTERNING = [
     ("ground-uninterned", grounded("P = a.0.0.0 -> c.0.0 -> P\nQ = a.1.0.0 -> c.1.0 -> Q\n",
                                    {"P": "{ a.0.0.0 }", "Q": "{ a.1.0.0 }"})),
     *((name, source) for name, (source, _shared) in GROUND.items()),
+    *((name, source) for name, (source, *_outcome) in EAGER.items()),
 ]
 
 
