@@ -2,7 +2,7 @@
 
 Exit codes: 0 when deadlock freedom was proven (or the subcommand's check
 passed), 1 when the analysis is inconclusive or found a problem, 2 on input
-errors.
+errors, 3 on internal errors (bugs).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .bench import parse_bench_spec, run_bench
 from .decomposition import CONFLICT_FREE, check_conflict_free, decompose
@@ -26,6 +27,7 @@ from .terms import DslValueError
 EXIT_PROVEN = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _positive_int(text):
@@ -134,19 +136,21 @@ def main(argv=None) -> int:
     except (InputError, NotLive, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (StateLimitExceeded, CompileFailure) as exc:
-        # a component that outgrows the limit while compiling is the same
+    except Exception as exc:
+        # a component that outgrows the limit, even while compiling, is a
         # user-fixable problem, and so is a model mistake (an unbound
-        # variable, an undefined process) met while compiling; any other
-        # compile failure is a bug
+        # variable, an undefined process) met while compiling; anything
+        # else is a bug
         cause = exc.cause if isinstance(exc, CompileFailure) else exc
-        if isinstance(cause, DslValueError):
-            print(f"error: {exc}", file=sys.stderr)
-        elif isinstance(cause, StateLimitExceeded):
+        if isinstance(cause, StateLimitExceeded):
             print(f"error: {exc} (raise --state-limit)", file=sys.stderr)
-        else:
-            raise
-        return EXIT_INPUT_ERROR
+            return EXIT_INPUT_ERROR
+        if cause is not exc and isinstance(cause, DslValueError):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exception(exc)
+        return EXIT_INTERNAL_ERROR
 
 
 def _dispatch(args) -> int:

@@ -41,7 +41,7 @@ from itertools import islice, product
 from math import prod
 
 from .events import EVENTS, event
-from .network import Component, InputError, Network, _family
+from .network import Component, InputError, Network, _Family, _shape
 from .patterns import parse_descriptor
 from .terms import (
     BinOp,
@@ -71,6 +71,7 @@ from .terms import (
     eval_expr,
     expr_vars,
     set_values,
+    substituted,
     template_formats,
 )
 
@@ -769,42 +770,48 @@ class _Channels:
             raise RangeOverflow(f"channel '{head}' has no field {position}")
 
 
-def _substituted(expr, names):
-    """``expr`` with each variable in ``names`` replaced by its expression."""
-    t = type(expr)
-    if t is Var:
-        return names.get(expr.name, expr)
-    if t is BinOp:
-        return BinOp(expr.op, _substituted(expr.left, names), _substituted(expr.right, names))
-    if t is UnOp:
-        return UnOp(expr.op, _substituted(expr.operand, names))
-    if t is FunCall:
-        return FunCall(expr.name, tuple(_substituted(a, names) for a in expr.args))
-    return expr
-
-
-def _member_body(family, call: Call, env: DefEnv):
-    """``call``'s arguments, the body templates of ``family``'s definition
-    by the choices they are under, and its choice sets' items ``(kind, a,
-    b)``, with each parameter replaced by its argument and each choice
-    variable ``k`` by ``#k``, which no source spells, so that they read
-    what an alphabet reads: ``id`` (a free one reads the constant, or
-    nothing) and the constants.  A channel field item is its values."""
-    names = dict(zip(family.params, call.args))
-    if "id" not in names:
-        names["id"] = Lit(env.constants["id"]) if "id" in env.constants else Var("#id")
-    groups = []
-    for scope, templates in family.groups:
-        inner = {**names, **{family.choices[k].var: Var(f"#{k}") for k in scope}}
-        groups.append((scope, [EventTemplate(t.head, tuple(_substituted(f, inner) for f in t.fields))
-                               for t in templates]))
+def _member_body(shape, call: Call, env: DefEnv):
+    """``call``'s arguments and its sharing ``shape``'s templates by the
+    choices they are under and choice sets' items ``(kind, a, b)``, each
+    parameter's symbol replaced by its argument, so that they read what an
+    alphabet reads: ``id`` and the constants.  A channel field is its
+    values."""
+    _key, _verbatim, groups, choices = shape
+    names = {f"#p{j}": a for j, a in enumerate(call.args)}
 
     def item(kind, a, b=None):
         if kind == "field":
             return kind, env.channels[a][b], None
-        return kind, _substituted(a, names), b and _substituted(b, names)
+        return kind, substituted(a, names), b and substituted(b, names)
 
-    return call.args, groups, [[item(*i) for i in choice.items] for choice in family.choices]
+    return call.args, [
+        (scope, [EventTemplate(t.head, tuple(substituted(f, names) for f in t.fields))
+                 for t in templates]) for scope, templates in groups
+    ], [[item(*i) for i in items] for items in choices]
+
+
+def _fixed_events(shape, env):
+    """The events of every call whose sharing ``shape`` leaves no parameter
+    symbolic, in :func:`_member_events`' order, and no choice patterns,
+    since the key holds each set; ``(None, None)`` if a field fails."""
+    _key, _verbatim, groups, choices = shape
+    try:
+        values = [dict.fromkeys(set_values(items, {}, env)) for items in choices]
+        events = []
+        for scope, templates in groups:
+            # the choices' values are the first fields, so a template that
+            # reads nothing else is formatted straight from their values
+            names = [Var(f"#{k}") for k in scope]
+            fields, formats = template_formats(templates, dict(zip(names, range(len(scope)))))
+            rest = list(fields)[len(scope):]
+            for combo in product(*[values[k] for k in scope]):
+                if rest:
+                    b = {v.name: value for v, value in zip(names, combo)}
+                    combo += tuple([eval_expr(f, b, env) for f in rest])
+                events += [form.format(*combo) for form in formats]
+    except DslValueError:
+        return None, None
+    return events, ()
 
 
 def _member_events(plan, values, alphabet, bindings, env):
@@ -879,8 +886,9 @@ def elaborate(decl: NetworkDecl) -> Network:
         env.define(d)
     atoms = {a.name: a for a in decl.atoms}
     plans = {}  # atom name -> its alphabet plan, made at its first instance
-    families = {}  # (name, arity) -> the family of calls to it, or None
-    members = {}  # family -> [(component, its body's events, its choices' patterns)]
+    shapes = {}  # (name, arity) -> the sharing walk of the calls to it, or None
+    keys = {}  # a walk's key -> its index
+    members = {}  # (key index, verbatim values) -> [(component, events, patterns)]
     components = []
     warnings = []
     seen = set()
@@ -900,15 +908,19 @@ def elaborate(decl: NetworkDecl) -> Network:
             continue
         call = atom.behaviour
         if atom.name not in plans:
-            family = None
-            if type(call) is Call and call.args:
+            shape = group = body = None
+            if type(call) is Call:
                 ref = (call.name, len(call.args))
-                if ref not in families:
-                    families[ref] = _family(env, *ref)
-                family = families[ref]
-            body = None if family is None else _member_body(family, call, env)
-            plans[atom.name] = family, *channels.alphabet_plan(atom.alphabet, body)
-        family, fields, steps, checks, fault, member = plans[atom.name]
+                if ref not in shapes:
+                    shapes[ref] = _shape(env, *ref)
+                shape = shapes[ref]
+            if shape is not None:
+                # with no parameter left symbolic, every call names the same events
+                fixed = len(shape[1]) == len(call.args) and _fixed_events(shape, env)
+                body = None if fixed else _member_body(shape, call, env)
+                group = keys.setdefault(shape[0], len(keys)), shape[1], fixed
+            plans[atom.name] = group, *channels.alphabet_plan(atom.alphabet, body)
+        group, fields, steps, checks, fault, member = plans[atom.name]
         for value, name in zip(ids, names):
             if name in seen:
                 raise DuplicateComponentName(
@@ -939,14 +951,17 @@ def elaborate(decl: NetworkDecl) -> Network:
                 term = _evaluated(f"behaviour of '{name}'", bind, call, bindings, env)
             comp = Component(name, frozenset(alphabet), term, env)
             components.append(comp)
-            if member is not None and inside:
-                events, patterns = _member_events(member, values, alphabet, bindings, env)
-                members.setdefault(family, []).append((comp, events, patterns))
+            if group is not None and inside:
+                kid, verbatim, fixed = group
+                events, patterns = fixed or _member_events(member, values, alphabet, bindings, env)
+                members.setdefault((kid, tuple([term.args[j] for j in verbatim])), []).append(
+                    (comp, events, patterns))
     if outside:
         raise InputError("component alphabets must lie inside sigma")
     # a family of one is none; its members' events are looked up only now
-    for family, joined in members.items():
+    for joined in members.values():
         if len(joined) > 1:
+            family = _Family()
             for comp, events, patterns in joined:
                 family.join(comp, events, patterns)
     net = Network(components, sigma=channels)

@@ -11,12 +11,11 @@ revivals models and keeps divergence.
 
 Each compiled component is its owner's LTS (:class:`_Owner`; not an
 event's owners) renamed by an event map φ, or is its own owner.  Owners
-are shared by the members of a :class:`_Family`, calls to one definition
-at values that only name events, which the elaborator forms, and by the
-calls without arguments of one source shape (:class:`_Sources`),
-definitions written once per instance that are equal up to their event
-and definition names.
-Liveness, abstraction and divergence are judged once per owner.
+are shared by the members of a :class:`_Family`: the calls that one
+sharing walk per called definition, made when ``dsl.elaborate`` plans
+each atom, finds equal up to their event and definition names and the
+values of parameters that only name events.  Liveness, abstraction and
+divergence are judged once per owner.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import combinations
 
 from .events import EVENTS, fmt_trace
 from .lts import (
@@ -43,6 +42,7 @@ from .terms import (
     DefEnv,
     Div,
     EMPTY_ENV,
+    EventTemplate,
     ExtChoice,
     Guard,
     IndexedChoice,
@@ -56,6 +56,8 @@ from .terms import (
     Term,
     Var,
     expr_vars,
+    free_vars,
+    substituted,
 )
 
 
@@ -90,10 +92,9 @@ class Component:
     env: DefEnv = field(default_factory=lambda: EMPTY_ENV)
     lts: Lts | None = None  # precompiled behaviour (tests, abstractions)
     _compiled: Lts | None = field(default=None, repr=False)
-    # the _Family or _Sources the network put it in, and, once compiled,
-    # (owner, φ): the owner's event -> its own, or None when it is its own
-    # owner
-    family: _Family | _Sources | None = field(init=False, repr=False, compare=False)
+    # the _Family the elaborator put it in, and, once compiled, (owner, φ):
+    # the owner's event -> its own, or None when it is its own owner
+    family: _Family | None = field(init=False, repr=False, compare=False)
     _share: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -152,40 +153,29 @@ class _Owner:
 
 
 class _Family:
-    """The components whose behaviour is a call to one definition ``P``
-    whose parameters are event-only: each occurs only in prefix event
-    fields, in the sets of indexed choices (whose own variables occur only
-    in event fields) and as the unchanged argument of ``P``'s calls, which
-    are all to itself.  Bound at two such values, ``P``'s body gives two
-    terms that differ only in their events (a renaming of names, as
-    scalarsets are; Ip and Dill, FMSD 1996), so their LTSs are one LTS up
-    to the event map φ that the body's event templates resolve to at the
-    two values: the same states, numbered alike, with each label mapped.
+    """Calls that ``dsl.elaborate`` finds of one sharing shape (``_shape``)
+    at equal values of their verbatim parameters: their definitions are
+    equal up to the names of their events and definitions and the values
+    of the parameters that only name events, a renaming of names as
+    scalarsets are (Ip and Dill, FMSD 1996).  A member's signature is the
+    equality pattern of its events, so φ, which pairs an owner's events
+    with a member's position by position, is one-to-one: the same states,
+    numbered alike, with each label mapped.  The first member of a
+    signature compiled owns it; every later one is the owner's LTS renamed
+    by φ, once φ maps the owner's visible events inside its alphabet and
+    the limit admits the owner's states, or else compiles on its own."""
 
-    The elaborator forms a model's families and resolves each member's
-    events where it plans the member's alphabet (``dsl.elaborate``).
-    Members are grouped by signature (:meth:`join`).  The first member of
-    a signature compiled is its owner and compiles on its own.  Every
-    later one is the owner's LTS renamed by φ, once φ maps the owner's
-    visible events inside the member's alphabet and the limit admits the
-    owner's states; otherwise the member compiles on its own."""
-
-    def __init__(self, params, groups, choices):
-        self.params = params
-        # the body's event templates, grouped by the indices of the choices
-        # they are under, and the body's indexed choices
-        self.groups, self.choices = groups, choices
+    def __init__(self):
         self.owners = {}  # signature -> its _Owner
         self.members = {}  # component name -> (events, signature)
 
     def join(self, comp: Component, events, patterns):
         """Make ``comp`` a member whose body gives ``events`` at its
-        instance, each template at each value of the choices it is under
-        in group order, an id or a name looked up without interning (None
+        instance, each an id or a name looked up without interning (None
         where it is not interned), and its choice sets the equality
         ``patterns``; both are None where a field does not evaluate.  Its
         signature is the patterns and the events' equality pattern (None
-        with a None event).  At one signature φ is one-to-one."""
+        with a None event)."""
         comp.family = self
         if events is not None:
             events = [e if type(e) is int else EVENTS.lookup(e) for e in events]
@@ -199,169 +189,146 @@ class _Family:
         return self.members.get(comp.name, (None, None))
 
 
-def _family(env: DefEnv, name: str, arity: int) -> _Family | None:
-    """The family of calls to ``name`` with ``arity`` arguments under
-    ``env``, which its members then join, or None when a parameter of that
-    definition is not event-only (or it has none)."""
-    d = env.definitions.get((name, arity))
-    if d is None or not d.params:
-        return None
-    own = frozenset(d.params)
-    self_call = tuple(Var(p) for p in d.params)
-    groups, choices = {}, []  # the event templates by the choices they are under
-    stack = [(d.body, ())]
-    while stack:
-        term, scope = stack.pop()
-        t = type(term)
-        bound = own.union(choices[k].var for k in scope)
-        if t is Prefix:
-            if type(term.event) is int:  # a ground event in a source term
+def _shape(env: DefEnv, name: str, arity: int):
+    """``(key, verbatim, groups, choices)`` of the calls to ``name`` with
+    ``arity`` arguments: one walk over the source definitions they reach,
+    the called one's parameters left symbolic (``#pj`` for index ``j``);
+    None at a call to no definition, a Hide or Rename, or a template field
+    that ranges over a channel it does not fit.
+
+    A parameter read anywhere but in event fields, choice sets and
+    unchanged self-calls (so not data independent; Lazić, DPhil thesis,
+    Oxford 1999) is ``verbatim``: its value joins a call's group,
+    and it is opaque (``@x``), as the reached definitions' parameters are.
+    A choice over a set that reads no choice's or opaque variable is one of
+    ``choices``, its variable ``#k`` for its index; any other is opaque.
+    What decides an opaque value reads only verbatim parameters.  A
+    template field that reads an opaque variable ranges over its channel's
+    field, as one more choice.  ``groups`` holds the templates so
+    rewritten by the choices they are under.
+
+    The key has a token per term: a definition as the position where it is
+    first reached, a template as its opaque fields, and guards, choice sets
+    and call arguments as written but for the symbols.  A choice or a
+    branching term met again whose variables mean the same, under the same
+    choices if it reads any, is the index of its first token."""
+    top, verbatim = (name, arity), set()
+    base = {"id": Lit(env.constants["id"]) if "id" in env.constants else Var("#id")}
+    symbols = [Var(f"#p{j}") for j in range(arity)]
+
+    def reads(*exprs):
+        """The highest kind of symbol ``exprs`` read (1 a choice's, 2 an
+        opaque one) and the parameters they depend on."""
+        level, params = 0, set()
+        for v in set().union(*map(expr_vars, exprs)):
+            k, ps = kinds.get(v, (0, ()))
+            level = max(level, k)
+            params.update(ps)
+        return level, params
+
+    def opaque(var):
+        kinds["@" + var] = 2, ()
+        return Var("@" + var)
+
+    while True:
+        positions, order, bad = {top: 0}, [top], set()
+        key, groups, choices, seen, kinds = [], {}, [], {}, {}
+        for ref in order:  # grows while it is read
+            d = env.definitions.get(ref)
+            if d is None:
                 return None
-            groups.setdefault(scope, []).append(term.event)
-            stack.append((term.cont, scope))
-        elif t is IndexedChoice:
-            outer = bound - own
-            if term.var in bound or any(
-                expr_vars(e) & outer
-                for kind, *exprs in term.items if kind != "field" for e in exprs
-            ):
-                return None
-            choices.append(term)
-            stack.append((term.body, scope + (len(choices) - 1,)))
-        elif t is Guard:
-            if expr_vars(term.cond) & bound:
-                return None
-            stack.append((term.body, scope))
-        elif t is ExtChoice or t is IntChoice:
-            stack.extend((item, scope) for item in term.items)
-        elif t is Seq:
-            stack.extend(((term.first, scope), (term.second, scope)))
-        elif t is Interrupt:
-            stack.extend(((term.body, scope), (term.handler, scope)))
-        elif t is Call:
-            if term.name != name or term.args != self_call:
-                return None
-        elif t not in (Stop, Skip, Div):
-            return None
-    return _Family(d.params, list(groups.items()), choices)
-
-
-class _Sources:
-    """The components whose behaviour is a call without arguments, to
-    definitions written once per instance (``BusOff01``, ``BusOff10``).
-    Two calls of one source shape (:func:`_source_shape`) bind to ground
-    terms that differ only in their definition names and events, so their
-    LTSs are one LTS up to the event map φ that pairs their events
-    position by position, as a family's members are.  A member's events
-    are its fully literal events, then each head's completions over its
-    channel's remaining fields, looked up without interning; its signature
-    is its shape and their equality pattern, so φ is one-to-one.  A renamed
-    member binds nothing, so a value outside its channel's domain, which
-    only a branch that never fires can name, is interned only once the
-    member's states are named; no label is such an event."""
-
-    def __init__(self, env):
-        self.env = env
-        self.owners = {}  # signature -> its _Owner
-
-    def claim(self, comp: Component):
-        """``comp``'s events and signature, or ``(None, None)`` when it has
-        no source shape or one of its events is not interned."""
-        shape = _source_shape(self.env, comp.term.name)
-        if shape is None:
-            return None, None
-        key, ground, heads = shape
-        completions = (".".join([head, *map(str, values)])
-                       for head, domains in heads for values in product(*domains))
-        events = []
-        for name in chain(ground, completions):
-            e = EVENTS.lookup(name)
-            if e is None:
-                return None, None
-            events.append(e)
-        first = {}
-        return events, (key, tuple([first.setdefault(e, len(first)) for e in events]))
-
-
-def _source_shape(env: DefEnv, name: str):
-    """``(key, ground, heads)`` for a call to ``name`` without arguments,
-    from one preorder walk over the source definitions it reaches, each
-    looked up by (name, arity) when first reached; None where the walk
-    meets a call to no definition, a template whose field count is not its
-    channel's, or a term it does not know, Hide and Rename among them.
-
-    The key has one token per term.  A definition name is the position
-    where it is first reached.  A fully literal event (``on.0.1``) is its
-    position in ``ground``, the names in first-occurrence order.  A
-    template with a literal head (``snd.0.1?d``: its channel and leading
-    literal fields) is its head's position in ``heads``, each head with
-    its channel's remaining domains, and its channel, literal count and
-    remaining fields.  Parameters, guards, call arguments and
-    indexed-choice items are kept verbatim.  A term met again is the index
-    of its first token, so shared terms are walked once."""
-    positions = {(name, 0): 0}  # (name, arity) -> position, as first reached
-    order = [(name, 0)]
-    ground, heads = {}, {}  # name -> position; head -> (position, domains)
-    seen = {}  # term -> index of its token
-    key = []
-    for ref in order:  # grows while it is read
-        d = env.definitions.get(ref)
-        if d is None:
-            return None
-        key.append(d.params)
-        stack = [d.body]
-        while stack:
-            term = stack.pop()
-            if term in seen:
-                key.append(seen[term])
-                continue
-            seen[term] = len(key)
-            t = type(term)
-            if t is Prefix:
-                ev = term.event
-                if type(ev) is int:  # a ground event in a source term
-                    key.append((t, ground.setdefault(EVENTS.name(ev), len(ground))))
+            key.append(d.params)
+            scope = dict(base)
+            for j, p in enumerate(d.params):
+                if ref == top and j not in verbatim:
+                    scope[p] = symbols[j]
+                    kinds[symbols[j].name] = 0, (j,)
                 else:
-                    fields = ev.fields
-                    k = 0
-                    while k < len(fields) and type(fields[k]) is Lit:
-                        k += 1
-                    head = ".".join([ev.head, *(str(f.value) for f in fields[:k])])
-                    if k == len(fields):
-                        key.append((t, ground.setdefault(head, len(ground))))
+                    scope[p] = opaque(p)
+            stack = [(d.body, (), scope)]
+            while stack:
+                term, ks, scope = stack.pop()
+                t = type(term)
+                while t is Prefix:
+                    event, shown, under = term.event, (), ks
+                    for f in event.fields:
+                        if type(f) is Lit:
+                            continue
+                        fields, shown = [], []
+                        for j, f in enumerate(event.fields):
+                            if type(f) is not Lit:
+                                f = substituted(f, scope)
+                                level, params = reads(f)
+                                if level == 2:
+                                    bad |= params
+                                    domains = env.channels.get(event.head)
+                                    if domains is None or len(domains) != len(event.fields):
+                                        return None
+                                    shown.append((j, f))
+                                    under += (len(choices),)
+                                    f = Var(f"#{len(choices)}")
+                                    choices.append((("field", event.head, j),))
+                            fields.append(f)
+                        event = EventTemplate(event.head, tuple(fields))
+                        break
+                    groups.setdefault(under, []).append(event)
+                    key.append((t, event.head, tuple(shown)) if shown else t)
+                    term = term.cont
+                    t = type(term)
+                if t is Call:
+                    callee = term.name, len(term.args)
+                    if callee not in positions:
+                        positions[callee] = len(order)
+                        order.append(callee)
+                    args = term.args and tuple([substituted(a, scope) for a in term.args])
+                    for j, a in enumerate(args):
+                        if callee != top or a is not symbols[j]:  # not passed on unchanged
+                            bad |= reads(a)[1]
+                            if callee == top and j not in verbatim:
+                                bad.add(j)
+                    key.append((t, positions[callee], args))
+                    continue
+                if t is Stop or t is Skip or t is Div:
+                    key.append(t)
+                    continue
+                names = free_vars(term)
+                mark = (term, ks, tuple(map(scope.get, names))) if names else term
+                if mark in seen:
+                    key.append(seen[mark])
+                    continue
+                seen[mark] = len(key)
+                if t is IndexedChoice:
+                    items = term.items  # a channel field's values read no variable
+                    level, params = 0, ()
+                    if any(i[0] != "field" for i in items):
+                        items = tuple([i if i[0] == "field" else (i[0], *[substituted(e, scope) for e in i[1:]])
+                                       for i in items])
+                        level, params = reads(*[e for i in items if i[0] != "field" for e in i[1:]])
+                    scope = dict(scope)
+                    if level:
+                        bad |= params
+                        scope[term.var] = opaque(term.var)
                     else:
-                        domains = env.channels.get(ev.head)
-                        if domains is None or len(domains) != len(fields):
-                            return None
-                        at = heads.setdefault(head, (len(heads), domains[k:]))[0]
-                        key.append((t, at, ev.head, k, fields[k:]))
-                stack.append(term.cont)
-            elif t is ExtChoice or t is IntChoice:
-                key.append((t, len(term.items)))
-                stack.extend(reversed(term.items))
-            elif t is Seq:
-                key.append(t)
-                stack.extend((term.second, term.first))
-            elif t is Interrupt:
-                key.append(t)
-                stack.extend((term.handler, term.body))
-            elif t is Guard:
-                key.append((t, term.cond))
-                stack.append(term.body)
-            elif t is IndexedChoice:
-                key.append((t, term.op, term.var, term.items))
-                stack.append(term.body)
-            elif t is Call:
-                ref = (term.name, len(term.args))
-                if ref not in positions:
-                    positions[ref] = len(order)
-                    order.append(ref)
-                key.append((t, positions[ref], term.args))
-            elif t is Stop or t is Skip or t is Div:
-                key.append(t)
-            else:
-                return None
-    return tuple(key), list(ground), [(h, domains) for h, (_, domains) in heads.items()]
+                        scope[term.var] = symbol = Var(f"#{len(choices)}")
+                        kinds[symbol.name] = 1, params
+                        ks += (len(choices),)
+                        choices.append(items)
+                    key.append((t, term.op, scope[term.var], items))
+                    stack.append((term.body, ks, scope))
+                elif t is Guard:
+                    cond = substituted(term.cond, scope)
+                    bad |= reads(cond)[1]
+                    key.append((t, cond))
+                    stack.append((term.body, ks, scope))
+                elif t is ExtChoice or t is IntChoice or t is Seq or t is Interrupt:
+                    kids = term.items if len(t.__slots__) == 1 else [getattr(term, s) for s in t.__slots__]
+                    key.append((t, len(kids)))
+                    stack.extend([(kid, ks, scope) for kid in kids])
+                else:
+                    return None
+        if not bad:
+            return tuple(key), sorted(verbatim), list(groups.items()), choices
+        verbatim |= bad
 
 
 class _OwnTerms(Sequence):
@@ -411,17 +378,6 @@ class Network:
         self.abstractions: dict = {}  # component index -> abs_lts result
         # component index -> its entry in its owner's abstractions
         self.entries: dict = {}
-        # calls without arguments group by their environment, and then by
-        # source shape; the elaborator forms the families of calls with them
-        calls = {}
-        for c in self.components:
-            if c.lts is None and c.family is None and type(c.term) is Call and not c.term.args:
-                calls.setdefault(c.env, []).append(c)
-        for env, members in calls.items():
-            if len(members) > 1:
-                sources = _Sources(env)
-                for c in members:
-                    c.family = sources
 
     @cached_property
     def sigma(self) -> frozenset:

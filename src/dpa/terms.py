@@ -190,12 +190,12 @@ class EventTemplate:
         return EVENTS.intern(".".join(parts))
 
 
-def template_formats(templates):
+def template_formats(templates, fields=None):
     """Each distinct field of ``templates`` that is not a literal, mapped to
-    its position in the order they first occur, and one format per template
-    over those positions with its literals spelled in, such as
-    ``pickup.{0}.1``."""
-    fields, formats = {}, []
+    its position in the order they first occur after those ``fields`` maps
+    already, and one format per template over those positions with its
+    literals spelled in, such as ``pickup.{0}.1``."""
+    fields, formats = {} if fields is None else fields, []
     for t in templates:
         formats.append(".".join([t.head] + [
             str(f.value) if type(f) is Lit else "{%d}" % fields.setdefault(f, len(fields))
@@ -444,6 +444,20 @@ def expr_vars(expr) -> set:
     if isinstance(expr, FunCall):
         return set().union(*map(expr_vars, expr.args))
     raise DslValueError(f"cannot evaluate {expr!r}")
+
+
+def substituted(expr, names):
+    """``expr`` with each variable in ``names`` replaced by its expression."""
+    t = type(expr)
+    if t is Var:
+        return names.get(expr.name, expr)
+    if t is BinOp:
+        return BinOp(expr.op, substituted(expr.left, names), substituted(expr.right, names))
+    if t is UnOp:
+        return UnOp(expr.op, substituted(expr.operand, names))
+    if t is FunCall:
+        return FunCall(expr.name, tuple(substituted(a, names) for a in expr.args))
+    return expr
 
 
 def _event_vars(ev) -> set:

@@ -12,14 +12,69 @@ leaves on each member.
 from __future__ import annotations
 
 from itertools import product
+from types import SimpleNamespace
 
 from dpa.events import EVENTS
-from dpa.network import _family
-from dpa.terms import Call, DslValueError, Var, eval_expr, set_values, template_formats
+from dpa.terms import (
+    Call, Div, DslValueError, ExtChoice, Guard, IndexedChoice, IntChoice, Interrupt, Prefix,
+    Seq, Skip, Stop, Var, eval_expr, expr_vars, set_values, template_formats)
+
+
+def _family(env, name, arity):
+    """The family of calls to ``name`` with ``arity`` arguments under
+    ``env``, as ``network._family`` admitted it before the elaborator's
+    sharing walk replaced it: ``params``, the body's event templates by the
+    choices they are under (``groups``) and its indexed ``choices``; None
+    when a parameter of that definition is not event-only (or it has
+    none).  A parameter is event-only when it occurs only in prefix event
+    fields, in the sets of indexed choices (whose own variables occur only
+    in event fields) and as the unchanged argument of the definition's
+    calls, which are all to itself."""
+    d = env.definitions.get((name, arity))
+    if d is None or not d.params:
+        return None
+    own = frozenset(d.params)
+    self_call = tuple(Var(p) for p in d.params)
+    groups, choices = {}, []  # the event templates by the choices they are under
+    stack = [(d.body, ())]
+    while stack:
+        term, scope = stack.pop()
+        t = type(term)
+        bound = own.union(choices[k].var for k in scope)
+        if t is Prefix:
+            if type(term.event) is int:  # a ground event in a source term
+                return None
+            groups.setdefault(scope, []).append(term.event)
+            stack.append((term.cont, scope))
+        elif t is IndexedChoice:
+            outer = bound - own
+            if term.var in bound or any(
+                expr_vars(e) & outer
+                for kind, *exprs in term.items if kind != "field" for e in exprs
+            ):
+                return None
+            choices.append(term)
+            stack.append((term.body, scope + (len(choices) - 1,)))
+        elif t is Guard:
+            if expr_vars(term.cond) & bound:
+                return None
+            stack.append((term.body, scope))
+        elif t is ExtChoice or t is IntChoice:
+            stack.extend((item, scope) for item in term.items)
+        elif t is Seq:
+            stack.extend(((term.first, scope), (term.second, scope)))
+        elif t is Interrupt:
+            stack.extend(((term.body, scope), (term.handler, scope)))
+        elif t is Call:
+            if term.name != name or term.args != self_call:
+                return None
+        elif t not in (Stop, Skip, Div):
+            return None
+    return SimpleNamespace(params=d.params, groups=list(groups.items()), choices=choices)
 
 
 class ReferenceResolver:
-    """The resolver of one family: ``family`` is what ``network._family``
+    """The resolver of one family: ``family`` is what :func:`_family`
     gives, and only its parameters, choices and grouped templates are
     read."""
 

@@ -1,9 +1,9 @@
 """Family members renamed from their owner, against each
 component compiled and checked on its own.
 
-`network` groups the components that call one definition at event-only
-values into families, and the calls without arguments by source shape,
-and either's members by signature: the first
+`dsl.elaborate` groups the calls that one sharing walk per called
+definition finds of one shape into families, and their members by
+signature: the first
 member of a signature compiled is compiled and owns it, every later one is
 the owner's LTS with its labels renamed, and liveness, abstraction and
 divergence are judged once per owner.  The reference is
@@ -28,6 +28,7 @@ import pytest
 import bundled
 import dpa
 import dpa.cli
+import dpa.dsl
 from conftest import random_live_network
 from dpa import models
 from dpa.dsl import elaborate, parse_network
@@ -38,6 +39,7 @@ from dpa.network import (
     Component,
     InputError,
     Network,
+    _Family,
     abs_divergent,
     abs_lts,
     check_live,
@@ -197,8 +199,9 @@ def test_most_members_take_the_shared_path():
     for name, source in CORPUS:
         kind = name.split("[")[0].split("(")[0]
         shared[kind] = shared.get(kind, 0) + len(diff_network(elaborate(parse_network(source))))
-    # every philosophers member but the owners: 105 over sizes 1..8
-    assert shared["philosophers"] == 105
+    # every philosophers member but the owners: 112 over sizes 1..8, the
+    # asymmetric APhil renamed from Phil's owner, which is of its shape
+    assert shared["philosophers"] == 112
     # 52 of the 139 random members are renamed; each of the others owns a
     # signature, its choice sets or templates coinciding at ids where no
     # earlier member's do (``{id, 0}`` at id 0, say)
@@ -209,12 +212,12 @@ def test_most_members_take_the_shared_path():
 def test_philosophers_300_renames_all_but_one_member_per_family():
     net = elaborate(parse_network(models.philosophers_source(300)))
     assert diff_network(net) == (
-        [f"Phil.{i}" for i in range(1, 299)] + [f"Fork.{i}" for i in range(1, 300)])
+        [f"Phil.{i}" for i in range(1, 299)] + ["APhil.299"] + [f"Fork.{i}" for i in range(1, 300)])
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_leadership_renames_every_node_and_bus_from_the_first(n):
-    """Written once per instance, the nodes are one source shape and the
+    """Written once per instance, the nodes are one sharing shape and the
     buses another."""
     net = elaborate(parse_network(models.leadership_source(n)))
     assert diff_network(net) == [c.name for c in net.components
@@ -235,6 +238,126 @@ def test_a_leadership_run_compiles_two_owners_and_two_spec_shapes(monkeypatch):
     assert run_dpa(net, [desc]).overall == PROVEN
     assert [args[1] for args in calls[:2]] == [Call("Node0"), Call("BusOff01")]
     assert len(calls) == 4
+
+
+def test_the_walk_runs_once_per_definition_and_arity(monkeypatch):
+    """When an atom is first planned, never per instance or per compile."""
+    walks = []
+    original = dpa.dsl._shape
+
+    def counted(env, name, arity):
+        walks.append((name, arity))
+        return original(env, name, arity)
+
+    monkeypatch.setattr(dpa.dsl, "_shape", counted)
+    net = elaborate(parse_network(models.philosophers_source(300)))
+    assert sorted(walks) == [("APhil", 1), ("Fork", 1), ("Phil", 1)]
+    for comp in net.components:
+        comp.compiled()
+    assert len(walks) == 3
+    walks.clear()
+    net = elaborate(parse_network(models.leadership_source(5)))
+    for comp in net.components:
+        comp.compiled()
+    # one atom per node and per bus, each calling a definition of its own
+    assert sorted(walks) == sorted({(c.term.name, 0) for c in net.components})
+    assert len(walks) == len(net) == 25
+
+
+MODEL_HEADER = """\
+version 1
+const N = 3
+channel a : {0..2}.{0..2}
+channel b : {0..2}
+channel c : {0..2}
+fun nx(i) = (i + 1) % N
+"""
+
+
+def random_model_source(seed):
+    """Definitions ``P`` and ``Q`` of 0 to 2 parameters, built at random
+    from prefixes, inputs, choices, replicated choices, guards on the
+    parameters and calls to each other at argument expressions, each
+    written twice (``P2``, ``Q2``: the same body, calling the twins, its
+    event literals 0 and 1 swapped at random), and atoms calling either
+    at ``id``-dependent or constant arguments."""
+    rng = random.Random(seed)
+    arity = {d: rng.randint(0, 2) for d in "PQ"}
+
+    def body(brng, twin, swap):
+        def expr(names):
+            e = brng.choice([*names, "0", "1", "(N-1)"])
+            return f"nx({e})" if names and brng.random() < 0.3 else e
+
+        def lit(e):
+            return {"0": "1", "1": "0"}.get(e, e) if swap else e
+
+        def call(names):
+            d = brng.choice("PQ")
+            args = ", ".join(expr(names) for _ in range(arity[d]))
+            return d + twin + (f"({args})" if args else "")
+
+        def process(depth, names):
+            roll = brng.random()
+            if depth == 0 or roll < 0.2:
+                return call(names)
+            if roll < 0.35:
+                x = f"x{depth}"
+                return f"c?{x} -> {process(depth - 1, [*names, x])}"
+            if roll < 0.6:
+                return f"a.{lit(expr(names))}.{lit(expr(names))} -> {process(depth - 1, names)}"
+            if roll < 0.7:
+                return f"({process(depth - 1, names)} [] {process(depth - 1, names)})"
+            if roll < 0.75:
+                return f"({process(depth - 1, names)} |~| {process(depth - 1, names)})"
+            if roll < 0.85:
+                v = f"v{depth}"
+                items = ", ".join(brng.sample([*names, "0", "1", "2"], 2))
+                return f"([] {v} : {{{items}}} @ b.{v} -> {process(depth - 1, [*names, v])})"
+            return f"({expr(names)} == {brng.choice('012')} & b.{lit(expr(names))} -> {process(depth - 1, names)})"
+
+        return process
+
+    lines = []
+    for d in "PQ":
+        params = [f"p{i}" for i in range(arity[d])]
+        head = d + (f"({', '.join(params)})" if params else "")
+        shape = rng.random()  # both copies draw the same body from it
+        for twin, swap in (("", False), ("2", rng.random() < 0.5)):
+            process = body(random.Random(shape), twin, swap)
+            lines.append(f"{head.replace(d, d + twin, 1)} = b.0 -> {process(4, params)}")
+    for k in range(rng.randint(2, 4)):
+        d = rng.choice(["P", "Q", "P2", "Q2"])
+        args = ", ".join(rng.choice(["id", "0", "1", "nx(id)"]) for _ in range(arity[d[0]]))
+        call = d + (f"({args})" if args else "")
+        lines.append(f"atom A{k} = alphabet {{| a, b, c |}} behaviour {call}\ninstance I{k} = A{k} {{0..2}}")
+    return MODEL_HEADER + "\n".join(lines) + "\n"
+
+
+RANDOM_MODELS = range(60)
+
+
+@pytest.mark.parametrize("seed", RANDOM_MODELS)
+def test_random_models_of_several_definitions_match_their_own_compilation(seed):
+    """Verbatim parameters, inputs, calls between definitions, and twins
+    that share an owner across definitions."""
+    source = random_model_source(seed)
+    net = elaborate(parse_network(source))
+    diff_network(net)
+    diff_network(elaborate(parse_network(source)), order=range(len(net) - 1, -1, -1))
+
+
+def test_random_models_share_owners_across_definitions():
+    shared = across = 0
+    for seed in RANDOM_MODELS:
+        net = elaborate(parse_network(random_model_source(seed)))
+        diff_network(net)
+        owners = {id(c._share[0]): c.term.name for c in net.components if not renamed(c)}
+        members = [c for c in net.components if renamed(c)]
+        shared += len(members)
+        across += sum(owners[id(c._share[0])] != c.term.name for c in members)
+    # 329 members renamed, 61 of them from a twin's owner
+    assert shared >= 300 and across >= 50
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -307,7 +430,7 @@ def test_equality_and_repr_read_the_rows():
         lazy.rows
 
 
-def test_a_proven_run_renames_no_rows(monkeypatch):
+def test_a_proven_run_renames_only_the_rows_it_refines(monkeypatch):
     calls = []
 
     def counted(*args):
@@ -319,13 +442,16 @@ def test_a_proven_run_renames_no_rows(monkeypatch):
     net = elaborate(parse_network(models.philosophers_source(50)))
     desc = parse_descriptor(models.philosophers_descriptor(50), net)
     assert run_dpa(net, [desc]).overall == PROVEN
-    # all but the owners of Phil(id) and Fork(id), and APhil.49
-    assert sum(renamed(c) for c in net.components) == 97
-    assert calls == []
-    # the oracle reads the rows of every member: Phil.1-4 and Fork.1-5
+    # all but the owners of Phil(id), which APhil.49 shares, and Fork(id);
+    # only APhil.49's refinement is not the image of one that passed
+    assert sum(renamed(c) for c in net.components) == 98
+    assert [lts.n_states for lts, _phi in calls] == [7]
+    calls.clear()
+    # the oracle reads the rows of every member: Phil.1-4, APhil.5 and
+    # Fork.1-5
     free = explore_global(elaborate(parse_network(models.philosophers_source(6))))
     assert free.states_explored == 40250
-    assert len(calls) == 9
+    assert len(calls) == 10
     net = elaborate(parse_network(models.philosophers_source(6, True)))
     plain_net = Network(
         [Component(c.name, c.alphabet, lts=compile_term(c.env, c.term)) for c in net.components],
@@ -390,6 +516,7 @@ def adversarial(body, alphabet="{| a |}", ids="{0..2}", extra=""):
     )
 
 
+# bodies the parent refused a family
 NOT_EVENT_ONLY = {
     "guard-reads-the-parameter": adversarial("id == 0 & a.id -> P(id) [] a.id -> P(id)"),
     "self-call-changes-its-argument": adversarial("a.id -> P((id + 1) % 3)"),
@@ -401,13 +528,29 @@ NOT_EVENT_ONLY = {
     "hiding": adversarial("(a.id -> P(id)) \\ {a.id}"),
     "call-to-another-definition": adversarial("a.id -> Q(id)", extra="Q(id) = a.id -> P(id)\n"),
 }
+# those the walk makes a family of, and the members renamed: a choice
+# variable that shadows the parameter is one more choice, and so is one
+# over a set that reads another choice's variable, whose events are all
+# of ``a`` at each member; the others read the parameter outside event
+# fields, so the walk keeps it verbatim and each member is a group of its
+# own, or they hide events
+SHARED_NOW = {"choice-variable-shadows-the-parameter": [],
+              "choice-set-reads-a-choice-variable": ["P.1", "P.2"]}
+STILL_ALONE = [name for name in NOT_EVENT_ONLY if name not in SHARED_NOW]
 
 
-@pytest.mark.parametrize("source", NOT_EVENT_ONLY.values(), ids=NOT_EVENT_ONLY.keys())
-def test_definitions_that_are_not_event_only_form_no_family(source):
-    net = elaborate(parse_network(source))
+@pytest.mark.parametrize("name", STILL_ALONE, ids=STILL_ALONE)
+def test_definitions_that_are_not_event_only_form_no_family(name):
+    net = elaborate(parse_network(NOT_EVENT_ONLY[name]))
     assert all(c.family is None for c in net.components)
     assert diff_network(net) == []
+
+
+@pytest.mark.parametrize("name", SHARED_NOW, ids=SHARED_NOW.keys())
+def test_choices_the_parent_refused_form_a_family(name):
+    net = elaborate(parse_network(NOT_EVENT_ONLY[name]))
+    assert all(c.family is not None for c in net.components)
+    assert diff_network(net) == SHARED_NOW[name]
 
 
 def test_a_body_with_ground_events_forms_no_family():
@@ -531,13 +674,15 @@ GROUND = {
     "remaining-domains-differ": (grounded(
         "P = b.0?x -> (x == 0 & P)\nQ = d.0?x -> (x == 0 & Q)\nR = b.1?x -> (x == 0 & R)\n",
         {"P": "{| b.0 |}", "Q": "{| d.0 |}", "R": "{| b.1 |}"}), ["R"]),
-    # the same values in another order: the heads' completions pair b.0.0
-    # with e.0.2, which is not where y == 0 leads
+    # the same values in another order: completing the heads over their
+    # channels' fields would pair b.0.0 with e.0.2, which is not where
+    # y == 0 leads, but each event is named at each value of y, so Q is
+    # renamed as well
     "remaining-domains-reordered": (grounded(
         "P = [] y : {0..2} @ b.0.y -> (y == 0 & P)\n"
         "Q = [] y : {0..2} @ e.0.y -> (y == 0 & Q)\n"
         "R = [] y : {0..2} @ b.1.y -> (y == 0 & R)\n",
-        {"P": "{| b.0 |}", "Q": "{| e.0 |}", "R": "{| b.1 |}"}), ["R"]),
+        {"P": "{| b.0 |}", "Q": "{| e.0 |}", "R": "{| b.1 |}"}), ["Q", "R"]),
     "guards-differ": (grounded(
         "P = N > 0 & a.0.0.0 -> P [] a.0.0.1 -> P\n"
         "Q = N > 1 & a.1.0.0 -> Q [] a.1.0.1 -> Q\n",
@@ -560,7 +705,6 @@ GROUND = {
 @pytest.mark.parametrize("source, shared", GROUND.values(), ids=GROUND.keys())
 def test_ground_definitions_share_only_a_source_shape(source, shared):
     net = elaborate(parse_network(source))
-    assert all(c.family is not None for c in net.components)
     assert diff_network(net) == shared
     diff_network(elaborate(parse_network(source)), order=range(len(net) - 1, -1, -1))
 
@@ -581,16 +725,21 @@ def test_a_ground_member_whose_image_leaves_its_alphabet_raises_as_compiling_wou
 
 
 def test_a_ground_owner_with_labels_outside_its_events_owns_no_signature():
-    """``a.(x + 1)`` over ``a``'s domain {0, 1} also makes ``a.2``, which no
-    completion of the head ``a`` names, so φ would not map it: each call
-    compiles on its own."""
+    """``a.(x + 1)`` over ``a``'s domain {0, 1} also makes ``a.2``, which
+    members joined with the events ``a.0`` and ``a.1`` do not name, so φ
+    would not map it: each call compiles on its own.  A hand-built network
+    forms no family, so the members join one here."""
     env = DefEnv([Definition(p, (), IndexedChoice("[]", "x", (("field", "a", 0),), Prefix(
         EventTemplate("a", (BinOp("+", Var("x"), Lit(1)),)), Call(p)))) for p in "PQ"])
     env.channels = {"a": [[0, 1]]}
     alphabet = frozenset(map(event, ["a.0", "a.1", "a.2"]))
     net = Network([Component(p, alphabet, Call(p), env) for p in "PQ"])
+    family = _Family()
+    for comp in net.components:
+        family.join(comp, ["a.0", "a.1"], ())
     assert net[0].family.claim(net[0])[1] == net[1].family.claim(net[1])[1] is not None
     assert diff_network(net) == []
+    assert family.owners == {}
 
 
 def plain(comp):
@@ -688,7 +837,7 @@ def test_a_renamed_member_compile_evaluates_nothing(monkeypatch, source):
 
 def test_philosophers_300_members_compile_without_evaluating(monkeypatch):
     net = elaborate(parse_network(models.philosophers_source(300)))
-    owners = [net[0], net[299], net[300]]  # Phil.0, APhil.299 and Fork.0
+    owners = [net[0], net[300]]  # Phil.0, which APhil.299 shares, and Fork.0
     for comp in owners:
         comp.compiled()
     calls = counted_evaluations(monkeypatch)
@@ -741,6 +890,7 @@ INTERNING = [
                                    {"P": "{ a.0.0.0 }", "Q": "{ a.1.0.0 }"})),
     *((name, source) for name, (source, _shared) in GROUND.items()),
     *((name, source) for name, (source, *_outcome) in EAGER.items()),
+    *((f"random_model[{seed}]", random_model_source(seed)) for seed in RANDOM_MODELS),
 ]
 
 
@@ -763,14 +913,15 @@ _RUN_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import bundled
-import dpa.network
+import dpa.dsl
 from dpa import models
 from dpa.dsl import elaborate, parse_network
 from dpa.events import EVENTS
 from dpa.patterns import parse_descriptor
 from dpa.report import run_dpa
 if sys.argv[2] == "alone":
-    dpa.network._source_shape = lambda env, name: None
+    shape = dpa.dsl._shape
+    dpa.dsl._shape = lambda env, name, arity: arity and shape(env, name, arity) or None
 runs = []
 for name, build in bundled.BUNDLED.items():
     pattern = name[:-len(".net")] + ".pattern.json"
@@ -791,7 +942,7 @@ def test_a_run_interns_events_as_compiling_each_ground_call_alone():
     """Building and running each bundled model, with its descriptor and the
     oracle, and leadership at 3 and 4 nodes gives the same summaries and
     interns the same events in the same order whether or not calls without
-    arguments share owners by source shape."""
+    arguments share owners by the sharing walk."""
     package_root = str(Path(dpa.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     runs = []

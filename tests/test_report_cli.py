@@ -65,7 +65,8 @@ def test_components_compile_in_their_own_phase_in_order(monkeypatch):
     monkeypatch.setattr(dpa.network, "compile_term", compiling)
     net = net_of(models.ring_buffer_source(3))
     report = run_dpa(net)
-    assert phases == ["compile"] * len(net) + ["liveness"]
+    # the controller and Cell.0; the other cells are renamed from Cell.0
+    assert phases == ["compile"] * 2 + ["liveness"]
     assert list(report.timings)[:2] == ["compile", "liveness"]
     # a compile error still names its component: here P.0 compiles and
     # P.1 reads an unbound variable
@@ -211,6 +212,36 @@ def test_cli_check_exit_codes_stable(model_dir, capsys):
     pat = str(model_dir / "philosophers.pattern.json")
     assert main(["check", phl, "--pattern", pat]) == 0
     assert main(["check", phl]) == 1  # no descriptor: inconclusive
+
+
+def _compile_bug(*args):
+    raise RuntimeError("a bug while compiling")
+
+
+# one row per exit code: the command, the model, and an internal function
+# to replace with one that raises
+EXIT_CODES = {
+    "proven": (0, ["check"], "ringbuffer.net", None),
+    "inconclusive": (1, ["oracle"], "philosophers_symmetric.net", None),
+    "input-error": (2, ["check"], "nope.net", None),
+    "internal-error": (3, ["check"], "ringbuffer.net", ("dpa.network.compile_term", _compile_bug)),
+}
+
+
+@pytest.mark.parametrize("code, command, model, patch", EXIT_CODES.values(), ids=EXIT_CODES.keys())
+def test_cli_exit_code(model_dir, capsys, monkeypatch, code, command, model, patch):
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    assert main(command + [str(model_dir / model)]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        # the error line, then the traceback, from the bug on
+        assert err.startswith("internal error: CompileFailure: component 'Controller' "
+                              "failed to compile: a bug while compiling\nTraceback")
+        assert "\nRuntimeError: a bug while compiling\n" in err
+    else:
+        assert "internal error" not in err
+        assert err.startswith("error: ") == (code == 2)
 
 
 def test_cli_input_error_exit_code(model_dir, tmp_path, capsys):
@@ -816,23 +847,24 @@ def test_cli_pattern_rejects_a_malformed_descriptor(model_dir, capsys, model, do
     assert captured.err == f"error: {error}\n"
 
 
-def test_cli_internal_value_error_is_not_an_input_error(model_dir, monkeypatch):
+def test_cli_internal_value_error_is_not_an_input_error(model_dir, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("internal")
 
     monkeypatch.setattr("dpa.cli.run_dpa", broken)
-    with pytest.raises(ValueError, match="internal"):
-        main(["check", str(model_dir / "ringbuffer.net")])
+    assert main(["check", str(model_dir / "ringbuffer.net")]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ValueError: internal\n")
 
 
-def test_cli_internal_key_error_in_a_descriptor_is_not_an_input_error(model_dir, monkeypatch):
+def test_cli_internal_key_error_in_a_descriptor_is_not_an_input_error(
+        model_dir, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise KeyError("internal")
 
     monkeypatch.setattr(RaDescriptor, "__init__", broken)
     model = str(model_dir / "philosophers.net")
-    with pytest.raises(KeyError, match="internal"):
-        main(["pattern", model, str(model_dir / "philosophers.pattern.json")])
+    assert main(["pattern", model, str(model_dir / "philosophers.pattern.json")]) == 3
+    assert capsys.readouterr().err.startswith("internal error: KeyError: 'internal'\n")
 
 
 def test_cli_oracle_state_limit_bounds_only_the_product(model_dir, capsys):
@@ -982,11 +1014,12 @@ def test_cli_bench_runs_each_family_at_its_least_size(capsys):
 
 
 @pytest.mark.parametrize("spec, owners", [
-    ("leadership:7", 2), ("ringbuffer:12", 13), ("philosophers:2,50", 3)])
+    ("leadership:7", 2), ("ringbuffer:12", 2), ("philosophers:2,50", 2)])
 def test_cli_bench_counts_the_components_compiled_on_their_own(capsys, spec, owners):
     """Every leadership node and bus is renamed from one of two owners;
-    each ringbuffer cell compiles on its own; philosophers own Phil, APhil
-    and Fork."""
+    the ringbuffer's controller compiles on its own and every cell is
+    renamed from the first; philosophers own Phil, which APhil shares, and
+    Fork."""
     assert main(["bench", spec]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [row["owners"] for row in rows] == [owners] * len(rows)

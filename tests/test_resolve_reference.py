@@ -2,10 +2,13 @@
 with the member's alphabet, against the resolver that evaluated them again
 when the member compiled (`resolve_reference.py`).
 
-Right after a model is elaborated, every member's `(events, signature)`
-must equal the reference's, in the same order, since φ pairs the owner's
-events with the member's position by position; and the components the
-reference resolves must be exactly the family members.  The corpus holds
+Right after a model is elaborated, every member the reference resolves
+must be a family member whose `(events, signature)` equals the
+reference's, in the same order, since φ pairs the owner's events with the
+member's position by position.  The sharing walk also makes members the
+reference never resolved (calls without arguments, definitions of one
+shape, parameters kept verbatim); `test_source_shape_reference.py` checks
+that they keep every owner the parent shared.  The corpus holds
 the bundled models, `philosophers_source(2..6)` both ways,
 `leadership_source(2..5)` (which forms no family of calls with arguments),
 the random families of `test_family_reference.py` and its adversarial
@@ -19,7 +22,6 @@ import bundled
 import test_family_reference as family
 from dpa import models
 from dpa.dsl import elaborate, parse_network
-from dpa.network import _Family
 from resolve_reference import reference_members
 
 
@@ -48,7 +50,7 @@ CORPUS = corpus()
 def test_member_events_match_the_reference(source):
     net = elaborate(parse_network(source))
     want = reference_members(net)
-    got = {c.name: c.family.claim(c) for c in net.components if type(c.family) is _Family}
+    got = {c.name: c.family.claim(c) for c in net.components if c.name in want}
     assert got == want
 
 
