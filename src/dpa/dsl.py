@@ -742,23 +742,28 @@ class _Channels:
         # a body field that is not the alphabet's is evaluated once per
         # instance if a choice set or a template outside every choice reads
         # it, and once per value of the choices it is under otherwise
-        sets = [[(kind, a, b) if kind == "field" else (kind, at(a), at(b)) for kind, a, b in items]
-                for items in sets]
+        sets = [[(kind, self.domains[a][b], b) if kind == "field" else (kind, at(a), at(b))
+                 for kind, a, b in items] for items in sets]
         once = {p for items in sets for kind, *ps in items if kind != "field" for p in ps}
         once.update(fields[f] for scope, ts in groups if not scope for t in ts
                     for f in t.fields if type(f) is not Lit)
         once = sorted(p for p in once if p is not None and p >= own)
         exprs, forms, member = list(fields), iter(formats[len(templates):]), []
         for scope, ts in groups:
-            names = [Var(f"#{k}") for k in scope]
-            local = [p for p in dict.fromkeys(fields[f] for t in ts for f in t.fields
-                                              if type(f) is not Lit) if p >= own and p not in once]
-            member.append((scope, [v.name for v in names],
-                           [(p, names.index(exprs[p])) for p in local if exprs[p] in names],
-                           [(p, exprs[p]) for p in local if exprs[p] not in names],
+            names, picks, local = [f"#{k}" for k in scope], [], []
+            # a group outside every choice reads only fields in once
+            for p in scope and dict.fromkeys(fields[f] for t in ts for f in t.fields
+                                             if type(f) is not Lit):
+                if p >= own and p not in once:
+                    e = exprs[p]
+                    if type(e) is Var and e.name in names:
+                        picks.append((p, names.index(e.name)))
+                    else:
+                        local.append((p, e))
+            member.append((scope, names, picks, local,
                            [(form, exact.get(form)) for form in islice(forms, len(ts))]))
         args = [fields.get(a, own) for a in args]  # the call at alphabet fields, if it is one
-        return *plan, (None if max(args) >= own else args, [(p, exprs[p]) for p in once],
+        return *plan, (None if max(args, default=0) >= own else args, [(p, exprs[p]) for p in once],
                        sets, member, [None] * (len(exprs) - own))
 
     def check_input(self, head, position):
@@ -770,48 +775,22 @@ class _Channels:
             raise RangeOverflow(f"channel '{head}' has no field {position}")
 
 
-def _member_body(shape, call: Call, env: DefEnv):
+def _member_body(shape, call: Call):
     """``call``'s arguments and its sharing ``shape``'s templates by the
     choices they are under and choice sets' items ``(kind, a, b)``, each
     parameter's symbol replaced by its argument, so that they read what an
-    alphabet reads: ``id`` and the constants.  A channel field is its
-    values."""
+    alphabet reads: ``id`` and the constants."""
     _key, _verbatim, groups, choices = shape
     names = {f"#p{j}": a for j, a in enumerate(call.args)}
 
     def item(kind, a, b=None):
-        if kind == "field":
-            return kind, env.channels[a][b], None
-        return kind, substituted(a, names), b and substituted(b, names)
+        return (kind, a, b) if kind == "field" else (
+            kind, substituted(a, names), b and substituted(b, names))
 
-    return call.args, [
-        (scope, [EventTemplate(t.head, tuple(substituted(f, names) for f in t.fields))
-                 for t in templates]) for scope, templates in groups
-    ], [[item(*i) for i in items] for items in choices]
-
-
-def _fixed_events(shape, env):
-    """The events of every call whose sharing ``shape`` leaves no parameter
-    symbolic, in :func:`_member_events`' order, and no choice patterns,
-    since the key holds each set; ``(None, None)`` if a field fails."""
-    _key, _verbatim, groups, choices = shape
-    try:
-        values = [dict.fromkeys(set_values(items, {}, env)) for items in choices]
-        events = []
-        for scope, templates in groups:
-            # the choices' values are the first fields, so a template that
-            # reads nothing else is formatted straight from their values
-            names = [Var(f"#{k}") for k in scope]
-            fields, formats = template_formats(templates, dict(zip(names, range(len(scope)))))
-            rest = list(fields)[len(scope):]
-            for combo in product(*[values[k] for k in scope]):
-                if rest:
-                    b = {v.name: value for v, value in zip(names, combo)}
-                    combo += tuple([eval_expr(f, b, env) for f in rest])
-                events += [form.format(*combo) for form in formats]
-    except DslValueError:
-        return None, None
-    return events, ()
+    if names:
+        groups = [(scope, [EventTemplate(t.head, tuple([substituted(f, names) for f in t.fields]))
+                           for t in templates]) for scope, templates in groups]
+    return call.args, groups, [[item(*i) for i in items] for items in choices]
 
 
 def _member_events(plan, values, alphabet, bindings, env):
@@ -915,10 +894,8 @@ def elaborate(decl: NetworkDecl) -> Network:
                     shapes[ref] = _shape(env, *ref)
                 shape = shapes[ref]
             if shape is not None:
-                # with no parameter left symbolic, every call names the same events
-                fixed = len(shape[1]) == len(call.args) and _fixed_events(shape, env)
-                body = None if fixed else _member_body(shape, call, env)
-                group = keys.setdefault(shape[0], len(keys)), shape[1], fixed
+                body = _member_body(shape, call)
+                group = keys.setdefault(shape[0], len(keys)), shape[1]
             plans[atom.name] = group, *channels.alphabet_plan(atom.alphabet, body)
         group, fields, steps, checks, fault, member = plans[atom.name]
         for value, name in zip(ids, names):
@@ -952,8 +929,8 @@ def elaborate(decl: NetworkDecl) -> Network:
             comp = Component(name, frozenset(alphabet), term, env)
             components.append(comp)
             if group is not None and inside:
-                kid, verbatim, fixed = group
-                events, patterns = fixed or _member_events(member, values, alphabet, bindings, env)
+                kid, verbatim = group
+                events, patterns = _member_events(member, values, alphabet, bindings, env)
                 members.setdefault((kid, tuple([term.args[j] for j in verbatim])), []).append(
                     (comp, events, patterns))
     if outside:

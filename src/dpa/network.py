@@ -209,9 +209,10 @@ def _shape(env: DefEnv, name: str, arity: int):
 
     The key has a token per term: a definition as the position where it is
     first reached, a template as its opaque fields, and guards, choice sets
-    and call arguments as written but for the symbols.  A choice or a
-    branching term met again whose variables mean the same, under the same
-    choices if it reads any, is the index of its first token."""
+    and call arguments as written but for the symbols.  A term other than
+    a call or STOP, SKIP and DIV met again whose variables mean the same,
+    under the same choices if it reads any, is the index of its first
+    token, so a prefix run two branches share is walked once."""
     top, verbatim = (name, arity), set()
     base = {"id": Lit(env.constants["id"]) if "id" in env.constants else Var("#id")}
     symbols = [Var(f"#p{j}") for j in range(arity)]
@@ -249,32 +250,6 @@ def _shape(env: DefEnv, name: str, arity: int):
             while stack:
                 term, ks, scope = stack.pop()
                 t = type(term)
-                while t is Prefix:
-                    event, shown, under = term.event, (), ks
-                    for f in event.fields:
-                        if type(f) is Lit:
-                            continue
-                        fields, shown = [], []
-                        for j, f in enumerate(event.fields):
-                            if type(f) is not Lit:
-                                f = substituted(f, scope)
-                                level, params = reads(f)
-                                if level == 2:
-                                    bad |= params
-                                    domains = env.channels.get(event.head)
-                                    if domains is None or len(domains) != len(event.fields):
-                                        return None
-                                    shown.append((j, f))
-                                    under += (len(choices),)
-                                    f = Var(f"#{len(choices)}")
-                                    choices.append((("field", event.head, j),))
-                            fields.append(f)
-                        event = EventTemplate(event.head, tuple(fields))
-                        break
-                    groups.setdefault(under, []).append(event)
-                    key.append((t, event.head, tuple(shown)) if shown else t)
-                    term = term.cont
-                    t = type(term)
                 if t is Call:
                     callee = term.name, len(term.args)
                     if callee not in positions:
@@ -297,13 +272,33 @@ def _shape(env: DefEnv, name: str, arity: int):
                     key.append(seen[mark])
                     continue
                 seen[mark] = len(key)
-                if t is IndexedChoice:
-                    items = term.items  # a channel field's values read no variable
-                    level, params = 0, ()
-                    if any(i[0] != "field" for i in items):
-                        items = tuple([i if i[0] == "field" else (i[0], *[substituted(e, scope) for e in i[1:]])
-                                       for i in items])
-                        level, params = reads(*[e for i in items if i[0] != "field" for e in i[1:]])
+                if t is Prefix:
+                    event, shown, under = term.event, (), ks
+                    if names:
+                        fields, shown = [], []
+                        for j, f in enumerate(event.fields):
+                            if type(f) is not Lit:
+                                f = substituted(f, scope)
+                                level, params = reads(f)
+                                if level == 2:
+                                    bad |= params
+                                    domains = env.channels.get(event.head)
+                                    if domains is None or len(domains) != len(event.fields):
+                                        return None
+                                    shown.append((j, f))
+                                    under += (len(choices),)
+                                    f = Var(f"#{len(choices)}")
+                                    choices.append((("field", event.head, j),))
+                            fields.append(f)
+                        event = EventTemplate(event.head, tuple(fields))
+                    groups.setdefault(under, []).append(event)
+                    key.append((t, event.head, tuple(shown)) if shown else t)
+                    stack.append((term.cont, ks, scope))
+                elif t is IndexedChoice:
+                    # a channel field's values read no variable
+                    items = tuple([i if i[0] == "field" else (i[0], *[substituted(e, scope) for e in i[1:]])
+                                   for i in term.items])
+                    level, params = reads(*[e for i in items if i[0] != "field" for e in i[1:]])
                     scope = dict(scope)
                     if level:
                         bad |= params

@@ -6,8 +6,10 @@ shape when they compiled.
 Every pair of components that compiled from one owner under the parent
 must still compile from one.  The walk may share more; each class of
 components it shares that joins classes of the parent is listed below,
-with why.  That the shared members compile as they would on their own is
-`test_family_reference.py`'s diff.
+with why.  Every family member the parent's resolver does not resolve is
+listed too, so that with `test_resolve_reference.py` each model's members
+are pinned.  That the shared members compile as they would on their own
+is `test_family_reference.py`'s diff.
 """
 
 import pytest
@@ -16,6 +18,7 @@ import bundled
 import test_family_reference as family
 from dpa import models
 from dpa.dsl import elaborate, parse_network
+from resolve_reference import reference_members
 from source_shape_reference import owner_classes, parent_owners
 
 
@@ -42,6 +45,37 @@ COARSER = {
     **{f"ring_buffer({n})": [[f"Cell.{i}" for i in range(n)]] for n in range(2, 7)},
     "remaining-domains-reordered": [["P", "Q", "R"]],
 }
+
+
+
+def leadership_names(n):
+    return [f"Node.{i}" for i in range(n)] + [
+        f"Bus.{i}.{j}" for i in range(n) for j in range(n) if i != j]
+
+
+# every family member the parent's resolver does not resolve (the members
+# it resolves are test_resolve_reference.py's): calls without arguments
+# that share a walk's key with another call, and the coarser classes above
+EXTRA = {
+    "ringbuffer.net": ["Cell.0", "Cell.1", "Cell.2"],
+    "philosophers.net": ["APhil.2"],
+    "two_ring.net": ["C1", "C2", "C4", "C5"],
+    "client_server.net": ["C1", "C2"],
+    "leadership.net": leadership_names(2),
+    **{f"leadership({n})": leadership_names(n) for n in range(2, 8)},
+    **{f"ring_buffer({n})": [f"Cell.{i}" for i in range(n)] for n in range(2, 7)},
+    "overlap": ["P", "Q", "R"],
+    "remaining-domains-differ": ["P", "R"],
+    "remaining-domains-reordered": ["P", "Q", "R"],
+}
+
+
+@pytest.mark.parametrize("name, source", CORPUS, ids=[n for n, _ in CORPUS])
+def test_the_walk_adds_exactly_the_listed_members(name, source):
+    net = elaborate(parse_network(source))
+    resolved = reference_members(net)
+    extra = {c.name for c in net.components if c.family is not None and c.name not in resolved}
+    assert sorted(extra) == sorted(EXTRA.get(name, []))
 
 
 @pytest.mark.parametrize("name, source", CORPUS, ids=[n for n, _ in CORPUS])
